@@ -2,22 +2,19 @@
 //!
 //! ```text
 //! cargo run -p dexlego-bench --release --bin interp \
-//!     [-- --iters N --repeats N --filter PATTERN --smoke --quick-smoke]
+//!     [-- --iters N --repeats N --filter PATTERN --quick-smoke]
 //! ```
 //!
 //! `--filter` restricts the run to workloads whose name matches the given
 //! pattern (literal chars, `.`, `*`, `^`, `$` — see `dexlego_bench::filter`).
-//! `--smoke` runs a reduced workload and asserts the predecoded cache is
-//! not slower than per-step decoding; `--quick-smoke` implies `--smoke`
-//! and additionally asserts the quickened fast path is not slower either
-//! (used by `verify.sh`).
+//! `--quick-smoke` runs a reduced workload and asserts the quickened fast
+//! path is not slower than per-step decoding (used by `verify.sh`).
 
 use dexlego_bench::filter::Pattern;
 
 fn main() {
     let mut iters = 200_000i32;
     let mut repeats = 5u32;
-    let mut smoke = false;
     let mut quick_smoke = false;
     let mut filter: Option<Pattern> = None;
     let mut args = std::env::args().skip(1);
@@ -36,36 +33,23 @@ fn main() {
                     }
                 }
             }
-            "--smoke" => smoke = true,
             "--quick-smoke" => quick_smoke = true,
             other => panic!("unknown argument: {other}"),
         }
     }
-    if smoke || quick_smoke {
+    if quick_smoke {
         iters = 20_000;
         repeats = 3;
     }
     let results = dexlego_bench::interp::run_filtered(iters, repeats, filter.as_ref());
     assert!(!results.is_empty(), "--filter matched no workload");
     println!("{}", dexlego_bench::interp::format(&results));
-    if smoke || quick_smoke {
-        for r in &results {
-            assert!(
-                r.speedup() >= 1.0,
-                "{}: predecoded fetch slower than per-step ({:.2}x)",
-                r.name,
-                r.speedup()
-            );
-        }
-        eprintln!("interp smoke: predecoded >= per-step on all workloads");
-    }
     if quick_smoke {
         for r in &results {
             eprintln!(
-                "interp quick-smoke: {} quickened {:.2}x vs per-step ({:.2}x predecoded)",
+                "interp quick-smoke: {} quickened {:.2}x vs per-step",
                 r.name,
-                r.quick_speedup(),
-                r.speedup()
+                r.quick_speedup()
             );
             assert!(
                 r.quick_speedup() >= 1.0,

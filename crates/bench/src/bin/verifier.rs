@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The default mode measures the reference sequential engine against the
-//! fast path (RPO worklist + slab frames + verify cache) over a generated
+//! fast path (slab frames + whole-DEX verify cache) over a generated
 //! corpus, differentially checking that both emit identical diagnostics.
 //! `--baseline` measures only the reference engine (for pinning pre-
 //! optimization numbers). `--smoke` runs a reduced corpus and asserts the

@@ -1,6 +1,6 @@
 //! Interpreter fetch microbenchmark: decode-per-step versus the
-//! predecoded code cache versus the quickened/fused fast path, reported
-//! as instructions per second.
+//! quickened/fused fast path over the predecoded code cache, reported as
+//! instructions per second.
 //!
 //! Two workloads exercise the two fetch-sensitive paths: a tight
 //! arithmetic loop (pure instruction fetch) and a switch-heavy loop
@@ -28,19 +28,12 @@ pub struct WorkloadResult {
     pub insns_per_call: u64,
     /// Best-of-N instructions/sec with per-step decoding.
     pub decode_per_step: f64,
-    /// Best-of-N instructions/sec through the predecoded cache.
-    pub predecoded: f64,
     /// Best-of-N instructions/sec with quickening, superinstructions, and
     /// table dispatch on top of the predecoded cache.
     pub quickened: f64,
 }
 
 impl WorkloadResult {
-    /// Predecoded speedup over per-step decoding.
-    pub fn speedup(&self) -> f64 {
-        self.predecoded / self.decode_per_step.max(1e-9)
-    }
-
     /// Quickened speedup over per-step decoding.
     pub fn quick_speedup(&self) -> f64 {
         self.quickened / self.decode_per_step.max(1e-9)
@@ -119,8 +112,8 @@ fn measure(
     rt.load_dex(dex, "app").expect("loads");
     let mut obs = NullObserver;
     let args = [Slot::from_int(n)];
-    // Warm-up call: class init, the cache build (predecoded/quickened
-    // modes), and call-site quickening, so timed calls hit rewritten cells.
+    // Warm-up call: class init, the code-cache build (quickened mode), and
+    // call-site quickening, so timed calls hit rewritten cells.
     rt.call_static(&mut obs, entry, method, "(I)I", &args)
         .expect("runs");
     let mut best = 0.0f64;
@@ -138,7 +131,7 @@ fn measure(
 }
 
 /// Runs every workload whose name matches `filter` (all of them when
-/// `None`) under all three fetch modes.
+/// `None`) under both fetch modes.
 pub fn run_filtered(
     iterations: i32,
     repeats: u32,
@@ -162,14 +155,6 @@ pub fn run_filtered(
                 iterations,
                 repeats,
             );
-            let (pre, _) = measure(
-                &dex,
-                &entry,
-                method,
-                FetchMode::Predecoded,
-                iterations,
-                repeats,
-            );
             let (quick, _) = measure(
                 &dex,
                 &entry,
@@ -182,14 +167,13 @@ pub fn run_filtered(
                 name: name.to_owned(),
                 insns_per_call: insns,
                 decode_per_step: step,
-                predecoded: pre,
                 quickened: quick,
             }
         })
         .collect()
 }
 
-/// Runs both workloads under all three fetch modes.
+/// Runs both workloads under both fetch modes.
 pub fn run(iterations: i32, repeats: u32) -> Vec<WorkloadResult> {
     run_filtered(iterations, repeats, None)
 }
@@ -206,9 +190,7 @@ pub fn format(results: &[WorkloadResult]) -> String {
                     "decode_per_step_insns_per_s",
                     format!("{:.0}", r.decode_per_step),
                 ),
-                ("predecoded_insns_per_s", format!("{:.0}", r.predecoded)),
                 ("quickened_insns_per_s", format!("{:.0}", r.quickened)),
-                ("speedup", format!("{:.2}", r.speedup())),
                 ("quick_speedup", format!("{:.2}", r.quick_speedup())),
             ])
         })

@@ -12,10 +12,10 @@
 //! distribution ([`service`] + [`stats`], emitting BENCH_service.json);
 //! `service --router N` drives the same shape through a `dexlego-router`
 //! fleet ([`router`], emitting BENCH_router.json).
-//! `interp` compares decode-per-step against the predecoded code cache
+//! `interp` compares decode-per-step against the quickened fast path
 //! in instructions/sec ([`interp`], emitting BENCH_interp.json),
 //! `verifier` compares the reference sequential fixpoint against the fast
-//! verification path and its digest-keyed cache ([`verifier`], emitting
+//! verification path and its whole-DEX cache ([`verifier`], emitting
 //! BENCH_verifier.json), and `taint_gate` is the taint-precision
 //! regression gate run by `verify.sh` ([`taint_gate`]).
 

@@ -1,21 +1,23 @@
 //! Verifier throughput benchmark: the reference sequential fixpoint
-//! versus the fast path (RPO worklist, slab frames, digest-keyed verify
-//! cache), reported as verified instructions per second.
+//! versus the fast path (slab frames, whole-DEX verify cache), reported as
+//! verified instructions per second.
 //!
 //! Three measurements per corpus:
 //!
-//! * **baseline** — `VerifyOptions::sequential_reference().without_cache()`,
-//!   the pre-optimization engine;
+//! * **baseline** — `VerifyOptions::sequential_reference()`, the
+//!   pre-optimization engine, against an empty verify cache;
 //! * **fast cold** — the fast engine against an empty verify cache;
 //! * **fast warm** — the fast engine re-verifying the same corpus, so
-//!   every method is served from the cache.
+//!   every DEX is served from the cache.
 //!
 //! The headline number is the *corpus workload*: every DEX verified
 //! `rounds` times, modelling the pipeline's verification gate plus the
 //! taint tools each re-verifying the same revealed DEX. The fast path runs
 //! the workload against one shared cache; the baseline re-verifies every
-//! round from scratch, exactly as the pipeline did before the verify-once
-//! change.
+//! round from an empty cache, exactly as the pipeline did before the
+//! verify-once change. The reference engine's results are cached under
+//! their own key, so every baseline pass clears the cache first, outside
+//! the timed region.
 //!
 //! Every fast-path run is differentially checked against the baseline:
 //! diagnostics must match exactly, method by method, or the bench panics.
@@ -39,14 +41,11 @@ pub struct VerifierBenchResult {
     pub rounds: u32,
     /// Best-of-N seconds for one baseline corpus pass.
     pub baseline_s: f64,
-    /// Best-of-N seconds for one fast pass with the cache disabled
-    /// (isolates the engine win from cache-key overhead).
-    pub fast_nocache_s: f64,
     /// Best-of-N seconds for one fast pass against an empty cache.
     pub fast_cold_s: f64,
     /// Best-of-N seconds for one fast pass against a warm cache.
     pub fast_warm_s: f64,
-    /// Seconds for `rounds` baseline passes (no cache, every round pays).
+    /// Seconds for `rounds` baseline passes (each from an empty cache).
     pub corpus_baseline_s: f64,
     /// Seconds for `rounds` fast passes sharing one cache.
     pub corpus_fast_s: f64,
@@ -60,11 +59,6 @@ impl VerifierBenchResult {
     /// Fast-cold speedup over the baseline engine (algorithmic win only).
     pub fn cold_speedup(&self) -> f64 {
         self.baseline_s / self.fast_cold_s.max(1e-9)
-    }
-
-    /// Fast-engine speedup with the cache disabled entirely.
-    pub fn engine_speedup(&self) -> f64 {
-        self.baseline_s / self.fast_nocache_s.max(1e-9)
     }
 
     /// Fast-warm speedup over the baseline engine (pure cache hits).
@@ -104,6 +98,17 @@ fn pass(dexes: &[DexFile], options: &VerifyOptions) -> (Vec<TypedDex>, f64) {
     (typed, start.elapsed().as_secs_f64())
 }
 
+/// One corpus pass from an empty verify cache (the clear is not timed).
+fn cold_pass(dexes: &[DexFile], options: &VerifyOptions) -> (Vec<TypedDex>, f64) {
+    clear_verify_cache();
+    pass(dexes, options)
+}
+
+/// Seconds for `rounds` cold passes under `options`.
+fn cold_rounds(dexes: &[DexFile], options: &VerifyOptions, rounds: u32) -> f64 {
+    (0..rounds).map(|_| cold_pass(dexes, options).1).sum()
+}
+
 /// Panics unless both engines produced identical diagnostics per DEX.
 fn assert_identical(baseline: &[TypedDex], fast: &[TypedDex]) {
     assert_eq!(baseline.len(), fast.len());
@@ -120,35 +125,24 @@ fn assert_identical(baseline: &[TypedDex], fast: &[TypedDex]) {
 /// the `rounds`-pass corpus workload under both engines.
 pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> VerifierBenchResult {
     let dexes = corpus(apps, base_insns);
-    let baseline_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
+    let baseline_opts = VerifyOptions::default().sequential_reference();
     let fast_opts = VerifyOptions::default();
-    let fast_nocache_opts = VerifyOptions::default().without_cache();
 
     // Differential check before any timing: the two engines must agree.
-    let (base_typed, _) = pass(&dexes, &baseline_opts);
-    clear_verify_cache();
-    let (fast_typed, _) = pass(&dexes, &fast_opts);
+    let (base_typed, _) = cold_pass(&dexes, &baseline_opts);
+    let (fast_typed, _) = cold_pass(&dexes, &fast_opts);
     assert_identical(&base_typed, &fast_typed);
     let methods: usize = base_typed.iter().map(|t| t.methods.len()).sum();
     let insns: u64 = base_typed.iter().map(|t| t.insn_count() as u64).sum();
 
     let mut baseline_s = f64::MAX;
-    let mut fast_nocache_s = f64::MAX;
     let mut fast_cold_s = f64::MAX;
     let mut fast_warm_s = f64::MAX;
     for _ in 0..repeats.max(1) {
-        let (_, s) = pass(&dexes, &baseline_opts);
-        baseline_s = baseline_s.min(s);
-        let (_, s) = pass(&dexes, &fast_nocache_opts);
-        fast_nocache_s = fast_nocache_s.min(s);
-        clear_verify_cache();
-        let (_, s) = pass(&dexes, &fast_opts);
-        fast_cold_s = fast_cold_s.min(s);
+        baseline_s = baseline_s.min(cold_pass(&dexes, &baseline_opts).1);
+        fast_cold_s = fast_cold_s.min(cold_pass(&dexes, &fast_opts).1);
         // The cache is now warm from the cold pass.
-        let (_, s) = pass(&dexes, &fast_opts);
-        fast_warm_s = fast_warm_s.min(s);
+        fast_warm_s = fast_warm_s.min(pass(&dexes, &fast_opts).1);
     }
 
     // Corpus workload: every DEX verified `rounds` times, the shape of the
@@ -160,24 +154,20 @@ pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> Verifie
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
     for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        for _ in 0..rounds {
-            pass(&dexes, &baseline_opts);
-        }
-        corpus_baseline_s = corpus_baseline_s.min(start.elapsed().as_secs_f64());
+        corpus_baseline_s = corpus_baseline_s.min(cold_rounds(&dexes, &baseline_opts, rounds));
 
         clear_verify_cache();
         let mut hits = 0u64;
         let mut misses = 0u64;
-        let start = Instant::now();
+        let mut s = 0.0;
         for _ in 0..rounds {
-            let (typed, _) = pass(&dexes, &fast_opts);
+            let (typed, secs) = pass(&dexes, &fast_opts);
+            s += secs;
             for t in &typed {
                 hits += t.cache_hits;
                 misses += t.cache_misses;
             }
         }
-        let s = start.elapsed().as_secs_f64();
         if s < corpus_fast_s {
             corpus_fast_s = s;
             cache_hits = hits;
@@ -191,7 +181,6 @@ pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> Verifie
         insns,
         rounds,
         baseline_s,
-        fast_nocache_s,
         fast_cold_s,
         fast_warm_s,
         corpus_baseline_s,
@@ -206,21 +195,14 @@ pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> Verifie
 /// pre-optimization numbers independently of the comparison run.
 pub fn run_baseline(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> (f64, f64, u64) {
     let dexes = corpus(apps, base_insns);
-    let baseline_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
-    let (typed, _) = pass(&dexes, &baseline_opts);
+    let baseline_opts = VerifyOptions::default().sequential_reference();
+    let (typed, _) = cold_pass(&dexes, &baseline_opts);
     let insns: u64 = typed.iter().map(|t| t.insn_count() as u64).sum();
     let mut single_s = f64::MAX;
     for _ in 0..repeats.max(1) {
-        let (_, s) = pass(&dexes, &baseline_opts);
-        single_s = single_s.min(s);
+        single_s = single_s.min(cold_pass(&dexes, &baseline_opts).1);
     }
-    let start = Instant::now();
-    for _ in 0..rounds {
-        pass(&dexes, &baseline_opts);
-    }
-    (single_s, start.elapsed().as_secs_f64(), insns)
+    (single_s, cold_rounds(&dexes, &baseline_opts, rounds), insns)
 }
 
 /// Formats the results as one JSON object (BENCH_verifier.json).
@@ -232,7 +214,6 @@ pub fn format(r: &VerifierBenchResult) -> String {
         ("insns", r.insns.to_string()),
         ("rounds", r.rounds.to_string()),
         ("baseline_us", format!("{:.0}", r.baseline_s * 1e6)),
-        ("fast_nocache_us", format!("{:.0}", r.fast_nocache_s * 1e6)),
         ("fast_cold_us", format!("{:.0}", r.fast_cold_s * 1e6)),
         ("fast_warm_us", format!("{:.0}", r.fast_warm_s * 1e6)),
         (
@@ -248,7 +229,6 @@ pub fn format(r: &VerifierBenchResult) -> String {
             "corpus_fast_insns_per_s",
             format!("{:.0}", r.corpus_fast_insns_per_s()),
         ),
-        ("engine_speedup", format!("{:.2}", r.engine_speedup())),
         ("cold_speedup", format!("{:.2}", r.cold_speedup())),
         ("warm_speedup", format!("{:.2}", r.warm_speedup())),
         ("corpus_speedup", format!("{:.2}", r.corpus_speedup())),

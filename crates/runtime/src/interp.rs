@@ -180,15 +180,14 @@ const MAX_INSN_UNITS: usize = 5;
 /// predecoded code cache; the frame re-validates its epoch before every
 /// step, so self-modifying code (which bumps the epoch via
 /// [`Runtime::method_mut`]) is re-predecoded before the next instruction.
-/// Under [`FetchMode::Quickened`] the entry's [`QuickCells`] overlay drives
-/// table dispatch; `qc` is `None` for the plain `Predecoded` baseline.
-/// `Step` decodes from the live method body on every step — the fallback
-/// for unpredecodable streams and the explicit
-/// [`FetchMode::DecodePerStep`] baseline.
+/// The entry's [`QuickCells`] overlay drives table dispatch. `Step`
+/// decodes from the live method body on every step — the fallback for
+/// unpredecodable streams and the explicit [`FetchMode::DecodePerStep`]
+/// baseline.
 enum FrameCode {
     Pre {
         pre: Arc<PredecodedMethod>,
-        qc: Option<Arc<QuickCells>>,
+        qc: Arc<QuickCells>,
         epoch: u64,
     },
     Step,
@@ -201,11 +200,7 @@ fn acquire_code(rt: &mut Runtime, method: MethodId) -> FrameCode {
     }
     let epoch = rt.code_epoch(method);
     match rt.predecoded(method) {
-        Some((pre, cells)) => FrameCode::Pre {
-            pre,
-            qc: (rt.env.fetch_mode == FetchMode::Quickened).then_some(cells),
-            epoch,
-        },
+        Some((pre, qc)) => FrameCode::Pre { pre, qc, epoch },
         None => FrameCode::Step,
     }
 }
@@ -399,15 +394,15 @@ impl Ctx<'_, '_> {
     /// when the frame has no quickening overlay.
     fn cell_data(&self, qidx: u32) -> u32 {
         match self.code {
-            FrameCode::Pre { qc: Some(qc), .. } => qc.data(qidx),
-            _ => quick::NO_DATA,
+            FrameCode::Pre { qc, .. } => qc.data(qidx),
+            FrameCode::Step => quick::NO_DATA,
         }
     }
 
     /// Rewrites cell `qidx` to dispatch byte `byte` with resolved `data`,
     /// counting a successful first-time rewrite in the runtime stats.
     fn quicken(&mut self, qidx: u32, byte: u8, data: u32) {
-        if let FrameCode::Pre { qc: Some(qc), .. } = self.code {
+        if let FrameCode::Pre { qc, .. } = self.code {
             if qc.quicken(qidx, byte, data) {
                 self.rt.stats.quickens += 1;
             }
@@ -421,8 +416,8 @@ impl Ctx<'_, '_> {
 type Handler = fn(&mut Ctx<'_, '_>, &Insn, u32) -> Result<Flow>;
 
 /// Dispatch value meaning "no table entry — run the generic match". Used
-/// for per-step fetches and the plain `Predecoded` baseline, which by
-/// design does not pay for (or benefit from) the table.
+/// for per-step fetches, which by design do not pay for (or benefit from)
+/// the table.
 const DISPATCH_GENERIC: u16 = 0x100;
 
 /// The 256-entry dispatch table, indexed by dispatch byte (a Dalvik opcode
@@ -583,7 +578,7 @@ fn run_frame_inner(
     // know (a jump into the middle of an instruction) drops the frame to
     // the fully general loop below for good.
     if !wants_events {
-        while let FrameCode::Pre { qc: Some(_), .. } = &code {
+        while let FrameCode::Pre { .. } = &code {
             match run_quick_segment(rt, obs, method, &mut frame, depth, &code, pc)? {
                 Seg::Done(outcome) => return Ok(outcome),
                 Seg::Resume(at) => {
@@ -621,14 +616,11 @@ fn run_frame_inner(
         let (insn, units): (&Insn, &[u16]) = 'fetch: {
             if let FrameCode::Pre { pre, qc, .. } = &code {
                 if let Some((idx, insn, units)) = pre.entry_at(pc) {
-                    if let Some(qc) = qc {
-                        qidx = idx;
-                        // Never fused here: quickened frames only reach
-                        // this loop for event-wanting observers or after a
-                        // per-step fallback, and both demand per-insn
-                        // granularity.
-                        dbyte = u16::from(qc.dispatch_byte(idx, false));
-                    }
+                    qidx = idx;
+                    // Never fused here: predecoded frames only reach this
+                    // loop for event-wanting observers or after a per-step
+                    // fallback, and both demand per-insn granularity.
+                    dbyte = u16::from(qc.dispatch_byte(idx, false));
                     break 'fetch (insn, units);
                 }
                 // A pc the linear predecode did not mark as an instruction
@@ -754,10 +746,7 @@ fn run_quick_segment(
     code: &FrameCode,
     start_pc: u32,
 ) -> Result<Seg> {
-    let FrameCode::Pre {
-        pre, qc: Some(qc), ..
-    } = code
-    else {
+    let FrameCode::Pre { pre, qc, .. } = code else {
         return Ok(Seg::Fallback(start_pc));
     };
     let obs_branch_hooks = obs.wants_branch_hooks();
@@ -1172,7 +1161,7 @@ fn h_const_string_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result
 /// predecode time (absolute targets, no payload walk).
 #[inline]
 fn h_switch_pre(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
-    let FrameCode::Pre { qc: Some(qc), .. } = ctx.code else {
+    let FrameCode::Pre { qc, .. } = ctx.code else {
         return exec_generic(ctx, insn);
     };
     let key = ctx.frame.reg(insn.a).as_int();
@@ -1592,8 +1581,8 @@ fn invoke_resolved(
 
 /// The classic full-opcode match — the single source of semantics for every
 /// opcode without a dedicated table handler, and the whole interpreter for
-/// the `Predecoded` and `DecodePerStep` baselines. Never quickens: the
-/// baselines measure the unquickened cost.
+/// the `DecodePerStep` baseline. Never quickens: the baseline measures the
+/// unquickened cost.
 #[allow(clippy::too_many_lines)]
 fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
     let method = ctx.method;

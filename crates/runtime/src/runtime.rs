@@ -121,10 +121,6 @@ pub enum FetchMode {
     /// superinstructions (the fast path).
     #[default]
     Quickened,
-    /// Predecoded fetching with the plain match-based dispatcher: no
-    /// quickening, no superinstructions. Kept as the mid-tier baseline for
-    /// differential tests and the `bench --bin interp` comparison.
-    Predecoded,
     /// Decode every instruction on every execution (the pre-cache
     /// behaviour); kept as a conformance baseline for differential tests
     /// and the `bench --bin interp` comparison.

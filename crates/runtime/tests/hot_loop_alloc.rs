@@ -1,8 +1,8 @@
 //! Steady-state hot-loop allocation check: once a method is warm, an
 //! execution under a passive observer must perform zero heap allocations
-//! per call — in quickened mode (in-place cell rewrites, fused dispatch),
-//! in predecoded mode (borrowed fetches, pooled frames), AND in
-//! decode-per-step mode (fixed-size unit buffer, no owned vectors).
+//! per call — in quickened mode (in-place cell rewrites, fused dispatch,
+//! borrowed fetches, pooled frames) AND in decode-per-step mode
+//! (fixed-size unit buffer, no owned vectors).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,15 +96,6 @@ fn warm_hot_loop_allocates_nothing_quickened() {
         warm_call_alloc_count(FetchMode::Quickened),
         0,
         "steady-state quickened/fused execution must be allocation-free"
-    );
-}
-
-#[test]
-fn warm_hot_loop_allocates_nothing_predecoded() {
-    assert_eq!(
-        warm_call_alloc_count(FetchMode::Predecoded),
-        0,
-        "steady-state predecoded execution must be allocation-free"
     );
 }
 

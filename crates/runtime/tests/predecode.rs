@@ -228,7 +228,7 @@ fn jump_to_non_boundary_pc_falls_back_per_step() {
     // as per-step mode does.
     let code = vec![0x0228, 0x0013, 0x000e]; // goto +2 ; const/16 v0 ; (lit =) return-void
     for mode in [
-        dexlego_runtime::FetchMode::Predecoded,
+        dexlego_runtime::FetchMode::Quickened,
         dexlego_runtime::FetchMode::DecodePerStep,
     ] {
         let mut dex = DexFile::new();

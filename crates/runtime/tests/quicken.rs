@@ -1,8 +1,7 @@
 //! Quickening behaviour: call sites rewrite to pre-resolved fast-path
-//! cells exactly once, the `Predecoded` baseline never quickens, body
-//! mutation de-quickens mid-frame, superinstructions fire only under a
-//! passive observer, and a branch into the middle of a fused pair
-//! executes the second half standalone.
+//! cells exactly once, body mutation de-quickens mid-frame,
+//! superinstructions fire only under a passive observer, and a branch into
+//! the middle of a fused pair executes the second half standalone.
 
 use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::{encode_insn, Insn, Opcode};
@@ -79,24 +78,6 @@ fn call_sites_quicken_once() {
         rt.stats.quickens, after_first,
         "warm execution must not re-quicken already-rewritten cells"
     );
-}
-
-#[test]
-fn predecoded_baseline_never_quickens() {
-    let dex = quickenable_app();
-    let mut rt = runtime_with(FetchMode::Predecoded, &dex);
-    let mut obs = NullObserver;
-    for _ in 0..2 {
-        let ret = rt
-            .call_static(&mut obs, "Lqk/C;", "go", "()I", &[])
-            .unwrap();
-        assert_eq!(ret.as_int(), Some(12));
-    }
-    assert_eq!(
-        rt.stats.quickens, 0,
-        "baseline must measure unquickened cost"
-    );
-    assert_eq!(rt.stats.superinsn_hits, 0);
 }
 
 #[test]

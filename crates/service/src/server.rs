@@ -1014,9 +1014,8 @@ impl EventLoop {
         // cache hits are never shed by admission control or queued behind
         // slow extractions. A corrupt entry (get quarantines it and
         // returns None) falls through to a normal dispatch.
-        if job_key(&spec).is_some_and(|key| self.shared.store.contains(&key)) {
+        if let Some(key) = job_key(&spec).filter(|key| self.shared.store.contains(key)) {
             let start = Instant::now();
-            let key = job_key(&spec).expect("key just computed");
             if let Some(hit) = self.shared.store.get(&key) {
                 let packer = spec.packer.map(|id| id.profile().name);
                 let mut report = from_cached(&spec.name, packer, &hit);

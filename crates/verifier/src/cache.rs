@@ -1,41 +1,38 @@
-//! Process-level digest-keyed verification cache.
+//! Process-level whole-DEX verification cache.
 //!
-//! Every method's verification result (post-filter diagnostics plus the
-//! optional [`TypedIr`]) is keyed by a SHA-1 digest of everything that can
-//! influence it:
+//! A [`crate::verify_dex_typed`] result — diagnostics, the shared method
+//! IRs and the interned class hierarchy — is keyed by one SHA-1 digest of
+//! everything that can influence it:
 //!
 //! * [`VERIFIER_VERSION`] — bumped whenever verification semantics change,
 //!   so a new build never replays results from an older rule set;
-//! * the *DEX epoch* ([`dex_epoch`]) — a digest of the constant pools and
-//!   class-definition hierarchy links. Two DEX files with equal epochs
-//!   intern identical pools in identical order, so an epoch match makes
-//!   cached `TypeId`s and pool-index-dependent diagnostics valid verbatim;
-//! * the method's pool index (which, under an equal epoch, pins its
-//!   signature), staticness, frame configuration, raw code units, and
-//!   try/catch tables;
-//! * an options fingerprint (engine, lint enablement, suppressed rules,
-//!   whether IR was requested).
+//! * the constant pools and class-definition hierarchy links. Two DEX
+//!   files that agree on them intern identical pools in identical order,
+//!   so cached `TypeId`s, pool-index-dependent diagnostics and the
+//!   identity-stamped IR are valid verbatim;
+//! * an options fingerprint (engine, lint enablement, suppressed rules);
+//! * every method body in class-definition order: its pool index,
+//!   staticness, frame configuration, raw code units, and try/catch
+//!   tables.
 //!
-//! The map is process-global behind a mutex with bounded FIFO eviction.
-//! The dominant workload — the pipeline gate plus several taint tools
-//! re-verifying the same revealed DEX, and corpus apps sharing generated
-//! library classes — hits with zero re-verification. The IR is stored
-//! fully identity-stamped behind an [`Arc`]: an equal epoch implies equal
-//! pools, so the stamped `method_idx`/signature/class/name transfer
-//! verbatim and a hit shares the IR without cloning it. A hit is
-//! byte-identical to a fresh run (asserted by the cache tests).
+//! The store is process-global behind a mutex. It evicts the least
+//! recently used result once the typed-IR instructions it holds exceed
+//! [`CAPACITY`], charging every result at least one, so memory stays
+//! bounded however large or numerous the verified DEX files are. What hits
+//! is a re-verification of an identical DEX: a store miss whose revealed
+//! DEX matches an earlier one (a fuzz-seed variant of a packed app reveals
+//! the same DEX), or a bench's repeated rounds. A hit shares the IR and
+//! hierarchy without cloning them and is byte-identical to a fresh run
+//! (asserted by the cache tests).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dexlego_dex::checksum::sha1;
 use dexlego_dex::code::CodeItem;
 use dexlego_dex::DexFile;
 
-use crate::diag::Diagnostic;
-use crate::hierarchy::ClassHierarchy;
-use crate::typed_ir::TypedIr;
-use crate::VerifyOptions;
+use crate::{TypedDex, VerifyOptions};
 
 /// Version stamp folded into every cache key. Bump the suffix whenever
 /// verification semantics change (new rules, lattice changes, message
@@ -43,174 +40,73 @@ use crate::VerifyOptions;
 pub const VERIFIER_VERSION: &str =
     concat!("dexlego-verifier-", env!("CARGO_PKG_VERSION"), "+vfy.2");
 
-/// Entries kept before FIFO eviction. Each entry holds one method's
-/// diagnostics and IR; thousands cover a large corpus app.
-const CAPACITY: usize = 8192;
+/// Typed-IR instructions held before least-recently-used eviction: room
+/// for two results the size of Table I's largest app (Contacts, 103,602
+/// insns).
+const CAPACITY: usize = 1 << 18;
 
-/// A cached verification result. Diagnostics are stored method-stamped
-/// and the IR fully identity-stamped (both valid verbatim under an equal
-/// epoch); the IR is shared, not cloned, on every hit.
-pub(crate) struct Entry {
-    pub diags: Vec<Diagnostic>,
-    pub ir: Option<Arc<TypedIr>>,
+#[derive(Default)]
+struct Store {
+    /// Each result with the tick of its last use.
+    map: HashMap<[u8; 20], (Arc<TypedDex>, u64)>,
+    /// Last-use tick to key, least recently used first.
+    recency: BTreeMap<u64, [u8; 20]>,
+    tick: u64,
+    /// Instructions charged to the held results.
+    held: usize,
 }
 
-struct Store {
-    map: HashMap<[u8; 20], Arc<Entry>>,
-    order: VecDeque<[u8; 20]>,
+/// What a result is charged against [`CAPACITY`].
+fn cost(typed: &TypedDex) -> usize {
+    typed.insn_count().max(1)
 }
 
 fn store() -> &'static Mutex<Store> {
     static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(Store {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
+    STORE.get_or_init(Mutex::default)
 }
 
-pub(crate) fn lookup(key: &[u8; 20]) -> Option<Arc<Entry>> {
-    store()
-        .lock()
-        .expect("verify cache lock")
-        .map
-        .get(key)
-        .cloned()
+/// The cached result for `key`, marked as the most recently used.
+pub(crate) fn lookup(key: &[u8; 20]) -> Option<Arc<TypedDex>> {
+    let mut guard = store().lock().expect("verify cache lock");
+    let s = &mut *guard;
+    let (typed, last_use) = s.map.get_mut(key)?;
+    s.tick += 1;
+    s.recency.remove(&*last_use);
+    *last_use = s.tick;
+    s.recency.insert(s.tick, *key);
+    Some(Arc::clone(typed))
 }
 
-pub(crate) fn insert(key: [u8; 20], diags: Vec<Diagnostic>, ir: Option<Arc<TypedIr>>) {
-    let mut s = store().lock().expect("verify cache lock");
+/// Caches a fresh result, then evicts least recently used results until
+/// the store is within [`CAPACITY`] again (a result larger than the whole
+/// capacity is evicted at once).
+pub(crate) fn insert(key: [u8; 20], typed: TypedDex) {
+    let mut guard = store().lock().expect("verify cache lock");
+    let s = &mut *guard;
     if s.map.contains_key(&key) {
         return;
     }
-    while s.map.len() >= CAPACITY {
-        let Some(old) = s.order.pop_front() else {
+    s.tick += 1;
+    s.held += cost(&typed);
+    s.map.insert(key, (Arc::new(typed), s.tick));
+    s.recency.insert(s.tick, key);
+    while s.held > CAPACITY {
+        let Some((_, old)) = s.recency.pop_first() else {
             break;
         };
-        s.map.remove(&old);
+        if let Some((gone, _)) = s.map.remove(&old) {
+            s.held -= cost(&gone);
+        }
     }
-    s.map.insert(key, Arc::new(Entry { diags, ir }));
-    s.order.push_back(key);
 }
 
 /// Empties the cache (benches and tests).
 pub(crate) fn clear() {
-    let mut s = store().lock().expect("verify cache lock");
-    s.map.clear();
-    s.order.clear();
-    let mut h = hier_store().lock().expect("hierarchy cache lock");
-    h.map.clear();
-    h.order.clear();
-    drop(h);
-    let mut d = dex_store().lock().expect("dex cache lock");
-    d.map.clear();
-    d.order.clear();
+    *store().lock().expect("verify cache lock") = Store::default();
 }
 
-/// Interned hierarchies kept before FIFO eviction. Each entry is a full
-/// per-DEX hierarchy, so the cap is much smaller than [`CAPACITY`].
-const HIER_CAPACITY: usize = 64;
-
-struct HierStore {
-    map: HashMap<[u8; 20], Arc<ClassHierarchy>>,
-    order: VecDeque<[u8; 20]>,
-}
-
-fn hier_store() -> &'static Mutex<HierStore> {
-    static STORE: OnceLock<Mutex<HierStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(HierStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-/// A cached whole-DEX verification result: the assembled diagnostics and
-/// shared method IRs of one `verify_dex`-level call. Keyed by a digest of
-/// the epoch, the options fingerprint, and every method body's identity
-/// and code, so a re-verification of an unchanged DEX is one lookup
-/// instead of one per method.
-pub(crate) struct DexEntry {
-    pub diags: Vec<Diagnostic>,
-    pub methods: Vec<Arc<TypedIr>>,
-    pub body_count: u64,
-}
-
-/// Whole-DEX entries kept before FIFO eviction.
-const DEX_CAPACITY: usize = 128;
-
-struct DexStore {
-    map: HashMap<[u8; 20], Arc<DexEntry>>,
-    order: VecDeque<[u8; 20]>,
-}
-
-fn dex_store() -> &'static Mutex<DexStore> {
-    static STORE: OnceLock<Mutex<DexStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(DexStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-pub(crate) fn dex_lookup(key: &[u8; 20]) -> Option<Arc<DexEntry>> {
-    dex_store()
-        .lock()
-        .expect("dex cache lock")
-        .map
-        .get(key)
-        .cloned()
-}
-
-pub(crate) fn dex_insert(key: [u8; 20], entry: DexEntry) {
-    let mut s = dex_store().lock().expect("dex cache lock");
-    if s.map.contains_key(&key) {
-        return;
-    }
-    while s.map.len() >= DEX_CAPACITY {
-        let Some(old) = s.order.pop_front() else {
-            break;
-        };
-        s.map.remove(&old);
-    }
-    s.map.insert(key, Arc::new(entry));
-    s.order.push_back(key);
-}
-
-/// The interned class hierarchy for `dex`, shared across calls with an
-/// equal epoch. The epoch digests every pool and class-definition link the
-/// interning reads, so two DEX files with equal epochs intern the same
-/// hierarchy with the same `TypeId`s — rebuilding it per verification call
-/// would be pure waste on the re-verification workload.
-pub(crate) fn hierarchy_for(epoch: &[u8; 20], dex: &DexFile) -> Arc<ClassHierarchy> {
-    if let Some(hit) = hier_store()
-        .lock()
-        .expect("hierarchy cache lock")
-        .map
-        .get(epoch)
-    {
-        return Arc::clone(hit);
-    }
-    let built = Arc::new(ClassHierarchy::from_dex(dex));
-    let mut s = hier_store().lock().expect("hierarchy cache lock");
-    if let Some(racer) = s.map.get(epoch) {
-        return Arc::clone(racer);
-    }
-    while s.map.len() >= HIER_CAPACITY {
-        let Some(old) = s.order.pop_front() else {
-            break;
-        };
-        s.map.remove(&old);
-    }
-    s.map.insert(*epoch, Arc::clone(&built));
-    s.order.push_back(*epoch);
-    built
-}
-
-/// Number of cached method results.
+/// Number of cached whole-DEX results.
 pub(crate) fn len() -> usize {
     store().lock().expect("verify cache lock").map.len()
 }
@@ -224,13 +120,16 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Digest of everything pool- and hierarchy-shaped that method verification
-/// can observe: strings, type ids, prototypes, field and method ids, and
-/// class-definition links (superclass/interfaces/access). Computed once per
-/// [`crate::verify_dex`]-level call; an equal epoch means equal interning,
-/// so per-method results transfer across `DexFile` instances verbatim.
-pub(crate) fn dex_epoch(dex: &DexFile) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(4096);
+/// Cache key for one typed verification of `dex` under `options`: the
+/// version stamp, every pool and class-definition link the interning
+/// reads, the options fingerprint, and `bodies` (pool index, staticness,
+/// code) in class-definition order. One buffer walk and one digest.
+pub(crate) fn dex_key<'a>(
+    dex: &DexFile,
+    options: &VerifyOptions,
+    bodies: impl Iterator<Item = (u32, bool, &'a CodeItem)>,
+) -> [u8; 20] {
+    let mut buf = Vec::with_capacity(8192);
     put_str(&mut buf, VERIFIER_VERSION);
     put_u32(&mut buf, dex.strings().len() as u32);
     for s in dex.strings() {
@@ -271,42 +170,25 @@ pub(crate) fn dex_epoch(dex: &DexFile) -> [u8; 20] {
             put_u32(&mut buf, i);
         }
     }
-    sha1(&buf)
-}
-
-/// The part of [`VerifyOptions`] (plus `want_ir`) that selects between
-/// distinct result spaces. The engine is included so fast and reference
-/// runs never share entries — which keeps differential tests honest even
-/// with the cache enabled.
-pub(crate) fn options_fingerprint(options: &VerifyOptions, want_ir: bool) -> String {
+    // The options that select between distinct result spaces. The engine
+    // is included so fast and reference runs never share entries, which
+    // keeps differential tests honest with the cache enabled.
     let mut allowed: Vec<&str> = options.allowed.iter().map(String::as_str).collect();
     allowed.sort_unstable();
-    format!(
-        "eo={}|ir={}|ref={}|allow={}",
-        options.errors_only,
-        want_ir,
-        options.reference,
-        allowed.join(",")
-    )
-}
-
-/// Cache key for one method body under one DEX epoch and option set. The
-/// method is identified by its pool index — under an equal epoch the
-/// method pool is identical, so the index pins the signature without
-/// paying to build the signature string on every lookup.
-pub(crate) fn method_key(
-    epoch: &[u8; 20],
-    method_idx: u32,
-    is_static: bool,
-    code: &CodeItem,
-    options_fp: &str,
-) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(64 + code.insns.len() * 2);
-    buf.extend_from_slice(epoch);
-    put_u32(&mut buf, method_idx);
-    buf.push(u8::from(is_static));
-    put_code(&mut buf, code);
-    put_str(&mut buf, options_fp);
+    put_str(
+        &mut buf,
+        &format!(
+            "eo={}|ref={}|allow={}",
+            options.errors_only,
+            options.reference,
+            allowed.join(",")
+        ),
+    );
+    for (method_idx, is_static, code) in bodies {
+        put_u32(&mut buf, method_idx);
+        buf.push(u8::from(is_static));
+        put_code(&mut buf, code);
+    }
     sha1(&buf)
 }
 
@@ -335,72 +217,96 @@ fn put_code(buf: &mut Vec<u8>, code: &CodeItem) {
     }
 }
 
-/// Cache key for a whole `verify_dex`-level call: the epoch, the options
-/// fingerprint, and every method body in class-definition order. One
-/// buffer walk and one digest, much cheaper than a per-method key when
-/// nothing changed.
-pub(crate) fn dex_key<'a>(
-    epoch: &[u8; 20],
-    options_fp: &str,
-    bodies: impl Iterator<Item = (u32, bool, &'a CodeItem)>,
-) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(8192);
-    buf.extend_from_slice(epoch);
-    put_str(&mut buf, options_fp);
-    for (method_idx, is_static, code) in bodies {
-        put_u32(&mut buf, method_idx);
-        buf.push(u8::from(is_static));
-        put_code(&mut buf, code);
-    }
-    sha1(&buf)
-}
-
 #[cfg(test)]
 mod tests {
+    use dexlego_dex::{ClassDef, EncodedCatchHandler, TryItem};
+
     use super::*;
 
-    fn sample_code() -> CodeItem {
-        CodeItem::new(2, 0, 0, vec![0x0112, 0x000e])
+    fn key(dex: &DexFile, options: &VerifyOptions, bodies: &[(u32, bool, CodeItem)]) -> [u8; 20] {
+        dex_key(dex, options, bodies.iter().map(|(i, s, c)| (*i, *s, c)))
     }
 
     #[test]
-    fn method_key_is_stable_and_input_sensitive() {
-        let epoch = [7u8; 20];
-        let code = sample_code();
-        let k1 = method_key(&epoch, 3, true, &code, "fp");
-        assert_eq!(k1, method_key(&epoch, 3, true, &code, "fp"));
-
-        let mut changed = sample_code();
-        changed.insns[0] = 0x0212;
-        assert_ne!(k1, method_key(&epoch, 3, true, &changed, "fp"));
-        assert_ne!(k1, method_key(&epoch, 3, false, &code, "fp"));
-        assert_ne!(k1, method_key(&epoch, 4, true, &code, "fp"));
-        assert_ne!(k1, method_key(&epoch, 3, true, &code, "fp2"));
-        assert_ne!(k1, method_key(&[8u8; 20], 3, true, &code, "fp"));
-    }
-
-    #[test]
-    fn epoch_reflects_pool_and_version_changes() {
+    fn every_input_changes_the_key() {
         let mut dex = DexFile::new();
         dex.intern_type("La;");
-        let e1 = dex_epoch(&dex);
-        assert_eq!(e1, dex_epoch(&dex), "epoch is deterministic");
-        dex.intern_type("Lb;");
-        assert_ne!(e1, dex_epoch(&dex), "pool growth changes the epoch");
-        // The version stamp is folded into the epoch, so a version bump
-        // invalidates every key derived from it.
+        let opts = VerifyOptions::default();
+        let bodies = vec![(3, true, CodeItem::new(2, 0, 0, vec![0x0112, 0x000e]))];
+        let k = key(&dex, &opts, &bodies);
+        assert_eq!(k, key(&dex, &opts, &bodies), "the key is deterministic");
+        // The version stamp leads the digested buffer, so a version bump
+        // invalidates every key.
         assert!(VERIFIER_VERSION.contains("+vfy."));
+
+        // Pools and class-definition links.
+        let mut grown = dex.clone();
+        grown.intern_type("Lb;");
+        assert_ne!(k, key(&grown, &opts, &bodies), "type pool");
+        let mut grown = dex.clone();
+        grown.intern_string("s");
+        assert_ne!(k, key(&grown, &opts, &bodies), "string pool");
+        let mut linked = dex.clone();
+        linked.add_class(ClassDef::new(0));
+        let with_class = key(&linked, &opts, &bodies);
+        assert_ne!(k, with_class, "class defs");
+        linked.class_defs_mut()[0].superclass = Some(0);
+        assert_ne!(with_class, key(&linked, &opts, &bodies), "superclass");
+
+        // Options: lint enablement, suppressed rules, engine.
+        assert_ne!(k, key(&dex, &VerifyOptions::errors_only(), &bodies));
+        assert_ne!(k, key(&dex, &opts.clone().allow("L0001"), &bodies));
+        assert_ne!(k, key(&dex, &opts.clone().sequential_reference(), &bodies));
+        assert_eq!(
+            k,
+            key(&dex, &opts.clone().with_workers(3), &bodies),
+            "the worker count never changes results"
+        );
+
+        // Method bodies.
+        let changed = |edit: &dyn Fn(&mut (u32, bool, CodeItem))| {
+            let mut b = bodies.clone();
+            edit(&mut b[0]);
+            key(&dex, &opts, &b)
+        };
+        assert_ne!(k, changed(&|b| b.0 = 4), "method index");
+        assert_ne!(k, changed(&|b| b.1 = false), "staticness");
+        assert_ne!(k, changed(&|b| b.2.insns[0] = 0x0212), "code units");
+        assert_ne!(k, changed(&|b| b.2.registers_size = 3), "registers");
+        assert_ne!(k, changed(&|b| b.2.ins_size = 1), "ins");
+        assert_ne!(
+            k,
+            changed(&|b| {
+                b.2.tries.push(TryItem {
+                    start_addr: 0,
+                    insn_count: 1,
+                    handler_index: 0,
+                });
+                b.2.handlers.push(EncodedCatchHandler {
+                    catches: Vec::new(),
+                    catch_all_addr: Some(1),
+                });
+            }),
+            "try/catch tables"
+        );
+        assert_ne!(k, key(&dex, &opts, &[]), "body count");
     }
 
     #[test]
-    fn eviction_is_bounded() {
+    fn eviction_charges_every_result_at_least_one() {
         clear();
-        for i in 0..(CAPACITY + 10) {
+        let key_of = |i: usize| {
             let mut key = [0u8; 20];
             key[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            insert(key, Vec::new(), None);
+            key
+        };
+        for i in 0..CAPACITY + 10 {
+            insert(key_of(i), TypedDex::default());
         }
-        assert!(len() <= CAPACITY);
+        assert_eq!(len(), CAPACITY);
+        assert!(lookup(&key_of(9)).is_none(), "oldest results evicted");
+        assert!(lookup(&key_of(10)).is_some());
         clear();
+        assert_eq!(len(), 0);
     }
 }

@@ -9,17 +9,16 @@
 //!
 //! Two engines produce the same fixpoint:
 //!
-//! * [`Strategy::Fast`] — the production path: the worklist is a priority
-//!   queue ordered by reverse postorder (predecessors usually settle before
-//!   their successors, so blocks converge in far fewer visits), block entry
-//!   states live in one dense slab instead of per-block `Vec`s, each block
-//!   walk reuses a single scratch frame instead of cloning, instruction
-//!   effects fill a reusable buffer instead of allocating, and each
-//!   instruction's exception-handler targets are precomputed once per CFG
-//!   ([`ThrowMap`]) instead of scanning every try range per instruction.
-//! * [`Strategy::Reference`] — the pre-optimization FIFO engine with
-//!   per-visit frame clones and per-range scans, kept as the differential
-//!   baseline (`bench --bin verifier --baseline`, proptests).
+//! * [`Strategy::Fast`] — the production path: a FIFO worklist whose block
+//!   entry states live in one dense [`FrameSlab`] instead of per-block
+//!   `Vec`s, each block walk reuses a single scratch frame instead of
+//!   cloning, instruction effects fill a reusable buffer instead of
+//!   allocating, and each instruction's exception-handler targets are
+//!   precomputed once per CFG ([`ThrowMap`]) instead of scanning every try
+//!   range per instruction.
+//! * [`Strategy::Reference`] — the pre-optimization engine with per-visit
+//!   frame clones and per-range scans, kept as the differential oracle
+//!   (`bench --bin verifier --baseline`, proptests).
 //!
 //! Diagnostics are emitted only during the post-fixpoint *replay*: the
 //! fixpoint runs muted, then each reached block is replayed once from its
@@ -38,8 +37,7 @@
 //! provably-incompatible `aput-object` (L0005). All typed checks fire only
 //! on *provable* breakage — see [`ClassHierarchy::provably_disjoint`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use dexlego_dalvik::insn::{Decoded, Insn};
 use dexlego_dalvik::Opcode;
@@ -58,16 +56,17 @@ use crate::ParamKind;
 /// reference engine exists as the measured baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Strategy {
-    /// RPO priority worklist, dense state slabs, reusable scratch frame.
+    /// Dense state slab, reusable scratch frame, precomputed handlers.
     #[default]
     Fast,
     /// FIFO worklist with per-visit clones — the pre-optimization engine.
     Reference,
 }
 
-/// Fixpoint pre-state of every real instruction, stored as one dense slab
-/// of `regs` lattice values per instruction, indexed like [`Cfg::insns`].
-/// Unreachable instructions and payloads have no state.
+/// One dense slab of `regs` lattice values per slot: per-instruction
+/// fixpoint pre-states (indexed like [`Cfg::insns`]; unreachable
+/// instructions and payloads have no state) and per-block entry states
+/// during the fixpoint.
 pub(crate) struct FrameSlab {
     regs: usize,
     present: Vec<bool>,
@@ -88,7 +87,7 @@ impl FrameSlab {
         self.data[i * self.regs..(i + 1) * self.regs].copy_from_slice(frame);
     }
 
-    /// The pre-state of instruction `i`, if it was reached.
+    /// The state of slot `i`, if it was reached.
     pub(crate) fn get(&self, i: usize) -> Option<&[RegType]> {
         if *self.present.get(i)? {
             Some(&self.data[i * self.regs..(i + 1) * self.regs])
@@ -96,52 +95,18 @@ impl FrameSlab {
             None
         }
     }
-}
 
-/// Alias kept for readability at use sites.
-pub(crate) type Frames = FrameSlab;
-
-/// Block entry states as one dense slab (the fast path's replacement for
-/// `Vec<Option<Vec<RegType>>>`).
-struct BlockStates {
-    regs: usize,
-    present: Vec<bool>,
-    data: Vec<RegType>,
-}
-
-impl BlockStates {
-    fn new(n: usize, regs: usize) -> BlockStates {
-        BlockStates {
-            regs,
-            present: vec![false; n],
-            data: vec![RegType::Uninit; n * regs],
-        }
-    }
-
-    fn get(&self, b: usize) -> Option<&[RegType]> {
-        if self.present[b] {
-            Some(&self.data[b * self.regs..(b + 1) * self.regs])
-        } else {
-            None
-        }
-    }
-
-    fn set(&mut self, b: usize, frame: &[RegType]) {
-        self.present[b] = true;
-        self.data[b * self.regs..(b + 1) * self.regs].copy_from_slice(frame);
-    }
-
-    /// Joins `frame` into block `b`'s entry state in place; returns whether
-    /// the state changed (i.e. the block needs requeueing).
-    fn merge(&mut self, b: usize, frame: &[RegType], hier: &ClassHierarchy) -> bool {
-        if self.present[b] {
+    /// Joins `frame` into slot `i` in place; returns whether the state
+    /// changed (i.e. the block needs requeueing).
+    fn merge(&mut self, i: usize, frame: &[RegType], hier: &ClassHierarchy) -> bool {
+        if self.present[i] {
             join_frames(
-                &mut self.data[b * self.regs..(b + 1) * self.regs],
+                &mut self.data[i * self.regs..(i + 1) * self.regs],
                 frame,
                 hier,
             )
         } else {
-            self.set(b, frame);
+            self.set(i, frame);
             true
         }
     }
@@ -225,7 +190,7 @@ pub(crate) fn run(
     tcx: &TypeCtx<'_>,
     out: &mut Vec<Diagnostic>,
     strategy: Strategy,
-) -> Frames {
+) -> FrameSlab {
     let regs = code.registers_size as usize;
     let ins = code.ins_size as usize;
     let mut ctx = Ctx {
@@ -287,29 +252,27 @@ pub(crate) fn run(
     frames
 }
 
-/// The fast engine: reverse-postorder priority worklist over dense block
-/// states, one reusable scratch frame, precomputed handler targets.
+/// The fast engine: FIFO worklist over dense block states, one reusable
+/// scratch frame, precomputed handler targets.
 fn fixpoint_fast(
     cfg: &Cfg,
     code: &CodeItem,
     entry: &[RegType],
     tcx: &TypeCtx<'_>,
     ctx: &mut Ctx,
-) -> BlockStates {
+) -> FrameSlab {
     let nblocks = cfg.blocks().len();
-    let mut states = BlockStates::new(nblocks, entry.len());
+    let mut states = FrameSlab::new(nblocks, entry.len());
     states.set(0, entry);
 
-    let rpo = rpo_positions(cfg);
     let throw = ThrowMap::build(cfg, code);
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+    let mut worklist: VecDeque<usize> = VecDeque::from([0]);
     let mut queued = vec![false; nblocks];
-    heap.push(Reverse((rpo[0], 0)));
     queued[0] = true;
 
     let mut scratch: Vec<RegType> = Vec::with_capacity(entry.len());
     let mut eff = Effects::default();
-    while let Some(Reverse((_, bid))) = heap.pop() {
+    while let Some(bid) = worklist.pop_front() {
         queued[bid] = false;
         scratch.clear();
         match states.get(bid) {
@@ -326,7 +289,7 @@ fn fixpoint_fast(
             for &hb in throw.targets(i) {
                 if states.merge(hb, &scratch, tcx.hier) && !queued[hb] {
                     queued[hb] = true;
-                    heap.push(Reverse((rpo[hb], hb)));
+                    worklist.push_back(hb);
                 }
             }
             transfer(
@@ -346,15 +309,15 @@ fn fixpoint_fast(
             let t = edge.target;
             if states.merge(t, &scratch, tcx.hier) && !queued[t] {
                 queued[t] = true;
-                heap.push(Reverse((rpo[t], t)));
+                worklist.push_back(t);
             }
         }
     }
     states
 }
 
-/// The pre-optimization engine, kept verbatim as the measured and
-/// differential baseline: FIFO worklist, per-visit entry-frame clone,
+/// The pre-optimization engine, kept verbatim as the measured baseline and
+/// differential oracle: FIFO worklist, per-visit entry-frame clone,
 /// per-instruction scan over every try range, per-instruction effects
 /// allocation, per-merge `to_vec`.
 fn fixpoint_reference(
@@ -363,7 +326,7 @@ fn fixpoint_reference(
     entry: &[RegType],
     tcx: &TypeCtx<'_>,
     ctx: &mut Ctx,
-) -> BlockStates {
+) -> FrameSlab {
     let nblocks = cfg.blocks().len();
     let mut in_states: Vec<Option<Vec<RegType>>> = vec![None; nblocks];
     in_states[0] = Some(entry.to_vec());
@@ -415,53 +378,13 @@ fn fixpoint_reference(
         }
     }
 
-    let mut states = BlockStates::new(nblocks, entry.len());
+    let mut states = FrameSlab::new(nblocks, entry.len());
     for (b, s) in in_states.iter().enumerate() {
         if let Some(s) = s {
             states.set(b, s);
         }
     }
     states
-}
-
-/// Reverse-postorder position of every block (DFS from block 0 over all
-/// edge kinds). Blocks unreachable from the entry — which the fixpoint
-/// never queues — get stable positions after every reachable one.
-fn rpo_positions(cfg: &Cfg) -> Vec<u32> {
-    let n = cfg.blocks().len();
-    let mut pos = vec![u32::MAX; n];
-    if n == 0 {
-        return pos;
-    }
-    let mut visited = vec![false; n];
-    let mut post: Vec<usize> = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    visited[0] = true;
-    while let Some(&(b, next)) = stack.last() {
-        let succs = &cfg.blocks()[b].succs;
-        if next < succs.len() {
-            stack.last_mut().expect("stack non-empty").1 += 1;
-            let t = succs[next].target;
-            if !visited[t] {
-                visited[t] = true;
-                stack.push((t, 0));
-            }
-        } else {
-            post.push(b);
-            stack.pop();
-        }
-    }
-    for (i, &b) in post.iter().rev().enumerate() {
-        pos[b] = i as u32;
-    }
-    let mut fill = post.len() as u32;
-    for p in pos.iter_mut() {
-        if *p == u32::MAX {
-            *p = fill;
-            fill += 1;
-        }
-    }
-    pos
 }
 
 /// Per-instruction exception-handler targets, flattened once per CFG: a

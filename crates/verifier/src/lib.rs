@@ -76,7 +76,7 @@ pub fn clear_verify_cache() {
     cache::clear();
 }
 
-/// Number of method results currently held by the process-level verify
+/// Number of whole-DEX results currently held by the process-level verify
 /// cache.
 pub fn verify_cache_len() -> usize {
     cache::len()
@@ -131,22 +131,19 @@ pub fn param_kinds<S: AsRef<str>>(is_static: bool, params: &[S]) -> Vec<ParamKin
 }
 
 /// Verification options: lint enablement, per-rule suppression, and the
-/// execution knobs of the fast path (engine, cache, worker count).
+/// execution knobs of the fast path (engine, worker count).
 ///
-/// Defaults are the production configuration: the fast fixpoint engine,
-/// the process-level verify cache enabled, and the worker count resolved
-/// from `DEXLEGO_WORKERS`/available parallelism. Both engines and the
-/// cached/uncached paths produce identical diagnostics and IR (enforced by
-/// the differential proptests), so these knobs trade speed, never results.
+/// Defaults are the production configuration: the fast fixpoint engine and
+/// the worker count resolved from `DEXLEGO_WORKERS`/available parallelism.
+/// Both engines produce identical diagnostics and IR (enforced by the
+/// differential proptests), so these knobs trade speed, never results.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
     /// Skip the lint pass entirely (errors only).
     pub errors_only: bool,
     allowed: HashSet<String>,
-    /// Use the pre-optimization FIFO engine (the measured baseline).
+    /// Use the pre-optimization engine (the measured baseline).
     reference: bool,
-    /// Bypass the process-level verify cache.
-    no_cache: bool,
     /// Explicit worker count for whole-DEX verification; `None` resolves
     /// via [`dexlego_pool::resolve_workers`].
     workers: Option<usize>,
@@ -169,18 +166,13 @@ impl VerifyOptions {
         self
     }
 
-    /// Selects the pre-optimization sequential engine: FIFO worklist,
-    /// per-visit frame clones, no parallelism. This is the `--baseline`
-    /// measured by `bench --bin verifier` and the reference side of the
-    /// differential proptests.
+    /// Selects the pre-optimization sequential engine: per-visit frame
+    /// clones, per-range handler scans, no parallelism. This is the
+    /// `--baseline` measured by `bench --bin verifier` and the reference
+    /// side of the differential proptests. Its results are cached under
+    /// their own key, apart from the fast engine's.
     pub fn sequential_reference(mut self) -> VerifyOptions {
         self.reference = true;
-        self
-    }
-
-    /// Disables the process-level verify cache for this run.
-    pub fn without_cache(mut self) -> VerifyOptions {
-        self.no_cache = true;
         self
     }
 
@@ -293,7 +285,7 @@ pub fn verify_dex(dex: &DexFile, options: &VerifyOptions) -> Vec<Diagnostic> {
 #[derive(Debug, Clone, Default)]
 pub struct TypedDex {
     /// The interned class hierarchy of the DEX, shared (`Arc`) with the
-    /// epoch-keyed hierarchy cache.
+    /// verify cache.
     pub hierarchy: Arc<ClassHierarchy>,
     /// Typed IR for every method body, in class-definition order. Shared
     /// (`Arc`) because a verify-cache hit hands out the cached IR without
@@ -301,9 +293,10 @@ pub struct TypedDex {
     pub methods: Vec<Arc<TypedIr>>,
     /// All diagnostics, as from [`verify_dex`].
     pub diagnostics: Vec<Diagnostic>,
-    /// Method results served from the process-level verify cache.
+    /// Method bodies served from the process-level verify cache. The cache
+    /// holds whole-DEX results, so a call hits on every body or on none.
     pub cache_hits: u64,
-    /// Method results verified from scratch in this call.
+    /// Method bodies verified from scratch in this call.
     pub cache_misses: u64,
 }
 
@@ -314,7 +307,9 @@ impl TypedDex {
     }
 }
 
-/// Verifies every method body and materializes the typed IR.
+/// Verifies every method body and materializes the typed IR. Results are
+/// cached per process: re-verifying an identical DEX under the same
+/// options is one digest and one lookup.
 pub fn verify_dex_typed(dex: &DexFile, options: &VerifyOptions) -> TypedDex {
     verify_dex_inner(dex, options, true)
 }
@@ -331,18 +326,6 @@ struct WorkItem<'a> {
 }
 
 fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> TypedDex {
-    // One epoch digest per call covers every per-method cache key and the
-    // hierarchy cache; skip the pool walk entirely when the cache is
-    // bypassed.
-    let epoch = if options.no_cache {
-        None
-    } else {
-        Some(cache::dex_epoch(dex))
-    };
-    let hierarchy = match &epoch {
-        Some(e) => cache::hierarchy_for(e, dex),
-        None => Arc::new(ClassHierarchy::from_dex(dex)),
-    };
     let mut work: Vec<WorkItem<'_>> = Vec::new();
     for class in dex.class_defs() {
         let Some(data) = &class.class_data else {
@@ -358,46 +341,28 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
         }
     }
 
-    let options_fp = cache::options_fingerprint(options, want_ir);
-
-    // Whole-DEX fast path: one digest over every method body answers an
-    // unchanged re-verification (the pipeline gate plus downstream taint
-    // tools verifying the same revealed DEX) with a single lookup.
-    let dex_key = epoch.as_ref().map(|e| {
+    // Only typed results are cached: IR-less callers verify each DEX once.
+    let key = want_ir.then(|| {
         cache::dex_key(
-            e,
-            &options_fp,
+            dex,
+            options,
             work.iter()
                 .map(|w| (w.method_idx, w.access.contains(AccessFlags::STATIC), w.code)),
         )
     });
-    if let Some(key) = &dex_key {
-        if let Some(hit) = cache::dex_lookup(key) {
-            return TypedDex {
-                hierarchy,
-                methods: hit.methods.clone(),
-                diagnostics: hit.diags.clone(),
-                cache_hits: hit.body_count,
-                cache_misses: 0,
-            };
-        }
+    if let Some(hit) = key.as_ref().and_then(cache::lookup) {
+        // The cached result is a fresh one: it missed on every body.
+        return TypedDex {
+            cache_hits: hit.cache_misses,
+            cache_misses: 0,
+            ..TypedDex::clone(&hit)
+        };
     }
+    let hierarchy = Arc::new(ClassHierarchy::from_dex(dex));
 
-    // Verifies one method: cache lookup, else the full CFG + fixpoint.
-    // Returns (diagnostics, stamped shared IR, cache hit?). A hit pays no
-    // signature construction and no IR clone: the key pins the method by
-    // pool index, and the stored IR is already identity-stamped (valid
-    // verbatim because an equal epoch means equal pools).
-    let run_one = |w: &WorkItem<'_>| -> (Vec<Diagnostic>, Option<Arc<TypedIr>>, bool) {
-        let is_static = w.access.contains(AccessFlags::STATIC);
-        let key = epoch
-            .as_ref()
-            .map(|e| cache::method_key(e, w.method_idx, is_static, w.code, &options_fp));
-        if let Some(key) = &key {
-            if let Some(hit) = cache::lookup(key) {
-                return (hit.diags.clone(), hit.ir.clone(), true);
-            }
-        }
+    // Verifies one method: the full CFG + fixpoint, returning its
+    // diagnostics and, when requested, its identity-stamped shared IR.
+    let run_one = |w: &WorkItem<'_>| -> (Vec<Diagnostic>, Option<Arc<TypedIr>>) {
         let sig = dex
             .method_signature(w.method_idx)
             .unwrap_or_else(|_| format!("<method#{}>", w.method_idx));
@@ -419,10 +384,7 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
             }
             Arc::new(ir)
         });
-        if let Some(key) = key {
-            cache::insert(key, diags.clone(), ir.clone());
-        }
-        (diags, ir, false)
+        (diags, ir)
     };
 
     // Methods are independent and the hierarchy is read-only after
@@ -432,7 +394,7 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
     // count (each method's diagnostics are already sorted; methods stay in
     // class-definition order).
     let workers = dexlego_pool::resolve_workers(options.workers).min(work.len().max(1));
-    let results: Vec<(Vec<Diagnostic>, Option<Arc<TypedIr>>, bool)> =
+    let results: Vec<(Vec<Diagnostic>, Option<Arc<TypedIr>>)> =
         if workers > 1 && !options.reference && work.len() >= PARALLEL_THRESHOLD {
             let refs: Vec<&WorkItem<'_>> = work.iter().collect();
             dexlego_pool::parallel_map_expect(refs, workers, run_one)
@@ -440,29 +402,18 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
             work.iter().map(run_one).collect()
         };
 
-    let mut out = TypedDex::default();
-    for (diags, ir, hit) in results {
-        if hit {
-            out.cache_hits += 1;
-        } else {
-            out.cache_misses += 1;
-        }
+    let mut out = TypedDex {
+        hierarchy,
+        cache_misses: work.len() as u64,
+        ..TypedDex::default()
+    };
+    for (diags, ir) in results {
         out.diagnostics.extend(diags);
-        if let Some(ir) = ir {
-            out.methods.push(ir);
-        }
+        out.methods.extend(ir);
     }
-    if let Some(key) = dex_key {
-        cache::dex_insert(
-            key,
-            cache::DexEntry {
-                diags: out.diagnostics.clone(),
-                methods: out.methods.clone(),
-                body_count: work.len() as u64,
-            },
-        );
+    if let Some(key) = key {
+        cache::insert(key, out.clone());
     }
-    out.hierarchy = hierarchy;
     out
 }
 

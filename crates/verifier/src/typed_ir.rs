@@ -16,7 +16,7 @@ use dexlego_dalvik::insn::{Decoded, Insn};
 use dexlego_dex::DexFile;
 
 use crate::cfg::Cfg;
-use crate::dataflow::Frames;
+use crate::dataflow::FrameSlab;
 use crate::effects::{effects, Need, Write};
 use crate::hierarchy::{ClassHierarchy, TypeId};
 use crate::typestate::RegType;
@@ -73,7 +73,7 @@ pub struct TypedIr {
 impl TypedIr {
     /// Builds the IR from a verified method's CFG and fixpoint frames.
     /// Identity fields start empty; the caller stamps them.
-    pub(crate) fn build(cfg: &Cfg, frames: &Frames, registers: u16, ins: u16) -> TypedIr {
+    pub(crate) fn build(cfg: &Cfg, frames: &FrameSlab, registers: u16, ins: u16) -> TypedIr {
         // Payloads are folded away, so IR indices differ from cfg indices.
         let mut index_of_pc = HashMap::new();
         let mut count = 0usize;

@@ -1,6 +1,6 @@
-//! Differential property tests: the fast fixpoint engine (RPO priority
-//! worklist, slab frames, precomputed handler targets) must emit
-//! *byte-identical* diagnostics to the reference FIFO engine on arbitrary
+//! Differential property tests: the fast fixpoint engine (slab frames,
+//! reusable scratch frame, precomputed handler targets) must emit
+//! *byte-identical* diagnostics to the reference engine on arbitrary
 //! code — valid, invalid, or garbage. Diagnostics are reported only during
 //! the replay over converged frames, and the fixpoint computes the unique
 //! least fixpoint of a monotone transfer regardless of visit order, so any
@@ -12,13 +12,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn fast() -> VerifyOptions {
-    VerifyOptions::default().without_cache()
+    VerifyOptions::default()
 }
 
 fn reference() -> VerifyOptions {
-    VerifyOptions::default()
-        .sequential_reference()
-        .without_cache()
+    VerifyOptions::default().sequential_reference()
 }
 
 /// One plausible instruction word: biased toward real one-unit opcodes so
@@ -99,11 +97,11 @@ proptest! {
         let code = CodeItem::new(regs, 0, 0, insns);
         let fast = verify_method(
             "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only().without_cache(),
+            &VerifyOptions::errors_only(),
         );
         let slow = verify_method(
             "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only().sequential_reference().without_cache(),
+            &VerifyOptions::errors_only().sequential_reference(),
         );
         prop_assert_eq!(fast, slow);
     }

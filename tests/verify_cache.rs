@@ -1,11 +1,12 @@
 //! Verification fast-path integration tests: the parallel fast engine
 //! must match the sequential reference byte-for-byte over whole DEX
-//! files, and the digest-keyed verify cache must reproduce fresh results
-//! exactly, invalidate when code changes, and report hit/miss counters.
+//! files, and the digest-keyed whole-DEX verify cache must reproduce fresh
+//! results exactly, invalidate when code changes, report hit/miss
+//! counters, and stay bounded by evicting its least recently used result.
 
 use std::sync::Mutex;
 
-use dexlego_suite::droidbench::appgen::corpus_apps;
+use dexlego_suite::droidbench::appgen::{corpus_apps, generate, AppSpec};
 use dexlego_suite::verifier::{
     clear_verify_cache, verify_cache_len, verify_dex_typed, TypedDex, VerifyOptions,
 };
@@ -42,18 +43,20 @@ fn fingerprint(typed: &TypedDex, dex: &dexlego_suite::dex::DexFile) -> Vec<Strin
     out
 }
 
-/// The fast engine (RPO worklist, slab frames, parallel workers) must
-/// produce the identical diagnostics and typed IR as the sequential
-/// reference engine over complete generated apps.
+/// The fast engine (slab frames, parallel workers) must produce the
+/// identical diagnostics and typed IR as the sequential reference engine
+/// over complete generated apps. Both sides verify from an empty cache.
 #[test]
 fn fast_engine_matches_reference_on_whole_dex() {
-    let fast_opts = VerifyOptions::default().with_workers(4).without_cache();
-    let reference_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let fast_opts = VerifyOptions::default().with_workers(4);
+    let reference_opts = VerifyOptions::default().sequential_reference();
     for dex in corpus(6, 120) {
+        clear_verify_cache();
         let fast = verify_dex_typed(&dex, &fast_opts);
+        clear_verify_cache();
         let reference = verify_dex_typed(&dex, &reference_opts);
+        assert_eq!(fast.cache_hits + reference.cache_hits, 0);
         assert_eq!(fast.diagnostics, reference.diagnostics);
         assert_eq!(fingerprint(&fast, &dex), fingerprint(&reference, &dex));
     }
@@ -80,9 +83,9 @@ fn warm_cache_hit_reproduces_fresh_result() {
     }
 }
 
-/// Mutating a method body must invalidate its cache entry: the next pass
-/// misses again and matches a fresh no-cache verification of the mutated
-/// DEX.
+/// Mutating a method body must invalidate the cached result: the next
+/// pass misses again and matches a fresh verification of the mutated DEX
+/// from an empty cache.
 #[test]
 fn cache_invalidates_when_code_changes() {
     let _guard = CACHE_LOCK.lock().unwrap();
@@ -108,21 +111,55 @@ fn cache_invalidates_when_code_changes() {
     code.registers_size += 1;
 
     let after = verify_dex_typed(&dex, &opts);
-    assert!(after.cache_misses > 0, "changed code must miss the cache");
-    let fresh = verify_dex_typed(&dex, &opts.clone().without_cache());
+    assert_eq!(after.cache_hits, 0, "changed code must miss the cache");
+    clear_verify_cache();
+    let fresh = verify_dex_typed(&dex, &opts);
+    assert_eq!(fresh.cache_hits, 0);
     assert_eq!(fingerprint(&after, &dex), fingerprint(&fresh, &dex));
 }
 
-/// `clear_verify_cache` empties the store and `verify_cache_len` tracks
-/// population.
+/// `clear_verify_cache` empties the store and `verify_cache_len` counts
+/// one whole-DEX result per distinct verification.
 #[test]
 fn clear_resets_cache_population() {
     let _guard = CACHE_LOCK.lock().unwrap();
     clear_verify_cache();
     assert_eq!(verify_cache_len(), 0);
-    let dex = corpus(1, 80).pop().unwrap();
-    verify_dex_typed(&dex, &VerifyOptions::default());
-    assert!(verify_cache_len() > 0, "verification populates the cache");
+    let dexes = corpus(2, 80);
+    for dex in &dexes {
+        verify_dex_typed(dex, &VerifyOptions::default());
+    }
+    assert_eq!(verify_cache_len(), 2, "one result per DEX");
+    verify_dex_typed(&dexes[0], &VerifyOptions::default());
+    assert_eq!(verify_cache_len(), 2, "a hit adds no result");
+    verify_dex_typed(&dexes[0], &VerifyOptions::errors_only());
+    assert_eq!(verify_cache_len(), 3, "other options, other result");
     clear_verify_cache();
     assert_eq!(verify_cache_len(), 0);
+}
+
+/// The cache is bounded by the typed instructions it holds: three DEXes
+/// of ~100k instructions each overflow it, so the least recently used one
+/// is evicted and misses again, while one re-verified in between stays.
+#[test]
+fn least_recently_used_result_is_evicted() {
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let opts = VerifyOptions::default();
+    let [a, b, c] = ["a", "b", "c"]
+        .map(|name| generate(&AppSpec::plain_profile(&format!("gen/lru/{name}"), 100_000)).dex);
+    clear_verify_cache();
+    let first = verify_dex_typed(&a, &opts);
+    assert_eq!(first.cache_hits, 0);
+    assert!(first.insn_count() > 90_000, "{}", first.insn_count());
+    verify_dex_typed(&b, &opts);
+    assert_eq!(verify_dex_typed(&a, &opts).cache_misses, 0, "a is cached");
+    verify_dex_typed(&c, &opts);
+    assert_eq!(
+        verify_dex_typed(&a, &opts).cache_misses,
+        0,
+        "a was used after b, so b goes first"
+    );
+    let again = verify_dex_typed(&b, &opts);
+    assert_eq!(again.cache_hits, 0, "b was evicted");
+    clear_verify_cache();
 }
