@@ -3,12 +3,20 @@
 //!
 //! Two halves:
 //!
-//! * **Emission** ([`escape`], [`string`], [`object`], [`array`]) — what
-//!   the run reports need: objects, arrays, strings, unsigned integers.
+//! * **Emission** ([`escape`], [`string`], [`object`], [`array`],
+//!   [`ObjectWriter`]) — what the run reports and wire lines need:
+//!   objects, arrays, strings, unsigned integers. Each document is written
+//!   into one buffer, and unescaped runs are copied whole, so emission is
+//!   linear in the output.
 //! * **Parsing** ([`parse`], [`Value`]) — what the `dexlegod` wire
 //!   protocol needs: a strict recursive-descent parser for one JSON
 //!   document. Numbers keep their raw token ([`Value::Num`]) so `u64`
 //!   values (e.g. fuzzing seeds) survive without a float round-trip.
+//!   Strings are copied run by run between escapes.
+
+use std::fmt::Write as _;
+
+use dexlego_store::hex::push_hex;
 
 /// Escapes `s` for use inside a JSON string literal (quotes not included).
 ///
@@ -17,40 +25,147 @@
 /// line terminators in JavaScript source, so leaving them raw would make
 /// emitted reports unsafe to embed in JS consumers.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{2028}' => out.push_str("\\u2028"),
-            '\u{2029}' => out.push_str("\\u2029"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
+}
+
+/// Appends `s`, escaped as by [`escape`], to `out`. Runs that need no
+/// escape are copied whole.
+fn push_escaped(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    let mut i = 0;
+    // Only ASCII bytes and 0xE2, the lead byte of U+2028/U+2029 (E2 80
+    // A8/A9), can start an escape, so a run is always cut at a char
+    // boundary.
+    while let Some(n) = bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\' || b == 0xe2)
+    {
+        i += n;
+        let b = bytes[i];
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ if bytes[i + 1..].starts_with(&[0x80, 0xa8]) => "\\u2028",
+            _ if bytes[i + 1..].starts_with(&[0x80, 0xa9]) => "\\u2029",
+            _ => {
+                // Another character with the same lead byte.
+                i += 1;
+                continue;
+            }
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            // Any other control character.
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        i += if b == 0xe2 { 3 } else { 1 };
+        run = i;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// A JSON string literal, quotes included.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// Appends `s` as a JSON string literal, quotes included, to `out`.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
 }
 
 /// An object from already-serialised `(key, value)` members.
 pub fn object(members: &[(&str, String)]) -> String {
-    let body: Vec<String> = members
-        .iter()
-        .map(|(k, v)| format!("{}: {v}", string(k)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+    let len: usize = members.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+    let mut out = String::with_capacity(len + 2);
+    let mut obj = ObjectWriter::new(&mut out);
+    for (key, value) in members {
+        obj.raw(key, value);
+    }
+    obj.finish();
+    out
 }
 
 /// An array from already-serialised elements.
 pub fn array(elements: &[String]) -> String {
-    format!("[{}]", elements.join(", "))
+    let len: usize = elements.iter().map(|e| e.len() + 2).sum();
+    let mut out = String::with_capacity(len + 2);
+    out.push('[');
+    for (i, element) in elements.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(element);
+    }
+    out.push(']');
+    out
+}
+
+/// Writes one JSON object member by member into the caller's buffer:
+/// `{`, then `"key": value` members joined by `, `, then `}` on
+/// [`finish`](ObjectWriter::finish). Every object this module emits goes
+/// through it, and large wire lines use it to write their payload once,
+/// straight into the line.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Starts member `key` and returns the buffer its serialised value
+    /// must be appended to before the next member.
+    pub(crate) fn member(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push_str(", ");
+        }
+        self.empty = false;
+        push_string(self.out, key);
+        self.out.push_str(": ");
+        self.out
+    }
+
+    /// Member `key` with an already-serialised value.
+    pub fn raw(&mut self, key: &str, value: &str) {
+        self.member(key).push_str(value);
+    }
+
+    /// Member `key` as a string literal of `value`.
+    pub fn string(&mut self, key: &str, value: &str) {
+        push_string(self.member(key), value);
+    }
+
+    /// Member `key` as a lowercase hex string of `bytes`. Hex never needs
+    /// escaping, so the digits are written once, straight into the buffer.
+    pub fn hex(&mut self, key: &str, bytes: &[u8]) {
+        let out = self.member(key);
+        out.push('"');
+        push_hex(out, bytes);
+        out.push('"');
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
 }
 
 /// A parsed JSON value.
@@ -129,25 +244,52 @@ impl Value {
     /// their raw token, so a parse→serialise round trip is lossless for
     /// `u64` payloads; object member order is preserved.
     pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(self.len_hint());
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
         match self {
-            Value::Null => "null".to_owned(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(raw) => raw.clone(),
-            Value::Str(s) => string(s),
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(raw) => out.push_str(raw),
+            Value::Str(s) => push_string(out, s),
             Value::Arr(items) => {
-                let elements: Vec<String> = items.iter().map(Value::to_json).collect();
-                array(&elements)
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write_json(out);
+                }
+                out.push(']');
             }
             Value::Obj(members) => {
-                let rendered: Vec<(String, String)> = members
+                let mut obj = ObjectWriter::new(out);
+                for (key, value) in members {
+                    value.write_json(obj.member(key));
+                }
+                obj.finish();
+            }
+        }
+    }
+
+    /// The serialised length when no string needs escaping — what
+    /// [`to_json`](Value::to_json) reserves up front.
+    fn len_hint(&self) -> usize {
+        match self {
+            Value::Null | Value::Bool(true) => 4,
+            Value::Bool(false) => 5,
+            Value::Num(raw) => raw.len(),
+            Value::Str(s) => s.len() + 2,
+            Value::Arr(items) => items.iter().map(|v| v.len_hint() + 2).sum::<usize>() + 2,
+            Value::Obj(members) => {
+                members
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.to_json()))
-                    .collect();
-                let borrowed: Vec<(&str, String)> = rendered
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.clone()))
-                    .collect();
-                object(&borrowed)
+                    .map(|(k, v)| k.len() + v.len_hint() + 6)
+                    .sum::<usize>()
+                    + 2
             }
         }
     }
@@ -273,14 +415,21 @@ impl Parser<'_> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece; all three are ASCII, so the run ends on
+            // a char boundary.
+            let rest = &self.s.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.s[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bump() {
                 None => return Err("unterminated string".to_owned()),
                 Some('"') => return Ok(out),
                 Some('\\') => out.push(self.escape_char()?),
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err(format!("raw control character at byte {}", self.pos))
-                }
-                Some(c) => out.push(c),
+                Some(_) => return Err(format!("raw control character at byte {}", self.pos)),
             }
         }
     }

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use dexlego_harness::job_key;
 use dexlego_harness::json::{self, Value};
+use dexlego_service::protocol::push_reply_line;
 use dexlego_service::{parse_request_line, ExtractRequest, Reply, Request, RequestId};
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::hex::from_hex;
@@ -346,12 +347,6 @@ fn begin_shutdown(ctx: &Arc<Ctx>, addr: std::net::SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Prefixes the id member, mirroring the daemon's reply framing.
-fn with_id(id: &RequestId, reply: &str) -> String {
-    debug_assert!(reply.starts_with('{') && !reply.starts_with("{}"));
-    format!("{{\"id\": {}, {}", id.encode(), &reply[1..])
-}
-
 fn error_reply(reason: &str) -> String {
     json::object(&[
         ("status", json::string("error")),
@@ -360,15 +355,10 @@ fn error_reply(reason: &str) -> String {
 }
 
 fn write_reply(writer: &Mutex<TcpStream>, id: Option<&RequestId>, body: &str) {
-    let line = match id {
-        Some(id) => with_id(id, body),
-        None => body.to_owned(),
-    };
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(&line);
-    framed.push('\n');
+    let mut framed = Vec::new();
+    push_reply_line(&mut framed, id, body);
     let mut stream = writer.lock().expect("front writer lock");
-    let _ = stream.write_all(framed.as_bytes());
+    let _ = stream.write_all(&framed);
     let _ = stream.flush();
 }
 
@@ -476,9 +466,9 @@ fn strip_members(value: Value, keys: &[&str]) -> Value {
 
 /// Re-encodes a backend reply for the front connection. The backend's
 /// own `id` echo is stripped (the front framing adds the front id).
-fn encode_reply(reply: &Reply) -> String {
+fn encode_reply(reply: Reply) -> String {
     match reply {
-        Reply::Ok(value) => strip_members(value.clone(), &["id"]).to_json(),
+        Reply::Ok(value) => strip_members(value, &["id"]).to_json(),
         Reply::Failed {
             job_status,
             detail,
@@ -486,10 +476,10 @@ fn encode_reply(reply: &Reply) -> String {
         } => {
             let mut members = vec![
                 ("status", json::string("failed")),
-                ("job_status", json::string(job_status)),
+                ("job_status", json::string(&job_status)),
             ];
             if let Some(detail) = detail {
-                members.push(("detail", json::string(detail)));
+                members.push(("detail", json::string(&detail)));
             }
             members.push(("report", report.to_json()));
             json::object(&members)
@@ -502,7 +492,7 @@ fn encode_reply(reply: &Reply) -> String {
             ("status", json::string("deadline_exceeded")),
             ("waited_ms", waited_ms.to_string()),
         ]),
-        Reply::Error(reason) => error_reply(reason),
+        Reply::Error(reason) => error_reply(&reason),
     }
 }
 
@@ -642,7 +632,7 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                                 ctx.backends[ob].cancel(oid);
                                 ctx.stats.lock().expect("stats lock").cancels += 1;
                             }
-                            return encode_reply(&terminal);
+                            return encode_reply(terminal);
                         }
                         soft @ (Reply::Overloaded { .. }
                         | Reply::DeadlineExceeded { .. }
@@ -650,7 +640,7 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                             // This backend shed or garbled the request;
                             // remember its answer but try further
                             // replicas before giving it to the client.
-                            fallback_reply = Some(encode_reply(&soft));
+                            fallback_reply = Some(encode_reply(soft));
                         }
                     }
                 }
@@ -798,11 +788,13 @@ fn route_fetch(ctx: &Arc<Ctx>, key: &Key) -> String {
     let r = ctx.config.replicas.clamp(1, candidates.len());
     for &b in &candidates[..r] {
         if let Some(entry) = fetch_entry(ctx, b, key) {
-            return json::object(&[
-                ("status", json::string("ok")),
-                ("found", "true".to_owned()),
-                ("entry", json::string(&dexlego_store::hex::to_hex(&entry))),
-            ]);
+            let mut reply = String::with_capacity(entry.len() * 2 + 64);
+            let mut obj = json::ObjectWriter::new(&mut reply);
+            obj.string("status", "ok");
+            obj.raw("found", "true");
+            obj.hex("entry", &entry);
+            obj.finish();
+            return reply;
         }
     }
     json::object(&[
@@ -958,4 +950,36 @@ fn stats_reply(ctx: &Arc<Ctx>) -> String {
         ));
     }
     format!("{{\"status\": \"ok\", \"stats\": {}}}", merged.to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dexlego_service::parse_reply_line;
+    use std::path::Path;
+
+    /// The wire golden files, kept next to the daemon's encoders.
+    fn golden(name: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../service/tests/golden")
+            .join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    #[test]
+    fn relayed_replies_are_golden() {
+        for (backend, front) in [
+            ("extract_ok_reply.line", "router_ok_reply.line"),
+            ("extract_failed_reply.line", "router_failed_reply.line"),
+        ] {
+            let (_, reply) = parse_reply_line(golden(backend).trim_end()).expect("golden parses");
+            let mut framed = Vec::new();
+            push_reply_line(&mut framed, Some(&RequestId::Num(3)), &encode_reply(reply));
+            assert!(
+                framed == golden(front).as_bytes(),
+                "{front}: relayed bytes changed\n got: {}",
+                String::from_utf8_lossy(&framed)
+            );
+        }
+    }
 }

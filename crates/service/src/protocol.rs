@@ -41,7 +41,7 @@ use dexlego_harness::json::{self, Value};
 use dexlego_harness::{JobSpec, DEFAULT_FUEL};
 use dexlego_packer::PackerId;
 use dexlego_store::entry::decode as decode_entry;
-use dexlego_store::hex::{from_hex, to_hex};
+use dexlego_store::hex::from_hex;
 use dexlego_store::{CachedResult, Key};
 
 /// A request id: a client-chosen correlation token echoed verbatim on the
@@ -176,35 +176,34 @@ impl ExtractRequest {
     }
 
     fn encode_inner(&self, id: Option<&RequestId>) -> String {
-        let encoded_id = id.map(RequestId::encode);
-        let mut members = Vec::new();
-        if let Some(encoded) = &encoded_id {
-            members.push(("id", encoded.clone()));
+        let mut line = String::with_capacity(self.dex.len() * 2 + 256);
+        let mut obj = json::ObjectWriter::new(&mut line);
+        if let Some(id) = id {
+            obj.raw("id", &id.encode());
         }
-        members.push(("op", json::string("extract")));
+        obj.string("op", "extract");
         if let Some(name) = &self.name {
-            members.push(("name", json::string(name)));
+            obj.string("name", name);
         }
-        members.push(("dex", json::string(&to_hex(&self.dex))));
-        members.push(("entry", json::string(&self.entry)));
-        members.push((
-            "packer",
-            self.packer
-                .as_deref()
-                .map_or("null".to_owned(), json::string),
-        ));
+        obj.hex("dex", &self.dex);
+        obj.string("entry", &self.entry);
+        match &self.packer {
+            Some(packer) => obj.string("packer", packer),
+            None => obj.raw("packer", "null"),
+        }
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
-        members.push(("seeds", json::array(&seeds)));
-        members.push(("events", self.events.to_string()));
-        members.push(("fuel", self.fuel.to_string()));
-        members.push(("conformance", self.conformance.to_string()));
+        obj.raw("seeds", &json::array(&seeds));
+        obj.raw("events", &self.events.to_string());
+        obj.raw("fuel", &self.fuel.to_string());
+        obj.raw("conformance", &self.conformance.to_string());
         if let Some(deadline) = self.deadline_ms {
-            members.push(("deadline_ms", deadline.to_string()));
+            obj.raw("deadline_ms", &deadline.to_string());
         }
         if self.want_entry {
-            members.push(("want_entry", "true".to_owned()));
+            obj.raw("want_entry", "true");
         }
-        json::object(&members)
+        obj.finish();
+        line
     }
 }
 
@@ -265,14 +264,16 @@ impl Request {
     /// A `backfill` line (optionally tagged) carrying `entry_payload` — the
     /// output of `dexlego_store::entry::encode` — for `key`.
     pub fn encode_backfill(id: Option<&RequestId>, key: &Key, entry_payload: &[u8]) -> String {
-        let mut members = Vec::new();
+        let mut line = String::with_capacity(entry_payload.len() * 2 + 128);
+        let mut obj = json::ObjectWriter::new(&mut line);
         if let Some(id) = id {
-            members.push(("id", id.encode()));
+            obj.raw("id", &id.encode());
         }
-        members.push(("op", json::string("backfill")));
-        members.push(("key", json::string(&key.to_hex())));
-        members.push(("entry", json::string(&to_hex(entry_payload))));
-        json::object(&members)
+        obj.string("op", "backfill");
+        obj.string("key", &key.to_hex());
+        obj.hex("entry", entry_payload);
+        obj.finish();
+        line
     }
 
     /// A `fetch` line (optionally tagged) asking for the stored entry
@@ -454,6 +455,32 @@ fn request_from_value(value: &Value) -> Result<Request, String> {
     }
 }
 
+/// Appends one reply line, newline included, to `out`: `reply` with
+/// `"id": …` injected as its first member when the request carried an
+/// id. Every reply is built as a JSON object with a `status` member, so
+/// it starts with `{` and is never `{}`. The daemon and the router frame
+/// every reply through here, as one contiguous append: payload and
+/// newline never go out as separate small writes (Nagle + delayed-ACK
+/// stalls).
+pub fn push_reply_line(out: &mut Vec<u8>, id: Option<&RequestId>, reply: &str) {
+    match id {
+        Some(id) => {
+            debug_assert!(reply.starts_with('{') && !reply.starts_with("{}"));
+            let id = id.encode();
+            out.reserve(reply.len() + id.len() + 9);
+            out.extend_from_slice(b"{\"id\": ");
+            out.extend_from_slice(id.as_bytes());
+            out.extend_from_slice(b", ");
+            out.extend_from_slice(&reply.as_bytes()[1..]);
+        }
+        None => {
+            out.reserve(reply.len() + 1);
+            out.extend_from_slice(reply.as_bytes());
+        }
+    }
+    out.push(b'\n');
+}
+
 /// A decoded reply line, from the client's point of view.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
@@ -545,6 +572,34 @@ fn reply_from_value(value: Value) -> Result<Reply, String> {
     }
 }
 
+/// Golden wire lines: fixtures shared by the encoder tests, and the
+/// check against the lines checked in under `tests/golden/`. perfbench's
+/// raw line client and `dexlegod-smoke` speak these exact bytes.
+#[cfg(test)]
+pub(crate) mod golden {
+    use std::path::Path;
+
+    /// A small fixed DEX. The encoders treat the payload as opaque
+    /// bytes, so a magic-prefixed stand-in that uses every hex digit in
+    /// both nibbles pins the payload encoding.
+    pub const DEX: &[u8] =
+        b"dex\n035\0\x00\x01\x23\x45\x67\x89\xab\xcd\xef\xfe\xdc\xba\x98\x76\x54\x32\x10\xff";
+
+    /// Asserts `line` equals the golden file `name` byte for byte.
+    pub fn assert_golden(name: &str, line: &[u8]) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            line == want.as_slice(),
+            "{name}: wire bytes changed\n got: {}\nwant: {}",
+            String::from_utf8_lossy(line),
+            String::from_utf8_lossy(&want)
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,6 +617,16 @@ mod tests {
             deadline_ms: Some(250),
             want_entry: true,
         }
+    }
+
+    #[test]
+    fn extract_request_line_is_golden() {
+        let req = ExtractRequest {
+            dex: golden::DEX.to_vec(),
+            ..sample()
+        };
+        let line = req.encode_with_id(&RequestId::Num(7));
+        golden::assert_golden("extract_request.line", line.as_bytes());
     }
 
     #[test]

@@ -57,7 +57,7 @@ use dexlego_store::{Store, StoreConfig, StoreStats};
 
 use crate::framing::Framer;
 use crate::poll::{Backend, Event, Interest, Poller};
-use crate::protocol::{parse_request_line, Request, RequestId};
+use crate::protocol::{parse_request_line, push_reply_line, Request, RequestId};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -400,11 +400,11 @@ impl Conn {
 
     fn queue_reply(&mut self, slot: &ReplySlot, reply: String) {
         match slot {
-            ReplySlot::Tagged(id) => push_line(&mut self.out, &with_id(id, &reply)),
+            ReplySlot::Tagged(id) => push_reply_line(&mut self.out, Some(id), &reply),
             ReplySlot::Ordered(seq) => {
                 self.ordered_ready.insert(*seq, reply);
                 while let Some(line) = self.ordered_ready.remove(&self.ordered_next_send) {
-                    push_line(&mut self.out, &line);
+                    push_reply_line(&mut self.out, None, &line);
                     self.ordered_next_send += 1;
                 }
             }
@@ -418,22 +418,6 @@ impl Conn {
             && self.unsent() == 0
             && self.ordered_ready.is_empty()
     }
-}
-
-fn push_line(out: &mut Vec<u8>, line: &str) {
-    // One contiguous append per line: payload and newline never go out as
-    // separate small writes (Nagle + delayed-ACK stalls).
-    out.reserve(line.len() + 1);
-    out.extend_from_slice(line.as_bytes());
-    out.push(b'\n');
-}
-
-/// Injects `"id": …` as the first member of an already-serialised reply
-/// object. Every reply is built by `json::object`, so the line always
-/// starts with `{` and always has at least a `status` member.
-fn with_id(id: &RequestId, reply: &str) -> String {
-    debug_assert!(reply.starts_with('{') && !reply.starts_with("{}"));
-    format!("{{\"id\": {}, {}", id.encode(), &reply[1..])
 }
 
 struct EventLoop {
@@ -947,17 +931,16 @@ impl EventLoop {
                 // reply with a just-in-case payload.
                 let hit = self.shared.store.get(&key);
                 self.shared.stats.lock().expect("stats lock").fetches += 1;
-                let mut members = vec![
-                    ("status", json::string("ok")),
-                    ("found", hit.is_some().to_string()),
-                ];
-                if let Some(entry) = &hit {
-                    members.push((
-                        "entry",
-                        json::string(&dexlego_store::hex::to_hex(&encode_entry(entry))),
-                    ));
+                let entry = hit.as_ref().map(encode_entry);
+                let mut reply = String::with_capacity(entry.as_ref().map_or(0, Vec::len) * 2 + 64);
+                let mut obj = json::ObjectWriter::new(&mut reply);
+                obj.string("status", "ok");
+                obj.raw("found", &entry.is_some().to_string());
+                if let Some(entry) = &entry {
+                    obj.hex("entry", entry);
                 }
-                conn.queue_reply(&slot, json::object(&members));
+                obj.finish();
+                conn.queue_reply(&slot, reply);
             }
             Ok(Request::Extract(req)) => self.handle_extract(token, slot, &req),
         }
@@ -1105,23 +1088,27 @@ fn drain_wake_pipe(wake_rx: &UnixStream) {
 
 fn extract_reply(report: &JobReport, dex: Option<&[u8]>, want_entry: bool) -> String {
     if report.status.is_ok() {
-        let dex_hex = dexlego_store::hex::to_hex(dex.unwrap_or_default());
-        let mut members = vec![
-            ("status", json::string("ok")),
-            ("cached", report.cached.to_string()),
-            ("dex", json::string(&dex_hex)),
-            ("report", report.to_json()),
-        ];
-        if want_entry {
-            // The caller intends to replicate this result elsewhere (the
-            // router's R=2 fill and read-repair paths), so hand back the
-            // store encoding ready to ship in a backfill request.
-            if let Some(dex) = dex {
-                let entry = encode_entry(&to_cached(report, dex));
-                members.push(("entry", json::string(&dexlego_store::hex::to_hex(&entry))));
-            }
+        // The caller intends to replicate this result elsewhere (the
+        // router's R=2 fill and read-repair paths), so hand back the store
+        // encoding ready to ship in a backfill request.
+        let entry = match dex {
+            Some(dex) if want_entry => Some(encode_entry(&to_cached(report, dex))),
+            _ => None,
+        };
+        let dex = dex.unwrap_or_default();
+        let report_json = report.to_json();
+        let hex_len = (dex.len() + entry.as_ref().map_or(0, Vec::len)) * 2;
+        let mut reply = String::with_capacity(hex_len + report_json.len() + 96);
+        let mut obj = json::ObjectWriter::new(&mut reply);
+        obj.string("status", "ok");
+        obj.raw("cached", &report.cached.to_string());
+        obj.hex("dex", dex);
+        obj.raw("report", &report_json);
+        if let Some(entry) = &entry {
+            obj.hex("entry", entry);
         }
-        json::object(&members)
+        obj.finish();
+        reply
     } else {
         let mut members = vec![
             ("status", json::string("failed")),
@@ -1210,4 +1197,65 @@ fn stats_reply(shared: &Shared) -> String {
         ("phases_us", json::object(&phase_members)),
     ]);
     json::object(&[("status", json::string("ok")), ("stats", body)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::golden::{assert_golden, DEX};
+    use dexlego_harness::JobStatus;
+    use dexlego_store::Key;
+
+    /// A fixed report whose name and detail need every kind of escape.
+    fn report(status: JobStatus) -> JobReport {
+        JobReport {
+            status,
+            cached: true,
+            wall_us: 1_234,
+            insns: 56_789,
+            frames: 321,
+            quickens: 12,
+            dequickens: 3,
+            superinsn_hits: 45,
+            methods_collected: 6,
+            insns_collected: 789,
+            dump_size: 4_096,
+            verifier_lints: 1,
+            verifier_errors: 0,
+            typed_methods: 5,
+            typed_insns: 777,
+            verify_cache_hits: 2,
+            verify_cache_misses: 1,
+            phases_us: vec![("collect".to_owned(), 42), ("verify".to_owned(), 7)],
+            ..JobReport::empty("golden \"job\"\u{2028}\u{e9}\u{1}".to_owned(), Some("360"))
+        }
+    }
+
+    fn framed(id: Option<&RequestId>, reply: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_reply_line(&mut out, id, reply);
+        out
+    }
+
+    #[test]
+    fn ok_reply_with_entry_is_golden() {
+        let reply = extract_reply(&report(JobStatus::Ok), Some(DEX), true);
+        let id = RequestId::Str("hit/1".to_owned());
+        assert_golden("extract_ok_reply.line", &framed(Some(&id), &reply));
+    }
+
+    #[test]
+    fn failed_reply_is_golden() {
+        let status = JobStatus::VerifierRejected("v3: \"int\" vs ref\tat 0x1c".to_owned());
+        let reply = extract_reply(&report(status), None, false);
+        assert_golden("extract_failed_reply.line", &framed(None, &reply));
+    }
+
+    #[test]
+    fn backfill_request_line_is_golden() {
+        let entry = encode_entry(&to_cached(&report(JobStatus::Ok), DEX));
+        let line =
+            Request::encode_backfill(Some(&RequestId::Num(9)), &Key::new([0x5a; 20]), &entry);
+        assert_golden("backfill_request.line", line.as_bytes());
+    }
 }

@@ -39,7 +39,7 @@ enum Op {
     },
     /// Valid JSON with an unknown op: an `error` reply that still echoes
     /// a well-formed id.
-    BadOp { id: Option<RequestId> },
+    Unknown { id: Option<RequestId> },
     /// Not JSON at all; always id-less (no id can be recovered).
     NotJson,
     /// A line past the server's frame cap: one `error` reply, connection
@@ -54,7 +54,7 @@ impl Op {
                 Some(id) => json::object(&[("op", json::string(op)), ("id", id.encode())]),
                 None => json::object(&[("op", json::string(op))]),
             },
-            Op::BadOp { id } => match id {
+            Op::Unknown { id } => match id {
                 Some(id) => json::object(&[("op", json::string("zorp")), ("id", id.encode())]),
                 None => json::object(&[("op", json::string("zorp"))]),
             },
@@ -65,7 +65,7 @@ impl Op {
 
     fn id(&self) -> Option<&RequestId> {
         match self {
-            Op::Valid { id, .. } | Op::BadOp { id } => id.as_ref(),
+            Op::Valid { id, .. } | Op::Unknown { id } => id.as_ref(),
             Op::NotJson | Op::Oversized => None,
         }
     }
@@ -97,7 +97,7 @@ fn id_strategy() -> BoxedStrategy<Option<RequestId>> {
 fn op_strategy() -> BoxedStrategy<Op> {
     prop_oneof![
         (id_strategy(), select(vec!["ping", "stats"])).prop_map(|(id, op)| Op::Valid { op, id }),
-        id_strategy().prop_map(|id| Op::BadOp { id }),
+        id_strategy().prop_map(|id| Op::Unknown { id }),
         Just(Op::NotJson),
         Just(Op::Oversized),
     ]

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full check suite: release build, all tests, clippy as errors, formatting,
+# Full check suite: release build, all tests, clippy as errors (test and
+# bench targets included), formatting,
 # a sharded harness smoke run over every packer profile (fails on any
 # job panic, timeout, verifier rejection, validation finding, or
 # behavioural divergence), a pipelined dexlegod load smoke, a
@@ -12,7 +13,7 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 cargo run -p dexlego-harness --bin harness-smoke --release -- \
     --workers 2 --apps 2 --packers all
