@@ -288,11 +288,13 @@ impl Engine<'_> {
     /// Runs the abstract interpretation of one method under the given
     /// implicit context; returns the union of branch-condition taints seen.
     fn run_method(&mut self, index: usize, implicit_ctx: Taint) -> Taint {
-        let info = &self.methods[index];
-        let registers = info.registers as usize;
-        let ins = info.ins as usize;
-        let sig = info.signature.clone();
-        let insn_count = info.insns.len();
+        // A handle on the shared IR: successors are read from it while
+        // `transfer` mutates the engine.
+        let ir = std::sync::Arc::clone(&self.methods[index]);
+        let registers = ir.registers as usize;
+        let ins = ir.ins as usize;
+        let sig = ir.signature.clone();
+        let insn_count = ir.len();
 
         // Initial state: parameters in the top `ins` registers.
         let mut init = vec![Reg::default(); registers];
@@ -322,7 +324,7 @@ impl Engine<'_> {
                     continue; // widen by truncation; states are finite anyway
                 }
                 let state = states[i].clone().unwrap_or_default();
-                let (next_state, succs) = self.transfer(
+                let next_state = self.transfer(
                     index,
                     i,
                     state,
@@ -330,7 +332,8 @@ impl Engine<'_> {
                     &mut branch_taint,
                     implicit_ctx,
                 );
-                for succ in succs {
+                for &succ in ir.insn(i).succs() {
+                    let succ = succ as usize;
                     match &mut states[succ] {
                         Some(entry) => {
                             let joined = join_regs(entry, &next_state);
@@ -353,7 +356,7 @@ impl Engine<'_> {
             for _ in 0..8 {
                 let before = state.clone();
                 for i in 0..insn_count {
-                    let (next, _) = self.transfer_insensitive(
+                    let next = self.transfer(
                         index,
                         i,
                         state.clone(),
@@ -386,19 +389,10 @@ impl Engine<'_> {
         branch_taint
     }
 
-    fn transfer_insensitive(
-        &mut self,
-        index: usize,
-        i: usize,
-        state: Vec<Reg>,
-        summary: &mut Summary,
-        branch_taint: &mut Taint,
-        implicit_ctx: Taint,
-    ) -> (Vec<Reg>, Vec<usize>) {
-        self.transfer(index, i, state, summary, branch_taint, implicit_ctx)
-    }
-
-    /// Abstract transfer of instruction `i`; returns successor indices.
+    /// Abstract transfer of instruction `i`; the caller follows its
+    /// normal-flow successors in the typed IR (validated branch targets,
+    /// resolved switch payload entries, and fall-through — exception edges
+    /// excluded, matching the engine's handler-blind over-approximation).
     #[allow(clippy::too_many_lines)]
     fn transfer(
         &mut self,
@@ -408,15 +402,12 @@ impl Engine<'_> {
         summary: &mut Summary,
         branch_taint: &mut Taint,
         implicit_ctx: Taint,
-    ) -> (Vec<Reg>, Vec<usize>) {
-        // Normal-flow successors from the typed IR: validated branch
-        // targets, resolved switch payload entries, and fall-through —
-        // exception edges excluded, matching the engine's handler-blind
-        // over-approximation.
-        let (pc, insn, succs) = {
-            let ti = &self.methods[index].insns[i];
-            (ti.pc, ti.insn.clone(), ti.succs.clone())
-        };
+    ) -> Vec<Reg> {
+        // Borrow the instruction from a handle on the shared IR, not from
+        // `self`, which the transfer mutates.
+        let ir = std::sync::Arc::clone(&self.methods[index]);
+        let ti = ir.insn(i);
+        let (pc, insn) = (ti.pc(), ti.insn());
 
         let get = |state: &[Reg], r: u32| state.get(r as usize).cloned().unwrap_or_default();
         let set = |state: &mut [Reg], r: u32, v: Reg| {
@@ -602,26 +593,23 @@ impl Engine<'_> {
                 let recv_ty = if matches!(op, Opcode::InvokeStatic | Opcode::InvokeStaticRange) {
                     None
                 } else {
-                    insn.regs
-                        .first()
-                        .and_then(|&r| self.methods[index].insns[i].ref_type(r))
+                    insn.regs.first().and_then(|&r| ti.ref_type(r))
                 };
-                let ret =
-                    self.apply_invoke(&insn, &args, recv_ty, pc, index, summary, implicit_ctx);
+                let ret = self.apply_invoke(insn, &args, recv_ty, pc, index, summary, implicit_ctx);
                 // move-result writes happen via the following instruction;
                 // model by stashing in a pseudo-register... simplest: apply
                 // to the *next* instruction if it is a move-result.
-                if let Some(next) = self.methods[index].insns.get(i + 1) {
+                if let Some(next) = ir.get(i + 1).map(|next| next.insn()) {
                     if matches!(
-                        next.insn.op,
+                        next.op,
                         Opcode::MoveResult | Opcode::MoveResultWide | Opcode::MoveResultObject
                     ) {
-                        let a = next.insn.a;
+                        let a = next.a;
                         set(&mut state, a, ret);
                     }
                 }
                 // Receiver mutation for StringBuilder-style propagation.
-                if let Some((class, name, _)) = self.invoke_target(&insn) {
+                if let Some((class, name, _)) = self.invoke_target(insn) {
                     if let FrameworkModel::PropagateToReceiverAndReturn = classify(&class, &name) {
                         let union = args.iter().fold(Taint::CLEAN, |a, r| a.join(r.taint));
                         if let Some(&recv) = insn.regs.first() {
@@ -648,9 +636,9 @@ impl Engine<'_> {
                     .regs
                     .iter()
                     .fold(Taint::CLEAN, |a, &r| a.join(get(&state, r).taint));
-                if let Some(next) = self.methods[index].insns.get(i + 1) {
-                    if next.insn.op == Opcode::MoveResultObject {
-                        let a = next.insn.a;
+                if let Some(next) = ir.get(i + 1).map(|next| next.insn()) {
+                    if next.op == Opcode::MoveResultObject {
+                        let a = next.a;
                         set(
                             &mut state,
                             a,
@@ -688,7 +676,7 @@ impl Engine<'_> {
             }
         }
 
-        (state, succs)
+        state
     }
 
     fn invoke_target(&self, insn: &Insn) -> Option<(String, String, String)> {

@@ -193,7 +193,7 @@ pub fn dump_dex(dex: &DexFile) -> String {
                         out.push_str(&format!(
                             "    .try {:04x}..{:04x} handler#{}\n",
                             t.start_addr,
-                            t.start_addr + u32::from(t.insn_count),
+                            t.end_addr(),
                             i
                         ));
                     }

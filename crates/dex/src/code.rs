@@ -13,6 +13,20 @@ pub struct TryItem {
     pub handler_index: usize,
 }
 
+impl TryItem {
+    /// One past the last covered code unit, in `u64`: a try table read
+    /// from untrusted bytes may run past `u32::MAX`, and must neither wrap
+    /// nor overflow.
+    pub fn end_addr(&self) -> u64 {
+        u64::from(self.start_addr) + u64::from(self.insn_count)
+    }
+
+    /// Whether the range covers the code unit at `addr`.
+    pub fn covers(&self, addr: u32) -> bool {
+        addr >= self.start_addr && u64::from(addr) < self.end_addr()
+    }
+}
+
 /// One typed catch clause: `catch (type) -> handler_addr`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatchClause {
@@ -86,7 +100,7 @@ impl CodeItem {
     pub fn handlers_at(&self, addr: u32) -> impl Iterator<Item = &EncodedCatchHandler> {
         self.tries
             .iter()
-            .filter(move |t| addr >= t.start_addr && addr < t.start_addr + u32::from(t.insn_count))
+            .filter(move |t| t.covers(addr))
             .filter_map(|t| self.handlers.get(t.handler_index))
     }
 }
@@ -99,6 +113,18 @@ mod tests {
     fn first_in_register_accounts_for_ins() {
         let code = CodeItem::new(5, 2, 0, vec![]);
         assert_eq!(code.first_in_register(), 3);
+    }
+
+    #[test]
+    fn try_ranges_past_u32_max_neither_wrap_nor_overflow() {
+        let t = TryItem {
+            start_addr: u32::MAX - 1,
+            insn_count: 5,
+            handler_index: 0,
+        };
+        assert_eq!(t.end_addr(), u64::from(u32::MAX) + 4);
+        assert!(t.covers(u32::MAX - 1) && t.covers(u32::MAX));
+        assert!(!t.covers(0) && !t.covers(3));
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub fn verify(dex: &DexFile, strictness: Strictness) -> Result<()> {
                                 code.handlers.len()
                             )));
                         }
-                        let end = u64::from(t.start_addr) + u64::from(t.insn_count);
+                        let end = t.end_addr();
                         if end > code.insns.len() as u64 {
                             return Err(DexError::Invalid(format!(
                                 "method {}: try range [{}, {}) outside code of {} units",

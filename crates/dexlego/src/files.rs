@@ -91,6 +91,14 @@ pub struct TryRecord {
     pub catch_all: Option<u32>,
 }
 
+impl TryRecord {
+    /// Whether the range covers `dex_pc`. The end is computed in `u64`: a
+    /// collection read from untrusted bytes may run past `u32::MAX`.
+    pub fn covers(&self, dex_pc: u32) -> bool {
+        dex_pc >= self.start && u64::from(dex_pc) < u64::from(self.start) + u64::from(self.count)
+    }
+}
+
 /// One collected method (method data file + bytecode file).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodRecord {

@@ -2,13 +2,15 @@
 //! application under JIT collection (optionally with force execution), then
 //! reassemble the collected files into a new DEX offline.
 
+use std::collections::HashMap;
+
 use dexlego_dalvik::canon::canonicalize;
-use dexlego_dex::DexFile;
+use dexlego_dex::{ClassDef, DexFile};
 use dexlego_runtime::observer::RuntimeObserver;
 use dexlego_runtime::Runtime;
 
 use crate::collect::JitCollector;
-use crate::files::CollectionFiles;
+use crate::files::{CollectionFiles, MethodKey};
 use crate::force::{iterative_force, ForceStats};
 use crate::metrics::PipelineMetrics;
 use crate::reassemble::reassemble_with_metrics;
@@ -108,24 +110,26 @@ where
 ///
 /// Returns the list of violations (empty = validated).
 pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
-    use std::collections::HashMap;
+    // Classes by descriptor, keeping the first definition as
+    // `DexFile::find_class` does.
+    let mut classes: HashMap<&str, &ClassDef> = HashMap::with_capacity(dex.class_defs().len());
+    for class in dex.class_defs() {
+        if let Ok(descriptor) = dex.type_descriptor(class.class_idx) {
+            classes.entry(descriptor).or_insert(class);
+        }
+    }
     let mut problems = Vec::new();
     for record in &files.methods {
-        // Gather the reassembled opcode multiset across the method and its
-        // variants.
-        let Some(class) = dex.find_class(&record.key.class) else {
+        let Some(class) = classes.get(record.key.class.as_str()) else {
             problems.push(format!("{}: class missing from output", record.key));
             continue;
         };
-        let mut reassembled: HashMap<u8, usize> = HashMap::new();
+        // Which opcodes the method and its variants were reassembled with.
+        let mut reassembled = [false; 256];
         let mut found_method = false;
         if let Some(data) = &class.class_data {
             for method in data.methods() {
-                let Ok(sig) = dex.method_signature(method.method_idx) else {
-                    continue;
-                };
-                let base = format!("{}->{}", record.key.class, record.key.name);
-                if !(sig.starts_with(&format!("{base}(")) || sig.contains(&format!("{}$v", base))) {
+                if !is_method_or_variant(dex, method.method_idx, &record.key) {
                     continue;
                 }
                 found_method = true;
@@ -133,7 +137,7 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
                     if let Ok(decoded) = dexlego_dalvik::decode_method(&code.insns) {
                         for (_, d) in decoded {
                             if let dexlego_dalvik::Decoded::Insn(insn) = d {
-                                *reassembled.entry(insn.op as u8).or_default() += 1;
+                                reassembled[insn.op as usize] = true;
                             }
                         }
                     }
@@ -149,7 +153,7 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
             for node in tree.nodes() {
                 for ins in &node.il {
                     let op = (ins.units[0] & 0xff) as u8;
-                    if !reassembled.contains_key(&op)
+                    if !reassembled[usize::from(op)]
                         && dexlego_dalvik::Opcode::from_u8(op).is_some()
                     {
                         problems.push(format!(
@@ -162,6 +166,29 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
         }
     }
     problems
+}
+
+/// Whether pool method `method_idx` is the collected method `key` or one
+/// of its `name$v…` variants: same declaring class, and a name equal to
+/// the key's or extending it with `$v`. Like formatting the signature, the
+/// method's prototype must resolve.
+fn is_method_or_variant(dex: &DexFile, method_idx: u32, key: &MethodKey) -> bool {
+    let Ok(m) = dex.method_id(method_idx) else {
+        return false;
+    };
+    let (Ok(class), Ok(name)) = (dex.type_descriptor(m.class), dex.string(m.name)) else {
+        return false;
+    };
+    let named = name
+        .strip_prefix(key.name.as_str())
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with("$v"));
+    named
+        && class == key.class
+        && dex.proto(m.proto).is_ok_and(|proto| {
+            std::iter::once(proto.return_type)
+                .chain(proto.parameters.iter().copied())
+                .all(|t| dex.type_descriptor(t).is_ok())
+        })
 }
 
 /// Reassembles already-collected files into a full [`RevealOutcome`] — the

@@ -97,16 +97,19 @@ pub fn merge_tree(
     emitter.emit_node(input.tree.root(), &[input.tree.root()])?;
     // Handlers that were never executed are retargeted to the trap block;
     // make sure it exists before assembly when any try region survives.
-    let root_pcs: std::collections::HashSet<u32> =
-        input.tree.node(0).il.iter().map(|i| i.dex_pc).collect();
+    let mut root_pcs: Vec<u32> = input.tree.node(0).il.iter().map(|i| i.dex_pc).collect();
+    root_pcs.sort_unstable();
     let needs_trap_handler = input.record.tries.iter().any(|t| {
-        let covered = (t.start..t.start + t.count).any(|pc| root_pcs.contains(&pc));
+        // The first root pc at or past the range start decides coverage.
+        let covered = root_pcs
+            .get(root_pcs.partition_point(|&pc| pc < t.start))
+            .is_some_and(|&pc| t.covers(pc));
         let unresolved_handler = t
             .catches
             .iter()
             .map(|(_, pc)| *pc)
             .chain(t.catch_all)
-            .any(|pc| !root_pcs.contains(&pc));
+            .any(|pc| root_pcs.binary_search(&pc).is_err());
         covered && unresolved_handler
     });
     if needs_trap_handler {
@@ -138,7 +141,7 @@ pub fn merge_tree(
         let mut lo: Option<u32> = None;
         let mut hi: Option<u32> = None;
         for ins in &input.tree.node(0).il {
-            if ins.dex_pc >= record_try.start && ins.dex_pc < record_try.start + record_try.count {
+            if record_try.covers(ins.dex_pc) {
                 if let Some(addr) = addr_of(ins.dex_pc) {
                     let end = addr + ins.units.len() as u32;
                     lo = Some(lo.map_or(addr, |v: u32| v.min(addr)));

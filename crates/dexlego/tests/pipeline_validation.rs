@@ -7,7 +7,7 @@
 //! [`validate_reveal`]: dexlego_core::pipeline::validate_reveal
 //! [`RevealOutcome::validation`]: dexlego_core::pipeline::RevealOutcome
 
-use dexlego_core::pipeline::{reassemble_collection, reveal};
+use dexlego_core::pipeline::{reassemble_collection, reveal, validate_reveal};
 use dexlego_core::CollectionFiles;
 use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::Opcode;
@@ -132,5 +132,53 @@ fn truncated_method_trees_are_flagged_by_the_pipeline() {
             .any(|p| p.contains("triple") && p.contains("method missing from output")),
         "truncated method must be reported: {:?}",
         outcome.validation
+    );
+}
+
+/// The finding texts are part of the job status a client sees, so they
+/// are pinned exactly. A `name$v…` variant stands in for its method; a
+/// method whose name merely starts with the collected one does not.
+#[test]
+fn findings_name_the_exact_missing_class_method_and_opcode() {
+    let files = collect();
+
+    // `run` survives only as the variant `run$v1`; the helper class is gone.
+    let mut pb = ProgramBuilder::new();
+    pb.class(MAIN, |c| {
+        c.static_method("run$v1", &[], "I", 2, |m| {
+            m.asm.const4(0, 5);
+            m.invoke(Opcode::InvokeStatic, HELPER, "triple", &["I"], "I", &[0]);
+            let mut mr = dexlego_dalvik::Insn::of(Opcode::MoveResult);
+            mr.a = 1;
+            m.asm.push(mr);
+            m.asm.ret(Opcode::Return, 1);
+        });
+    });
+    let variant_only = pb.build().expect("assembles");
+    assert_eq!(
+        validate_reveal(&files, &variant_only),
+        ["Lval/Helper;->triple(I)I: class missing from output"]
+    );
+
+    // `runner` is not a variant of `run`, and `triple` lost its multiply.
+    let mut pb = ProgramBuilder::new();
+    pb.class(HELPER, |c| {
+        c.static_method("triple", &["I"], "I", 2, |m| {
+            let n = m.param_reg(0);
+            m.asm.ret(Opcode::Return, n);
+        });
+    });
+    pb.class(MAIN, |c| {
+        c.static_method("runner", &[], "I", 2, |m| {
+            m.asm.const4(0, 5);
+            m.asm.ret(Opcode::Return, 0);
+        });
+    });
+    assert_eq!(
+        validate_reveal(&files, &pb.build().expect("assembles")),
+        [
+            "Lval/Main;->run()I: method missing from output",
+            "Lval/Helper;->triple(I)I: collected opcode 0xda at pc 0 missing from output",
+        ]
     );
 }

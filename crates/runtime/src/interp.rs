@@ -2591,7 +2591,7 @@ fn find_handler(rt: &mut Runtime, method: MethodId, pc: u32, exc: ObjRef) -> Opt
     let handlers = handlers.clone();
     let source = rt.method_source(method)?;
     for t in &tries {
-        if pc < t.start_addr || pc >= t.start_addr + u32::from(t.insn_count) {
+        if !t.covers(pc) {
             continue;
         }
         let Some(handler) = handlers.get(t.handler_index) else {

@@ -13,9 +13,9 @@
 //!   entry states live in one dense [`FrameSlab`] instead of per-block
 //!   `Vec`s, each block walk reuses a single scratch frame instead of
 //!   cloning, instruction effects fill a reusable buffer instead of
-//!   allocating, and each instruction's exception-handler targets are
-//!   precomputed once per CFG ([`ThrowMap`]) instead of scanning every try
-//!   range per instruction.
+//!   allocating, and each instruction's exception-handler targets come
+//!   precomputed from the CFG ([`Cfg::throw_targets`]) instead of a scan
+//!   over every try range per instruction.
 //! * [`Strategy::Reference`] — the pre-optimization engine with per-visit
 //!   frame clones and per-range scans, kept as the differential oracle
 //!   (`bench --bin verifier --baseline`, proptests).
@@ -39,9 +39,9 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use dexlego_dalvik::insn::{Decoded, Insn};
+use dexlego_dalvik::insn::Insn;
 use dexlego_dalvik::Opcode;
-use dexlego_dex::code::CodeItem;
+use dexlego_dex::code::{CodeItem, TryItem};
 use dexlego_dex::DexFile;
 
 use crate::cfg::{Cfg, EdgeKind};
@@ -65,8 +65,8 @@ pub(crate) enum Strategy {
 
 /// One dense slab of `regs` lattice values per slot: per-instruction
 /// fixpoint pre-states (indexed like [`Cfg::insns`]; unreachable
-/// instructions and payloads have no state) and per-block entry states
-/// during the fixpoint.
+/// instructions have no state) and per-block entry states during the
+/// fixpoint.
 pub(crate) struct FrameSlab {
     regs: usize,
     present: Vec<bool>,
@@ -94,6 +94,12 @@ impl FrameSlab {
         } else {
             None
         }
+    }
+
+    /// The slab itself, `regs` values per slot; slots never reached hold
+    /// `Uninit`.
+    pub(crate) fn into_data(self) -> Vec<RegType> {
+        self.data
     }
 
     /// Joins `frame` into slot `i` in place; returns whether the state
@@ -215,7 +221,7 @@ pub(crate) fn run(
 
     ctx.mute = true;
     let in_states = match strategy {
-        Strategy::Fast => fixpoint_fast(cfg, code, &entry, tcx, &mut ctx),
+        Strategy::Fast => fixpoint_fast(cfg, &entry, tcx, &mut ctx),
         Strategy::Reference => fixpoint_reference(cfg, code, &entry, tcx, &mut ctx),
     };
     ctx.mute = false;
@@ -231,14 +237,12 @@ pub(crate) fn run(
         };
         scratch.clear();
         scratch.extend_from_slice(state);
-        for &i in &block.insns {
-            let (pc, d) = &cfg.insns()[i];
-            let Decoded::Insn(insn) = d else { continue };
+        for i in block.insns.clone() {
             frames.set(i, &scratch);
             transfer(
-                insn,
-                *pc,
-                prev_insn(cfg, i),
+                &cfg.insns()[i],
+                cfg.pcs()[i],
+                cfg.prev_insn(i),
                 &mut scratch,
                 &mut ctx,
                 tcx,
@@ -254,18 +258,11 @@ pub(crate) fn run(
 
 /// The fast engine: FIFO worklist over dense block states, one reusable
 /// scratch frame, precomputed handler targets.
-fn fixpoint_fast(
-    cfg: &Cfg,
-    code: &CodeItem,
-    entry: &[RegType],
-    tcx: &TypeCtx<'_>,
-    ctx: &mut Ctx,
-) -> FrameSlab {
+fn fixpoint_fast(cfg: &Cfg, entry: &[RegType], tcx: &TypeCtx<'_>, ctx: &mut Ctx) -> FrameSlab {
     let nblocks = cfg.blocks().len();
     let mut states = FrameSlab::new(nblocks, entry.len());
     states.set(0, entry);
 
-    let throw = ThrowMap::build(cfg, code);
     let mut worklist: VecDeque<usize> = VecDeque::from([0]);
     let mut queued = vec![false; nblocks];
     queued[0] = true;
@@ -280,29 +277,28 @@ fn fixpoint_fast(
             None => continue,
         }
         let block = &cfg.blocks()[bid];
-        for &i in &block.insns {
-            let (pc, d) = &cfg.insns()[i];
-            let Decoded::Insn(insn) = d else { continue };
+        for i in block.insns.clone() {
             // A throwing instruction in a try range transfers the
             // *pre*-state of that instruction to its handlers (the ART
-            // rule); `throw` already folded the range lookup away.
-            for &hb in throw.targets(i) {
+            // rule); the CFG already folded the range lookup away.
+            for &hb in cfg.throw_targets(i) {
+                let hb = hb as usize;
                 if states.merge(hb, &scratch, tcx.hier) && !queued[hb] {
                     queued[hb] = true;
                     worklist.push_back(hb);
                 }
             }
             transfer(
-                insn,
-                *pc,
-                prev_insn(cfg, i),
+                &cfg.insns()[i],
+                cfg.pcs()[i],
+                cfg.prev_insn(i),
                 &mut scratch,
                 ctx,
                 tcx,
                 &mut eff,
             );
         }
-        for edge in &block.succs {
+        for edge in cfg.succs(block) {
             if edge.kind == EdgeKind::Exception {
                 continue;
             }
@@ -335,7 +331,7 @@ fn fixpoint_reference(
     queued[0] = true;
 
     // try range -> handler block ids, resolved once.
-    let handler_edges: Vec<(u32, u32, Vec<usize>)> = handler_ranges(cfg, code);
+    let handler_edges = handler_ranges(cfg, code);
 
     while let Some(bid) = worklist.pop_front() {
         queued[bid] = false;
@@ -343,11 +339,10 @@ fn fixpoint_reference(
             continue;
         };
         let block = &cfg.blocks()[bid];
-        for &i in &block.insns {
-            let (pc, d) = &cfg.insns()[i];
-            let Decoded::Insn(insn) = d else { continue };
-            for (lo, hi, handler_blocks) in &handler_edges {
-                if *pc >= *lo && *pc < *hi && insn.op.can_throw() {
+        for i in block.insns.clone() {
+            let (pc, insn) = (cfg.pcs()[i], &cfg.insns()[i]);
+            for (range, handler_blocks) in &handler_edges {
+                if range.covers(pc) && insn.op.can_throw() {
                     for &hb in handler_blocks {
                         merge_into(
                             &mut in_states,
@@ -361,9 +356,9 @@ fn fixpoint_reference(
                 }
             }
             let mut eff = Effects::default();
-            transfer(insn, *pc, prev_insn(cfg, i), &mut frame, ctx, tcx, &mut eff);
+            transfer(insn, pc, cfg.prev_insn(i), &mut frame, ctx, tcx, &mut eff);
         }
-        for edge in &block.succs {
+        for edge in cfg.succs(block) {
             if edge.kind == EdgeKind::Exception {
                 continue;
             }
@@ -385,60 +380,6 @@ fn fixpoint_reference(
         }
     }
     states
-}
-
-/// Per-instruction exception-handler targets, flattened once per CFG: a
-/// `(start, len)` span per instruction index into one shared target list.
-/// Only throwing instructions inside a try range get a non-empty span, so
-/// the fixpoint's inner loop replaces the scan over every try range with
-/// one slice lookup.
-struct ThrowMap {
-    spans: Vec<(u32, u32)>,
-    targets: Vec<usize>,
-}
-
-impl ThrowMap {
-    fn build(cfg: &Cfg, code: &CodeItem) -> ThrowMap {
-        let mut spans = vec![(0u32, 0u32); cfg.insns().len()];
-        let mut targets = Vec::new();
-        if !code.tries.is_empty() {
-            let ranges = handler_ranges(cfg, code);
-            for (i, (pc, d)) in cfg.insns().iter().enumerate() {
-                let Decoded::Insn(insn) = d else { continue };
-                if !insn.op.can_throw() {
-                    continue;
-                }
-                let start = targets.len();
-                for (lo, hi, blocks) in &ranges {
-                    if *pc >= *lo && *pc < *hi {
-                        for &hb in blocks {
-                            // Merging is idempotent; deduplicate so each
-                            // handler is merged once per instruction.
-                            if !targets[start..].contains(&hb) {
-                                targets.push(hb);
-                            }
-                        }
-                    }
-                }
-                spans[i] = (start as u32, (targets.len() - start) as u32);
-            }
-        }
-        ThrowMap { spans, targets }
-    }
-
-    fn targets(&self, i: usize) -> &[usize] {
-        let (start, len) = self.spans[i];
-        &self.targets[start as usize..(start + len) as usize]
-    }
-}
-
-/// The real instruction immediately preceding instruction `i` in code
-/// order, if any (payloads break adjacency).
-fn prev_insn(cfg: &Cfg, i: usize) -> Option<&Insn> {
-    if i == 0 {
-        return None;
-    }
-    cfg.insns()[i - 1].1.as_insn()
 }
 
 fn merge_into(
@@ -528,24 +469,19 @@ fn entry_frame(
 }
 
 /// try ranges with their handler block ids.
-fn handler_ranges(cfg: &Cfg, code: &CodeItem) -> Vec<(u32, u32, Vec<usize>)> {
+fn handler_ranges<'c>(cfg: &Cfg, code: &'c CodeItem) -> Vec<(&'c TryItem, Vec<usize>)> {
     let mut out = Vec::new();
     for t in &code.tries {
         let Some(h) = code.handlers.get(t.handler_index) else {
             continue;
         };
         let mut blocks = Vec::new();
-        for clause in &h.catches {
-            if let Some(b) = cfg.block_index_of_pc(clause.addr) {
-                blocks.push(b);
+        for addr in h.catches.iter().map(|c| c.addr).chain(h.catch_all_addr) {
+            if let Some(i) = cfg.index_of_pc(addr) {
+                blocks.push(cfg.block_of(i));
             }
         }
-        if let Some(addr) = h.catch_all_addr {
-            if let Some(b) = cfg.block_index_of_pc(addr) {
-                blocks.push(b);
-            }
-        }
-        out.push((t.start_addr, t.start_addr + u32::from(t.insn_count), blocks));
+        out.push((t, blocks));
     }
     out
 }

@@ -61,19 +61,11 @@ impl Effects {
     }
 }
 
-/// The effects table, allocating a fresh [`Effects`]. Control flow
-/// (targets, payloads) is handled by the CFG; this covers only register
-/// reads/writes.
-pub(crate) fn effects(insn: &Insn) -> Effects {
-    let mut out = Effects::default();
-    effects_into(insn, &mut out);
-    out
-}
-
-/// [`effects`] into a reusable buffer: the buffer's read list is cleared
-/// and refilled in place, so the dataflow hot loop performs no per-
-/// instruction allocation once the buffer has grown to the method's widest
-/// instruction.
+/// The effects table, into a reusable buffer: the buffer's read list is
+/// cleared and refilled in place, so a pass over a method performs no
+/// per-instruction allocation once the buffer has grown to the method's
+/// widest instruction. Control flow (targets, payloads) is handled by the
+/// CFG; this covers only register reads/writes.
 pub(crate) fn effects_into(insn: &Insn, out: &mut Effects) {
     let mut e = std::mem::take(out);
     e.reads.clear();

@@ -7,10 +7,10 @@
 //! referential integrity — nothing there looks *inside* an instruction
 //! stream. This crate fills that gap with four layers:
 //!
-//! 1. **CFG construction** ([`cfg::Cfg`]): basic blocks over
-//!    [`dexlego_dalvik::decode_method`] output, successor edges for
-//!    branches/gotos/switch payloads, exception edges from try/catch
-//!    tables, payload regions excluded from reachable code.
+//! 1. **CFG construction** ([`cfg::Cfg`]): basic blocks over the decoded
+//!    instruction stream, successor edges for branches/gotos/switch
+//!    payloads, exception edges from try/catch tables, payload regions
+//!    excluded from reachable code — all addressed by instruction index.
 //! 2. **Typestate dataflow** ([`typestate::RegType`]): a worklist fixpoint
 //!    over a per-register lattice (`Uninit`, `Const`, int-like, `Float`,
 //!    descriptor-carrying `Ref`, `WideLo`/`WideHi` pairing, `Conflict`)
@@ -253,8 +253,8 @@ fn verify_method_with(
             }
             if want_ir {
                 ir = Some(TypedIr::build(
-                    &cfg,
-                    &frames,
+                    cfg,
+                    frames,
                     code.registers_size,
                     code.ins_size,
                 ));
@@ -303,7 +303,7 @@ pub struct TypedDex {
 impl TypedDex {
     /// Total instructions across all method IRs.
     pub fn insn_count(&self) -> usize {
-        self.methods.iter().map(|m| m.insns.len()).sum()
+        self.methods.iter().map(|m| m.len()).sum()
     }
 }
 

@@ -3,14 +3,11 @@
 //! tree-merge process is known to leave behind (NOP-filled holes, redundant
 //! prologue moves).
 
-use std::collections::HashMap;
-
-use dexlego_dalvik::insn::Decoded;
 use dexlego_dalvik::Opcode;
 
 use crate::cfg::{Cfg, EdgeKind};
 use crate::diag::{Diagnostic, Rule};
-use crate::effects::{effects, Need, Write};
+use crate::effects::{effects_into, Effects, Need, Write};
 
 pub(crate) fn run(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
     unreachable_blocks(cfg, out);
@@ -35,8 +32,7 @@ fn unreachable_blocks(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
 }
 
 fn self_moves(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    for (pc, d) in cfg.insns() {
-        let Decoded::Insn(insn) = d else { continue };
+    for (insn, &pc) in cfg.insns().iter().zip(cfg.pcs()) {
         let is_move = matches!(
             insn.op,
             Opcode::Move
@@ -52,7 +48,7 @@ fn self_moves(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
         if is_move && insn.a == insn.b {
             out.push(Diagnostic::new(
                 Rule::L0002,
-                *pc,
+                pc,
                 format!(
                     "{} v{a}, v{a} has no effect",
                     insn.op.mnemonic(),
@@ -63,44 +59,69 @@ fn self_moves(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// The last write to one register not yet read: the block it happened in
+/// (an entry from an earlier block is stale) and the writing instruction.
+#[derive(Clone, Copy)]
+struct Store {
+    block: usize,
+    insn: usize,
+}
+
+const NO_STORE: Store = Store {
+    block: usize::MAX,
+    insn: 0,
+};
+
 fn dead_stores(cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    for block in cfg.blocks() {
+    // Dense per-register table, shared by all blocks and grown on demand
+    // (a hostile body may name registers past its frame).
+    let mut pending: Vec<Store> = Vec::new();
+    let mut reported: Vec<usize> = Vec::new();
+    let mut eff = Effects::default();
+    for (b, block) in cfg.blocks().iter().enumerate() {
         if !block.reachable {
             continue;
         }
         // A handler could observe intermediate states; skip covered blocks.
-        if block.succs.iter().any(|e| e.kind == EdgeKind::Exception) {
+        if cfg
+            .succs(block)
+            .iter()
+            .any(|e| e.kind == EdgeKind::Exception)
+        {
             continue;
         }
-        // reg -> pc of the last write not yet read.
-        let mut pending: HashMap<u32, u32> = HashMap::new();
-        let mut reported: Vec<u32> = Vec::new();
-        for &i in &block.insns {
-            let (pc, d) = &cfg.insns()[i];
-            let Decoded::Insn(insn) = d else { continue };
-            let eff = effects(insn);
+        reported.clear();
+        for i in block.insns.clone() {
+            effects_into(&cfg.insns()[i], &mut eff);
             for &(reg, need) in &eff.reads {
-                pending.remove(&reg);
-                if need == Need::Wide {
-                    pending.remove(&(reg + 1));
+                let width = if need == Need::Wide { 2 } else { 1 };
+                for r in reg..reg + width {
+                    if let Some(slot) = pending.get_mut(r as usize) {
+                        *slot = NO_STORE;
+                    }
                 }
             }
             if let Some((reg, w)) = eff.write {
                 let width = if matches!(w, Write::Wide) { 2 } else { 1 };
                 for r in reg..reg + width {
-                    if let Some(&store_pc) = pending.get(&r) {
-                        if !reported.contains(&store_pc) {
-                            reported.push(store_pc);
-                            out.push(Diagnostic::new(
-                                Rule::L0003,
-                                store_pc,
-                                format!(
-                                    "value stored to v{r} is overwritten at {pc:#06x} without being read"
-                                ),
-                            ));
-                        }
+                    let r_idx = r as usize;
+                    if r_idx >= pending.len() {
+                        let len = (r_idx + 1).max(2 * pending.len());
+                        pending.resize(len, NO_STORE);
                     }
-                    pending.insert(r, *pc);
+                    let prev = pending[r_idx];
+                    if prev.block == b && !reported.contains(&prev.insn) {
+                        reported.push(prev.insn);
+                        out.push(Diagnostic::new(
+                            Rule::L0003,
+                            cfg.pcs()[prev.insn],
+                            format!(
+                                "value stored to v{r} is overwritten at {:#06x} without being read",
+                                cfg.pcs()[i]
+                            ),
+                        ));
+                    }
+                    pending[r_idx] = Store { block: b, insn: i };
                 }
             }
         }

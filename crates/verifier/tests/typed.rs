@@ -192,15 +192,14 @@ fn typed_ir_joins_to_least_common_ancestor() {
         .find(|m| m.name == "pick")
         .expect("pick has a body");
     let ret = ir
-        .insns
-        .iter()
-        .find(|i| i.insn.op == Opcode::ReturnObject)
+        .insns()
+        .find(|i| i.insn().op == Opcode::ReturnObject)
         .expect("return-object present");
     let a = typed.hierarchy.lookup("La;").unwrap();
-    assert_eq!(ret.frame[0], RegType::Ref(a));
-    assert!(ret.reachable);
-    assert_eq!(ret.uses, vec![0]);
-    assert!(ret.succs.is_empty(), "return has no successors");
+    assert_eq!(ret.frame()[0], RegType::Ref(a));
+    assert!(ret.reachable());
+    assert_eq!(ret.uses(), [0]);
+    assert!(ret.succs().is_empty(), "return has no successors");
 }
 
 #[test]
@@ -218,14 +217,14 @@ fn typed_ir_exposes_def_use_and_successors() {
     let typed = verify_dex_typed(&dex, &VerifyOptions::default());
     assert!(typed.diagnostics.is_empty());
     let ir = &typed.methods[0];
-    assert_eq!(ir.insns.len(), 3);
+    assert_eq!(ir.len(), 3);
     // const/4 defines v0 and flows to add-int, which reads v0/v1 and
     // redefines v0.
-    assert_eq!(ir.insns[0].defs, vec![0]);
-    assert_eq!(ir.insns[0].succs, vec![1]);
-    assert_eq!(ir.insns[1].uses, vec![0, 1]);
-    assert_eq!(ir.insns[1].defs, vec![0]);
-    assert_eq!(ir.index_of_pc(ir.insns[2].pc), Some(2));
+    assert_eq!(ir.insn(0).defs(), [0]);
+    assert_eq!(ir.insn(0).succs(), [1]);
+    assert_eq!(ir.insn(1).uses(), [0, 1]);
+    assert_eq!(ir.insn(1).defs(), [0]);
+    assert_eq!(ir.index_of_pc(ir.insn(2).pc()), Some(2));
     assert!(ir.def_use_edges() >= 5);
 }
 

@@ -33,10 +33,15 @@ fn fingerprint(typed: &TypedDex, dex: &dexlego_suite::dex::DexFile) -> Vec<Strin
             ir.signature, ir.method_idx, ir.registers, ir.ins
         ));
         out.extend(ir.disassemble(&typed.hierarchy, Some(dex)));
-        for insn in &ir.insns {
+        for insn in ir.insns() {
             out.push(format!(
                 "pc={} reachable={} frame={:?} succs={:?} uses={:?} defs={:?}",
-                insn.pc, insn.reachable, insn.frame, insn.succs, insn.uses, insn.defs
+                insn.pc(),
+                insn.reachable(),
+                insn.frame(),
+                insn.succs(),
+                insn.uses(),
+                insn.defs()
             ));
         }
     }
