@@ -5,9 +5,9 @@
 //! Two workloads exercise the two fetch-sensitive paths: a tight
 //! arithmetic loop (pure instruction fetch) and a switch-heavy loop
 //! whose every iteration dispatches through a packed-switch payload
-//! (payload-table fetch). Both run under [`NullObserver`], so the
-//! passive-observer fast path applies and the numbers isolate the fetch
-//! strategy itself.
+//! (payload-table fetch). The observer picks the path: the quickened
+//! column runs under [`NullObserver`], the per-step column under a no-op
+//! observer that wants instruction events, as the collector does.
 
 use std::time::Instant;
 
@@ -15,11 +15,16 @@ use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::Opcode;
 use dexlego_dex::DexFile;
 use dexlego_harness::json;
-use dexlego_runtime::observer::NullObserver;
-use dexlego_runtime::runtime::{Env, FetchMode};
+use dexlego_runtime::observer::{NullObserver, RuntimeObserver};
 use dexlego_runtime::{Runtime, Slot};
 
-/// One workload measured under both fetch modes.
+/// A no-op observer that wants instruction events, so every frame runs
+/// per step.
+struct PerStep;
+
+impl RuntimeObserver for PerStep {}
+
+/// One workload measured on both fetch paths.
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
     /// Workload name (`hot_loop` or `switch_loop`).
@@ -95,33 +100,29 @@ fn benchmark_app() -> (DexFile, String) {
     (pb.build().expect("assembles"), entry)
 }
 
-/// Best-of-`repeats` instructions/sec for one method under one fetch
-/// mode, plus the per-call instruction count.
+/// Best-of-`repeats` instructions/sec for one method under `obs`, plus
+/// the per-call instruction count.
 fn measure(
     dex: &DexFile,
     entry: &str,
     method: &str,
-    mode: FetchMode,
+    obs: &mut dyn RuntimeObserver,
     n: i32,
     repeats: u32,
 ) -> (f64, u64) {
-    let mut rt = Runtime::with_env(Env {
-        fetch_mode: mode,
-        ..Env::default()
-    });
+    let mut rt = Runtime::new();
     rt.load_dex(dex, "app").expect("loads");
-    let mut obs = NullObserver;
     let args = [Slot::from_int(n)];
-    // Warm-up call: class init, the code-cache build (quickened mode), and
+    // Warm-up call: class init, the code-cache build (quickened path), and
     // call-site quickening, so timed calls hit rewritten cells.
-    rt.call_static(&mut obs, entry, method, "(I)I", &args)
+    rt.call_static(obs, entry, method, "(I)I", &args)
         .expect("runs");
     let mut best = 0.0f64;
     let mut per_call = 0u64;
     for _ in 0..repeats {
         let before = rt.stats.insns;
         let start = Instant::now();
-        rt.call_static(&mut obs, entry, method, "(I)I", &args)
+        rt.call_static(obs, entry, method, "(I)I", &args)
             .expect("runs");
         let elapsed = start.elapsed().as_secs_f64();
         per_call = rt.stats.insns - before;
@@ -131,7 +132,7 @@ fn measure(
 }
 
 /// Runs every workload whose name matches `filter` (all of them when
-/// `None`) under both fetch modes.
+/// `None`) on both paths.
 pub fn run_filtered(
     iterations: i32,
     repeats: u32,
@@ -147,22 +148,8 @@ pub fn run_filtered(
             } else {
                 "switchLoop"
             };
-            let (step, insns) = measure(
-                &dex,
-                &entry,
-                method,
-                FetchMode::DecodePerStep,
-                iterations,
-                repeats,
-            );
-            let (quick, _) = measure(
-                &dex,
-                &entry,
-                method,
-                FetchMode::Quickened,
-                iterations,
-                repeats,
-            );
+            let (step, insns) = measure(&dex, &entry, method, &mut PerStep, iterations, repeats);
+            let (quick, _) = measure(&dex, &entry, method, &mut NullObserver, iterations, repeats);
             WorkloadResult {
                 name: name.to_owned(),
                 insns_per_call: insns,
@@ -173,7 +160,7 @@ pub fn run_filtered(
         .collect()
 }
 
-/// Runs both workloads under both fetch modes.
+/// Runs both workloads on both paths.
 pub fn run(iterations: i32, repeats: u32) -> Vec<WorkloadResult> {
     run_filtered(iterations, repeats, None)
 }

@@ -17,9 +17,13 @@
 //!    mid-pass. The fleet's contract is that this degrades to failover
 //!    and cache misses, never client-visible errors.
 //!
-//! Each warm configuration runs several rounds and keeps the round with
-//! the best p999 — single rounds finish in milliseconds, where one
-//! scheduler hiccup *is* the tail.
+//! Every warm configuration (the kill pass included) replays the request
+//! set for the same wall time, [`WARM_PERIODS`] stall periods, so each
+//! topology meets the same number of injected stalls whatever its hit
+//! rate. Beside the p999s, each warm configuration reports how many
+//! replies waited longer than a whole stall (`stall_slow_replies`): a
+//! count with no timing margin, zero exactly when every stall was
+//! absorbed.
 //!
 //! [`service`]: crate::service
 
@@ -31,6 +35,9 @@ use dexlego_service::{Client, Daemon, ServiceConfig};
 use dexlego_store::TempDir;
 
 use crate::service::{build_requests, pass_json, run_pass, LoadConfig, PassResult};
+
+/// Stall periods each warm configuration runs for.
+pub const WARM_PERIODS: u64 = 10;
 
 /// Fleet shape: the per-pass load plus the fleet dimensions.
 #[derive(Debug, Clone)]
@@ -91,7 +98,7 @@ pub struct FleetBench {
     pub config: FleetConfig,
     /// Cold fill through the hedged fleet.
     pub cold: PassResult,
-    /// Warm replay through the hedged router (best-p999 round).
+    /// Warm replay through the hedged router.
     pub warm_hedged: PassResult,
     /// Warm replay through the unhedged router, same backends.
     pub warm_unhedged: PassResult,
@@ -102,6 +109,13 @@ pub struct FleetBench {
     pub kill: PassResult,
     /// Hedged-router counters at the end of the fleet phase.
     pub counters: FleetCounters,
+}
+
+impl FleetBench {
+    /// Replies of `pass` slower than a whole injected stall.
+    pub fn stall_slow_replies(&self, pass: &PassResult) -> usize {
+        pass.slower_than(self.config.stall_ms * 1000)
+    }
 }
 
 fn start_fleet(
@@ -142,20 +156,6 @@ fn front(addrs: Vec<String>, hedge_ms: u64, workers: usize) -> Router {
 
 /// Effectively disables hedging without risking `Instant` overflow.
 const NO_HEDGE_MS: u64 = 3_600_000;
-
-/// Warm rounds per configuration; the best p999 survives.
-const WARM_ROUNDS: usize = 3;
-
-fn best_warm(
-    addr: &str,
-    requests: &[Vec<dexlego_service::ExtractRequest>],
-    window: usize,
-) -> PassResult {
-    (0..WARM_ROUNDS)
-        .map(|_| run_pass(addr, requests, window))
-        .min_by_key(|pass| pass.latency.p999_us)
-        .expect("at least one round")
-}
 
 fn shutdown_front(addr: &str, router: Router) {
     let mut control = Client::connect(addr).expect("router control");
@@ -204,22 +204,24 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     let hedged_addr = hedged.addr().to_string();
     let unhedged_addr = unhedged.addr().to_string();
 
-    let cold = run_pass(&hedged_addr, &requests, load.window);
+    let cold = run_pass(&hedged_addr, &requests, load.window, Duration::ZERO);
     // Let the replication backfills land before measuring warm reads —
     // the kill pass below leans on every result having two copies.
     std::thread::sleep(Duration::from_millis(300));
 
-    let warm_hedged = best_warm(&hedged_addr, &requests, load.window);
-    let warm_unhedged = best_warm(&unhedged_addr, &requests, load.window);
+    let warm_wall = Duration::from_millis(config.stall_period_ms * WARM_PERIODS);
+    let warm = |addr: &str| run_pass(addr, &requests, load.window, warm_wall);
+    let warm_hedged = warm(&hedged_addr);
+    let warm_unhedged = warm(&unhedged_addr);
 
     // --- kill one backend mid-pass ---
     let mut daemons = daemons;
     let victim = daemons.remove(0);
     let kill = std::thread::scope(|scope| {
-        let pass = scope.spawn(|| run_pass(&hedged_addr, &requests, load.window));
+        let pass = scope.spawn(|| warm(&hedged_addr));
         // Aim for roughly a third of the way into the pass; if the pass
         // is already done the kill still precedes the assertions.
-        let warm_ms = (warm_hedged.wall_s * 1000.0 / 3.0).clamp(1.0, 500.0);
+        let warm_ms = (warm_hedged.wall_s * 1000.0 / 3.0).max(1.0);
         std::thread::sleep(Duration::from_millis(warm_ms as u64));
         victim.trigger_shutdown();
         victim.wait();
@@ -243,9 +245,9 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     let (_single_dir, single_daemons, single_addrs) = start_fleet(1, load.workers, stall);
     let single = front(single_addrs, NO_HEDGE_MS, in_flight);
     let single_addr = single.addr().to_string();
-    let fill = run_pass(&single_addr, &requests, load.window);
+    let fill = run_pass(&single_addr, &requests, load.window, Duration::ZERO);
     assert_eq!(fill.protocol_errors, 0, "single-backend fill errored");
-    let single_warm = best_warm(&single_addr, &requests, load.window);
+    let single_warm = warm(&single_addr);
     shutdown_front(&single_addr, single);
     for daemon in single_daemons {
         daemon.trigger_shutdown();
@@ -280,11 +282,29 @@ pub fn format(bench: &FleetBench) -> String {
         ("window", bench.config.load.window.to_string()),
         ("insns", bench.config.load.insns.to_string()),
         ("workers_per_backend", bench.config.load.workers.to_string()),
+        ("warm_periods", WARM_PERIODS.to_string()),
         ("cold", pass_json(&bench.cold)),
         ("warm_hedged", pass_json(&bench.warm_hedged)),
         ("warm_unhedged", pass_json(&bench.warm_unhedged)),
         ("single_warm", pass_json(&bench.single_warm)),
         ("kill_one_backend", pass_json(&bench.kill)),
+        (
+            "stall_slow_replies",
+            json::object(&[
+                (
+                    "warm_hedged",
+                    bench.stall_slow_replies(&bench.warm_hedged).to_string(),
+                ),
+                (
+                    "warm_unhedged",
+                    bench.stall_slow_replies(&bench.warm_unhedged).to_string(),
+                ),
+                (
+                    "single_warm",
+                    bench.stall_slow_replies(&bench.single_warm).to_string(),
+                ),
+            ]),
+        ),
         ("routed", counters.routed.to_string()),
         ("hedges", counters.hedges.to_string()),
         ("hedge_wins", counters.hedge_wins.to_string()),

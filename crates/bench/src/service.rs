@@ -17,7 +17,7 @@
 //! alone buys on the protocol turnaround.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
@@ -71,6 +71,8 @@ pub struct PassResult {
     pub rps: f64,
     /// Send-to-reply latency distribution, microseconds.
     pub latency: LatencyStats,
+    /// Every send-to-reply latency, microseconds, ascending.
+    pub samples_us: Vec<u64>,
     /// Requests shed `overloaded`.
     pub overloaded: usize,
     /// Requests shed `deadline_exceeded`.
@@ -105,6 +107,13 @@ pub struct ServiceBench {
     pub pipelining_speedup: f64,
     /// Cache hits / extracts over both passes, from the daemon's stats.
     pub hit_rate: f64,
+}
+
+impl PassResult {
+    /// Replies slower than `us` microseconds.
+    pub fn slower_than(&self, us: u64) -> usize {
+        self.samples_us.len() - self.samples_us.partition_point(|&s| s <= us)
+    }
 }
 
 /// Builds each connection's request list. Seeds are part of the job
@@ -157,29 +166,35 @@ fn build_turnaround_probe(config: &LoadConfig) -> Vec<ExtractRequest> {
         .collect()
 }
 
-/// Drives one connection for one pass: windowed pipelining until every
-/// request has its reply. Returns the latency samples (µs) and counters.
+/// Drives one connection for one pass: windowed pipelining through
+/// `requests` once, then round them again until `until` has passed;
+/// returns once every request sent has its reply, with the latency
+/// samples (µs) and counters.
 pub(crate) fn drive_conn(
     addr: &str,
     requests: &[ExtractRequest],
     window: usize,
+    until: Instant,
 ) -> (Vec<u64>, PassResult) {
     let mut client = PipelinedClient::connect(addr).expect("connect");
     let mut result = PassResult::default();
     let mut samples = Vec::with_capacity(requests.len());
     let mut sent_at: HashMap<u64, Instant> = HashMap::new();
     let mut next = 0usize;
+    let more = |next: usize| next < requests.len() || Instant::now() < until;
     // Refill in half-window batches rather than one send per receive:
     // sends are buffered, so each refill is one write for the whole
     // batch while the pipeline stays at least half full.
     let refill_at = (window / 2).max(1);
-    while result.completed + result.protocol_errors < requests.len() {
-        while next < requests.len() && sent_at.len() < window {
-            let id = client.send_extract(&requests[next]).expect("send");
+    while more(next) || !sent_at.is_empty() {
+        while more(next) && sent_at.len() < window {
+            let id = client
+                .send_extract(&requests[next % requests.len()])
+                .expect("send");
             sent_at.insert(id, Instant::now());
             next += 1;
         }
-        let drain_to = if next < requests.len() { refill_at } else { 0 };
+        let drain_to = if more(next) { refill_at } else { 0 };
         while sent_at.len() > drain_to {
             match client.recv_extract() {
                 Ok((id, reply)) => {
@@ -210,14 +225,21 @@ pub(crate) fn drive_conn(
     (samples, result)
 }
 
-/// One pass over all connections concurrently; merges the per-connection
-/// samples and counters under a single pass-wide clock.
-pub(crate) fn run_pass(addr: &str, requests: &[Vec<ExtractRequest>], window: usize) -> PassResult {
+/// One pass over all connections concurrently: every request once, then
+/// round the lists again until `min_wall` has passed. Merges the
+/// per-connection samples and counters under a single pass-wide clock.
+pub(crate) fn run_pass(
+    addr: &str,
+    requests: &[Vec<ExtractRequest>],
+    window: usize,
+    min_wall: Duration,
+) -> PassResult {
     let start = Instant::now();
+    let until = start + min_wall;
     let per_conn: Vec<(Vec<u64>, PassResult)> = std::thread::scope(|scope| {
         let handles: Vec<_> = requests
             .iter()
-            .map(|reqs| scope.spawn(move || drive_conn(addr, reqs, window)))
+            .map(|reqs| scope.spawn(move || drive_conn(addr, reqs, window, until)))
             .collect();
         handles
             .into_iter()
@@ -240,6 +262,7 @@ pub(crate) fn run_pass(addr: &str, requests: &[Vec<ExtractRequest>], window: usi
     }
     merged.rps = merged.completed as f64 / wall_s.max(1e-9);
     merged.latency = latency_stats(&mut samples);
+    merged.samples_us = samples;
     merged
 }
 
@@ -280,8 +303,8 @@ pub fn run(config: LoadConfig) -> ServiceBench {
     let addr = daemon.addr().to_string();
 
     let requests = build_requests(&config);
-    let cold = run_pass(&addr, &requests, config.window);
-    let warm = run_pass(&addr, &requests, config.window);
+    let cold = run_pass(&addr, &requests, config.window, Duration::ZERO);
+    let warm = run_pass(&addr, &requests, config.window, Duration::ZERO);
 
     // Single-connection protocol-turnaround comparison: identical warm
     // requests, one connection, only the in-flight budget differs.
@@ -294,7 +317,7 @@ pub fn run(config: LoadConfig) -> ServiceBench {
     // ratios (see [`ServiceBench::pipelining_speedup`]).
     const ONE_CONN_ROUNDS: usize = 7;
     let probe_requests = build_turnaround_probe(&config);
-    let (_, warmup) = drive_conn(&addr, &probe_requests, config.window);
+    let (_, warmup) = drive_conn(&addr, &probe_requests, config.window, Instant::now());
     assert_eq!(warmup.protocol_errors, 0, "probe warm-up errored");
     let mut serial_one_conn_rps = 0f64;
     let mut pipelined_one_conn_rps = 0f64;
@@ -302,7 +325,7 @@ pub fn run(config: LoadConfig) -> ServiceBench {
     for _ in 0..ONE_CONN_ROUNDS {
         let serial_rps = serial_replay(&addr, &probe_requests);
         let start = Instant::now();
-        let (_, pass) = drive_conn(&addr, &probe_requests, config.window);
+        let (_, pass) = drive_conn(&addr, &probe_requests, config.window, start);
         assert_eq!(pass.protocol_errors, 0, "pipelined replay errored");
         let pipelined_rps = pass.completed as f64 / start.elapsed().as_secs_f64().max(1e-9);
         serial_one_conn_rps = serial_one_conn_rps.max(serial_rps);

@@ -277,17 +277,14 @@ pub fn decode_method(code: &[u16]) -> Result<Vec<(u32, Decoded)>> {
 const NOT_AN_INSN: u32 = u32::MAX;
 
 /// A whole method body decoded once, up front: the dense instruction list,
-/// a `dex_pc → instruction` map, pre-resolved payload tables for
-/// `fill-array-data` / `packed-switch` / `sparse-switch`, and a snapshot of
-/// the raw code units (so events can carry borrowed `&[u16]` slices without
-/// touching the live, mutable method body).
+/// a `dex_pc → instruction` map, and pre-resolved payload tables for
+/// `fill-array-data` / `packed-switch` / `sparse-switch`.
 ///
-/// This is the interpreter's analogue of ART's predecoded/mterp
-/// representation: a method run N times pays one decode, not N.
+/// This is the interpreter's quickened-tier analogue of ART's
+/// predecoded/mterp representation: a method run N times pays one decode,
+/// not N.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredecodedMethod {
-    /// Snapshot of the code units at predecode time.
-    units: Vec<u16>,
     /// Decoded instructions in stream order.
     insns: Vec<Insn>,
     /// For each code unit: index into `insns` if an instruction starts
@@ -301,23 +298,9 @@ pub struct PredecodedMethod {
 }
 
 impl PredecodedMethod {
-    /// The instruction starting at `pc` with its raw unit slice, or `None`
-    /// if `pc` is out of range or not an instruction start.
-    #[inline]
-    pub fn insn_at(&self, pc: u32) -> Option<(&Insn, &[u16])> {
-        let idx = *self.index_of.get(pc as usize)?;
-        if idx == NOT_AN_INSN {
-            return None;
-        }
-        let insn = &self.insns[idx as usize];
-        let pc = pc as usize;
-        Some((insn, &self.units[pc..pc + insn.units()]))
-    }
-
-    /// Leanest fetch: the dense index, instruction, and cached unit length
-    /// at `pc` — no slice construction, no format inspection. This is the
-    /// fast-path loop's accessor; event-carrying paths use
-    /// [`Self::entry_at`] for the borrowed unit slice.
+    /// The dense index, instruction, and cached unit length at `pc`, or
+    /// `None` if `pc` is out of range or not an instruction start — no
+    /// slice construction, no format inspection.
     #[inline]
     pub fn fetch_at(&self, pc: u32) -> Option<(u32, &Insn, u32)> {
         let idx = *self.index_of.get(pc as usize)?;
@@ -341,20 +324,6 @@ impl PredecodedMethod {
         Some((insn, u32::from(self.lens[idx as usize])))
     }
 
-    /// Like [`Self::insn_at`], but also yields the instruction's dense
-    /// index — the key into per-instruction side tables such as
-    /// [`crate::quick::QuickCells`].
-    #[inline]
-    pub fn entry_at(&self, pc: u32) -> Option<(u32, &Insn, &[u16])> {
-        let idx = *self.index_of.get(pc as usize)?;
-        if idx == NOT_AN_INSN {
-            return None;
-        }
-        let insn = &self.insns[idx as usize];
-        let pc = pc as usize;
-        Some((idx, insn, &self.units[pc..pc + insn.units()]))
-    }
-
     /// The payload starting at `pc`, if one was predecoded there.
     #[inline]
     pub fn payload_at(&self, pc: u32) -> Option<&Decoded> {
@@ -362,13 +331,6 @@ impl PredecodedMethod {
             .binary_search_by_key(&pc, |&(at, _)| at)
             .ok()
             .map(|i| &self.payloads[i].1)
-    }
-
-    /// The raw unit slice of the payload starting at `pc`, if any.
-    pub fn payload_units(&self, pc: u32) -> Option<&[u16]> {
-        let payload = self.payload_at(pc)?;
-        let pc = pc as usize;
-        self.units.get(pc..pc + payload.units())
     }
 
     /// Number of decoded instructions (payloads not included).
@@ -379,11 +341,6 @@ impl PredecodedMethod {
     /// Number of predecoded payload tables.
     pub fn payload_count(&self) -> usize {
         self.payloads.len()
-    }
-
-    /// Length of the snapshotted unit stream.
-    pub fn unit_len(&self) -> usize {
-        self.units.len()
     }
 
     /// `(dex_pc, instruction)` pairs in stream order.
@@ -406,7 +363,6 @@ impl PredecodedMethod {
 /// an unconditional return, partially decrypted bodies).
 pub fn predecode(code: &[u16]) -> Result<PredecodedMethod> {
     let mut pre = PredecodedMethod {
-        units: code.to_vec(),
         insns: Vec::new(),
         index_of: vec![NOT_AN_INSN; code.len()],
         lens: Vec::new(),
@@ -553,14 +509,13 @@ mod tests {
         let pre = predecode(&code).unwrap();
         assert_eq!(pre.insn_count(), 4);
         assert_eq!(pre.payload_count(), 1);
-        assert_eq!(pre.unit_len(), code.len());
-        let (insn, units) = pre.insn_at(1).unwrap();
-        assert_eq!(insn.op, Opcode::PackedSwitch);
-        assert_eq!(units, &code[1..4]);
+        let (idx, insn, len) = pre.fetch_at(1).unwrap();
+        assert_eq!((idx, insn.op, len), (1, Opcode::PackedSwitch, 3));
+        assert_eq!(pre.at_index(1).unwrap().0, insn);
         // Operand units and payload interiors are not instruction starts.
-        assert!(pre.insn_at(2).is_none());
-        assert!(pre.insn_at(7).is_none());
-        assert!(pre.insn_at(code.len() as u32).is_none());
+        assert!(pre.fetch_at(2).is_none());
+        assert!(pre.fetch_at(7).is_none());
+        assert!(pre.fetch_at(code.len() as u32).is_none());
         match pre.payload_at(6).unwrap() {
             Decoded::PackedSwitchPayload { first_key, targets } => {
                 assert_eq!(*first_key, 0);
@@ -568,7 +523,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(pre.payload_units(6).unwrap(), &code[6..]);
         assert!(pre.payload_at(5).is_none());
         assert_eq!(pre.iter().count(), 4);
         assert_eq!(pre.iter().next().unwrap().0, 0);

@@ -13,7 +13,8 @@
 //! * [`decode`] / [`encode`] — lossless translation between 16-bit code
 //!   units and decoded instructions, plus whole-method predecoding
 //!   ([`predecode`]) into the dense [`PredecodedMethod`] representation the
-//!   interpreter's code cache is built from.
+//!   interpreter's code cache is built from (for frames under a passive
+//!   observer; event-wanting frames decode per step).
 //! * [`asm`] — a label-based method assembler that sizes branches and lays
 //!   out payloads, used to build test programs and by the reassembler.
 //! * [`disasm`] — a smali-flavoured pretty printer.

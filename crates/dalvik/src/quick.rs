@@ -12,9 +12,9 @@
 //! byte is either a real [`Opcode`] discriminant or one of these. They are
 //! never serialised: [`crate::PredecodedMethod`] keeps the original decoded
 //! instructions untouched, and `QuickCells` overlays dispatch bytes and
-//! resolved operands per instruction index. Observer event streams
-//! therefore always see the original instruction and units, quickened or
-//! not.
+//! resolved operands per instruction index. Only frames whose observer
+//! wants no instruction events run quickened, so no event stream ever
+//! carries a quickened or fused form.
 //!
 //! Invalidation is inherited from the code-epoch machinery: a method-body
 //! mutation discards the whole cache entry, `QuickCells` included, which
@@ -260,21 +260,17 @@ pub const NO_DATA: u32 = u32::MAX;
 /// The mutable quickening overlay for one [`PredecodedMethod`].
 ///
 /// One cell per decoded instruction (indexed like the predecoded
-/// instruction list): a *dispatch byte* (initially the plain opcode byte,
-/// rewritten in place when the instruction quickens), an optional *fused
-/// byte* naming the superinstruction this cell heads (computed once at
-/// build time), and a *data slot* holding the pre-resolved operand
-/// (field/method index, interned object, or switch-table index).
+/// instruction list): a *dispatch byte* and a *data slot*. The dispatch
+/// byte is the superinstruction byte where the cell heads a fused pair
+/// (chosen once at build time), else the plain opcode byte, rewritten in
+/// place when the instruction quickens. The data slot holds the
+/// pre-resolved operand (field/method index, interned object, or
+/// switch-table index).
 ///
 /// Cells are atomics only so the owning runtime stays `Send`; execution is
 /// single-threaded per runtime and all accesses are `Relaxed`.
 pub struct QuickCells {
-    qop: Box<[AtomicU8]>,
-    fused: Box<[u8]>,
-    /// `fused` byte where non-zero, else the (possibly quickened) `qop`
-    /// byte — kept in sync by [`Self::quicken`] so the fused-dispatch fast
-    /// path costs a single load.
-    eff: Box<[AtomicU8]>,
+    bytes: Box<[AtomicU8]>,
     qdata: Box<[AtomicU32]>,
     switches: Vec<SwitchTable>,
     quickened: AtomicU32,
@@ -283,8 +279,8 @@ pub struct QuickCells {
 impl std::fmt::Debug for QuickCells {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QuickCells")
-            .field("cells", &self.qop.len())
-            .field("fused", &self.fused.iter().filter(|&&b| b != 0).count())
+            .field("cells", &self.bytes.len())
+            .field("fused", &self.fused_count())
             .field("switches", &self.switches.len())
             .field("quickened", &self.quickened.load(Ordering::Relaxed))
             .finish()
@@ -300,9 +296,8 @@ impl QuickCells {
     pub fn build(pre: &PredecodedMethod) -> QuickCells {
         let items: Vec<(u32, &Insn)> = pre.iter().collect();
         let n = items.len();
-        let mut qop = Vec::with_capacity(n);
+        let mut bytes = Vec::with_capacity(n);
         let mut qdata = Vec::with_capacity(n);
-        let mut fused = vec![0u8; n];
         let mut switches = Vec::new();
 
         for &(pc, insn) in &items {
@@ -315,7 +310,7 @@ impl QuickCells {
                     switches.push(table);
                 }
             }
-            qop.push(AtomicU8::new(byte));
+            bytes.push(byte);
             qdata.push(AtomicU32::new(data));
         }
 
@@ -325,7 +320,7 @@ impl QuickCells {
             let (pc2, second) = items[i + 1];
             if pc + first.units() as u32 == pc2 {
                 if let Some(b) = fused_pair(first, second) {
-                    fused[i] = b;
+                    bytes[i] = b;
                     i += 2;
                     continue;
                 }
@@ -333,32 +328,20 @@ impl QuickCells {
             i += 1;
         }
 
-        let eff: Vec<AtomicU8> = qop
-            .iter()
-            .zip(&fused)
-            .map(|(q, &f)| AtomicU8::new(if f != 0 { f } else { q.load(Ordering::Relaxed) }))
-            .collect();
         QuickCells {
-            qop: qop.into_boxed_slice(),
-            fused: fused.into_boxed_slice(),
-            eff: eff.into_boxed_slice(),
+            bytes: bytes.into_iter().map(AtomicU8::new).collect(),
             qdata: qdata.into_boxed_slice(),
             switches,
             quickened: AtomicU32::new(0),
         }
     }
 
-    /// The dispatch byte for instruction `idx`. With `allow_fused` the
-    /// superinstruction byte wins when present; callers that need per-
-    /// instruction granularity (observers with insn events) pass `false`
-    /// and get the plain (possibly quickened) byte.
+    /// The dispatch byte for instruction `idx`: its superinstruction byte
+    /// when it heads a fused pair, else its plain (possibly quickened)
+    /// byte.
     #[inline]
-    pub fn dispatch_byte(&self, idx: u32, allow_fused: bool) -> u8 {
-        if allow_fused {
-            self.eff[idx as usize].load(Ordering::Relaxed)
-        } else {
-            self.qop[idx as usize].load(Ordering::Relaxed)
-        }
+    pub fn dispatch_byte(&self, idx: u32) -> u8 {
+        self.bytes[idx as usize].load(Ordering::Relaxed)
     }
 
     /// The pre-resolved data slot of instruction `idx` ([`NO_DATA`] when
@@ -377,9 +360,9 @@ impl QuickCells {
             return false;
         }
         self.qdata[idx as usize].store(data, Ordering::Relaxed);
-        self.qop[idx as usize].store(byte, Ordering::Relaxed);
-        if self.fused[idx as usize] == 0 {
-            self.eff[idx as usize].store(byte, Ordering::Relaxed);
+        // A fused head keeps dispatching fused; its handler reads the data.
+        if !is_fused(self.dispatch_byte(idx)) {
+            self.bytes[idx as usize].store(byte, Ordering::Relaxed);
         }
         self.quickened.fetch_add(1, Ordering::Relaxed);
         true
@@ -400,7 +383,10 @@ impl QuickCells {
 
     /// Number of superinstruction heads found at build time.
     pub fn fused_count(&self) -> usize {
-        self.fused.iter().filter(|&&b| b != 0).count()
+        self.bytes
+            .iter()
+            .filter(|b| is_fused(b.load(Ordering::Relaxed)))
+            .count()
     }
 }
 
@@ -519,13 +505,11 @@ mod tests {
         ];
         let pre = predecode(&code).unwrap();
         let qc = QuickCells::build(&pre);
-        assert_eq!(qc.dispatch_byte(0, true), FUSE_IF_ALU);
-        assert_eq!(qc.dispatch_byte(0, false), Opcode::IfGe as u8);
+        assert_eq!(qc.dispatch_byte(0), FUSE_IF_ALU);
         // The consumed second half keeps its own plain cell.
-        assert_eq!(qc.dispatch_byte(1, true), Opcode::AddIntLit8 as u8);
+        assert_eq!(qc.dispatch_byte(1), Opcode::AddIntLit8 as u8);
         // The switch was statically rewritten to its pre-resolved form.
-        assert_eq!(qc.dispatch_byte(2, true), SWITCH_PRE);
-        assert_eq!(qc.dispatch_byte(2, false), SWITCH_PRE);
+        assert_eq!(qc.dispatch_byte(2), SWITCH_PRE);
         let table = qc.switch_table(qc.data(2));
         // Switch sits at pc 4; payload offsets are +3 → absolute pc 7.
         assert_eq!(table.lookup(0), Some(7));
@@ -542,7 +526,7 @@ mod tests {
         assert!(qc.quicken(0, IGET_QUICK, 17));
         assert!(!qc.quicken(0, IGET_QUICK, 18), "second quicken is a no-op");
         assert_eq!(qc.data(0), 17);
-        assert_eq!(qc.dispatch_byte(0, false), IGET_QUICK);
+        assert_eq!(qc.dispatch_byte(0), IGET_QUICK);
         assert_eq!(qc.quickened_count(), 1);
         assert!(
             !qc.quicken(1, IGET_QUICK, NO_DATA),

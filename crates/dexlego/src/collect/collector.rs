@@ -320,35 +320,26 @@ impl RuntimeObserver for JitCollector {
             return;
         }
         // Capture the payload for payload-referencing instructions so
-        // switches and fill-array-data survive reassembly.
-        let payload = if matches!(
-            ev.insn.op,
-            dexlego_dalvik::Opcode::PackedSwitch
-                | dexlego_dalvik::Opcode::SparseSwitch
-                | dexlego_dalvik::Opcode::FillArrayData
-        ) {
-            let payload_pc = ev.insn.target(ev.dex_pc);
-            // Serve the raw units from the predecoded tables when the
-            // method is cached; decode from the live body otherwise.
-            let precached = rt
-                .predecoded_cached(ev.method)
-                .and_then(|p| p.payload_units(payload_pc))
-                .map(|units| (ev.insn.off, units.to_vec()));
-            if precached.is_some() {
-                precached
-            } else if let MethodImpl::Bytecode { insns, .. } = &rt.method(ev.method).body {
-                let payload_pc = payload_pc as usize;
+        // switches and fill-array-data survive reassembly, decoded from the
+        // live body the instruction was fetched from.
+        let payload = match &rt.method(ev.method).body {
+            MethodImpl::Bytecode { insns, .. }
+                if matches!(
+                    ev.insn.op,
+                    dexlego_dalvik::Opcode::PackedSwitch
+                        | dexlego_dalvik::Opcode::SparseSwitch
+                        | dexlego_dalvik::Opcode::FillArrayData
+                ) =>
+            {
+                let payload_pc = ev.insn.target(ev.dex_pc) as usize;
                 dexlego_dalvik::decode_insn(insns, payload_pc)
                     .ok()
                     .map(|d| {
                         let len = d.units();
                         (ev.insn.off, insns[payload_pc..payload_pc + len].to_vec())
                     })
-            } else {
-                None
             }
-        } else {
-            None
+            _ => None,
         };
         frame.tree.observe(ev.dex_pc, ev.units, payload);
     }

@@ -55,9 +55,6 @@ pub fn to_cached(report: &JobReport, dex_bytes: &[u8]) -> CachedResult {
         wall_us: report.wall_us,
         insns: report.insns,
         frames: report.frames,
-        quickens: report.quickens,
-        dequickens: report.dequickens,
-        superinsn_hits: report.superinsn_hits,
         methods_collected: report.methods_collected as u64,
         insns_collected: report.insns_collected,
         dump_size: report.dump_size as u64,
@@ -80,9 +77,6 @@ pub fn from_cached(name: &str, packer: Option<&'static str>, hit: &CachedResult)
         cached: true,
         insns: hit.insns,
         frames: hit.frames,
-        quickens: hit.quickens,
-        dequickens: hit.dequickens,
-        superinsn_hits: hit.superinsn_hits,
         methods_collected: hit.methods_collected as usize,
         insns_collected: hit.insns_collected,
         dump_size: hit.dump_size as usize,
@@ -191,9 +185,6 @@ mod tests {
             wall_us: 900,
             insns: 11,
             frames: 2,
-            quickens: 4,
-            dequickens: 1,
-            superinsn_hits: 5,
             methods_collected: 3,
             insns_collected: 40,
             dump_size: 512,
@@ -210,9 +201,7 @@ mod tests {
         assert!(back.cached);
         assert!(back.status.is_ok());
         assert_eq!(back.insns, report.insns);
-        assert_eq!(back.quickens, report.quickens);
-        assert_eq!(back.dequickens, report.dequickens);
-        assert_eq!(back.superinsn_hits, report.superinsn_hits);
+        assert_eq!(back.frames, report.frames);
         assert_eq!(back.methods_collected, report.methods_collected);
         assert_eq!(back.typed_methods, report.typed_methods);
         assert_eq!(back.typed_insns, report.typed_insns);

@@ -336,9 +336,6 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
     let mut report = JobReport {
         insns: rt.stats.insns,
         frames: rt.stats.frames,
-        quickens: rt.stats.quickens,
-        dequickens: rt.stats.dequickens,
-        superinsn_hits: rt.stats.superinsn_hits,
         ..JobReport::empty(name, packer_name)
     };
 

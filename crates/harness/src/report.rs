@@ -31,13 +31,6 @@ pub struct JobReport {
     pub insns: u64,
     /// Method frames entered while driving the app.
     pub frames: u64,
-    /// Instruction cells rewritten to pre-resolved quickened forms.
-    pub quickens: u64,
-    /// Quickened cells discarded by code-epoch invalidation
-    /// (self-modifying code forcing de-quickening).
-    pub dequickens: u64,
-    /// Fused superinstruction dispatches in the interpreter hot loop.
-    pub superinsn_hits: u64,
     /// Methods with collected trees.
     pub methods_collected: usize,
     /// Instructions collected across all trees.
@@ -76,9 +69,6 @@ impl JobReport {
             wall_us: 0,
             insns: 0,
             frames: 0,
-            quickens: 0,
-            dequickens: 0,
-            superinsn_hits: 0,
             methods_collected: 0,
             insns_collected: 0,
             dump_size: 0,
@@ -170,9 +160,6 @@ impl JobReport {
             wall_us: num("wall_us"),
             insns: num("insns"),
             frames: num("frames"),
-            quickens: num("quickens"),
-            dequickens: num("dequickens"),
-            superinsn_hits: num("superinsn_hits"),
             methods_collected: num("methods_collected") as usize,
             insns_collected: num("insns_collected"),
             dump_size: num("dump_size") as usize,
@@ -210,9 +197,6 @@ impl JobReport {
             ("wall_us", self.wall_us.to_string()),
             ("insns", self.insns.to_string()),
             ("frames", self.frames.to_string()),
-            ("quickens", self.quickens.to_string()),
-            ("dequickens", self.dequickens.to_string()),
-            ("superinsn_hits", self.superinsn_hits.to_string()),
             ("methods_collected", self.methods_collected.to_string()),
             ("insns_collected", self.insns_collected.to_string()),
             ("dump_size", self.dump_size.to_string()),

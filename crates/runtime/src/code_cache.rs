@@ -1,23 +1,26 @@
 //! The predecoded code cache.
 //!
-//! On first execution of a bytecode method the interpreter decodes the whole
-//! instruction stream once into a [`PredecodedMethod`] and caches it here;
-//! subsequent executions fetch borrowed `&Insn` / `&[u16]` views out of the
-//! cache instead of re-decoding per instruction (the same per-instruction
-//! tax ART avoids with its predecoded/mterp representation). Each entry
-//! carries a [`QuickCells`] overlay: per-instruction dispatch bytes the
-//! interpreter rewrites in place as instructions quicken, superinstruction
-//! heads, and pre-resolved switch tables.
+//! On the first quickened frame of a bytecode method (one under a passive
+//! observer) the interpreter decodes the whole instruction stream once into
+//! a [`PredecodedMethod`] and caches it here; subsequent executions fetch
+//! borrowed `&Insn` views out of the cache instead of re-decoding per
+//! instruction (the same per-instruction tax ART avoids with its
+//! predecoded/mterp representation). Each entry carries a [`QuickCells`]
+//! overlay: per-instruction dispatch bytes the interpreter rewrites in place
+//! as instructions quicken, superinstruction heads, and pre-resolved switch
+//! tables. Frames whose observer wants instruction events never touch the
+//! cache.
 //!
 //! Because method bodies are mutable at runtime (self-modifying natives,
 //! packer shells), every mutable access to a method bumps a per-method
 //! *code epoch*; a cache entry is valid only for the epoch it was built at.
-//! The interpreter re-checks the epoch every step, so a body rewritten
-//! mid-frame is re-predecoded before the next instruction executes —
-//! self-modifying code behaves exactly as with per-step fetching. An epoch
-//! bump also *de-quickens*: the stale entry (and every resolved cell in its
-//! overlay) is discarded immediately, and the count of discarded quickened
-//! cells is accumulated in [`CodeCache::dequickens`].
+//! A quickened frame re-checks the epoch after every instruction that
+//! calls out of it, so a body rewritten mid-frame is re-predecoded before
+//! the next instruction executes — self-modifying code behaves exactly as
+//! with per-step fetching. An epoch bump also *de-quickens*: the stale
+//! entry (and every resolved cell in its overlay) is discarded immediately,
+//! and the count of discarded quickened cells is accumulated in
+//! [`CodeCache::dequickens`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,16 +77,6 @@ impl CodeCache {
         }
     }
 
-    /// The cached representation for `method` if it is valid at the current
-    /// epoch — read-only: never builds. Observers holding `&Runtime` use
-    /// this to serve payload slices without re-decoding.
-    pub fn get(&self, method: MethodId) -> Option<&Arc<PredecodedMethod>> {
-        match self.entries.get(&method) {
-            Some((epoch, Entry::Pre(pre, _))) if *epoch == self.epoch(method) => Some(pre),
-            _ => None,
-        }
-    }
-
     /// The predecoded representation of `method` whose body is `units`,
     /// building (or rebuilding) it if the cached one is missing or stale.
     /// Returns `None` if the stream cannot be predecoded — the caller must
@@ -134,12 +127,10 @@ mod tests {
         let (b, _) = cache.get_or_build(m, &code).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.builds, 1);
-        assert!(cache.get(m).is_some());
 
         cache.bump_epoch(m);
-        assert!(cache.get(m).is_none(), "stale entry must not be served");
         let (c, _) = cache.get_or_build(m, &code).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&a, &c), "stale entry must not be served");
         assert_eq!(cache.builds, 2);
     }
 
@@ -151,7 +142,6 @@ mod tests {
         assert!(cache.get_or_build(m, &garbage).is_none());
         assert!(cache.get_or_build(m, &garbage).is_none());
         assert_eq!(cache.builds, 1, "failure must not be re-attempted");
-        assert!(cache.get(m).is_none());
     }
 
     #[test]

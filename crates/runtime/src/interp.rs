@@ -6,38 +6,40 @@
 //! instruction *before* it executes, with its raw units — the hook DexLego's
 //! Algorithm 1 builds its collection trees on.
 //!
-//! Fetching is served from the runtime's predecoded code cache (the analogue
-//! of ART's mterp/predecoded representation): a method body is decoded once
-//! into a dense [`dexlego_dalvik::PredecodedMethod`] and each step borrows
-//! `&Insn` / `&[u16]` views out of it. Method bodies stay mutable — every
-//! frame re-validates the body's *code epoch* before each step and
-//! re-predecodes on change, so self-modifying native code behaves exactly as
-//! on Android, where units are re-fetched from the live method. Streams that
-//! resist linear predecoding (garbage past unreachable code) and jumps to
-//! non-boundary pcs fall back to per-step decoding with identical semantics.
+//! The observer picks the fetch path, once per frame:
 //!
-//! On top of the predecoded form, the default
-//! [`FetchMode::Quickened`](crate::runtime::FetchMode) adds the three
-//! stacked hot-loop optimisations ART's quickening pass performs:
+//! * **Per step** — frames whose observer wants instruction events (the
+//!   collector, trace recorders) decode each instruction from the live
+//!   method body as they reach it and execute it through the classic full
+//!   match ([`exec_generic`]). Such observers see every instruction anyway,
+//!   and most of what they see runs once, so there is nothing to amortise a
+//!   predecode over. A rewritten body is simply fetched anew: per-step
+//!   execution needs no code-epoch check. This path is also the
+//!   conformance oracle the quickened tier is tested against.
+//! * **Quickened** — frames under a passive observer run segments over the
+//!   runtime's predecoded code cache (the analogue of ART's
+//!   mterp/predecoded representation), with the three stacked hot-loop
+//!   optimisations ART's quickening pass performs:
+//!   * *Table dispatch* — each step indexes a 256-entry function-pointer
+//!     table by the instruction's dispatch byte. Cold opcodes share a
+//!     generic handler that runs the classic match.
+//!   * *Quickening* — field accesses, direct/static invokes, and string
+//!     constants rewrite their dispatch byte in the cached
+//!     [`quick::QuickCells`] overlay to a pre-resolved `*-quick` form after
+//!     first execution, skipping constant-pool resolution on every later
+//!     hit.
+//!   * *Superinstructions* — at predecode time, hot adjacent pairs
+//!     (alu+alu, alu+goto, if+alu, cmp+if, const+move, iget+iget) are
+//!     fused into one dispatch. The second half keeps its own cell, so
+//!     branches into the middle of a pair execute it standalone.
 //!
-//! * **Table dispatch** — each step indexes a 256-entry function-pointer
-//!   table by the instruction's *dispatch byte* instead of matching on the
-//!   full opcode enum. Cold opcodes share a generic handler that runs the
-//!   classic match.
-//! * **Quickening** — field accesses, direct/static invokes, and string
-//!   constants rewrite their dispatch byte in the cached
-//!   [`quick::QuickCells`] overlay to a pre-resolved `*-quick` form after
-//!   first execution, skipping constant-pool resolution on every later hit.
-//! * **Superinstructions** — at predecode time, hot adjacent pairs
-//!   (alu+alu, alu+goto, if+alu, cmp+if, const+move, iget+iget) are fused
-//!   into one dispatch. The second half keeps its own cell, so branches
-//!   into the middle of a pair execute it standalone; observers that want
-//!   per-instruction events disable fusion entirely (the event stream is
-//!   bit-identical across fetch modes).
-//!
-//! All three are invalidated together by the code epoch: a method mutation
-//! discards the cache entry *and* its quickened cells (de-quickening), so
-//! self-modifying packers never observe stale resolutions.
+//!   All three are invalidated together by the code epoch: a method
+//!   mutation discards the cache entry *and* its quickened cells
+//!   (de-quickening), and the frame re-validates the epoch after every
+//!   instruction that calls out of it, so self-modifying packers never
+//!   observe stale resolutions. Streams that resist linear predecoding
+//!   (garbage past unreachable code) and jumps to non-boundary pcs drop
+//!   the frame to the per-step loop with identical semantics.
 //!
 //! Taint is propagated through explicit data flow only (moves, arithmetic,
 //! field/array traffic, call arguments and returns) — deliberately *not*
@@ -53,7 +55,7 @@ use crate::class::{FieldId, MethodId, MethodImpl};
 use crate::heap::{ObjKind, ObjRef};
 use crate::natives::native_key;
 use crate::observer::{InsnEvent, RuntimeObserver};
-use crate::runtime::{FetchMode, Result, Runtime, RuntimeError};
+use crate::runtime::{Result, Runtime, RuntimeError};
 use crate::value::{RetVal, Slot, WideValue};
 
 /// Outcome of running one frame: a return value or a thrown exception that
@@ -176,14 +178,11 @@ const MAX_INSN_UNITS: usize = 5;
 
 /// The fetch source a frame executes from.
 ///
-/// `Pre` serves borrowed `&Insn` / `&[u16]` views out of the runtime's
-/// predecoded code cache; the frame re-validates its epoch before every
-/// step, so self-modifying code (which bumps the epoch via
-/// [`Runtime::method_mut`]) is re-predecoded before the next instruction.
-/// The entry's [`QuickCells`] overlay drives table dispatch. `Step`
-/// decodes from the live method body on every step — the fallback for
-/// unpredecodable streams and the explicit [`FetchMode::DecodePerStep`]
-/// baseline.
+/// `Pre` serves a quickened frame out of the runtime's predecoded code
+/// cache, at the code epoch it was built for; its [`QuickCells`] overlay
+/// drives table dispatch. `Step` decodes from the live method body on
+/// every step — the path of event-wanting frames, unpredecodable streams
+/// and jumps to non-boundary pcs.
 enum FrameCode {
     Pre {
         pre: Arc<PredecodedMethod>,
@@ -193,11 +192,9 @@ enum FrameCode {
     Step,
 }
 
-/// Chooses the fetch source for a frame of `method` right now.
+/// Predecodes `method` for a quickened frame, or `Step` when its body
+/// cannot be linearly decoded.
 fn acquire_code(rt: &mut Runtime, method: MethodId) -> FrameCode {
-    if rt.env.fetch_mode == FetchMode::DecodePerStep {
-        return FrameCode::Step;
-    }
     let epoch = rt.code_epoch(method);
     match rt.predecoded(method) {
         Some((pre, qc)) => FrameCode::Pre { pre, qc, epoch },
@@ -412,13 +409,8 @@ impl Ctx<'_, '_> {
 
 /// One dispatch-table entry: executes an instruction under its dispatch
 /// byte. `qidx` is the instruction's dense cell index in the frame's
-/// [`QuickCells`] overlay (meaningless — and unused — on the generic path).
+/// [`QuickCells`] overlay.
 type Handler = fn(&mut Ctx<'_, '_>, &Insn, u32) -> Result<Flow>;
-
-/// Dispatch value meaning "no table entry — run the generic match". Used
-/// for per-step fetches, which by design do not pay for (or benefit from)
-/// the table.
-const DISPATCH_GENERIC: u16 = 0x100;
 
 /// The 256-entry dispatch table, indexed by dispatch byte (a Dalvik opcode
 /// byte or an internal [`quick`] byte). Cold opcodes share [`h_generic`].
@@ -558,37 +550,28 @@ fn run_frame_inner(
         caught: None,
     };
     let mut pc: u32 = 0;
-    // Hoisted once per frame: passive observers skip event construction,
-    // and (only) event-wanting observers disable superinstruction fusion so
-    // the per-instruction event stream stays identical across fetch modes.
+    // Hoisted once per frame: the observer picks the fetch path.
     let wants_events = obs.wants_insn_events();
-    let branch_hooks = obs.wants_branch_hooks();
-    let mut code = acquire_code(rt, method);
-    // Scratch for the per-step fallback path — fixed-size, so the
-    // steady-state loop performs no per-instruction heap allocation.
-    let mut unit_buf = [0u16; MAX_INSN_UNITS];
 
-    // Lean fast path: a quickened frame under a passive observer runs in
+    // Quickened path: a passive observer's frame runs in
     // `run_quick_segment`, which strips the per-step protocol overhead
-    // (exec-stack pc publication, epoch re-validation, context rebuild)
-    // the generic loop below pays on every instruction. A segment ends
-    // whenever an instruction called out of the frame — the only way this
-    // frame's body can be mutated — and the epoch is re-validated here
-    // before the next segment starts. A pc the predecoded index does not
-    // know (a jump into the middle of an instruction) drops the frame to
-    // the fully general loop below for good.
+    // (exec-stack pc publication, per-step decode, context rebuild). A
+    // segment ends whenever an instruction called out of the frame — the
+    // only way this frame's body can be mutated — and the epoch is
+    // re-validated here before the next segment starts. A pc the
+    // predecoded index does not know (a jump into the middle of an
+    // instruction), or a body that cannot be predecoded, drops the frame
+    // to the per-step loop below for good.
     if !wants_events {
-        while let FrameCode::Pre { .. } = &code {
+        let mut code = acquire_code(rt, method);
+        while let FrameCode::Pre { epoch, .. } = &code {
+            if *epoch != rt.code_epoch(method) {
+                code = acquire_code(rt, method);
+                continue;
+            }
             match run_quick_segment(rt, obs, method, &mut frame, depth, &code, pc)? {
                 Seg::Done(outcome) => return Ok(outcome),
-                Seg::Resume(at) => {
-                    pc = at;
-                    if let FrameCode::Pre { epoch, .. } = &code {
-                        if *epoch != rt.code_epoch(method) {
-                            code = acquire_code(rt, method);
-                        }
-                    }
-                }
+                Seg::Resume(at) => pc = at,
                 Seg::Fallback(at) => {
                     pc = at;
                     break;
@@ -597,41 +580,18 @@ fn run_frame_inner(
         }
     }
 
-    'dispatch: loop {
+    // Per-step path: decode from the live body, so a rewritten body is
+    // seen at the next fetch without any epoch check.
+    let branch_hooks = obs.wants_branch_hooks();
+    // Fixed-size scratch for the fetched units, so the steady-state loop
+    // performs no per-instruction heap allocation.
+    let mut unit_buf = [0u16; MAX_INSN_UNITS];
+    loop {
         rt.stats.insns += 1;
         if rt.stats.insns - rt.budget_start > rt.env.insn_budget {
             return Err(RuntimeError::BudgetExhausted);
         }
-        // Self-modification check: a bumped epoch means the body may have
-        // changed (possibly by a nested call) — re-predecode before fetch.
-        // Discarding the stale entry also de-quickened its cells.
-        if let FrameCode::Pre { epoch, .. } = &code {
-            if *epoch != rt.code_epoch(method) {
-                code = acquire_code(rt, method);
-            }
-        }
-        let step_insn;
-        let mut qidx: u32 = 0;
-        let mut dbyte: u16 = DISPATCH_GENERIC;
-        let (insn, units): (&Insn, &[u16]) = 'fetch: {
-            if let FrameCode::Pre { pre, qc, .. } = &code {
-                if let Some((idx, insn, units)) = pre.entry_at(pc) {
-                    qidx = idx;
-                    // Never fused here: predecoded frames only reach this
-                    // loop for event-wanting observers or after a per-step
-                    // fallback, and both demand per-insn granularity.
-                    dbyte = u16::from(qc.dispatch_byte(idx, false));
-                    break 'fetch (insn, units);
-                }
-                // A pc the linear predecode did not mark as an instruction
-                // boundary (payload, or a jump into the middle of an
-                // instruction): decode from the live body, exactly as
-                // per-step mode would.
-            }
-            let (decoded, len) = fetch_step(rt, method, pc, &mut unit_buf)?;
-            step_insn = decoded;
-            (&step_insn, &unit_buf[..len])
-        };
+        let (insn, len) = fetch_step(rt, method, pc, &mut unit_buf)?;
         if let Some(top) = rt.exec_stack.last_mut() {
             top.1 = pc;
         }
@@ -641,12 +601,12 @@ fn run_frame_inner(
                 &InsnEvent {
                     method,
                     dex_pc: pc,
-                    insn,
-                    units,
+                    insn: &insn,
+                    units: &unit_buf[..len],
                 },
             );
         }
-        let next_pc = pc + units.len() as u32;
+        let next_pc = pc + len as u32;
 
         let budget_limit = rt.budget_start.saturating_add(rt.env.insn_budget);
         let mut ctx = Ctx {
@@ -654,7 +614,7 @@ fn run_frame_inner(
             obs: &mut *obs,
             method,
             frame: &mut frame,
-            code: &code,
+            code: &FrameCode::Step,
             depth,
             pc,
             next_pc,
@@ -662,24 +622,14 @@ fn run_frame_inner(
             branch_hooks,
             budget_limit,
         };
-        let flow = if dbyte == DISPATCH_GENERIC {
-            exec_generic(&mut ctx, insn)?
-        } else {
-            TABLE[dbyte as usize](&mut ctx, insn, qidx)?
-        };
-        // A superinstruction may have advanced these to its second half;
-        // faults are attributed to — and forced execution resumes after —
-        // the precise sub-instruction that was executing.
-        let (fault_pc, resume_pc) = (ctx.pc, ctx.next_pc);
-
-        let exc = match flow {
+        let exc = match exec_generic(&mut ctx, &insn)? {
             Flow::Next => {
-                pc = resume_pc;
-                continue 'dispatch;
+                pc = next_pc;
+                continue;
             }
             Flow::Jump(target) => {
                 pc = target;
-                continue 'dispatch;
+                continue;
             }
             Flow::Ret(v) => return Ok(Outcome::Ret(v)),
             Flow::Throw(Thrown::Java(ty, msg)) => rt.heap.alloc(
@@ -693,8 +643,8 @@ fn run_frame_inner(
         };
 
         // ---- exception delivery ----------------------------------------
-        obs.on_exception(rt, method, fault_pc);
-        match find_handler(rt, method, fault_pc, exc) {
+        obs.on_exception(rt, method, pc);
+        match find_handler(rt, method, pc, exc) {
             Some(handler_pc) => {
                 frame.caught = Some(exc);
                 rt.last_exception = Some(exc);
@@ -705,7 +655,7 @@ fn run_frame_inner(
                     // Force execution: clear the exception and step over
                     // the faulting instruction (paper §IV-E).
                     rt.last_exception = None;
-                    pc = resume_pc;
+                    pc = next_pc;
                 } else {
                     return Ok(Outcome::Threw(exc));
                 }
@@ -729,10 +679,11 @@ enum Seg {
 
 /// The lean dispatch loop for a quickened frame under a passive observer.
 ///
-/// Compared to the general loop this elides, per instruction: the epoch
-/// re-validation (pure computation cannot mutate code, and every
-/// instruction that can — an invoke, the generic fallback — marks itself
-/// via [`Ctx::mark_call_out`] and ends the segment), the exec-stack pc
+/// Compared to the per-step loop this elides, per instruction: the decode
+/// (instructions come from the predecoded cache, valid for the segment
+/// because pure computation cannot mutate code, and every instruction that
+/// can — an invoke, the generic fallback — marks itself via
+/// [`Ctx::mark_call_out`] and ends the segment), the exec-stack pc
 /// publication (only natives read it, and they are only reachable through
 /// those same call-outs, which publish the pc themselves), and the
 /// per-step context rebuild (one [`Ctx`] lives for the whole segment).
@@ -778,7 +729,7 @@ fn run_quick_segment(
         // The hottest dispatch bytes are direct calls the compiler can
         // inline, so loop state survives in registers; everything else
         // goes through the opaque function-pointer table.
-        let byte = qc.dispatch_byte(idx, true);
+        let byte = qc.dispatch_byte(idx);
         let flow = match byte {
             quick::FUSE_ALU_ALU => h_fuse_alu_alu(&mut ctx, insn, idx)?,
             quick::FUSE_ALU_GOTO => h_fuse_alu_goto(&mut ctx, insn, idx)?,
@@ -1178,8 +1129,8 @@ fn h_switch_pre(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
 // fault/resume pcs) before executing it — so counters, exceptions, and
 // forced execution are indistinguishable from two separate steps. The
 // second half keeps its own dispatch cell, so a branch into the middle of
-// a pair executes it standalone. Fused bytes are only ever served when the
-// observer does not want per-instruction events (see `dispatch_byte`), and
+// a pair executes it standalone. Fused bytes are only ever served to
+// quickened frames, whose observer wants no per-instruction events, and
 // no fusable sub-instruction can mutate code, so the mid-pair epoch check
 // is safely elided.
 
@@ -1581,8 +1532,7 @@ fn invoke_resolved(
 
 /// The classic full-opcode match — the single source of semantics for every
 /// opcode without a dedicated table handler, and the whole interpreter for
-/// the `DecodePerStep` baseline. Never quickens: the baseline measures the
-/// unquickened cost.
+/// per-step frames. Never quickens.
 #[allow(clippy::too_many_lines)]
 fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
     let method = ctx.method;

@@ -16,12 +16,19 @@
 //! Observers can also *steer* execution — overriding branch outcomes (force
 //! execution) and tolerating unhandled exceptions.
 //!
+//! The observer picks the fetch path. Frames whose observer wants
+//! instruction events (DexLego's collector, trace recorders) decode each
+//! instruction from the live method body as they step. Frames under a
+//! passive observer run a quickened tier over the predecoded code cache
+//! ([`code_cache`]), with fused superinstructions for hot loops.
+//!
 //! Self-modifying code is supported the same way it exists on Android: a
 //! registered native method receives `&mut Runtime` and may rewrite the
-//! in-memory code units of any loaded method. Mutation bumps the method's
-//! *code epoch*, invalidating its entry in the predecoded code cache
-//! ([`code_cache`]); the interpreter re-validates the epoch before every
-//! instruction, so modifications take effect immediately even mid-frame.
+//! in-memory code units of any loaded method. A per-step frame sees the
+//! rewrite at its next fetch. Mutation also bumps the method's *code
+//! epoch*, invalidating its predecoded entry; a quickened frame re-validates
+//! the epoch after every instruction that calls out of it, so modifications
+//! take effect immediately even mid-frame.
 //!
 //! [`DexFile`]: dexlego_dex::DexFile
 //!
@@ -68,5 +75,5 @@ pub use class::{ClassId, FieldId, MethodId};
 pub use events::RuntimeEvent;
 pub use heap::{Heap, ObjKind, ObjRef};
 pub use observer::RuntimeObserver;
-pub use runtime::{Env, FetchMode, Runtime, RuntimeError};
+pub use runtime::{Env, Runtime, RuntimeError};
 pub use value::{RetVal, Slot};

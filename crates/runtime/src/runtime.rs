@@ -112,21 +112,6 @@ pub struct DexTable {
     pub source: String,
 }
 
-/// How the interpreter fetches and dispatches instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FetchMode {
-    /// Serve instructions from the predecoded code cache and dispatch
-    /// through the function-pointer table, rewriting field/method/string
-    /// accesses to pre-resolved quickened forms and executing fused
-    /// superinstructions (the fast path).
-    #[default]
-    Quickened,
-    /// Decode every instruction on every execution (the pre-cache
-    /// behaviour); kept as a conformance baseline for differential tests
-    /// and the `bench --bin interp` comparison.
-    DecodePerStep,
-}
-
 /// Environment knobs that samples can probe (anti-analysis behaviours).
 #[derive(Debug, Clone)]
 pub struct Env {
@@ -140,8 +125,6 @@ pub struct Env {
     pub insn_budget: u64,
     /// Maximum interpreter frame depth.
     pub max_depth: usize,
-    /// Instruction fetch strategy.
-    pub fetch_mode: FetchMode,
 }
 
 impl Default for Env {
@@ -154,12 +137,15 @@ impl Default for Env {
             // 64 nested frames stay well inside a 2 MiB test-thread stack
             // while exceeding any call depth the corpus needs.
             max_depth: 64,
-            fetch_mode: FetchMode::Quickened,
         }
     }
 }
 
 /// Execution statistics for the performance experiments.
+///
+/// The last four count the quickened tier, which only frames under a
+/// passive observer (one that wants no instruction events) enter; a run
+/// under an event-wanting observer leaves them at zero.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
     /// Total bytecode instructions interpreted.
@@ -364,13 +350,6 @@ impl Runtime {
         stats.predecodes = code_cache.builds;
         stats.dequickens = code_cache.dequickens;
         result
-    }
-
-    /// Read-only view of the valid cached predecoded body, if any.
-    /// Observers holding `&Runtime` use this to serve payload slices
-    /// without re-decoding; never builds.
-    pub fn predecoded_cached(&self, method: MethodId) -> Option<&dexlego_dalvik::PredecodedMethod> {
-        self.code_cache.get(method).map(Arc::as_ref)
     }
 
     // ---- frame pool --------------------------------------------------------

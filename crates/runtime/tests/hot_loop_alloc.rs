@@ -1,8 +1,8 @@
 //! Steady-state hot-loop allocation check: once a method is warm, an
-//! execution under a passive observer must perform zero heap allocations
-//! per call — in quickened mode (in-place cell rewrites, fused dispatch,
-//! borrowed fetches, pooled frames) AND in decode-per-step mode
-//! (fixed-size unit buffer, no owned vectors).
+//! execution must perform zero heap allocations per call — quickened under
+//! a passive observer (in-place cell rewrites, fused dispatch, borrowed
+//! fetches, pooled frames) AND per step under an observer that wants
+//! instruction events (fixed-size unit buffer, no owned vectors).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,8 +11,8 @@ use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::Opcode;
 use dexlego_dex::DexFile;
 use dexlego_runtime::class::SigKey;
-use dexlego_runtime::observer::NullObserver;
-use dexlego_runtime::{Env, FetchMode, Runtime, Slot};
+use dexlego_runtime::observer::{NullObserver, RuntimeObserver};
+use dexlego_runtime::{Runtime, Slot};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -67,24 +67,26 @@ fn hot_loop_app() -> (DexFile, String) {
     (pb.build().unwrap(), entry)
 }
 
-fn warm_call_alloc_count(mode: FetchMode) -> u64 {
+/// A no-op observer that wants instruction events, so every frame runs
+/// per step.
+struct PerStep;
+
+impl RuntimeObserver for PerStep {}
+
+fn warm_call_alloc_count(obs: &mut dyn RuntimeObserver) -> u64 {
     let (dex, entry) = hot_loop_app();
-    let mut rt = Runtime::with_env(Env {
-        fetch_mode: mode,
-        ..Env::default()
-    });
+    let mut rt = Runtime::new();
     rt.load_dex(&dex, "app").unwrap();
     let class = rt.find_class(&entry).unwrap();
     let spin = rt
         .resolve_method(class, &SigKey::new("spin", "(I)I"))
         .unwrap();
-    let mut obs = NullObserver;
     let args = [Slot::from_int(10_000)];
     // Warm-up: class init, cache build, frame-pool and exec-stack growth.
-    rt.call_method(&mut obs, spin, &args).unwrap();
-    rt.call_method(&mut obs, spin, &args).unwrap();
+    rt.call_method(obs, spin, &args).unwrap();
+    rt.call_method(obs, spin, &args).unwrap();
     let before = allocs();
-    let ret = rt.call_method(&mut obs, spin, &args).unwrap();
+    let ret = rt.call_method(obs, spin, &args).unwrap();
     let during = allocs() - before;
     assert!(ret.as_int().is_some());
     during
@@ -93,7 +95,7 @@ fn warm_call_alloc_count(mode: FetchMode) -> u64 {
 #[test]
 fn warm_hot_loop_allocates_nothing_quickened() {
     assert_eq!(
-        warm_call_alloc_count(FetchMode::Quickened),
+        warm_call_alloc_count(&mut NullObserver),
         0,
         "steady-state quickened/fused execution must be allocation-free"
     );
@@ -102,8 +104,8 @@ fn warm_hot_loop_allocates_nothing_quickened() {
 #[test]
 fn warm_hot_loop_allocates_nothing_per_step() {
     assert_eq!(
-        warm_call_alloc_count(FetchMode::DecodePerStep),
+        warm_call_alloc_count(&mut PerStep),
         0,
-        "per-step fallback must also be allocation-free in steady state"
+        "per-step execution must also be allocation-free in steady state"
     );
 }

@@ -1,6 +1,7 @@
-//! Predecoded code cache: payload-decode-once behaviour, epoch
-//! invalidation (including mid-frame self-modification), and per-step
-//! fallback for streams the linear predecode rejects.
+//! Predecoded code cache (the quickened tier, entered under a passive
+//! observer): payload-decode-once behaviour, epoch invalidation (including
+//! mid-frame self-modification), and per-step fallback for streams the
+//! linear predecode rejects.
 
 use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::decode::{decode_calls, reset_decode_calls};
@@ -8,8 +9,14 @@ use dexlego_dalvik::{encode_insn, Insn, Opcode};
 use dexlego_dex::file::EncodedMethod;
 use dexlego_dex::{AccessFlags, ClassDef, CodeItem, DexFile};
 use dexlego_runtime::class::{MethodImpl, SigKey};
-use dexlego_runtime::observer::NullObserver;
+use dexlego_runtime::observer::{NullObserver, RuntimeObserver};
 use dexlego_runtime::{Runtime, Slot};
+
+/// A no-op observer that wants instruction events, so every frame runs
+/// per step.
+struct PerStep;
+
+impl RuntimeObserver for PerStep {}
 
 /// Builds `Lsw/Loop;::spin(I)I` — a loop whose every iteration dispatches
 /// through a packed-switch payload.
@@ -104,10 +111,8 @@ fn rewritten_body_is_not_served_stale() {
 
     let first = rt.call_method(&mut obs, answer, &[]).unwrap();
     assert_eq!(first.as_int(), Some(100));
-    assert!(
-        rt.predecoded_cached(answer).is_some(),
-        "cached after first run"
-    );
+    assert_eq!(rt.stats.predecodes, 1, "cached after first run");
+    let epoch = rt.code_epoch(answer);
 
     // Rewrite the literal through method_mut: the epoch bump must
     // invalidate the cached representation.
@@ -118,13 +123,13 @@ fn rewritten_body_is_not_served_stale() {
         insns[..2].copy_from_slice(&encode_insn(&patched).unwrap());
     }
     assert!(
-        rt.predecoded_cached(answer).is_none(),
-        "stale entry must not be served after mutation"
+        rt.code_epoch(answer) > epoch,
+        "mutation must invalidate the cached entry"
     );
 
     let second = rt.call_method(&mut obs, answer, &[]).unwrap();
     assert_eq!(second.as_int(), Some(200), "rewritten body must execute");
-    assert!(rt.stats.predecodes >= 2, "body rebuild after invalidation");
+    assert_eq!(rt.stats.predecodes, 2, "body rebuild after invalidation");
 }
 
 #[test]
@@ -204,10 +209,7 @@ fn unpredecodable_stream_falls_back_to_per_step() {
     let four = rt
         .resolve_method(class, &SigKey::new("four", "()I"))
         .unwrap();
-    assert!(
-        rt.predecoded_cached(four).is_none(),
-        "stream is unpredecodable"
-    );
+    assert!(rt.predecoded(four).is_none(), "stream is unpredecodable");
     assert_eq!(rt.stats.predecodes, 1, "one failed build attempt");
 
     let again = rt
@@ -224,13 +226,12 @@ fn unpredecodable_stream_falls_back_to_per_step() {
 fn jump_to_non_boundary_pc_falls_back_per_step() {
     // goto +2 lands in the middle of a const/16 whose literal unit is
     // itself a valid return-void. The predecoded index has no entry for
-    // that pc; the interpreter must decode it from the live body exactly
-    // as per-step mode does.
+    // that pc; a quickened frame must drop to decoding it from the live
+    // body exactly as a per-step frame does.
     let code = vec![0x0228, 0x0013, 0x000e]; // goto +2 ; const/16 v0 ; (lit =) return-void
-    for mode in [
-        dexlego_runtime::FetchMode::Quickened,
-        dexlego_runtime::FetchMode::DecodePerStep,
-    ] {
+    let observers: [(&str, &mut dyn RuntimeObserver); 2] =
+        [("quickened", &mut NullObserver), ("per-step", &mut PerStep)];
+    for (path, obs) in observers {
         let mut dex = DexFile::new();
         let t = dex.intern_type("Lj/C;");
         let m = dex.intern_method("Lj/C;", "go", "V", &[]);
@@ -246,13 +247,9 @@ fn jump_to_non_boundary_pc_falls_back_per_step() {
             });
         dex.add_class(def);
 
-        let mut rt = Runtime::with_env(dexlego_runtime::Env {
-            fetch_mode: mode,
-            ..dexlego_runtime::Env::default()
-        });
+        let mut rt = Runtime::new();
         rt.load_dex(&dex, "app").unwrap();
-        let mut obs = NullObserver;
-        let ret = rt.call_static(&mut obs, "Lj/C;", "go", "()V", &[]);
-        assert!(ret.is_ok(), "{mode:?}: {ret:?}");
+        let ret = rt.call_static(obs, "Lj/C;", "go", "()V", &[]);
+        assert!(ret.is_ok(), "{path}: {ret:?}");
     }
 }

@@ -1,7 +1,8 @@
 //! Quickening behaviour: call sites rewrite to pre-resolved fast-path
-//! cells exactly once, body mutation de-quickens mid-frame,
-//! superinstructions fire only under a passive observer, and a branch into
-//! the middle of a fused pair executes the second half standalone.
+//! cells exactly once, body mutation de-quickens mid-frame, the quickened
+//! tier (superinstructions included) runs only under a passive observer,
+//! and a branch into the middle of a fused pair executes the second half
+//! standalone.
 
 use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::{encode_insn, Insn, Opcode};
@@ -9,7 +10,7 @@ use dexlego_dex::DexFile;
 use dexlego_runtime::class::{MethodImpl, SigKey};
 use dexlego_runtime::observer::{InsnEvent, NullObserver, RuntimeObserver};
 use dexlego_runtime::value::RetVal;
-use dexlego_runtime::{Env, FetchMode, Runtime, Slot};
+use dexlego_runtime::{Runtime, Slot};
 
 /// `Lqk/C;::go()I` exercises every quickenable site: new-instance +
 /// invoke-direct `<init>`, iput/iget on an instance field, const-string,
@@ -43,11 +44,8 @@ fn quickenable_app() -> DexFile {
     pb.build().unwrap()
 }
 
-fn runtime_with(mode: FetchMode, dex: &DexFile) -> Runtime {
-    let mut rt = Runtime::with_env(Env {
-        fetch_mode: mode,
-        ..Env::default()
-    });
+fn runtime_with(dex: &DexFile) -> Runtime {
+    let mut rt = Runtime::new();
     rt.load_dex(dex, "app").unwrap();
     rt
 }
@@ -55,7 +53,7 @@ fn runtime_with(mode: FetchMode, dex: &DexFile) -> Runtime {
 #[test]
 fn call_sites_quicken_once() {
     let dex = quickenable_app();
-    let mut rt = runtime_with(FetchMode::Quickened, &dex);
+    let mut rt = runtime_with(&dex);
     let mut obs = NullObserver;
 
     let first = rt
@@ -152,8 +150,8 @@ fn fusable_loop_app() -> DexFile {
     pb.build().unwrap()
 }
 
-/// Counts instruction events without recording them — forces the
-/// interpreter onto the event-delivering (never-fused) path.
+/// Counts instruction events without recording them — its frames run per
+/// step, never quickened or fused.
 #[derive(Default)]
 struct Counting(u64);
 
@@ -168,7 +166,7 @@ fn superinstructions_fire_only_for_passive_observers() {
     let dex = fusable_loop_app();
     let args = [Slot::from_int(500)];
 
-    let mut rt = runtime_with(FetchMode::Quickened, &dex);
+    let mut rt = runtime_with(&dex);
     let mut obs = NullObserver;
     let quiet = rt
         .call_static(&mut obs, "Lfu/Hot;", "spin", "(I)I", &args)
@@ -178,24 +176,22 @@ fn superinstructions_fire_only_for_passive_observers() {
         "fusable pairs must dispatch fused under a passive observer"
     );
 
-    let mut rt = runtime_with(FetchMode::Quickened, &dex);
+    let mut rt = runtime_with(&dex);
     let mut counter = Counting::default();
     let observed = rt
         .call_static(&mut counter, "Lfu/Hot;", "spin", "(I)I", &args)
         .unwrap();
     assert_eq!(
-        rt.stats.superinsn_hits, 0,
-        "event-delivering observers must see every instruction unfused"
+        (rt.stats.predecodes, rt.stats.superinsn_hits),
+        (0, 0),
+        "event-delivering observers run per step: no predecode, no fusion"
     );
-    assert_eq!(quiet.as_int(), observed.as_int(), "same result either way");
-    assert!(counter.0 > 2_000, "events actually flowed ({})", counter.0);
-
-    let mut rt = runtime_with(FetchMode::DecodePerStep, &dex);
-    let mut obs = NullObserver;
-    let step = rt
-        .call_static(&mut obs, "Lfu/Hot;", "spin", "(I)I", &args)
-        .unwrap();
-    assert_eq!(quiet.as_int(), step.as_int(), "fused == per-step result");
+    assert_eq!(
+        quiet.as_int(),
+        observed.as_int(),
+        "fused == per-step result"
+    );
+    assert_eq!(counter.0, rt.stats.insns, "one event per instruction");
 }
 
 #[test]
@@ -223,21 +219,20 @@ fn branch_into_middle_of_fused_pair_runs_second_half() {
     let dex = pb.build().unwrap();
     let args = [Slot::from_int(200)];
 
-    let run = |mode: FetchMode| {
-        let mut rt = runtime_with(mode, &dex);
-        let mut obs = NullObserver;
+    let run = |obs: &mut dyn RuntimeObserver| {
+        let mut rt = runtime_with(&dex);
         let mut last = None;
         for _ in 0..2 {
             last = rt
-                .call_static(&mut obs, "Lmid/C;", "run", "(I)I", &args)
+                .call_static(obs, "Lmid/C;", "run", "(I)I", &args)
                 .unwrap()
                 .as_int();
         }
         (last, rt.stats.superinsn_hits)
     };
 
-    let (quick, hits) = run(FetchMode::Quickened);
-    let (step, _) = run(FetchMode::DecodePerStep);
+    let (quick, hits) = run(&mut NullObserver);
+    let (step, _) = run(&mut Counting::default());
     assert_eq!(quick, step, "mid-pair entry must not change the result");
     assert!(
         hits > 0,

@@ -2,23 +2,22 @@
 //!
 //! ```text
 //! dexlegod [--addr HOST:PORT] [--workers N] [--queue N]
-//!          [--store DIR] [--budget BYTES]
-//!          [--backend epoll|poll] [--max-pending N]
+//!          [--store DIR] [--budget BYTES] [--max-pending N]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port), prints
 //! `dexlegod: listening on <addr>` on stdout, and serves the pipelined
 //! newline-delimited JSON protocol until a `shutdown` request drains it.
 //! Worker count falls back to `DEXLEGO_WORKERS`, then to the CPU count.
-//! `--backend` picks the readiness backend (default: `DEXLEGO_POLL_BACKEND`,
-//! then epoll on Linux); `--max-pending` caps the undispatched requests a
-//! single connection may pipeline before the newest are shed `overloaded`.
+//! Connections are multiplexed on one `poll(2)` event loop; `--max-pending`
+//! caps the undispatched requests a single connection may pipeline before
+//! the newest are shed `overloaded`.
 //! Exits 0 after a graceful shutdown.
 
 use std::process::ExitCode;
 
 use dexlego_harness::pool;
-use dexlego_service::{Backend, Daemon, ServiceConfig};
+use dexlego_service::{Daemon, ServiceConfig};
 use dexlego_store::StoreConfig;
 
 fn parse_args() -> Result<ServiceConfig, String> {
@@ -27,7 +26,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
     let mut queue_depth = 16usize;
     let mut store_root = std::env::temp_dir().join("dexlegod-store");
     let mut budget: Option<u64> = None;
-    let mut backend: Option<Backend> = None;
     let mut max_pending: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
@@ -51,13 +49,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
                     .map_err(|_| "--queue expects a number".to_owned())?;
             }
             "--store" => store_root = value("--store")?.into(),
-            "--backend" => {
-                let name = value("--backend")?;
-                backend = Some(
-                    Backend::by_name(&name)
-                        .ok_or_else(|| format!("--backend: unknown backend {name:?}"))?,
-                );
-            }
             "--max-pending" => {
                 max_pending = Some(
                     value("--max-pending")?
@@ -85,7 +76,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
     config.workers = pool::resolve_workers(workers);
     config.queue_depth = queue_depth;
     config.store = store;
-    config.backend = backend;
     if let Some(bound) = max_pending {
         config.max_pending_per_conn = bound;
     }

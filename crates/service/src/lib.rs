@@ -1,5 +1,5 @@
-// `deny` rather than `forbid`: the two readiness-backend FFI submodules in
-// `poll` opt back in with a scoped `allow`; everything else stays safe.
+// `deny` rather than `forbid`: the `poll(2)` FFI submodule in `poll` opts
+// back in with a scoped `allow`; everything else stays safe.
 #![deny(unsafe_code)]
 
 //! `dexlegod`: a persistent extraction service in front of the DexLego
@@ -12,7 +12,7 @@
 //! stages. This crate keeps the pipeline warm behind a daemon:
 //!
 //! - [`server`] — the daemon itself: a single-threaded readiness-based
-//!   event loop ([`poll`]: epoll on Linux, portable `poll(2)` fallback)
+//!   event loop ([`poll`], over `poll(2)`)
 //!   multiplexing every connection, speaking pipelined newline-delimited
 //!   JSON ([`protocol`], framed by [`framing`]) with optional request ids
 //!   and deadlines, dispatching extractions round-robin onto a bounded
@@ -42,7 +42,6 @@ pub use client::{
     PipelinedClient, PipelinedReceiver, PipelinedSender,
 };
 pub use framing::{FrameError, Framer};
-pub use poll::Backend;
 pub use protocol::{
     parse_reply, parse_reply_line, parse_request, parse_request_line, ExtractRequest, Reply,
     Request, RequestId,

@@ -1,14 +1,14 @@
-//! Readiness polling for the event-loop server: epoll on Linux with a
-//! portable `poll(2)` fallback, built in-crate (the build environment has
-//! no registry, so `mio` is not an option).
+//! Readiness polling for the event-loop server over `poll(2)`, built
+//! in-crate (the build environment has no registry, so `mio` is not an
+//! option).
 //!
 //! The abstraction is deliberately small — level-triggered readiness over
 //! raw file descriptors, one `usize` token per registration:
 //!
 //! ```no_run
-//! # use dexlego_service::poll::{Backend, Interest, Poller};
-//! let mut poller = Poller::new(Backend::default()).unwrap();
-//! // poller.register(fd, token, Interest::READ)?;
+//! # use dexlego_service::poll::{Interest, Poller};
+//! let mut poller = Poller::new();
+//! // poller.register(fd, token, Interest::READ);
 //! let mut events = Vec::new();
 //! poller.wait(&mut events, None).unwrap();
 //! for ev in &events {
@@ -16,15 +16,12 @@
 //! }
 //! ```
 //!
-//! Error and hang-up conditions are folded into readability/writability:
-//! the owner discovers them through the `read`/`write` calls it was about
-//! to make anyway, which keeps the backend-visible surface identical
-//! between epoll (`EPOLLERR`/`EPOLLHUP`) and `poll`
-//! (`POLLERR`/`POLLHUP`/`POLLNVAL`).
-//!
-//! Both backends compile on Linux so the fallback is exercised by tests
-//! and selectable at runtime (`DEXLEGO_POLL_BACKEND=poll`); on other Unix
-//! targets only the `poll` backend exists.
+//! The registration table lives in user space as a flat `pollfd` array, so
+//! registering cannot fail and each wait is O(n) in the registered fds —
+//! fine for the connection counts one daemon serves. Error and hang-up
+//! conditions (`POLLERR`/`POLLHUP`/`POLLNVAL`) are folded into
+//! readability/writability: the owner discovers them through the
+//! `read`/`write` calls it was about to make anyway.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -64,143 +61,49 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// The polling backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// `epoll(7)` — Linux only.
-    #[cfg(target_os = "linux")]
-    Epoll,
-    /// `poll(2)` — portable across Unix.
-    Poll,
-}
-
-impl Default for Backend {
-    #[cfg(target_os = "linux")]
-    fn default() -> Backend {
-        Backend::Epoll
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn default() -> Backend {
-        Backend::Poll
-    }
-}
-
-impl Backend {
-    /// Parses a backend name (`"epoll"` / `"poll"`). Used by the
-    /// `--backend` daemon flag and the `DEXLEGO_POLL_BACKEND` variable.
-    pub fn by_name(name: &str) -> Option<Backend> {
-        match name {
-            #[cfg(target_os = "linux")]
-            "epoll" => Some(Backend::Epoll),
-            "poll" => Some(Backend::Poll),
-            _ => None,
-        }
-    }
-
-    /// The backend's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => "epoll",
-            Backend::Poll => "poll",
-        }
-    }
-
-    /// Resolves the backend: an explicit choice wins, then the
-    /// `DEXLEGO_POLL_BACKEND` environment variable, then the platform
-    /// default. Unknown names are ignored.
-    pub fn resolve(explicit: Option<Backend>) -> Backend {
-        explicit
-            .or_else(|| {
-                std::env::var("DEXLEGO_POLL_BACKEND")
-                    .ok()
-                    .and_then(|v| Backend::by_name(v.trim()))
-            })
-            .unwrap_or_default()
-    }
-}
-
-enum Impl {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    Poll(fallback::PollSet),
-}
-
 /// A level-triggered readiness poller over raw fds.
+#[derive(Default)]
 pub struct Poller {
-    inner: Impl,
+    fds: Vec<sys::PollFd>,
+    tokens: Vec<usize>,
 }
 
 impl Poller {
-    /// Creates a poller on the chosen backend.
-    ///
-    /// # Errors
-    ///
-    /// `epoll_create1` failures (the `poll` backend cannot fail to
-    /// construct).
-    pub fn new(backend: Backend) -> io::Result<Poller> {
-        let inner = match backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll => Impl::Epoll(epoll::Epoll::new()?),
-            Backend::Poll => Impl::Poll(fallback::PollSet::new()),
-        };
-        Ok(Poller { inner })
+    /// Creates an empty poller.
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
-    /// The backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(_) => Backend::Epoll,
-            Impl::Poll(_) => Backend::Poll,
+    /// Registers `fd` under `token` with `interest`, replacing any earlier
+    /// registration of `fd`. `token` values need not be distinct across
+    /// fds, but routing is by token, so distinct is what you want.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) {
+        let mut events = 0;
+        if interest.readable {
+            events |= sys::POLLIN;
         }
-    }
-
-    /// Registers `fd` under `token`. One registration per fd; `token`
-    /// values need not be distinct across fds, but routing is by token, so
-    /// distinct is what you want.
-    ///
-    /// # Errors
-    ///
-    /// `epoll_ctl` failures (the `poll` backend cannot fail here).
-    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => ep.ctl(epoll::CTL_ADD, fd, token, interest),
-            Impl::Poll(ps) => {
-                ps.upsert(fd, token, interest);
-                Ok(())
-            }
+        if interest.writable {
+            events |= sys::POLLOUT;
         }
-    }
-
-    /// Changes the interest set of an already-registered fd.
-    ///
-    /// # Errors
-    ///
-    /// `epoll_ctl` failures.
-    pub fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => ep.ctl(epoll::CTL_MOD, fd, token, interest),
-            Impl::Poll(ps) => {
-                ps.upsert(fd, token, interest);
-                Ok(())
-            }
+        if let Some(i) = self.fds.iter().position(|p| p.fd == fd) {
+            self.fds[i].events = events;
+            self.tokens[i] = token;
+        } else {
+            self.fds.push(sys::PollFd {
+                fd,
+                events,
+                revents: 0,
+            });
+            self.tokens.push(token);
         }
     }
 
     /// Removes `fd` from the poller. Deregistering an unknown fd is a
-    /// no-op (closing an fd drops it from epoll implicitly, so the server
-    /// treats removal as advisory either way).
+    /// no-op.
     pub fn deregister(&mut self, fd: RawFd) {
-        match &mut self.inner {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => {
-                let _ = ep.ctl(epoll::CTL_DEL, fd, 0, Interest::READ);
-            }
-            Impl::Poll(ps) => ps.remove(fd),
+        if let Some(i) = self.fds.iter().position(|p| p.fd == fd) {
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
         }
     }
 
@@ -211,7 +114,8 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// `epoll_wait`/`poll` failures other than `EINTR`.
+    /// `poll` failures other than `EINTR`, and a wait with no fds and no
+    /// timeout (it could never return).
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
         let timeout_ms: i32 = match timeout {
@@ -219,256 +123,77 @@ impl Poller {
             Some(d) => i32::try_from(d.as_millis().saturating_add(1)).unwrap_or(i32::MAX),
             None => -1,
         };
+        if self.fds.is_empty() {
+            // The server always has at least the wake pipe registered, so
+            // an empty set is a bug guard rather than a supported mode.
+            if timeout_ms >= 0 {
+                std::thread::sleep(Duration::from_millis(timeout_ms as u64));
+                return Ok(());
+            }
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "wait on an empty poll set with no timeout",
+            ));
+        }
         loop {
-            let r = match &mut self.inner {
-                #[cfg(target_os = "linux")]
-                Impl::Epoll(ep) => ep.wait(events, timeout_ms),
-                Impl::Poll(ps) => ps.wait(events, timeout_ms),
-            };
-            match r {
+            match sys::poll_fds(&mut self.fds, timeout_ms) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other,
+                Err(e) => return Err(e),
+                Ok(()) => break,
             }
         }
+        for (p, &token) in self.fds.iter().zip(&self.tokens) {
+            if p.revents == 0 {
+                continue;
+            }
+            let err = p.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
+            events.push(Event {
+                token,
+                readable: p.revents & sys::POLLIN != 0 || err,
+                writable: p.revents & sys::POLLOUT != 0 || err,
+            });
+        }
+        Ok(())
     }
 }
 
-#[cfg(target_os = "linux")]
-mod epoll {
-    //! Raw `epoll(7)` bindings. The kernel interface is declared here
-    //! directly (`extern "C"` against the libc that std already links)
-    //! because the registry — and with it the `libc` crate — is
-    //! unavailable. This module is the only unsafe code in the crate
-    //! besides the `poll(2)` call below, and every call site is a thin,
-    //! argument-checked wrapper.
+mod sys {
+    //! The `poll(2)` binding, declared directly (`extern "C"` against the
+    //! libc that std already links) because the `libc` crate is
+    //! unavailable. This is the crate's only unsafe code.
     #![allow(unsafe_code)]
 
     use std::io;
-    use std::os::fd::RawFd;
-
-    use super::{Event, Interest};
-
-    pub const CTL_ADD: i32 = 1;
-    pub const CTL_DEL: i32 = 2;
-    pub const CTL_MOD: i32 = 3;
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CLOEXEC: i32 = 0o2_000_000;
-
-    /// `struct epoll_event`. The kernel ABI packs this on x86; `repr(C)`
-    /// alone would insert padding between `events` and `data` on 64-bit
-    /// and corrupt every second event.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86_64", target_arch = "x86"), repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub struct Epoll {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            // SAFETY: epoll_create1 takes a flags integer and returns an
-            // fd or -1; no pointers are involved.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        pub fn ctl(
-            &mut self,
-            op: i32,
-            fd: RawFd,
-            token: usize,
-            interest: Interest,
-        ) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token as u64,
-            };
-            // SAFETY: `ev` is a live, correctly-laid-out epoll_event for
-            // the duration of the call; the kernel copies it out.
-            let r = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if r < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            // SAFETY: the buffer outlives the call and maxevents matches
-            // its length, so the kernel writes only within bounds.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for ev in &self.buf[..n as usize] {
-                // Copy out of the (possibly packed) struct before use.
-                let events = { ev.events };
-                let data = { ev.data };
-                out.push(Event {
-                    token: data as usize,
-                    readable: events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: events & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            // SAFETY: closing an fd we own exactly once.
-            let _ = unsafe { close(self.epfd) };
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = 0;
-        if interest.readable {
-            m |= EPOLLIN;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-}
-
-mod fallback {
-    //! Portable `poll(2)` backend: the registration table lives in user
-    //! space as a flat `pollfd` array rebuilt incrementally on
-    //! register/deregister. O(n) per wait, which is fine for the
-    //! connection counts a fallback path serves.
-    #![allow(unsafe_code)]
-
-    use std::io;
-    use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short, c_ulong};
 
-    use super::{Event, Interest};
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+    pub const POLLNVAL: c_short = 0x020;
 
     /// `struct pollfd`, identical across Unix.
     #[repr(C)]
     #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
     }
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    pub struct PollSet {
-        fds: Vec<PollFd>,
-        tokens: Vec<usize>,
-    }
-
-    impl PollSet {
-        pub fn new() -> PollSet {
-            PollSet {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            }
+    /// Polls `fds`, filling each `revents`.
+    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<()> {
+        // SAFETY: the slice is live for the call and nfds matches its
+        // length; the kernel only writes `revents` within bounds.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
         }
-
-        pub fn upsert(&mut self, fd: RawFd, token: usize, interest: Interest) {
-            let mut events = 0;
-            if interest.readable {
-                events |= POLLIN;
-            }
-            if interest.writable {
-                events |= POLLOUT;
-            }
-            if let Some(i) = self.fds.iter().position(|p| p.fd == fd) {
-                self.fds[i].events = events;
-                self.tokens[i] = token;
-            } else {
-                self.fds.push(PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-                self.tokens.push(token);
-            }
-        }
-
-        pub fn remove(&mut self, fd: RawFd) {
-            if let Some(i) = self.fds.iter().position(|p| p.fd == fd) {
-                self.fds.swap_remove(i);
-                self.tokens.swap_remove(i);
-            }
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            if self.fds.is_empty() {
-                // poll(NULL, 0, t) is a valid sleep, but spinning forever
-                // on an empty set with t = -1 would hang; the server always
-                // has at least the wake pipe registered, so treat this as
-                // a bug guard rather than a supported mode.
-                if timeout_ms >= 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
-                    return Ok(());
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "wait on an empty poll set with no timeout",
-                ));
-            }
-            // SAFETY: the slice is live for the call and nfds matches its
-            // length; the kernel only writes `revents` within bounds.
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, timeout_ms) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for (p, &token) in self.fds.iter().zip(&self.tokens) {
-                if p.revents == 0 {
-                    continue;
-                }
-                let err = p.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
-                out.push(Event {
-                    token,
-                    readable: p.revents & POLLIN != 0 || err,
-                    writable: p.revents & POLLOUT != 0 || err,
-                });
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }
 
@@ -479,82 +204,57 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn backends() -> Vec<Backend> {
-        let mut v = vec![Backend::Poll];
-        #[cfg(target_os = "linux")]
-        v.push(Backend::Epoll);
-        v
-    }
-
     #[test]
-    fn readiness_roundtrip_on_every_backend() {
-        for backend in backends() {
-            let (mut a, b) = UnixStream::pair().unwrap();
-            b.set_nonblocking(true).unwrap();
-            let mut poller = Poller::new(backend).unwrap();
-            assert_eq!(poller.backend(), backend);
-            poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+    fn readiness_roundtrip() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new();
+        poller.register(b.as_raw_fd(), 7, Interest::READ);
 
-            // Nothing to read yet: a short wait times out empty.
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{backend:?}: spurious readiness");
+        // Nothing to read yet: a short wait times out empty.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "spurious readiness");
 
-            a.write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{backend:?}");
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        a.write_all(b"x").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Level-triggered: still readable until drained.
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.readable));
-            let mut buf = [0u8; 8];
-            let n = (&b).read(&mut buf).unwrap();
-            assert_eq!(n, 1);
+        // Level-triggered: still readable until drained.
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        let mut buf = [0u8; 8];
+        let n = (&b).read(&mut buf).unwrap();
+        assert_eq!(n, 1);
 
-            // Write interest on an idle socket is immediately ready.
-            poller
-                .reregister(b.as_raw_fd(), 7, Interest::READ_WRITE)
-                .unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.writable));
+        // Write interest on an idle socket is immediately ready.
+        poller.register(b.as_raw_fd(), 7, Interest::READ_WRITE);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
-            // Peer hang-up surfaces as readability (read returns 0).
-            drop(a);
-            poller.reregister(b.as_raw_fd(), 7, Interest::READ).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.readable));
-            assert_eq!((&b).read(&mut buf).unwrap(), 0, "clean EOF after hup");
+        // Peer hang-up surfaces as readability (read returns 0).
+        drop(a);
+        poller.register(b.as_raw_fd(), 7, Interest::READ);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        assert_eq!((&b).read(&mut buf).unwrap(), 0, "clean EOF after hup");
 
-            poller.deregister(b.as_raw_fd());
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{backend:?}: deregistered fd woke");
-        }
-    }
-
-    #[test]
-    fn backend_names_resolve() {
-        assert_eq!(Backend::by_name("poll"), Some(Backend::Poll));
-        assert_eq!(Backend::by_name("kqueue"), None);
-        #[cfg(target_os = "linux")]
-        {
-            assert_eq!(Backend::by_name("epoll"), Some(Backend::Epoll));
-            assert_eq!(Backend::default(), Backend::Epoll);
-        }
-        assert_eq!(Backend::resolve(Some(Backend::Poll)), Backend::Poll);
-        assert_eq!(Backend::Poll.name(), "poll");
+        poller.deregister(b.as_raw_fd());
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "deregistered fd woke");
     }
 }

@@ -6,7 +6,7 @@
 //! Concurrency shape:
 //!
 //! - **one event-loop thread** owns the listener and every connection —
-//!   nonblocking sockets behind an epoll/poll [`Poller`](crate::poll),
+//!   nonblocking sockets behind a `poll(2)` [`Poller`](crate::poll),
 //!   per-connection read framers that survive partial reads and write
 //!   buffers that survive short writes;
 //! - **the shared worker pool** executes extractions; workers hand results
@@ -56,7 +56,7 @@ use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{Store, StoreConfig, StoreStats};
 
 use crate::framing::Framer;
-use crate::poll::{Backend, Event, Interest, Poller};
+use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{parse_request_line, push_reply_line, Request, RequestId};
 
 /// Daemon configuration.
@@ -70,9 +70,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Result store configuration.
     pub store: StoreConfig,
-    /// Readiness backend; `None` resolves `DEXLEGO_POLL_BACKEND`, then the
-    /// platform default (epoll on Linux, poll elsewhere).
-    pub backend: Option<Backend>,
     /// Undispatched extract requests a single connection may queue in the
     /// event loop; arrivals beyond it are shed with `overloaded`. 0 means
     /// requests are shed as soon as the pool itself is saturated.
@@ -112,7 +109,6 @@ impl ServiceConfig {
             workers: 2,
             queue_depth: 8,
             store: StoreConfig::new(store_root),
-            backend: None,
             max_pending_per_conn: 64,
             max_line_bytes: 64 << 20,
             write_soft_cap: 4 << 20,
@@ -154,12 +150,6 @@ struct ServiceStats {
     ///
     /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
     failed: u64,
-    /// Interpreter cells quickened across all extractions served.
-    quickens: u64,
-    /// Quickened cells de-quickened by code mutation across extractions.
-    dequickens: u64,
-    /// Fused superinstruction dispatches across extractions.
-    superinsn_hits: u64,
     /// Warning-severity verifier lints across extractions served.
     verifier_lints: u64,
     /// Error-severity verifier diagnostics across rejected extractions.
@@ -180,9 +170,6 @@ struct ServiceStats {
 impl ServiceStats {
     fn absorb(&mut self, report: &JobReport) {
         self.extracts += 1;
-        self.quickens += report.quickens;
-        self.dequickens += report.dequickens;
-        self.superinsn_hits += report.superinsn_hits;
         self.verifier_lints += report.verifier_lints as u64;
         self.verifier_errors += report.verifier_errors as u64;
         self.typed_methods += report.typed_methods as u64;
@@ -309,10 +296,9 @@ impl Daemon {
                 wake_tx,
             }),
         });
-        let backend = Backend::resolve(config.backend);
-        let mut poller = Poller::new(backend)?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
+        let mut poller = Poller::new();
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
+        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ);
         let loop_shared = Arc::clone(&shared);
         let event_loop = thread::Builder::new()
             .name("dexlegod-loop".to_owned())
@@ -689,12 +675,9 @@ impl EventLoop {
                 readable: !conn.read_closed && !conn.paused,
                 writable: conn.unsent() > 0,
             };
-            if desired != conn.interest
-                && self
-                    .poller
-                    .reregister(conn.stream.as_raw_fd(), token, desired)
-                    .is_ok()
-            {
+            if desired != conn.interest {
+                self.poller
+                    .register(conn.stream.as_raw_fd(), token, desired);
                 conn.interest = desired;
             }
         }
@@ -763,13 +746,8 @@ impl EventLoop {
                     }
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
+                    self.poller
+                        .register(stream.as_raw_fd(), token, Interest::READ);
                     self.conns.insert(
                         token,
                         Conn {
@@ -1183,9 +1161,6 @@ fn stats_reply(shared: &Shared) -> String {
         ("fetches", stats.fetches.to_string()),
         ("errors", stats.errors.to_string()),
         ("failed", stats.failed.to_string()),
-        ("quickens", stats.quickens.to_string()),
-        ("dequickens", stats.dequickens.to_string()),
-        ("superinsn_hits", stats.superinsn_hits.to_string()),
         ("verifier_lints", stats.verifier_lints.to_string()),
         ("verifier_errors", stats.verifier_errors.to_string()),
         ("typed_methods", stats.typed_methods.to_string()),
@@ -1214,9 +1189,6 @@ mod tests {
             wall_us: 1_234,
             insns: 56_789,
             frames: 321,
-            quickens: 12,
-            dequickens: 3,
-            superinsn_hits: 45,
             methods_collected: 6,
             insns_collected: 789,
             dump_size: 4_096,

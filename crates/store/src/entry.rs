@@ -3,10 +3,11 @@
 //! The payload format is a simple length-prefixed binary encoding (the
 //! workspace is dependency-free, so there is no serde): little-endian
 //! integers, `u32` length prefixes, UTF-8 strings. A leading format tag
-//! (`RES4`; `RES3` lacked the verify-cache counters, `RES2` the
-//! typed-verifier counters, `RES1` the quickening counters — all decode as
-//! a miss) versions the payload independently of the on-disk container
-//! that wraps it (see [`crate::store`]).
+//! (`RES5`; `RES4` still carried the interpreter's quickening counters,
+//! which extraction no longer moves, `RES3` lacked the verify-cache
+//! counters, `RES2` the typed-verifier counters — all decode as a miss)
+//! versions the payload independently of the on-disk container that wraps
+//! it (see [`crate::store`]).
 
 /// Everything the pipeline produced for one (DEX, profile, parameters)
 /// input: the revealed DEX plus the report fields a cache hit must be able
@@ -21,12 +22,6 @@ pub struct CachedResult {
     pub insns: u64,
     /// Method frames entered while driving the app.
     pub frames: u64,
-    /// Instruction cells rewritten to pre-resolved quickened forms.
-    pub quickens: u64,
-    /// Quickened cells discarded by code-epoch invalidation.
-    pub dequickens: u64,
-    /// Fused superinstruction dispatches in the interpreter hot loop.
-    pub superinsn_hits: u64,
     /// Methods with collected trees.
     pub methods_collected: u64,
     /// Instructions collected across all trees.
@@ -49,7 +44,7 @@ pub struct CachedResult {
     pub phases_us: Vec<(String, u64)>,
 }
 
-const PAYLOAD_TAG: &[u8; 4] = b"RES4";
+const PAYLOAD_TAG: &[u8; 4] = b"RES5";
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -112,9 +107,6 @@ pub fn encode(r: &CachedResult) -> Vec<u8> {
         r.wall_us,
         r.insns,
         r.frames,
-        r.quickens,
-        r.dequickens,
-        r.superinsn_hits,
         r.methods_collected,
         r.insns_collected,
         r.dump_size,
@@ -154,9 +146,6 @@ pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
     let wall_us = c.u64()?;
     let insns = c.u64()?;
     let frames = c.u64()?;
-    let quickens = c.u64()?;
-    let dequickens = c.u64()?;
-    let superinsn_hits = c.u64()?;
     let methods_collected = c.u64()?;
     let insns_collected = c.u64()?;
     let dump_size = c.u64()?;
@@ -185,9 +174,6 @@ pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
         wall_us,
         insns,
         frames,
-        quickens,
-        dequickens,
-        superinsn_hits,
         methods_collected,
         insns_collected,
         dump_size,
@@ -211,9 +197,6 @@ mod tests {
             wall_us: 1234,
             insns: 5678,
             frames: 9,
-            quickens: 21,
-            dequickens: 2,
-            superinsn_hits: 333,
             methods_collected: 3,
             insns_collected: 400,
             dump_size: 2048,
@@ -244,6 +227,14 @@ mod tests {
         let mut bad = full.clone();
         bad[0] ^= 0xff;
         assert!(decode(&bad).is_err());
+        // The same result in the `RES4` layout, which still carried three
+        // quickening counters after `frames`: refused, not misread.
+        let mut old = full.clone();
+        old[..4].copy_from_slice(b"RES4");
+        let after_frames = 4 + 4 + sample().dex_bytes.len() + 3 * 8;
+        let counters = [21u64, 2, 333].iter().flat_map(|v| v.to_le_bytes());
+        old.splice(after_frames..after_frames, counters);
+        assert!(decode(&old).is_err(), "RES4 entry accepted");
         let mut trailing = full;
         trailing.push(0);
         assert!(decode(&trailing).is_err());

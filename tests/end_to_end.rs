@@ -5,9 +5,11 @@ use dexlego_suite::analysis::tools::{all_tools, droidsafe, flowdroid, horndroid}
 use dexlego_suite::dex::verify::{verify, Strictness};
 use dexlego_suite::dexlego::baseline::{dump, BaselineKind};
 use dexlego_suite::dexlego::pipeline::reveal;
+use dexlego_suite::dexlego::JitCollector;
 use dexlego_suite::droidbench::samples::build_suite;
 use dexlego_suite::droidbench::{drive_sample, Category, Sample};
 use dexlego_suite::packer::{pack, PackerId};
+use dexlego_suite::runtime::observer::{NullObserver, RuntimeObserver};
 use dexlego_suite::runtime::Runtime;
 
 fn reveal_with_fuzz(sample: &Sample) -> dexlego_suite::dex::DexFile {
@@ -239,6 +241,39 @@ fn packed_reveal_equals_plain_reveal() {
     }
 }
 
+/// The observer picks the interpreter's fetch path. Algorithm 1's
+/// collector wants every instruction, so a collecting drive runs per step
+/// and never predecodes or quickens; a passive drive of the same packed
+/// app runs the quickened tier over the predecoded cache. Both execute the
+/// same instructions.
+#[test]
+fn collector_frames_run_per_step() {
+    let sample = one_of(Category::Direct);
+    let packed = pack(&sample.dex, &sample.entry, PackerId::P360).unwrap();
+    let drive = |obs: &mut dyn RuntimeObserver| {
+        let mut rt = Runtime::new();
+        packed.install_observed(&mut rt, obs).unwrap();
+        packed.launch(&mut rt, obs).unwrap();
+        rt.stats
+    };
+
+    let mut collector = JitCollector::new();
+    let collected = drive(&mut collector);
+    assert!(
+        !collector.into_files().methods.is_empty(),
+        "nothing collected"
+    );
+    assert_eq!(
+        (collected.predecodes, collected.quickens),
+        (0, 0),
+        "collecting frames must run per step"
+    );
+
+    let passive = drive(&mut NullObserver);
+    assert!(passive.predecodes > 0, "passive frames must predecode");
+    assert_eq!(passive.insns, collected.insns, "same execution either way");
+}
+
 /// DexHunter/AppSpear dumps of a packed dynamic-loading sample contain the
 /// payload classes (the mechanism behind Table III's +3 true positives).
 #[test]
@@ -247,8 +282,7 @@ fn baseline_dump_contains_dynamically_loaded_classes() {
     let packed = pack(&sample.dex, &sample.entry, PackerId::P360).unwrap();
     let mut rt = Runtime::new();
     packed.install(&mut rt).unwrap();
-    let mut obs = dexlego_suite::runtime::observer::NullObserver;
-    packed.launch(&mut rt, &mut obs).unwrap();
+    packed.launch(&mut rt, &mut NullObserver).unwrap();
     for kind in [BaselineKind::DexHunter, BaselineKind::AppSpear] {
         let dumped = dump(&rt, kind).unwrap();
         let has_payload = dumped.class_defs().iter().any(|c| {

@@ -82,9 +82,12 @@ fi
 echo "verify: dexlegod service smoke ok"
 
 # Fleet bench smoke: 3 sharded backends behind dexlego-router with
-# injected stragglers — asserts replication happened, zero error
-# replies even while a backend is killed mid-pass, and the hedged
-# fleet's warm p999 beating the single-backend baseline.
+# injected stragglers, every warm pass running for 10 stall periods —
+# asserts replication happened, zero error replies even while a backend
+# is killed mid-pass, the hedged fleet's warm p999 beating the
+# single-backend baseline, and (no timing margin) no hedged warm reply
+# slower than a whole stall while the unhedged fleet and the single
+# backend each have some.
 cargo run -p dexlego-bench --bin service --release -- --router 3 --smoke
 
 # Router fleet smoke: three real dexlegod processes behind a real
