@@ -15,6 +15,8 @@ use dexlego_dex::DexFile;
 use dexlego_runtime::observer::NullObserver;
 use dexlego_runtime::{RetVal, Runtime, Slot};
 
+use crate::stats::median;
+
 /// Scores for one runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Scores {
@@ -112,11 +114,11 @@ fn setup_runtime(dex: &DexFile) -> Runtime {
     rt
 }
 
+/// Work per millisecond over a fixed number of calls.
 fn score<F>(mut run_once: F) -> f64
 where
     F: FnMut(),
 {
-    // Work per millisecond over a fixed number of iterations.
     const ITERS: u32 = 12;
     let start = Instant::now();
     for _ in 0..ITERS {
@@ -126,42 +128,82 @@ where
     f64::from(ITERS) / (elapsed * 1000.0)
 }
 
-fn measure(collected: bool) -> Scores {
-    let (dex, entry) = benchmark_app();
-    let java = {
-        let mut rt = setup_runtime(&dex);
-        let mut collector = JitCollector::new();
+/// Rounds per configuration. Each round times both configurations back to
+/// back, so host drift during a run hits both alike, and the median of
+/// the rounds drops the ones a stall landed in.
+pub const ROUNDS: usize = 9;
+
+/// One configuration's runtimes and observer, kept across rounds.
+struct Config {
+    java_rt: Runtime,
+    native_rt: Runtime,
+    collector: Option<JitCollector>,
+    java: Vec<f64>,
+    native: Vec<f64>,
+}
+
+impl Config {
+    fn new(dex: &DexFile, collected: bool) -> Config {
+        Config {
+            java_rt: setup_runtime(dex),
+            native_rt: setup_runtime(dex),
+            collector: collected.then(JitCollector::new),
+            java: Vec::new(),
+            native: Vec::new(),
+        }
+    }
+
+    /// Times one round of both workloads.
+    fn round(&mut self, entry: &str) {
         let mut null = NullObserver;
-        score(|| {
-            let obs: &mut dyn dexlego_runtime::RuntimeObserver =
-                if collected { &mut collector } else { &mut null };
-            rt.call_static(obs, &entry, "javaWork", "(I)I", &[Slot::from_int(20_000)])
+        let obs: &mut dyn dexlego_runtime::RuntimeObserver = match &mut self.collector {
+            Some(collector) => collector,
+            None => &mut null,
+        };
+        let java_rt = &mut self.java_rt;
+        self.java.push(score(|| {
+            java_rt
+                .call_static(obs, entry, "javaWork", "(I)I", &[Slot::from_int(20_000)])
                 .expect("runs");
-        })
-    };
-    let native = {
-        let mut rt = setup_runtime(&dex);
-        let mut collector = JitCollector::new();
-        let mut null = NullObserver;
-        score(|| {
-            let obs: &mut dyn dexlego_runtime::RuntimeObserver =
-                if collected { &mut collector } else { &mut null };
-            rt.call_static(obs, &entry, "nativeWork", "(I)I", &[Slot::from_int(300)])
+        }));
+        let native_rt = &mut self.native_rt;
+        self.native.push(score(|| {
+            native_rt
+                .call_static(obs, entry, "nativeWork", "(I)I", &[Slot::from_int(300)])
                 .expect("runs");
-        })
-    };
-    Scores {
-        java,
-        native,
-        overall: (java * native).sqrt(),
+        }));
+    }
+
+    fn scores(&self) -> Scores {
+        let java = median(&self.java);
+        let native = median(&self.native);
+        Scores {
+            java,
+            native,
+            overall: (java * native).sqrt(),
+        }
     }
 }
 
-/// Runs Figure 6.
+/// Runs Figure 6: [`ROUNDS`] rounds, each timing the unmodified and the
+/// DexLego configuration back to back (in alternating order), and the
+/// median score of each.
 pub fn run() -> Fig6 {
+    let (dex, entry) = benchmark_app();
+    let mut unmodified = Config::new(&dex, false);
+    let mut dexlego = Config::new(&dex, true);
+    for round in 0..ROUNDS {
+        if round % 2 == 0 {
+            unmodified.round(&entry);
+            dexlego.round(&entry);
+        } else {
+            dexlego.round(&entry);
+            unmodified.round(&entry);
+        }
+    }
     Fig6 {
-        unmodified: measure(false),
-        dexlego: measure(true),
+        unmodified: unmodified.scores(),
+        dexlego: dexlego.scores(),
     }
 }
 
@@ -169,7 +211,7 @@ pub fn run() -> Fig6 {
 pub fn format(f: &Fig6) -> String {
     let (java, native, overall) = f.slowdown();
     format!(
-        "Figure 6 — CF-Bench-style scores (higher is better)\n\
+        "Figure 6 — CF-Bench-style scores (higher is better), median of {ROUNDS} alternating rounds\n\
          config      | java    | native  | overall\n\
          unmodified  | {:>7.2} | {:>7.2} | {:>7.2}\n\
          DexLego     | {:>7.2} | {:>7.2} | {:>7.2}\n\

@@ -1,5 +1,6 @@
 //! Latency-distribution summaries for the load benches: nearest-rank
-//! percentiles over microsecond samples.
+//! percentiles over microsecond samples, and the median the wall-clock
+//! paper experiments report.
 
 /// Summary statistics over a set of latency samples, microseconds.
 #[derive(Debug, Clone, Default)]
@@ -50,9 +51,29 @@ pub fn latency_stats(samples: &mut [u64]) -> LatencyStats {
     }
 }
 
+/// The median of `samples` (the mean of the two middle samples for an
+/// even count); `NaN` for an empty set.
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    match sorted.len() {
+        0 => f64::NAN,
+        n if n % 2 == 0 => (sorted[mid - 1] + sorted[mid]) / 2.0,
+        _ => sorted[mid],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert!(median(&[]).is_nan());
+    }
 
     #[test]
     fn empty_set_is_all_zero() {

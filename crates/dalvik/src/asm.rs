@@ -6,13 +6,22 @@
 //! targets are far, and switch/array payloads are appended after the code
 //! with correct 4-byte alignment.
 //!
+//! Labels are dense indices: [`MethodAssembler::new_label`] hands out the
+//! next one and [`MethodAssembler::new_labels`] a block of consecutive
+//! ones, so a caller can address its labels arithmetically (the
+//! reassembler gives each collection-tree node one block, a label per
+//! instruction). Assembly resolves them into a `Vec` indexed by label,
+//! reused across the goto-sizing passes, and encodes every instruction
+//! straight into the output buffer.
+//!
 //! The DexLego reassembler uses this to rebuild method bodies from merged
 //! collection trees; the benchmark corpus uses it to author samples.
 
-use std::collections::HashMap;
-
-use crate::encode::{encode_decoded, encode_insn};
-use crate::insn::{Decoded, Insn};
+use crate::encode::{
+    encode_insn_into, fill_array_payload_into, packed_switch_payload_into,
+    sparse_switch_payload_into,
+};
+use crate::insn::Insn;
 use crate::opcode::Opcode;
 use crate::{DalvikError, Result};
 
@@ -69,12 +78,20 @@ impl MethodAssembler {
 
     /// Allocates a fresh, unbound label.
     pub fn new_label(&mut self) -> Label {
-        let l = self.next_label;
-        self.next_label += 1;
-        l
+        self.new_labels(1)
     }
 
-    /// Binds `label` at the current position.
+    /// Allocates `count` fresh, unbound labels with consecutive numbers and
+    /// returns the first: the block is `first..first + count`.
+    pub fn new_labels(&mut self, count: u32) -> Label {
+        let first = self.next_label;
+        self.next_label += count;
+        first
+    }
+
+    /// Binds `label` at the current position. `label` must come from
+    /// [`Self::new_label`] or [`Self::new_labels`]; assembly rejects any
+    /// other as undefined.
     pub fn bind(&mut self, label: Label) {
         self.items.push(Item::Bind(label));
     }
@@ -316,70 +333,65 @@ impl MethodAssembler {
         Ok(self.assemble_with_labels()?.0)
     }
 
-    /// Assembles and additionally returns the resolved label addresses.
+    /// Assembles and additionally returns the resolved label addresses,
+    /// indexed by label: `None` for a label that was never bound.
     ///
     /// # Errors
     ///
     /// See [`Self::assemble`].
-    pub fn assemble_with_labels(&self) -> Result<(Vec<u16>, HashMap<Label, u32>)> {
-        // Payload sizes (in units) for each WithPayload item, order of
-        // appearance; payloads are laid out after the code in this order.
-        let payload_sizes: Vec<usize> = self
-            .items
-            .iter()
-            .filter_map(|item| match item {
-                Item::WithPayload { payload, .. } => Some(match payload {
-                    PayloadSpec::Packed { targets, .. } => 4 + targets.len() * 2,
-                    PayloadSpec::Sparse { keys, .. } => 2 + keys.len() * 4,
-                    PayloadSpec::FillArray { data, .. } => 4 + data.len().div_ceil(2),
-                }),
-                _ => None,
-            })
-            .collect();
-
+    pub fn assemble_with_labels(&self) -> Result<(Vec<u16>, Vec<Option<u32>>)> {
         // Iteratively size gotos (1, 2, or 3 units). Widening is monotonic
         // so the loop terminates.
-        let mut goto_sizes: Vec<usize> = self
+        let mut goto_sizes: Vec<u8> = self
             .items
             .iter()
-            .map(|item| if matches!(item, Item::Goto(_)) { 1 } else { 0 })
+            .map(|item| u8::from(matches!(item, Item::Goto(_))))
             .collect();
-
-        let (labels, item_offsets, payload_offsets) = loop {
-            let mut labels: HashMap<Label, u32> = HashMap::new();
-            let mut item_offsets = Vec::with_capacity(self.items.len());
+        let mut labels: Vec<Option<u32>> = Vec::new();
+        let mut item_offsets = Vec::with_capacity(self.items.len());
+        let mut payload_offsets = Vec::new();
+        let end = loop {
+            labels.clear();
+            labels.resize(self.next_label as usize, None);
+            item_offsets.clear();
+            payload_offsets.clear();
             let mut pos = 0usize;
             for (i, item) in self.items.iter().enumerate() {
                 item_offsets.push(pos as u32);
                 match item {
                     Item::Plain(insn) => pos += insn.units(),
                     Item::Branch { insn, .. } => pos += insn.units(),
-                    Item::Goto(_) => pos += goto_sizes[i],
+                    Item::Goto(_) => pos += usize::from(goto_sizes[i]),
                     Item::WithPayload { insn, .. } => pos += insn.units(),
                     Item::Bind(label) => {
-                        if labels.insert(*label, pos as u32).is_some() {
+                        // A label this assembler never handed out is as
+                        // undefined as one never bound.
+                        let slot = labels
+                            .get_mut(*label as usize)
+                            .ok_or(DalvikError::UndefinedLabel(*label))?;
+                        if slot.replace(pos as u32).is_some() {
                             return Err(DalvikError::DuplicateLabel(*label));
                         }
                     }
                 }
             }
-            // Payloads after the code, 2-unit aligned.
-            let mut payload_offsets = Vec::with_capacity(payload_sizes.len());
-            for &size in &payload_sizes {
-                if !pos.is_multiple_of(2) {
-                    pos += 1; // nop padding
+            // Payloads after the code, in order of appearance, 2-unit
+            // aligned.
+            for item in &self.items {
+                if let Item::WithPayload { payload, .. } = item {
+                    if !pos.is_multiple_of(2) {
+                        pos += 1; // nop padding
+                    }
+                    payload_offsets.push(pos as u32);
+                    pos += payload.units();
                 }
-                payload_offsets.push(pos as u32);
-                pos += size;
             }
 
             // Re-derive goto sizes from actual distances.
             let mut changed = false;
             for (i, item) in self.items.iter().enumerate() {
                 if let Item::Goto(label) = item {
-                    let target = *labels
-                        .get(label)
-                        .ok_or(DalvikError::UndefinedLabel(*label))?;
+                    let target = resolve(&labels, *label)?;
                     let off = i64::from(target) - i64::from(item_offsets[i]);
                     let need = if (-128..=127).contains(&off) && off != 0 {
                         1
@@ -395,31 +407,26 @@ impl MethodAssembler {
                 }
             }
             if !changed {
-                break (labels, item_offsets, payload_offsets);
+                break pos;
             }
         };
 
         // Emission.
-        let mut out: Vec<u16> = Vec::new();
-        let mut payload_emits: Vec<(u32, PayloadSpec, u32)> = Vec::new(); // (payload_off, spec, switch_addr)
+        let mut out: Vec<u16> = Vec::with_capacity(end);
         let mut payload_i = 0usize;
         for (i, item) in self.items.iter().enumerate() {
             let addr = item_offsets[i];
             debug_assert_eq!(out.len() as u32, addr);
             match item {
-                Item::Plain(insn) => out.extend(encode_insn(insn)?),
+                Item::Plain(insn) => encode_insn_into(insn, &mut out)?,
                 Item::Branch { insn, label } => {
-                    let target = *labels
-                        .get(label)
-                        .ok_or(DalvikError::UndefinedLabel(*label))?;
+                    let target = resolve(&labels, *label)?;
                     let mut resolved = insn.clone();
                     resolved.off = (i64::from(target) - i64::from(addr)) as i32;
-                    out.extend(encode_insn(&resolved)?);
+                    encode_insn_into(&resolved, &mut out)?;
                 }
                 Item::Goto(label) => {
-                    let target = *labels
-                        .get(label)
-                        .ok_or(DalvikError::UndefinedLabel(*label))?;
+                    let target = resolve(&labels, *label)?;
                     let off = (i64::from(target) - i64::from(addr)) as i32;
                     let op = match goto_sizes[i] {
                         1 => Opcode::Goto,
@@ -428,52 +435,77 @@ impl MethodAssembler {
                     };
                     let mut insn = Insn::of(op);
                     insn.off = off;
-                    out.extend(encode_insn(&insn)?);
+                    encode_insn_into(&insn, &mut out)?;
                 }
-                Item::WithPayload { insn, payload } => {
+                Item::WithPayload { insn, .. } => {
                     let payload_off = payload_offsets[payload_i];
                     payload_i += 1;
                     let mut resolved = insn.clone();
                     resolved.off = (i64::from(payload_off) - i64::from(addr)) as i32;
-                    out.extend(encode_insn(&resolved)?);
-                    payload_emits.push((payload_off, payload.clone(), addr));
+                    encode_insn_into(&resolved, &mut out)?;
                 }
                 Item::Bind(_) => {}
             }
         }
-        for (payload_off, spec, switch_addr) in payload_emits {
+        // Switch targets resolved relative to their switch, one buffer for
+        // every payload.
+        let mut rel: Vec<i32> = Vec::new();
+        let payloads =
+            self.items
+                .iter()
+                .zip(&item_offsets)
+                .filter_map(|(item, &addr)| match item {
+                    Item::WithPayload { payload, .. } => Some((payload, addr)),
+                    _ => None,
+                });
+        for ((spec, switch_addr), &payload_off) in payloads.zip(&payload_offsets) {
             while (out.len() as u32) < payload_off {
                 out.push(Opcode::Nop as u8 as u16);
             }
-            let resolve = |targets: &[Label]| -> Result<Vec<i32>> {
-                targets
-                    .iter()
-                    .map(|l| {
-                        let t = *labels.get(l).ok_or(DalvikError::UndefinedLabel(*l))?;
-                        Ok((i64::from(t) - i64::from(switch_addr)) as i32)
-                    })
-                    .collect()
+            let mut resolve_targets = |targets: &[Label]| -> Result<()> {
+                rel.clear();
+                for &l in targets {
+                    let t = resolve(&labels, l)?;
+                    rel.push((i64::from(t) - i64::from(switch_addr)) as i32);
+                }
+                Ok(())
             };
-            let decoded = match spec {
-                PayloadSpec::Packed { first_key, targets } => Decoded::PackedSwitchPayload {
-                    first_key,
-                    targets: resolve(&targets)?,
-                },
-                PayloadSpec::Sparse { keys, targets } => Decoded::SparseSwitchPayload {
-                    keys,
-                    targets: resolve(&targets)?,
-                },
+            match spec {
+                PayloadSpec::Packed { first_key, targets } => {
+                    resolve_targets(targets)?;
+                    packed_switch_payload_into(*first_key, &rel, &mut out);
+                }
+                PayloadSpec::Sparse { keys, targets } => {
+                    resolve_targets(targets)?;
+                    sparse_switch_payload_into(keys, &rel, &mut out)?;
+                }
                 PayloadSpec::FillArray {
                     element_width,
                     data,
-                } => Decoded::FillArrayDataPayload {
-                    element_width,
-                    data,
-                },
-            };
-            out.extend(encode_decoded(&decoded)?);
+                } => fill_array_payload_into(*element_width, data, &mut out)?,
+            }
         }
         Ok((out, labels))
+    }
+}
+
+/// The address `label` is bound to.
+fn resolve(labels: &[Option<u32>], label: Label) -> Result<u32> {
+    labels
+        .get(label as usize)
+        .copied()
+        .flatten()
+        .ok_or(DalvikError::UndefinedLabel(label))
+}
+
+impl PayloadSpec {
+    /// Size of the encoded payload in code units.
+    fn units(&self) -> usize {
+        match self {
+            PayloadSpec::Packed { targets, .. } => 4 + targets.len() * 2,
+            PayloadSpec::Sparse { keys, .. } => 2 + keys.len() * 4,
+            PayloadSpec::FillArray { data, .. } => 4 + data.len().div_ceil(2),
+        }
     }
 }
 
@@ -492,6 +524,7 @@ pub enum MoveKind {
 mod tests {
     use super::*;
     use crate::decode::{decode_insn, decode_method};
+    use crate::insn::Decoded;
 
     #[test]
     fn forward_branch_resolves() {
@@ -503,7 +536,7 @@ mod tests {
         asm.bind(end);
         asm.ret(Opcode::ReturnVoid, 0);
         let (units, labels) = asm.assemble_with_labels().unwrap();
-        assert_eq!(labels[&end], 4);
+        assert_eq!(labels[end as usize], Some(4));
         let d = decode_insn(&units, 1).unwrap();
         assert_eq!(d.as_insn().unwrap().off, 3); // 1 -> 4
     }
@@ -558,6 +591,11 @@ mod tests {
         let l = asm.new_label();
         asm.goto(l);
         assert_eq!(asm.assemble(), Err(DalvikError::UndefinedLabel(l)));
+        // Binding a label the assembler never handed out.
+        let mut asm = MethodAssembler::new();
+        asm.bind(7);
+        asm.nop();
+        assert_eq!(asm.assemble(), Err(DalvikError::UndefinedLabel(7)));
     }
 
     #[test]

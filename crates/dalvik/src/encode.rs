@@ -50,24 +50,37 @@ fn reg16(insn: &Insn, operand: &'static str, v: u32) -> Result<u16> {
 /// assert_eq!(encode_insn(&insn).unwrap(), vec![0x7012]);
 /// ```
 pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
+    let mut out = Vec::with_capacity(insn.units());
+    encode_insn_into(insn, &mut out)?;
+    Ok(out)
+}
+
+/// Encodes a single instruction onto the end of `out`, which is left
+/// unchanged on error. The assembler and pool canonicalisation write
+/// whole methods this way without a buffer per instruction.
+///
+/// # Errors
+///
+/// See [`encode_insn`].
+pub fn encode_insn_into(insn: &Insn, out: &mut Vec<u16>) -> Result<()> {
     let op = insn.op as u8 as u16;
     let m = insn.op.mnemonic();
-    Ok(match insn.op.format() {
-        Format::F10x => vec![op],
+    match insn.op.format() {
+        Format::F10x => out.extend_from_slice(&[op]),
         Format::F12x => {
             let a = reg4(insn, "vA", insn.a)?;
             let b = reg4(insn, "vB", insn.b)?;
-            vec![op | (a << 8) | (b << 12)]
+            out.extend_from_slice(&[op | (a << 8) | (b << 12)])
         }
         Format::F11n => {
             let a = reg4(insn, "vA", insn.a)?;
             check((-8..=7).contains(&insn.lit), m, "literal", insn.lit)?;
             let b = (insn.lit as u16) & 0xf;
-            vec![op | (a << 8) | (b << 12)]
+            out.extend_from_slice(&[op | (a << 8) | (b << 12)])
         }
         Format::F11x => {
             let a = reg8(insn, "vA", insn.a)?;
-            vec![op | (a << 8)]
+            out.extend_from_slice(&[op | (a << 8)])
         }
         Format::F10t => {
             let off = i64::from(insn.off);
@@ -77,7 +90,7 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                     offset: off,
                 });
             }
-            vec![op | (((insn.off as i8) as u8 as u16) << 8)]
+            out.extend_from_slice(&[op | (((insn.off as i8) as u8 as u16) << 8)])
         }
         Format::F20t => {
             let off = i64::from(insn.off);
@@ -87,12 +100,12 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                     offset: off,
                 });
             }
-            vec![op, insn.off as i16 as u16]
+            out.extend_from_slice(&[op, insn.off as i16 as u16])
         }
         Format::F22x => {
             let a = reg8(insn, "vA", insn.a)?;
             let b = reg16(insn, "vB", insn.b)?;
-            vec![op | (a << 8), b]
+            out.extend_from_slice(&[op | (a << 8), b])
         }
         Format::F21t => {
             let a = reg8(insn, "vA", insn.a)?;
@@ -103,12 +116,12 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                     offset: off,
                 });
             }
-            vec![op | (a << 8), insn.off as i16 as u16]
+            out.extend_from_slice(&[op | (a << 8), insn.off as i16 as u16])
         }
         Format::F21s => {
             let a = reg8(insn, "vA", insn.a)?;
             check((-32768..=32767).contains(&insn.lit), m, "literal", insn.lit)?;
-            vec![op | (a << 8), insn.lit as i16 as u16]
+            out.extend_from_slice(&[op | (a << 8), insn.lit as i16 as u16])
         }
         Format::F21h => {
             let a = reg8(insn, "vA", insn.a)?;
@@ -119,24 +132,24 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
             };
             let mask = (1i64 << shift) - 1;
             check(insn.lit & mask == 0, m, "literal", insn.lit)?;
-            vec![op | (a << 8), (insn.lit >> shift) as i16 as u16]
+            out.extend_from_slice(&[op | (a << 8), (insn.lit >> shift) as i16 as u16])
         }
         Format::F21c => {
             let a = reg8(insn, "vA", insn.a)?;
             check(insn.idx <= 0xffff, m, "index", i64::from(insn.idx))?;
-            vec![op | (a << 8), insn.idx as u16]
+            out.extend_from_slice(&[op | (a << 8), insn.idx as u16])
         }
         Format::F23x => {
             let a = reg8(insn, "vA", insn.a)?;
             let b = reg8(insn, "vB", insn.b)?;
             let c = reg8(insn, "vC", insn.c)?;
-            vec![op | (a << 8), b | (c << 8)]
+            out.extend_from_slice(&[op | (a << 8), b | (c << 8)])
         }
         Format::F22b => {
             let a = reg8(insn, "vA", insn.a)?;
             let b = reg8(insn, "vB", insn.b)?;
             check((-128..=127).contains(&insn.lit), m, "literal", insn.lit)?;
-            vec![op | (a << 8), b | (((insn.lit as i8) as u8 as u16) << 8)]
+            out.extend_from_slice(&[op | (a << 8), b | (((insn.lit as i8) as u8 as u16) << 8)])
         }
         Format::F22t => {
             let a = reg4(insn, "vA", insn.a)?;
@@ -148,33 +161,33 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                     offset: off,
                 });
             }
-            vec![op | (a << 8) | (b << 12), insn.off as i16 as u16]
+            out.extend_from_slice(&[op | (a << 8) | (b << 12), insn.off as i16 as u16])
         }
         Format::F22s => {
             let a = reg4(insn, "vA", insn.a)?;
             let b = reg4(insn, "vB", insn.b)?;
             check((-32768..=32767).contains(&insn.lit), m, "literal", insn.lit)?;
-            vec![op | (a << 8) | (b << 12), insn.lit as i16 as u16]
+            out.extend_from_slice(&[op | (a << 8) | (b << 12), insn.lit as i16 as u16])
         }
         Format::F22c => {
             let a = reg4(insn, "vA", insn.a)?;
             let b = reg4(insn, "vB", insn.b)?;
             check(insn.idx <= 0xffff, m, "index", i64::from(insn.idx))?;
-            vec![op | (a << 8) | (b << 12), insn.idx as u16]
+            out.extend_from_slice(&[op | (a << 8) | (b << 12), insn.idx as u16])
         }
         Format::F32x => {
             let a = reg16(insn, "vA", insn.a)?;
             let b = reg16(insn, "vB", insn.b)?;
-            vec![op, a, b]
+            out.extend_from_slice(&[op, a, b])
         }
         Format::F30t => {
             let off = insn.off as u32;
-            vec![op, (off & 0xffff) as u16, (off >> 16) as u16]
+            out.extend_from_slice(&[op, (off & 0xffff) as u16, (off >> 16) as u16])
         }
         Format::F31t => {
             let a = reg8(insn, "vA", insn.a)?;
             let off = insn.off as u32;
-            vec![op | (a << 8), (off & 0xffff) as u16, (off >> 16) as u16]
+            out.extend_from_slice(&[op | (a << 8), (off & 0xffff) as u16, (off >> 16) as u16])
         }
         Format::F31i => {
             let a = reg8(insn, "vA", insn.a)?;
@@ -185,15 +198,15 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                 insn.lit,
             )?;
             let v = insn.lit as i32 as u32;
-            vec![op | (a << 8), (v & 0xffff) as u16, (v >> 16) as u16]
+            out.extend_from_slice(&[op | (a << 8), (v & 0xffff) as u16, (v >> 16) as u16])
         }
         Format::F31c => {
             let a = reg8(insn, "vA", insn.a)?;
-            vec![
+            out.extend_from_slice(&[
                 op | (a << 8),
                 (insn.idx & 0xffff) as u16,
                 (insn.idx >> 16) as u16,
-            ]
+            ])
         }
         Format::F35c => {
             check(
@@ -210,11 +223,11 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                 nibbles[i] = r as u16;
             }
             let g = nibbles[4];
-            vec![
+            out.extend_from_slice(&[
                 op | (count << 12) | (g << 8),
                 insn.idx as u16,
                 nibbles[0] | (nibbles[1] << 4) | (nibbles[2] << 8) | (nibbles[3] << 12),
-            ]
+            ])
         }
         Format::F3rc => {
             check(
@@ -234,24 +247,25 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
                 )?;
             }
             check(start <= 0xffff, m, "start register", i64::from(start))?;
-            vec![
+            out.extend_from_slice(&[
                 op | ((insn.regs.len() as u16) << 8),
                 insn.idx as u16,
                 start as u16,
-            ]
+            ])
         }
         Format::F51l => {
             let a = reg8(insn, "vA", insn.a)?;
             let v = insn.lit as u64;
-            vec![
+            out.extend_from_slice(&[
                 op | (a << 8),
                 (v & 0xffff) as u16,
                 ((v >> 16) & 0xffff) as u16,
                 ((v >> 32) & 0xffff) as u16,
                 ((v >> 48) & 0xffff) as u16,
-            ]
+            ])
         }
-    })
+    }
+    Ok(())
 }
 
 /// Encodes a decoded element (instruction or payload) into code units.
@@ -260,60 +274,90 @@ pub fn encode_insn(insn: &Insn) -> Result<Vec<u16>> {
 ///
 /// See [`encode_insn`]; payloads additionally reject odd element widths.
 pub fn encode_decoded(d: &Decoded) -> Result<Vec<u16>> {
+    let mut out = Vec::with_capacity(d.units());
     match d {
-        Decoded::Insn(insn) => encode_insn(insn),
+        Decoded::Insn(insn) => encode_insn_into(insn, &mut out)?,
         Decoded::PackedSwitchPayload { first_key, targets } => {
-            let mut out = vec![
-                payload::PACKED_SWITCH,
-                targets.len() as u16,
-                (*first_key as u32 & 0xffff) as u16,
-                (*first_key as u32 >> 16) as u16,
-            ];
-            for &t in targets {
-                out.push((t as u32 & 0xffff) as u16);
-                out.push((t as u32 >> 16) as u16);
-            }
-            Ok(out)
+            packed_switch_payload_into(*first_key, targets, &mut out);
         }
         Decoded::SparseSwitchPayload { keys, targets } => {
-            if keys.len() != targets.len() {
-                return Err(DalvikError::BadPayload("sparse switch key/target mismatch"));
-            }
-            let mut out = vec![payload::SPARSE_SWITCH, keys.len() as u16];
-            for &k in keys {
-                out.push((k as u32 & 0xffff) as u16);
-                out.push((k as u32 >> 16) as u16);
-            }
-            for &t in targets {
-                out.push((t as u32 & 0xffff) as u16);
-                out.push((t as u32 >> 16) as u16);
-            }
-            Ok(out)
+            sparse_switch_payload_into(keys, targets, &mut out)?;
         }
         Decoded::FillArrayDataPayload {
             element_width,
             data,
-        } => {
-            if *element_width == 0 || data.len() % *element_width as usize != 0 {
-                return Err(DalvikError::BadPayload("fill-array-data size mismatch"));
-            }
-            let size = (data.len() / *element_width as usize) as u32;
-            let mut out = vec![
-                payload::FILL_ARRAY_DATA,
-                *element_width,
-                (size & 0xffff) as u16,
-                (size >> 16) as u16,
-            ];
-            let mut iter = data.chunks_exact(2);
-            for pair in &mut iter {
-                out.push(u16::from(pair[0]) | (u16::from(pair[1]) << 8));
-            }
-            if let [last] = iter.remainder() {
-                out.push(u16::from(*last));
-            }
-            Ok(out)
-        }
+        } => fill_array_payload_into(*element_width, data, &mut out)?,
     }
+    Ok(out)
+}
+
+fn push_i32(out: &mut Vec<u16>, v: i32) {
+    out.push((v as u32 & 0xffff) as u16);
+    out.push((v as u32 >> 16) as u16);
+}
+
+/// Appends a `packed-switch-payload` with branch offsets `targets`.
+pub(crate) fn packed_switch_payload_into(first_key: i32, targets: &[i32], out: &mut Vec<u16>) {
+    out.extend_from_slice(&[payload::PACKED_SWITCH, targets.len() as u16]);
+    push_i32(out, first_key);
+    for &t in targets {
+        push_i32(out, t);
+    }
+}
+
+/// Appends a `sparse-switch-payload`.
+///
+/// # Errors
+///
+/// Returns [`DalvikError::BadPayload`] when `keys` and `targets` differ in
+/// length.
+pub(crate) fn sparse_switch_payload_into(
+    keys: &[i32],
+    targets: &[i32],
+    out: &mut Vec<u16>,
+) -> Result<()> {
+    if keys.len() != targets.len() {
+        return Err(DalvikError::BadPayload("sparse switch key/target mismatch"));
+    }
+    out.extend_from_slice(&[payload::SPARSE_SWITCH, keys.len() as u16]);
+    for &k in keys {
+        push_i32(out, k);
+    }
+    for &t in targets {
+        push_i32(out, t);
+    }
+    Ok(())
+}
+
+/// Appends a `fill-array-data-payload` of `element_width`-byte elements.
+///
+/// # Errors
+///
+/// Returns [`DalvikError::BadPayload`] for a zero width or a byte count
+/// that is not a multiple of it.
+pub(crate) fn fill_array_payload_into(
+    element_width: u16,
+    data: &[u8],
+    out: &mut Vec<u16>,
+) -> Result<()> {
+    if element_width == 0 || !data.len().is_multiple_of(element_width as usize) {
+        return Err(DalvikError::BadPayload("fill-array-data size mismatch"));
+    }
+    let size = (data.len() / element_width as usize) as u32;
+    out.extend_from_slice(&[
+        payload::FILL_ARRAY_DATA,
+        element_width,
+        (size & 0xffff) as u16,
+        (size >> 16) as u16,
+    ]);
+    let mut iter = data.chunks_exact(2);
+    for pair in &mut iter {
+        out.push(u16::from(pair[0]) | (u16::from(pair[1]) << 8));
+    }
+    if let [last] = iter.remainder() {
+        out.push(u16::from(*last));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub mod subset;
 
 pub use asm::MethodAssembler;
 pub use decode::{decode_insn, decode_method, predecode, PredecodedMethod};
-pub use encode::encode_insn;
+pub use encode::{encode_insn, encode_insn_into};
 pub use insn::{Decoded, Insn};
 pub use opcode::{Format, IndexKind, Opcode};
 

@@ -30,6 +30,13 @@ use crate::files::{
 /// application, then call [`JitCollector::into_files`] to obtain the
 /// collection files for offline reassembly.
 ///
+/// Records are kept in first-entry order and reached per `MethodId`
+/// through a dense slot table, filled on a method's first entry: a
+/// method's source is fixed when it is linked and self-modification only
+/// rewrites its units, so whether and where a method is collected never
+/// changes afterwards. Trees of finished executions that duplicate a kept
+/// tree are cleared and reused by the next frame.
+///
 /// # Example
 ///
 /// ```no_run
@@ -47,20 +54,32 @@ pub struct JitCollector {
     // Classes and methods are keyed with their source tag: a packer that
     // loads the original DEX over the shell redefines same-named classes,
     // and both definitions are collected (the reassembler keeps the latest).
-    classes: HashMap<(String, String), ClassRecord>,
-    class_order: Vec<(String, String)>,
-    methods: HashMap<(MethodKey, u32), MethodRecord>,
-    method_order: Vec<(MethodKey, u32)>,
+    classes: Vec<ClassRecord>,
+    class_index: HashMap<(String, String), usize>,
+    methods: Vec<MethodRecord>,
+    method_index: HashMap<(MethodKey, u32), usize>,
+    /// Per `MethodId`: [`UNSEEN`], [`UNCOLLECTED`] or an index into
+    /// `methods`.
+    method_slots: Vec<u32>,
     pools: Vec<crate::files::PoolRecord>,
     pool_by_source: HashMap<usize, u32>,
     reflection: HashMap<(MethodKey, u32), Vec<ReflectionTarget>>,
-    frames: Vec<Frame>,
+    /// One entry per live frame, `None` for a frame that is not collected
+    /// (framework or native method).
+    frames: Vec<Option<Frame>>,
+    /// Cleared trees ready for the next collected frame.
+    spare: Vec<CollectionTree>,
 }
+
+/// A method slot not filled yet.
+const UNSEEN: u32 = u32::MAX;
+/// A method slot of a method that is never collected.
+const UNCOLLECTED: u32 = u32::MAX - 1;
 
 #[derive(Debug)]
 struct Frame {
-    // None: frame not collected (framework/native method).
-    key: Option<(MethodKey, u32)>,
+    /// Index of the method's record.
+    record: usize,
     tree: CollectionTree,
 }
 
@@ -83,26 +102,24 @@ impl JitCollector {
         JitCollector::default()
     }
 
-    /// Finishes collection and returns the collection files.
+    /// Finishes collection and returns the collection files, moving every
+    /// record out.
     pub fn into_files(self) -> CollectionFiles {
-        let mut files = CollectionFiles::default();
-        for key in &self.class_order {
-            files.classes.push(self.classes[key].clone());
-        }
-        for key in &self.method_order {
-            files.methods.push(self.methods[key].clone());
-        }
-        files.pools = self.pools;
         let mut sites: Vec<_> = self.reflection.into_iter().collect();
         sites.sort_by(|a, b| a.0.cmp(&b.0));
-        for ((caller, dex_pc), targets) in sites {
-            files.reflection_sites.push(crate::files::ReflectionSite {
-                caller,
-                dex_pc,
-                targets,
-            });
+        CollectionFiles {
+            classes: self.classes,
+            methods: self.methods,
+            pools: self.pools,
+            reflection_sites: sites
+                .into_iter()
+                .map(|((caller, dex_pc), targets)| crate::files::ReflectionSite {
+                    caller,
+                    dex_pc,
+                    targets,
+                })
+                .collect(),
         }
-        files
     }
 
     /// Number of methods with at least one collected tree so far.
@@ -116,7 +133,7 @@ impl JitCollector {
         }
         let rc = rt.class(class);
         let key = (rc.descriptor.clone(), rc.source.clone());
-        if self.classes.contains_key(&key) {
+        if self.class_index.contains_key(&key) {
             return;
         }
         // Collect the class metadata: the string/type/class structures of
@@ -137,22 +154,19 @@ impl JitCollector {
             })
             .collect();
         fields.sort_by(|a, b| a.name.cmp(&b.name));
-        self.classes.insert(
-            key.clone(),
-            ClassRecord {
-                descriptor: rc.descriptor.clone(),
-                superclass: rc.superclass.map(|s| rt.class(s).descriptor.clone()),
-                interfaces: rc
-                    .interfaces
-                    .iter()
-                    .map(|&i| rt.class(i).descriptor.clone())
-                    .collect(),
-                access: rc.access.bits(),
-                source: rc.source.clone(),
-                fields,
-            },
-        );
-        self.class_order.push(key);
+        self.class_index.insert(key, self.classes.len());
+        self.classes.push(ClassRecord {
+            descriptor: rc.descriptor.clone(),
+            superclass: rc.superclass.map(|s| rt.class(s).descriptor.clone()),
+            interfaces: rc
+                .interfaces
+                .iter()
+                .map(|&i| rt.class(i).descriptor.clone())
+                .collect(),
+            access: rc.access.bits(),
+            source: rc.source.clone(),
+            fields,
+        });
     }
 
     /// Pool index for a runtime DEX source, capturing it on first use.
@@ -184,9 +198,10 @@ impl JitCollector {
         }
         let rc = rt.class(class);
         let key = (rc.descriptor.clone(), rc.source.clone());
-        let Some(record) = self.classes.get_mut(&key) else {
+        let Some(&index) = self.class_index.get(&key) else {
             return;
         };
+        let record = &mut self.classes[index];
         for field in &mut record.fields {
             if !field.is_static {
                 continue;
@@ -211,6 +226,80 @@ impl JitCollector {
             });
         }
     }
+
+    /// The record of `method`, `None` when it is not collected; filled on
+    /// the method's first entry.
+    fn record_index(&mut self, rt: &Runtime, method: MethodId) -> Option<usize> {
+        match self.method_slots.get(method.0).copied().unwrap_or(UNSEEN) {
+            UNSEEN => {}
+            UNCOLLECTED => return None,
+            index => return Some(index as usize),
+        }
+        let index = self.find_or_add_record(rt, method);
+        if self.method_slots.len() <= method.0 {
+            self.method_slots.resize(method.0 + 1, UNSEEN);
+        }
+        self.method_slots[method.0] = index.map_or(UNCOLLECTED, |i| i as u32);
+        index
+    }
+
+    /// The record of `method`'s (key, pool), created on first sight.
+    /// Framework, native and abstract methods are not collected.
+    fn find_or_add_record(&mut self, rt: &Runtime, method: MethodId) -> Option<usize> {
+        let m = rt.method(method);
+        let source = rt.method_source(method)?;
+        let MethodImpl::Bytecode {
+            registers,
+            ins,
+            tries,
+            handlers,
+            ..
+        } = &m.body
+        else {
+            return None;
+        };
+        if !is_app_class(rt, m.class) {
+            return None;
+        }
+        let pool = self.pool_for_source(rt, source);
+        let key = (method_key(rt, method), pool);
+        if let Some(&index) = self.method_index.get(&key) {
+            return Some(index);
+        }
+        // Resolve catch types against the source's pools so the try/catch
+        // structure survives reassembly.
+        let types = &rt.dex_table(source).types;
+        let tries = tries
+            .iter()
+            .filter_map(|t| {
+                let handler = handlers.get(t.handler_index)?;
+                Some(crate::files::TryRecord {
+                    start: t.start_addr,
+                    count: u32::from(t.insn_count),
+                    catches: handler
+                        .catches
+                        .iter()
+                        .filter_map(|c| types.get(c.type_idx as usize).map(|d| (d.clone(), c.addr)))
+                        .collect(),
+                    catch_all: handler.catch_all_addr,
+                })
+            })
+            .collect();
+        let index = self.methods.len();
+        self.methods.push(MethodRecord {
+            key: key.0.clone(),
+            pool,
+            access: m.access.bits(),
+            registers: *registers,
+            ins: *ins,
+            return_type: m.return_type.clone(),
+            params: m.params.clone(),
+            tries,
+            trees: Vec::new(),
+        });
+        self.method_index.insert(key, index);
+        Some(index)
+    }
 }
 
 impl RuntimeObserver for JitCollector {
@@ -225,123 +314,54 @@ impl RuntimeObserver for JitCollector {
     }
 
     fn on_method_enter(&mut self, rt: &Runtime, method: MethodId) {
-        let m = rt.method(method);
-        let collectable = is_app_class(rt, m.class)
-            && matches!(m.body, MethodImpl::Bytecode { .. })
-            && rt.method_source(method).is_some();
-        let key = if collectable {
-            let pool = self.pool_for_source(rt, rt.method_source(method).expect("checked"));
-            let m = rt.method(method);
-            let key = (method_key(rt, method), pool);
-            if !self.methods.contains_key(&key) {
-                self.method_order.push(key.clone());
-                let (registers, ins, tries) = match &m.body {
-                    MethodImpl::Bytecode {
-                        registers,
-                        ins,
-                        tries,
-                        handlers,
-                        ..
-                    } => {
-                        // Resolve catch types against the source's pools so
-                        // the try/catch structure survives reassembly.
-                        let source = rt.method_source(method).expect("checked");
-                        let types = &rt.dex_table(source).types;
-                        let records = tries
-                            .iter()
-                            .filter_map(|t| {
-                                let handler = handlers.get(t.handler_index)?;
-                                Some(crate::files::TryRecord {
-                                    start: t.start_addr,
-                                    count: u32::from(t.insn_count),
-                                    catches: handler
-                                        .catches
-                                        .iter()
-                                        .filter_map(|c| {
-                                            types
-                                                .get(c.type_idx as usize)
-                                                .map(|d| (d.clone(), c.addr))
-                                        })
-                                        .collect(),
-                                    catch_all: handler.catch_all_addr,
-                                })
-                            })
-                            .collect();
-                        (*registers, *ins, records)
-                    }
-                    _ => (0, 0, Vec::new()),
-                };
-                self.methods.insert(
-                    key.clone(),
-                    MethodRecord {
-                        key: key.0.clone(),
-                        pool,
-                        access: m.access.bits(),
-                        registers,
-                        ins,
-                        return_type: m.return_type.clone(),
-                        params: m.params.clone(),
-                        tries,
-                        trees: Vec::new(),
-                    },
-                );
-            }
-            Some(key)
-        } else {
-            None
-        };
-        self.frames.push(Frame {
-            key,
-            tree: CollectionTree::new(),
+        let frame = self.record_index(rt, method).map(|record| Frame {
+            record,
+            tree: self.spare.pop().unwrap_or_default(),
         });
+        self.frames.push(frame);
     }
 
     fn on_method_exit(&mut self, _rt: &Runtime, _method: MethodId) {
-        let Some(frame) = self.frames.pop() else {
+        let Some(Some(Frame { record, mut tree })) = self.frames.pop() else {
             return;
         };
-        let Some(key) = frame.key else { return };
-        if frame.tree.node(0).il.is_empty() {
-            return;
+        if !tree.node(0).il.is_empty() {
+            let trees = &mut self.methods[record].trees;
+            // "We generate multiple collection trees for multiple executions
+            // of the method and keep only the unique trees."
+            if !trees.iter().any(|t| t.same_shape(&tree)) {
+                trees.push(tree);
+                return;
+            }
         }
-        let record = self.methods.get_mut(&key).expect("recorded at enter");
-        // "We generate multiple collection trees for multiple executions of
-        // the method and keep only the unique trees."
-        if !record.trees.iter().any(|t| t.same_shape(&frame.tree)) {
-            record.trees.push(frame.tree);
-        }
+        tree.clear();
+        self.spare.push(tree);
     }
 
     fn on_instruction(&mut self, rt: &Runtime, ev: &InsnEvent<'_>) {
-        let Some(frame) = self.frames.last_mut() else {
+        let Some(Some(frame)) = self.frames.last_mut() else {
             return;
         };
-        if frame.key.is_none() {
-            return;
-        }
         // Capture the payload for payload-referencing instructions so
         // switches and fill-array-data survive reassembly, decoded from the
-        // live body the instruction was fetched from.
-        let payload = match &rt.method(ev.method).body {
-            MethodImpl::Bytecode { insns, .. }
-                if matches!(
-                    ev.insn.op,
-                    dexlego_dalvik::Opcode::PackedSwitch
-                        | dexlego_dalvik::Opcode::SparseSwitch
-                        | dexlego_dalvik::Opcode::FillArrayData
-                ) =>
-            {
-                let payload_pc = ev.insn.target(ev.dex_pc) as usize;
-                dexlego_dalvik::decode_insn(insns, payload_pc)
-                    .ok()
-                    .map(|d| {
-                        let len = d.units();
-                        (ev.insn.off, insns[payload_pc..payload_pc + len].to_vec())
-                    })
+        // live body the instruction was fetched from when it is recorded.
+        frame.tree.observe_with(ev.dex_pc, ev.units, || {
+            if !matches!(
+                ev.insn.op,
+                dexlego_dalvik::Opcode::PackedSwitch
+                    | dexlego_dalvik::Opcode::SparseSwitch
+                    | dexlego_dalvik::Opcode::FillArrayData
+            ) {
+                return None;
             }
-            _ => None,
-        };
-        frame.tree.observe(ev.dex_pc, ev.units, payload);
+            let MethodImpl::Bytecode { insns, .. } = &rt.method(ev.method).body else {
+                return None;
+            };
+            let payload_pc = ev.insn.target(ev.dex_pc) as usize;
+            dexlego_dalvik::decode_insn(insns, payload_pc)
+                .ok()
+                .map(|d| (ev.insn.off, &insns[payload_pc..payload_pc + d.units()]))
+        });
     }
 
     fn on_reflective_call(

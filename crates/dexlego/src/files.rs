@@ -7,7 +7,7 @@
 //! Table VI "dump file size" metric is measurable. Static values live on
 //! their [`FieldRecord`]s and bytecode trees on their [`MethodRecord`]s.
 
-use crate::collect::tree::{CollectedInsn, CollectionTree, TreeNode};
+use crate::collect::tree::CollectionTree;
 use crate::{DexLegoError, Result};
 
 /// Identity of a method: declaring class descriptor, name, and descriptor.
@@ -317,19 +317,13 @@ impl CollectionFiles {
                     w.u32(node.il.len() as u32);
                     for ins in &node.il {
                         w.u32(ins.dex_pc);
-                        w.u32(ins.units.len() as u32);
-                        for &u in &ins.units {
-                            w.u16(u);
-                        }
-                        match &ins.payload {
+                        w.units(tree.units(ins));
+                        match tree.payload(ins) {
                             None => w.u8(0),
                             Some((off, units)) => {
                                 w.u8(1);
-                                w.u32(*off as u32);
-                                w.u32(units.len() as u32);
-                                for &u in units {
-                                    w.u16(u);
-                                }
+                                w.u32(off as u32);
+                                w.units(units);
                             }
                         }
                     }
@@ -465,68 +459,36 @@ impl CollectionFiles {
                 });
             }
             let n_trees = r.u32()?;
-            let mut trees = Vec::with_capacity(n_trees as usize);
+            let mut trees = Vec::new();
+            // Units of the entry being read, reused across entries.
+            let (mut units, mut payload) = (Vec::new(), Vec::new());
             for _ in 0..n_trees {
-                let n_nodes = r.u32()?;
-                let mut nodes = Vec::with_capacity(n_nodes as usize);
-                for _ in 0..n_nodes {
+                let mut tree = CollectionTree::empty();
+                for _ in 0..r.u32()? {
                     let sm_start = r.u32()?;
                     let sm_end = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-                    let parent_raw = r.u32()?;
-                    let parent = if parent_raw == u32::MAX {
-                        None
-                    } else {
-                        Some(parent_raw as usize)
+                    let parent = match r.u32()? {
+                        u32::MAX => None,
+                        p => Some(p as usize),
                     };
-                    let n_il = r.u32()?;
-                    let mut il = Vec::with_capacity(n_il as usize);
-                    for _ in 0..n_il {
+                    tree.push_node(sm_start, sm_end, parent);
+                    for _ in 0..r.u32()? {
                         let dex_pc = r.u32()?;
-                        let n_units = r.u32()?;
-                        let mut units = Vec::with_capacity(n_units as usize);
-                        for _ in 0..n_units {
-                            units.push(r.u16()?);
-                        }
-                        let payload = if r.u8()? != 0 {
+                        r.units(&mut units)?;
+                        let off = if r.u8()? != 0 {
                             let off = r.u32()? as i32;
-                            let n = r.u32()?;
-                            let mut p = Vec::with_capacity(n as usize);
-                            for _ in 0..n {
-                                p.push(r.u16()?);
-                            }
-                            Some((off, p))
+                            r.units(&mut payload)?;
+                            Some(off)
                         } else {
                             None
                         };
-                        il.push(CollectedInsn {
-                            dex_pc,
-                            units,
-                            payload,
-                        });
+                        tree.push_entry(dex_pc, &units, off.map(|off| (off, &payload[..])))
+                            .map_err(|e| DexLegoError::Codec(e.into()))?;
                     }
-                    nodes.push(TreeNode {
-                        iim: il
-                            .iter()
-                            .enumerate()
-                            .map(|(i, ins)| (ins.dex_pc, i))
-                            .collect(),
-                        il,
-                        sm_start,
-                        sm_end,
-                        parent,
-                        children: Vec::new(),
-                    });
                 }
-                // Rebuild child links from parent pointers.
-                let child_links: Vec<(usize, usize)> = nodes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, n)| n.parent.map(|p| (p, i)))
-                    .collect();
-                for (p, c) in child_links {
-                    nodes[p].children.push(c);
-                }
-                trees.push(CollectionTree::from_nodes(nodes)?);
+                tree.link_children()
+                    .map_err(|e| DexLegoError::Codec(e.into()))?;
+                trees.push(tree);
             }
             files.methods.push(MethodRecord {
                 key,
@@ -570,27 +532,6 @@ impl CollectionFiles {
     }
 }
 
-impl CollectionTree {
-    /// Rebuilds a tree from deserialised nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DexLegoError::Codec`] if the node list is empty or parent
-    /// links are out of range.
-    pub fn from_nodes(nodes: Vec<TreeNode>) -> Result<CollectionTree> {
-        if nodes.is_empty() {
-            return Err(DexLegoError::Codec("tree with no nodes".into()));
-        }
-        let len = nodes.len();
-        if nodes.iter().any(|n| n.parent.is_some_and(|p| p >= len)) {
-            return Err(DexLegoError::Codec("tree parent out of range".into()));
-        }
-        let mut tree = CollectionTree::new();
-        tree.replace_nodes(nodes);
-        Ok(tree)
-    }
-}
-
 #[derive(Default)]
 struct Writer {
     out: Vec<u8>,
@@ -611,6 +552,12 @@ impl Writer {
     }
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
+    }
+    fn units(&mut self, units: &[u16]) {
+        self.u32(units.len() as u32);
+        for &u in units {
+            self.u16(u);
+        }
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
@@ -645,10 +592,6 @@ impl Reader<'_> {
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
     fn u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -656,6 +599,22 @@ impl Reader<'_> {
     fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("length checked")))
+    }
+    /// Reads a length-prefixed unit array into `out`, replacing its
+    /// contents.
+    fn units(&mut self, out: &mut Vec<u16>) -> Result<()> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(
+            n.checked_mul(2)
+                .ok_or_else(|| DexLegoError::Codec("truncated".into()))?,
+        )?;
+        out.clear();
+        out.extend(
+            bytes
+                .chunks_exact(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]])),
+        );
+        Ok(())
     }
     fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
@@ -678,7 +637,7 @@ mod tests {
     fn sample_files() -> CollectionFiles {
         let mut tree = CollectionTree::new();
         tree.observe(0, &[0x0012], None);
-        tree.observe(1, &[0x1234, 0x5678], Some((4, vec![0x0100, 0x0001])));
+        tree.observe(1, &[0x1234, 0x5678], Some((4, &[0x0100, 0x0001])));
         tree.observe(0, &[0x9912], None); // divergence
         CollectionFiles {
             classes: vec![ClassRecord {
@@ -776,6 +735,63 @@ mod tests {
                 "prefix of {cut} bytes should fail"
             );
         }
+    }
+
+    /// The bytes of `sample_files` with its one method's trees replaced by
+    /// one hand-written tree, `nodes` as (parent, IL pcs) pairs; every
+    /// entry is a `return-void`.
+    fn with_tree(nodes: &[(Option<u32>, &[u32])]) -> Vec<u8> {
+        let mut files = sample_files();
+        files.methods[0].trees.clear();
+        files.reflection_sites.clear();
+        let mut bytes = files.to_bytes();
+        // The file ends with the method's tree count and the site count.
+        let tail = bytes.split_off(bytes.len() - 8);
+        assert_eq!(tail, [0; 8]);
+        let mut w = Writer { out: bytes };
+        w.u32(1);
+        w.u32(nodes.len() as u32);
+        for &(parent, pcs) in nodes {
+            w.u32(0);
+            w.u8(0);
+            w.u32(parent.unwrap_or(u32::MAX));
+            w.u32(pcs.len() as u32);
+            for &pc in pcs {
+                w.u32(pc);
+                w.units(&[0x000e]);
+                w.u8(0);
+            }
+        }
+        w.u32(0);
+        w.out
+    }
+
+    #[test]
+    fn malformed_trees_rejected() {
+        let tree = |bytes: Vec<u8>| CollectionFiles::from_bytes(&bytes).map(|f| f.total_insns());
+        assert_eq!(
+            tree(with_tree(&[(None, &[0]), (Some(0), &[1])])).unwrap(),
+            2
+        );
+        for (what, nodes) in [
+            (
+                "parent out of range",
+                &[(None, &[0][..]), (Some(5), &[1][..])][..],
+            ),
+            ("root with a parent", &[(Some(0), &[0][..])][..]),
+            ("one pc twice", &[(None, &[0, 0][..])][..]),
+            ("no nodes", &[][..]),
+        ] {
+            assert!(
+                matches!(tree(with_tree(nodes)), Err(DexLegoError::Codec(_))),
+                "{what}"
+            );
+        }
+        // A unit count past the input's end fails before allocating.
+        let mut bytes = with_tree(&[(None, &[0])]);
+        let count = bytes.len() - 4 - 2 - 1 - 4;
+        bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(tree(bytes), Err(DexLegoError::Codec(_))));
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
         for tree in &record.trees {
             for node in tree.nodes() {
                 for ins in &node.il {
-                    let op = (ins.units[0] & 0xff) as u8;
+                    let op = (tree.units(ins)[0] & 0xff) as u8;
                     if !reassembled[usize::from(op)]
                         && dexlego_dalvik::Opcode::from_u8(op).is_some()
                     {

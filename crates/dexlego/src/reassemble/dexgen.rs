@@ -10,7 +10,7 @@ use dexlego_dex::{AccessFlags, ClassDef, CodeItem, DexFile};
 
 use crate::files::{CollectedValue, CollectionFiles, MethodRecord};
 use crate::metrics::PipelineMetrics;
-use crate::reassemble::tree_merge::{merge_tree, MergeInput};
+use crate::reassemble::tree_merge::{merge_tree, MergeInput, PoolRemap};
 use crate::{DexLegoError, Result, INSTRUMENT_CLASS};
 
 /// Allocator for the instrument class's guard fields.
@@ -130,6 +130,16 @@ pub fn reassemble_with_metrics(
             .insert(site.dex_pc, site.targets.clone());
     }
     let empty_reflection: HashMap<u32, Vec<crate::files::ReflectionTarget>> = HashMap::new();
+    // Collected methods by declaring class, in collection order.
+    let mut methods_by_class: HashMap<&str, Vec<&MethodRecord>> = HashMap::new();
+    for record in &files.methods {
+        methods_by_class
+            .entry(&record.key.class)
+            .or_default()
+            .push(record);
+    }
+    // One remap table per collected pool, shared by all of its trees.
+    let mut remaps: Vec<PoolRemap> = files.pools.iter().map(PoolRemap::new).collect();
 
     for class_i in chosen_order {
         let class = &files.classes[class_i];
@@ -192,17 +202,18 @@ pub fn reassemble_with_metrics(
 
         // Methods of this class from the chosen source.
         let mut encoded_methods: Vec<(bool, EncodedMethod)> = Vec::new();
-        for record in files.methods.iter().filter(|m| {
-            m.key.class == class.descriptor
-                && files
-                    .pools
-                    .get(m.pool as usize)
-                    .is_some_and(|p| p.source == class.source)
+        let class_methods = methods_by_class.get(class.descriptor.as_str());
+        for &record in class_methods.into_iter().flatten().filter(|m| {
+            files
+                .pools
+                .get(m.pool as usize)
+                .is_some_and(|p| p.source == class.source)
         }) {
             let pool = files
                 .pools
                 .get(record.pool as usize)
                 .ok_or_else(|| DexLegoError::Reassembly("method pool out of range".into()))?;
+            let remap = &mut remaps[record.pool as usize];
             let method_reflection = reflection.get(&record.key).unwrap_or(&empty_reflection);
 
             // Merge each unique tree, dedup resulting arrays.
@@ -212,6 +223,7 @@ pub fn reassemble_with_metrics(
                 let body = merge_tree(
                     &mut dex,
                     &mut guards,
+                    remap,
                     &MergeInput {
                         record,
                         tree,

@@ -6,7 +6,7 @@ pub mod tree_merge;
 pub use dexgen::{
     gate_verified, reassemble, reassemble_verified, reassemble_with_metrics, GuardAlloc,
 };
-pub use tree_merge::merge_tree;
+pub use tree_merge::{merge_tree, PoolRemap};
 
 use crate::{DexLegoError, Result};
 

@@ -14,14 +14,35 @@
 //! from the source DEX's pools into the output [`DexFile`], and reflective
 //! `Method.invoke` call sites are replaced by direct calls to their
 //! recorded targets.
+//!
+//! # Index-addressed merge
+//!
+//! The merge reads the tree in place and allocates nothing per
+//! instruction:
+//!
+//! * **Labels.** Each tree takes one block of assembler labels, one per IL
+//!   entry. A node's entries, sorted by `dex_pc`, take consecutive labels
+//!   from the node's base, so the label of (node, pc) is the base plus the
+//!   entry's position in the node's pc-sorted IL, found by binary search.
+//! * **Scopes.** A branch target resolves to the innermost node on the path
+//!   from the root that recorded the target pc. The walk keeps a per-pc
+//!   scope table: entering a node pushes its labels, leaving it pops them,
+//!   so each lookup is one hash probe however deep the divergence nesting.
+//!   The walk itself runs on an explicit stack, so nesting depth is bounded
+//!   by memory, not by the thread's stack.
+//! * **Pool remap.** One [`PoolRemap`] per collected pool, shared by every
+//!   tree merged from it, maps each pool index to its output-DEX index the
+//!   first time an instruction references it; later references are one
+//!   array read instead of a descriptor parse and an intern.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use dexlego_dalvik::asm::Label;
-use dexlego_dalvik::{decode_insn, Decoded, Insn, MethodAssembler, Opcode};
+use dexlego_dalvik::{decode_insn, Decoded, IndexKind, Insn, MethodAssembler, Opcode};
 use dexlego_dex::{CodeItem, DexFile};
 
-use crate::collect::tree::{CollectedInsn, CollectionTree, NodeId};
+use crate::collect::tree::{CollectedInsn, CollectionTree, NodeId, PcMap};
 use crate::files::{MethodRecord, PoolRecord, ReflectionTarget};
 use crate::reassemble::dexgen::GuardAlloc;
 use crate::reassemble::parse_descriptor;
@@ -39,17 +60,104 @@ pub struct MergeInput<'a> {
     pub reflection: &'a HashMap<u32, Vec<ReflectionTarget>>,
 }
 
+/// Output-DEX indices of one collected pool's entries, filled as
+/// instructions first reference them.
+#[derive(Debug)]
+pub struct PoolRemap {
+    strings: Vec<u32>,
+    types: Vec<u32>,
+    fields: Vec<u32>,
+    methods: Vec<u32>,
+}
+
+/// A pool entry not interned into the output yet.
+const UNMAPPED: u32 = u32::MAX;
+
+impl PoolRemap {
+    /// An empty remap table sized for `pool`.
+    pub fn new(pool: &PoolRecord) -> PoolRemap {
+        PoolRemap {
+            strings: vec![UNMAPPED; pool.strings.len()],
+            types: vec![UNMAPPED; pool.types.len()],
+            fields: vec![UNMAPPED; pool.fields.len()],
+            methods: vec![UNMAPPED; pool.methods.len()],
+        }
+    }
+}
+
+/// Where each node's IL sits in the tree's label block.
+struct Layout {
+    /// The tree's first label.
+    first: Label,
+    /// `(dex_pc, IL index)` of every node's entries, each node's run
+    /// sorted by `dex_pc`; entry `k` carries label `first + k`.
+    sorted: Vec<(u32, u32)>,
+    /// Node `n`'s run is `starts[n]..starts[n + 1]`.
+    starts: Vec<u32>,
+}
+
+impl Layout {
+    fn new(tree: &CollectionTree, asm: &mut MethodAssembler) -> Layout {
+        let mut sorted = Vec::with_capacity(tree.total_insns());
+        let mut starts = Vec::with_capacity(tree.node_count() + 1);
+        for node in tree.nodes() {
+            let start = sorted.len();
+            starts.push(start as u32);
+            sorted.extend(
+                node.il
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e.dex_pc, i as u32)),
+            );
+            // A node records each pc once (the codec rejects repeats).
+            sorted[start..].sort_unstable();
+        }
+        starts.push(sorted.len() as u32);
+        Layout {
+            first: asm.new_labels(sorted.len() as u32),
+            sorted,
+            starts,
+        }
+    }
+
+    /// Positions of node `node`'s entries in [`Self::sorted`].
+    fn run(&self, node: NodeId) -> Range<usize> {
+        self.starts[node] as usize..self.starts[node + 1] as usize
+    }
+
+    /// The label of position `k` in [`Self::sorted`].
+    fn label(&self, k: usize) -> Label {
+        self.first + k as u32
+    }
+
+    /// The label of `node`'s entry at `dex_pc`, if the node recorded it.
+    fn label_of(&self, node: NodeId, dex_pc: u32) -> Option<Label> {
+        let run = self.run(node);
+        let start = run.start;
+        self.sorted[run]
+            .binary_search_by_key(&dex_pc, |e| e.0)
+            .ok()
+            .map(|i| self.label(start + i))
+    }
+}
+
 struct Emitter<'d, 'i> {
     dex: &'d mut DexFile,
     guards: &'d mut GuardAlloc,
+    remap: &'d mut PoolRemap,
     asm: MethodAssembler,
-    labels: HashMap<(NodeId, u32), Label>,
+    layout: Layout,
+    /// Innermost label per `dex_pc` among the nodes on the walk's path.
+    scope: PcMap<Label>,
+    /// What entering nodes overwrote in [`Self::scope`], restored on leave.
+    shadowed: Vec<(u32, Option<Label>)>,
     trap: Option<Label>,
     guard_reg: u32,
     input: &'i MergeInput<'i>,
 }
 
-/// Merges `input.tree` into a [`CodeItem`].
+/// Merges `input.tree` into a [`CodeItem`], interning pool entries through
+/// `remap`, the table of `input.pool`.
 ///
 /// The produced code has one extra register (the guard/scratch register) and
 /// a prologue that moves the argument registers down to their original
@@ -59,11 +167,12 @@ struct Emitter<'d, 'i> {
 /// # Errors
 ///
 /// Returns [`DexLegoError::Reassembly`] for structurally impossible input
-/// (e.g. a method already using 256 registers) and propagates
-/// encode/decode failures.
+/// (e.g. a method already using 256 registers, or a divergence branch with
+/// no entry at the pc it forks at) and propagates encode/decode failures.
 pub fn merge_tree(
     dex: &mut DexFile,
     guards: &mut GuardAlloc,
+    remap: &mut PoolRemap,
     input: &MergeInput<'_>,
 ) -> Result<CodeItem> {
     let old_registers = u32::from(input.record.registers);
@@ -75,41 +184,41 @@ pub fn merge_tree(
         )));
     }
 
+    let tree = input.tree;
+    let mut asm = MethodAssembler::new();
+    let layout = Layout::new(tree, &mut asm);
+    let mut scope = PcMap::default();
+    scope.reserve(tree.node(tree.root()).il.len());
     let mut emitter = Emitter {
         dex,
         guards,
-        asm: MethodAssembler::new(),
-        labels: HashMap::new(),
+        remap,
+        asm,
+        layout,
+        scope,
+        shadowed: Vec::new(),
         trap: None,
         guard_reg,
         input,
     };
 
-    // Pre-create a label for every collected (node, dex_pc).
-    for (node_id, node) in input.tree.nodes().iter().enumerate() {
-        for ins in &node.il {
-            let label = emitter.asm.new_label();
-            emitter.labels.insert((node_id, ins.dex_pc), label);
-        }
-    }
-
     emitter.emit_prologue();
-    emitter.emit_node(input.tree.root(), &[input.tree.root()])?;
+    emitter.emit_tree()?;
     // Handlers that were never executed are retargeted to the trap block;
     // make sure it exists before assembly when any try region survives.
-    let mut root_pcs: Vec<u32> = input.tree.node(0).il.iter().map(|i| i.dex_pc).collect();
-    root_pcs.sort_unstable();
+    let root_run = &emitter.layout.sorted[emitter.layout.run(tree.root())];
+    let root_has = |pc: u32| root_run.binary_search_by_key(&pc, |e| e.0).is_ok();
     let needs_trap_handler = input.record.tries.iter().any(|t| {
         // The first root pc at or past the range start decides coverage.
-        let covered = root_pcs
-            .get(root_pcs.partition_point(|&pc| pc < t.start))
-            .is_some_and(|&pc| t.covers(pc));
+        let covered = root_run
+            .get(root_run.partition_point(|e| e.0 < t.start))
+            .is_some_and(|e| t.covers(e.0));
         let unresolved_handler = t
             .catches
             .iter()
             .map(|(_, pc)| *pc)
             .chain(t.catch_all)
-            .any(|pc| root_pcs.binary_search(&pc).is_err());
+            .any(|pc| !root_has(pc));
         covered && unresolved_handler
     });
     if needs_trap_handler {
@@ -126,24 +235,19 @@ pub fn merge_tree(
     // ---- try/catch remapping (paper: the reassembled DEX keeps the
     // method's exception structure; clauses whose handlers were never
     // executed point at the trap block) -----------------------------------
-    let addr_of = |pc: u32| -> Option<u32> {
-        emitter
-            .labels
-            .get(&(0, pc))
-            .and_then(|l| labels.get(l))
-            .copied()
-    };
-    let trap_addr = trap.and_then(|l| labels.get(&l)).copied();
+    let address = |label: Label| labels.get(label as usize).copied().flatten();
+    let addr_of = |pc: u32| emitter.layout.label_of(tree.root(), pc).and_then(address);
+    let trap_addr = trap.and_then(address);
     let mut tries = Vec::new();
     let mut handlers = Vec::new();
     for record_try in &input.record.tries {
         // New range: the span of collected instructions inside the old one.
         let mut lo: Option<u32> = None;
         let mut hi: Option<u32> = None;
-        for ins in &input.tree.node(0).il {
+        for ins in &tree.node(tree.root()).il {
             if record_try.covers(ins.dex_pc) {
                 if let Some(addr) = addr_of(ins.dex_pc) {
-                    let end = addr + ins.units.len() as u32;
+                    let end = addr + tree.units(ins).len() as u32;
                     lo = Some(lo.map_or(addr, |v: u32| v.min(addr)));
                     hi = Some(hi.map_or(end, |v: u32| v.max(end)));
                 }
@@ -234,72 +338,140 @@ impl Emitter<'_, '_> {
         }
     }
 
-    fn emit_node(&mut self, node_id: NodeId, chain: &[NodeId]) -> Result<()> {
-        let node = self.input.tree.node(node_id).clone();
-        let mut entries: Vec<&CollectedInsn> = node.il.iter().collect();
-        entries.sort_by_key(|e| e.dex_pc);
+    /// Emits every node reachable from the root, depth first: a node's
+    /// body, then each child's block followed by its convergence jump.
+    fn emit_tree(&mut self) -> Result<()> {
+        let tree = self.input.tree;
+        // (node, next child to emit, scope mark to restore on leaving)
+        let mut stack: Vec<(NodeId, usize, usize)> = Vec::new();
+        let mark = self.enter(tree.root());
+        stack.push((tree.root(), 0, mark));
+        self.emit_body(tree.root())?;
+        while let Some(top) = stack.last_mut() {
+            let (node, next) = (top.0, top.1);
+            if let Some(&child) = tree.node(node).children.get(next) {
+                top.1 += 1;
+                let mark = self.enter(child);
+                stack.push((child, 0, mark));
+                self.emit_body(child)?;
+            } else {
+                let (_, _, mark) = stack.pop().expect("stack is not empty");
+                self.leave(mark);
+                if !stack.is_empty() {
+                    // Resolved in the parent's scope, restored just above.
+                    self.emit_convergence(node)?;
+                }
+            }
+        }
+        Ok(())
+    }
 
-        for (i, entry) in entries.iter().enumerate() {
-            let label = self.labels[&(node_id, entry.dex_pc)];
-            self.asm.bind(label);
+    /// Brings `node`'s labels into scope; returns the mark [`Self::leave`]
+    /// restores to.
+    fn enter(&mut self, node: NodeId) -> usize {
+        let mark = self.shadowed.len();
+        for k in self.layout.run(node) {
+            let pc = self.layout.sorted[k].0;
+            let old = self.scope.insert(pc, self.layout.label(k));
+            self.shadowed.push((pc, old));
+        }
+        mark
+    }
+
+    /// Takes the labels entered since `mark` out of scope again.
+    fn leave(&mut self, mark: usize) {
+        while self.shadowed.len() > mark {
+            let (pc, old) = self.shadowed.pop().expect("above the mark");
+            match old {
+                Some(label) => self.scope.insert(pc, label),
+                None => self.scope.remove(&pc),
+            };
+        }
+    }
+
+    /// Lays out `node`'s entries in `dex_pc` order, with a divergence guard
+    /// before each entry a child forks at.
+    fn emit_body(&mut self, node_id: NodeId) -> Result<()> {
+        let tree = self.input.tree;
+        let node = tree.node(node_id);
+        // Children by the pc they fork at; creation order within a pc.
+        let mut forks: Vec<(u32, NodeId)> = node
+            .children
+            .iter()
+            .map(|&c| (tree.node(c).sm_start, c))
+            .collect();
+        forks.sort_by_key(|f| f.0);
+        let mut forks = forks.into_iter().peekable();
+        let run = self.layout.run(node_id);
+        for k in run.clone() {
+            let (dex_pc, il_index) = self.layout.sorted[k];
+            let entry = &node.il[il_index as usize];
+            self.asm.bind(self.layout.label(k));
 
             // Divergence guards: one per child forking at this dex_pc
             // (paper Code 4: `if (Modification.guard) { baseline } else
             // { divergent }` — here the taken edge is the divergent block).
-            for &child in &node.children {
-                if self.input.tree.node(child).sm_start == entry.dex_pc {
-                    let field = self.guards.next_field(self.dex);
-                    let mut sget = Insn::of(Opcode::SgetBoolean);
-                    sget.a = self.guard_reg;
-                    sget.idx = field;
-                    self.asm.push(sget);
-                    let child_entry = self.labels[&(child, entry.dex_pc)];
-                    self.asm.if_z(Opcode::IfNez, self.guard_reg, child_entry);
-                }
+            while forks.next_if(|f| f.0 < dex_pc).is_some() {}
+            while let Some((_, child)) = forks.next_if(|f| f.0 == dex_pc) {
+                let child_entry = self.layout.label_of(child, dex_pc).ok_or_else(|| {
+                    DexLegoError::Reassembly(format!(
+                        "{}: divergence branch has no entry at its start {dex_pc}",
+                        self.input.record.key
+                    ))
+                })?;
+                let field = self.guards.next_field(self.dex);
+                let mut sget = Insn::of(Opcode::SgetBoolean);
+                sget.a = self.guard_reg;
+                sget.idx = field;
+                self.asm.push(sget);
+                self.asm.if_z(Opcode::IfNez, self.guard_reg, child_entry);
             }
 
             let insn = self.decode_entry(entry)?;
             let op = insn.op;
-            self.emit_insn(entry, insn, chain)?;
+            self.emit_insn(entry, insn)?;
 
             // Preserve fall-through: if the next collected instruction in
             // layout order is not the physical successor, redirect.
             if !op.is_terminator() {
                 let fall_through = entry.dex_pc + op.format().units() as u32;
                 let next_is_contiguous =
-                    entries.get(i + 1).is_some_and(|n| n.dex_pc == fall_through);
+                    k + 1 < run.end && self.layout.sorted[k + 1].0 == fall_through;
                 if !next_is_contiguous {
-                    let target = self.resolve_or_trap(fall_through, chain);
+                    let target = self.resolve_or_trap(fall_through);
                     self.asm.goto(target);
                 }
-            }
-        }
-
-        // Child divergence blocks, after the parent's body.
-        for &child in &node.children {
-            let mut child_chain = vec![child];
-            child_chain.extend_from_slice(chain);
-            self.emit_node(child, &child_chain)?;
-            // Convergence: jump back into the parent flow.
-            let child_node = self.input.tree.node(child);
-            let last = child_node.il.iter().max_by_key(|e| e.dex_pc);
-            let ends_with_terminator = last
-                .and_then(|e| decode_insn(&e.units, 0).ok())
-                .and_then(|d| d.as_insn().map(|i| i.op.is_terminator()))
-                .unwrap_or(false);
-            if !ends_with_terminator {
-                let target = match child_node.sm_end {
-                    Some(end) => self.resolve_or_trap(end, chain),
-                    None => self.trap_label(),
-                };
-                self.asm.goto(target);
             }
         }
         Ok(())
     }
 
+    /// After a child's block: jump back into the parent flow where the
+    /// branch converged, unless its last instruction ends the path.
+    fn emit_convergence(&mut self, child: NodeId) -> Result<()> {
+        let tree = self.input.tree;
+        let child_node = tree.node(child);
+        let last = self
+            .layout
+            .run(child)
+            .last()
+            .map(|k| &child_node.il[self.layout.sorted[k].1 as usize]);
+        let ends_with_terminator = last
+            .and_then(|e| decode_insn(tree.units(e), 0).ok())
+            .and_then(|d| d.as_insn().map(|i| i.op.is_terminator()))
+            .unwrap_or(false);
+        if !ends_with_terminator {
+            let target = match child_node.sm_end {
+                Some(end) => self.resolve_or_trap(end),
+                None => self.trap_label(),
+            };
+            self.asm.goto(target);
+        }
+        Ok(())
+    }
+
     fn decode_entry(&self, entry: &CollectedInsn) -> Result<Insn> {
-        match decode_insn(&entry.units, 0).map_err(DexLegoError::Dalvik)? {
+        match decode_insn(self.input.tree.units(entry), 0).map_err(DexLegoError::Dalvik)? {
             Decoded::Insn(insn) => Ok(insn),
             _ => Err(DexLegoError::Reassembly(format!(
                 "{}: collected payload at dex_pc {}",
@@ -308,7 +480,7 @@ impl Emitter<'_, '_> {
         }
     }
 
-    fn emit_insn(&mut self, entry: &CollectedInsn, mut insn: Insn, chain: &[NodeId]) -> Result<()> {
+    fn emit_insn(&mut self, entry: &CollectedInsn, mut insn: Insn) -> Result<()> {
         // Reflection replacement (paper §IV-D): a recorded Method.invoke
         // call site becomes direct call(s) to the resolved target(s).
         if insn.op.is_invoke() && insn.regs.len() >= 3 {
@@ -325,15 +497,15 @@ impl Emitter<'_, '_> {
 
         match insn.op {
             Opcode::Goto | Opcode::Goto16 | Opcode::Goto32 => {
-                let target = self.resolve_or_trap(insn.target(entry.dex_pc), chain);
+                let target = self.resolve_or_trap(insn.target(entry.dex_pc));
                 self.asm.goto(target);
             }
             op if op.is_conditional_branch() => {
-                let target = self.resolve_or_trap(insn.target(entry.dex_pc), chain);
+                let target = self.resolve_or_trap(insn.target(entry.dex_pc));
                 self.asm.branch(insn, target);
             }
             Opcode::PackedSwitch | Opcode::SparseSwitch | Opcode::FillArrayData => {
-                self.emit_payload_insn(entry, &insn, chain)?;
+                self.emit_payload_insn(entry, &insn)?;
             }
             _ => {
                 self.asm.push(insn);
@@ -342,13 +514,8 @@ impl Emitter<'_, '_> {
         Ok(())
     }
 
-    fn emit_payload_insn(
-        &mut self,
-        entry: &CollectedInsn,
-        insn: &Insn,
-        chain: &[NodeId],
-    ) -> Result<()> {
-        let Some((_, payload_units)) = &entry.payload else {
+    fn emit_payload_insn(&mut self, entry: &CollectedInsn, insn: &Insn) -> Result<()> {
+        let Some((_, payload_units)) = self.input.tree.payload(entry) else {
             return Err(DexLegoError::Reassembly(format!(
                 "{}: {} at dex_pc {} has no captured payload",
                 self.input.record.key,
@@ -360,14 +527,14 @@ impl Emitter<'_, '_> {
             Decoded::PackedSwitchPayload { first_key, targets } => {
                 let labels: Vec<Label> = targets
                     .iter()
-                    .map(|&rel| self.resolve_or_trap(entry.dex_pc.wrapping_add(rel as u32), chain))
+                    .map(|&rel| self.resolve_or_trap(entry.dex_pc.wrapping_add(rel as u32)))
                     .collect();
                 self.asm.packed_switch(insn.a, first_key, labels);
             }
             Decoded::SparseSwitchPayload { keys, targets } => {
                 let labels: Vec<Label> = targets
                     .iter()
-                    .map(|&rel| self.resolve_or_trap(entry.dex_pc.wrapping_add(rel as u32), chain))
+                    .map(|&rel| self.resolve_or_trap(entry.dex_pc.wrapping_add(rel as u32)))
                     .collect();
                 self.asm.sparse_switch(insn.a, keys, labels);
             }
@@ -453,62 +620,50 @@ impl Emitter<'_, '_> {
         Ok(())
     }
 
+    /// The output-DEX index for `insn`'s pool index, interned on the pool
+    /// entry's first reference.
     fn remap_index(&mut self, insn: &Insn) -> Result<u32> {
-        use dexlego_dalvik::IndexKind;
         let missing = |what: &str, idx: u32| {
             DexLegoError::Reassembly(format!("{what} index {idx} missing from collected pool"))
         };
-        Ok(match insn.op.index_kind() {
-            IndexKind::None => insn.idx,
-            IndexKind::String => {
-                let s = self
-                    .input
-                    .pool
-                    .strings
-                    .get(insn.idx as usize)
-                    .ok_or_else(|| missing("string", insn.idx))?;
-                self.dex.intern_string(s)
-            }
-            IndexKind::Type => {
-                let t = self
-                    .input
-                    .pool
-                    .types
-                    .get(insn.idx as usize)
-                    .ok_or_else(|| missing("type", insn.idx))?;
-                self.dex.intern_type(t)
-            }
+        let pool = self.input.pool;
+        let idx = insn.idx as usize;
+        let (slot, what) = match insn.op.index_kind() {
+            IndexKind::None => return Ok(insn.idx),
+            IndexKind::String => (self.remap.strings.get_mut(idx), "string"),
+            IndexKind::Type => (self.remap.types.get_mut(idx), "type"),
+            IndexKind::Field => (self.remap.fields.get_mut(idx), "field"),
+            IndexKind::Method => (self.remap.methods.get_mut(idx), "method"),
+        };
+        let slot = slot.ok_or_else(|| missing(what, insn.idx))?;
+        if *slot != UNMAPPED {
+            return Ok(*slot);
+        }
+        *slot = match insn.op.index_kind() {
+            IndexKind::None => unreachable!("returned above"),
+            IndexKind::String => self.dex.intern_string(&pool.strings[idx]),
+            IndexKind::Type => self.dex.intern_type(&pool.types[idx]),
             IndexKind::Field => {
-                let (class, name, type_desc) = self
-                    .input
-                    .pool
-                    .fields
-                    .get(insn.idx as usize)
-                    .ok_or_else(|| missing("field", insn.idx))?;
+                let (class, name, type_desc) = &pool.fields[idx];
                 self.dex.intern_field(class, type_desc, name)
             }
             IndexKind::Method => {
-                let (class, name, descriptor) = self
-                    .input
-                    .pool
-                    .methods
-                    .get(insn.idx as usize)
-                    .cloned()
-                    .ok_or_else(|| missing("method", insn.idx))?;
-                let (params, ret) = parse_descriptor(&descriptor)?;
+                let (class, name, descriptor) = &pool.methods[idx];
+                let (params, ret) = parse_descriptor(descriptor)?;
                 let param_refs: Vec<&str> = params.iter().map(String::as_str).collect();
-                self.dex.intern_method(&class, &name, &ret, &param_refs)
+                self.dex.intern_method(class, name, &ret, &param_refs)
             }
-        })
+        };
+        Ok(*slot)
     }
 
-    fn resolve_or_trap(&mut self, dex_pc: u32, chain: &[NodeId]) -> Label {
-        for &node in chain {
-            if let Some(&label) = self.labels.get(&(node, dex_pc)) {
-                return label;
-            }
+    /// The label `dex_pc` resolves to in the current scope, or the trap
+    /// block when no node on the path recorded it.
+    fn resolve_or_trap(&mut self, dex_pc: u32) -> Label {
+        match self.scope.get(&dex_pc) {
+            Some(&label) => label,
+            None => self.trap_label(),
         }
-        self.trap_label()
     }
 
     fn trap_label(&mut self) -> Label {

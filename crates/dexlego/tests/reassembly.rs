@@ -639,3 +639,80 @@ fn stringless_reflection_is_revealed() {
         );
     }
 }
+
+/// A method record of `Ldeep/Main;->run()V` whose one tree is `layers`
+/// nested divergence branches: `const/16 v0, #k` rewritten at pc 0 once
+/// per layer, then `return-void` in the innermost branch.
+fn nested_divergence_files(layers: u16) -> dexlego_core::files::CollectionFiles {
+    use dexlego_core::collect::CollectionTree;
+    use dexlego_core::files::{ClassRecord, CollectionFiles, MethodKey, MethodRecord, PoolRecord};
+    let mut tree = CollectionTree::new();
+    for k in 0..layers {
+        tree.observe(0, &[0x0013, k], None);
+    }
+    tree.observe(2, &[0x000e], None);
+    assert_eq!(tree.node_count(), usize::from(layers));
+    let class = "Ldeep/Main;";
+    CollectionFiles {
+        classes: vec![ClassRecord {
+            descriptor: class.into(),
+            superclass: Some("Ljava/lang/Object;".into()),
+            access: 1,
+            source: "app".into(),
+            ..ClassRecord::default()
+        }],
+        methods: vec![MethodRecord {
+            key: MethodKey {
+                class: class.into(),
+                name: "run".into(),
+                descriptor: "()V".into(),
+            },
+            pool: 0,
+            access: 0x9,
+            registers: 1,
+            ins: 0,
+            return_type: "V".into(),
+            params: vec![],
+            tries: vec![],
+            trees: vec![tree],
+        }],
+        pools: vec![PoolRecord {
+            source: "app".into(),
+            ..PoolRecord::default()
+        }],
+        reflection_sites: vec![],
+    }
+}
+
+/// Nesting depth is bounded by memory, not by the thread's stack: 20,000
+/// layers of self-modification at one pc (which the codec accepts)
+/// reassemble on a default-sized test thread, one guard per layer, and
+/// the output verifies with no errors.
+#[test]
+fn deeply_nested_divergence_reassembles_iteratively() {
+    use dexlego_core::files::CollectionFiles;
+    use dexlego_core::reassemble::reassemble_verified;
+    let files = nested_divergence_files(20_000);
+    let files =
+        CollectionFiles::from_bytes(&files.to_bytes()).expect("the codec accepts deep trees");
+    let (dex, _lints) = reassemble_verified(&files).expect("reassembles and verifies");
+    let class = dex.find_class("Ldeep/Main;").expect("class emitted");
+    let run = class
+        .class_data
+        .as_ref()
+        .unwrap()
+        .methods()
+        .next()
+        .expect("run emitted");
+    let decoded = decode_method(&run.code.as_ref().unwrap().insns).unwrap();
+    let count = |op: Opcode| {
+        decoded
+            .iter()
+            .filter(|(_, d)| d.as_insn().is_some_and(|i| i.op == op))
+            .count()
+    };
+    // One guard per divergence branch, every layer's constant, one return.
+    assert_eq!(count(Opcode::SgetBoolean), 19_999);
+    assert_eq!(count(Opcode::Const16), 20_000 + 1); // + the trap block's
+    assert_eq!(count(Opcode::ReturnVoid), 1);
+}

@@ -8,6 +8,7 @@
 //! and canonicalisation may legally shift instruction offsets, and the
 //! conformance claim is about behaviour, not layout.
 
+use dexlego_dalvik::Opcode;
 use dexlego_dex::DexFile;
 use dexlego_runtime::class::{MethodId, SigKey};
 use dexlego_runtime::observer::{InsnEvent, RuntimeObserver};
@@ -54,11 +55,26 @@ impl std::fmt::Display for TraceEvent {
 
 /// An observer that records the conformance-relevant event stream for
 /// methods whose class descriptor starts with `prefix`.
+///
+/// Whether a method is in scope, and its pretty name, are settled on its
+/// first event and kept per `MethodId`; a class's descriptor and a
+/// method's signature never change once linked.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     prefix: String,
     /// The recorded stream, in execution order.
     pub events: Vec<TraceEvent>,
+    /// Per `MethodId`, what [`Self::scoped_name`] found.
+    names: Vec<Scope>,
+}
+
+/// Whether a method is in the recorder's scope, and if so its name.
+#[derive(Debug, Clone, Default)]
+enum Scope {
+    #[default]
+    Unseen,
+    Out,
+    In(String),
 }
 
 impl TraceRecorder {
@@ -67,42 +83,64 @@ impl TraceRecorder {
     pub fn new(prefix: &str) -> TraceRecorder {
         TraceRecorder {
             prefix: prefix.to_owned(),
-            events: Vec::new(),
+            ..TraceRecorder::default()
         }
     }
 
-    fn in_scope(&self, rt: &Runtime, method: MethodId) -> bool {
-        rt.class(rt.method(method).class)
-            .descriptor
-            .starts_with(&self.prefix)
+    /// The pretty name of `method` if it is in scope.
+    fn scoped_name(&mut self, rt: &Runtime, method: MethodId) -> Option<String> {
+        if self.names.len() <= method.0 {
+            self.names.resize(method.0 + 1, Scope::Unseen);
+        }
+        let slot = &mut self.names[method.0];
+        if let Scope::Unseen = slot {
+            let in_scope = rt
+                .class(rt.method(method).class)
+                .descriptor
+                .starts_with(&self.prefix);
+            *slot = if in_scope {
+                Scope::In(rt.method_name(method))
+            } else {
+                Scope::Out
+            };
+        }
+        match slot {
+            Scope::In(name) => Some(name.clone()),
+            _ => None,
+        }
     }
+}
+
+/// Whether `op` writes a field or an array element: the `aput*`, `iput*`
+/// and `sput*` opcode ranges.
+fn is_write(op: Opcode) -> bool {
+    let in_range = |first: Opcode, last: Opcode| (first as u8..=last as u8).contains(&(op as u8));
+    in_range(Opcode::Aput, Opcode::AputShort)
+        || in_range(Opcode::Iput, Opcode::IputShort)
+        || in_range(Opcode::Sput, Opcode::SputShort)
 }
 
 impl RuntimeObserver for TraceRecorder {
     fn on_method_enter(&mut self, rt: &Runtime, method: MethodId) {
-        if self.in_scope(rt, method) {
-            self.events.push(TraceEvent::Enter(rt.method_name(method)));
+        if let Some(name) = self.scoped_name(rt, method) {
+            self.events.push(TraceEvent::Enter(name));
         }
     }
 
     fn on_branch(&mut self, rt: &Runtime, method: MethodId, _dex_pc: u32, taken: bool) {
-        if self.in_scope(rt, method) {
-            self.events.push(TraceEvent::Branch {
-                method: rt.method_name(method),
-                taken,
-            });
+        if let Some(method) = self.scoped_name(rt, method) {
+            self.events.push(TraceEvent::Branch { method, taken });
         }
     }
 
     fn on_instruction(&mut self, rt: &Runtime, event: &InsnEvent<'_>) {
-        let mnemonic = event.insn.op.mnemonic();
-        let is_write = mnemonic.starts_with("iput")
-            || mnemonic.starts_with("sput")
-            || mnemonic.starts_with("aput");
-        if is_write && self.in_scope(rt, event.method) {
+        if !is_write(event.insn.op) {
+            return;
+        }
+        if let Some(method) = self.scoped_name(rt, event.method) {
             self.events.push(TraceEvent::FieldWrite {
-                method: rt.method_name(event.method),
-                mnemonic,
+                method,
+                mnemonic: event.insn.op.mnemonic(),
             });
         }
     }
@@ -240,6 +278,19 @@ mod tests {
     fn package_prefix_strips_class_name() {
         assert_eq!(package_prefix("Lconf/p360/Main;"), "Lconf/p360/");
         assert_eq!(package_prefix("LMain;"), "LMain;");
+    }
+
+    #[test]
+    fn writes_are_classified_by_opcode_as_by_mnemonic() {
+        for byte in 0..=u8::MAX {
+            let Some(op) = Opcode::from_u8(byte) else {
+                continue;
+            };
+            let m = op.mnemonic();
+            let by_mnemonic =
+                m.starts_with("iput") || m.starts_with("sput") || m.starts_with("aput");
+            assert_eq!(is_write(op), by_mnemonic, "{m}");
+        }
     }
 
     #[test]
