@@ -7,17 +7,16 @@
 //! reassembled DEX is written out, [`canonicalize`] produces an equivalent
 //! model with sorted pools, remapping indices in id items, class defs,
 //! static values, catch handlers, **and instruction streams** (which is why
-//! this pass lives here rather than in `dexlego-dex`: it must decode and
-//! re-encode instructions).
+//! this pass lives here rather than in `dexlego-dex`: it must know each
+//! instruction's format). Index operands are patched in place in the one
+//! copy of each class, without decoding a method into instruction values.
 
 use dexlego_dex::value::EncodedValue;
 use dexlego_dex::{ClassDef, CodeItem, DexFile};
 
-use crate::decode::decode_method;
-use crate::encode::encode_decoded;
-use crate::insn::Decoded;
-use crate::opcode::IndexKind;
-use crate::Result;
+use crate::decode::insn_units;
+use crate::opcode::{Format, IndexKind, Opcode};
+use crate::{DalvikError, Result};
 
 /// Index remapping tables produced by sorting the pools.
 #[derive(Debug, Default)]
@@ -174,20 +173,17 @@ fn invert(order: &[usize]) -> Vec<u32> {
 }
 
 fn remap_class(class: &ClassDef, remap: &Remap) -> Result<ClassDef> {
+    // The one copy; every index below is rewritten in it.
     let mut out = class.clone();
     out.class_idx = remap.type_[class.class_idx as usize];
     out.superclass = class.superclass.map(|t| remap.type_[t as usize]);
-    out.interfaces = class
-        .interfaces
-        .iter()
-        .map(|&t| remap.type_[t as usize])
-        .collect();
+    for t in &mut out.interfaces {
+        *t = remap.type_[*t as usize];
+    }
     out.source_file = class.source_file.map(|s| remap.string[s as usize]);
-    out.static_values = class
-        .static_values
-        .iter()
-        .map(|v| remap_value(v, remap))
-        .collect();
+    for value in &mut out.static_values {
+        remap_value(value, remap);
+    }
     if let Some(data) = &mut out.class_data {
         for field in data
             .static_fields
@@ -201,7 +197,7 @@ fn remap_class(class: &ClassDef, remap: &Remap) -> Result<ClassDef> {
         for method in data.methods_mut() {
             method.method_idx = remap.method[method.method_idx as usize];
             if let Some(code) = &mut method.code {
-                *code = remap_code(code, remap)?;
+                remap_code(code, remap)?;
             }
         }
         data.direct_methods.sort_by_key(|m| m.method_idx);
@@ -210,56 +206,108 @@ fn remap_class(class: &ClassDef, remap: &Remap) -> Result<ClassDef> {
     Ok(out)
 }
 
-fn remap_value(value: &EncodedValue, remap: &Remap) -> EncodedValue {
+fn remap_value(value: &mut EncodedValue, remap: &Remap) {
     match value {
-        EncodedValue::String(i) => EncodedValue::String(remap.string[*i as usize]),
-        EncodedValue::Type(i) => EncodedValue::Type(remap.type_[*i as usize]),
-        EncodedValue::Field(i) => EncodedValue::Field(remap.field[*i as usize]),
-        EncodedValue::Enum(i) => EncodedValue::Enum(remap.field[*i as usize]),
-        EncodedValue::Method(i) => EncodedValue::Method(remap.method[*i as usize]),
+        EncodedValue::String(i) => *i = remap.string[*i as usize],
+        EncodedValue::Type(i) => *i = remap.type_[*i as usize],
+        EncodedValue::Field(i) | EncodedValue::Enum(i) => *i = remap.field[*i as usize],
+        EncodedValue::Method(i) => *i = remap.method[*i as usize],
         EncodedValue::Array(items) => {
-            EncodedValue::Array(items.iter().map(|v| remap_value(v, remap)).collect())
+            for item in items {
+                remap_value(item, remap);
+            }
         }
-        other => other.clone(),
+        _ => {}
     }
 }
 
-fn remap_code(code: &CodeItem, remap: &Remap) -> Result<CodeItem> {
-    let mut out = code.clone();
-    // Rewrite indices in place; every format keeps its unit length when only
-    // the index changes (index width is fixed per format), so addresses,
-    // branch offsets, and try ranges are unaffected.
-    let mut units = code.insns.clone();
-    for (addr, decoded) in decode_method(&code.insns)? {
-        if let Decoded::Insn(mut insn) = decoded {
-            let mapped = match insn.op.index_kind() {
-                IndexKind::None => continue,
-                IndexKind::String => remap.string[insn.idx as usize],
-                IndexKind::Type => remap.type_[insn.idx as usize],
-                IndexKind::Field => remap.field[insn.idx as usize],
-                IndexKind::Method => remap.method[insn.idx as usize],
-            };
-            if mapped == insn.idx {
-                continue;
-            }
-            insn.idx = mapped;
-            let encoded = encode_decoded(&Decoded::Insn(insn))?;
-            units[addr as usize..addr as usize + encoded.len()].copy_from_slice(&encoded);
-        }
+/// Rewrites the index operands of `code` in place. Every format keeps its
+/// unit length when only the index changes (index width is fixed per
+/// format), so addresses, branch offsets, and try ranges are unaffected.
+fn remap_code(code: &mut CodeItem, remap: &Remap) -> Result<()> {
+    // The whole body must decode before any index is rewritten, so a
+    // malformed method fails exactly as decoding it fails.
+    let units = &mut code.insns;
+    let mut pc = 0;
+    while pc < units.len() {
+        pc += insn_units(units, pc)?;
     }
-    out.insns = units;
-    for handler in &mut out.handlers {
+    let mut pc = 0;
+    while pc < units.len() {
+        let len = insn_units(units, pc)?;
+        // A payload's first unit has opcode byte 0 (`nop`), which has no
+        // index.
+        if let Some(op) = Opcode::from_u8(units[pc] as u8) {
+            remap_index(&mut units[pc..pc + len], op, remap)?;
+        }
+        pc += len;
+    }
+    for handler in &mut code.handlers {
         for clause in &mut handler.catches {
             clause.type_idx = remap.type_[clause.type_idx as usize];
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Rewrites the index operand of one instruction `insn` (its units,
+/// opcode `op`), leaving the units as re-encoding the decoded instruction
+/// with the new index would.
+fn remap_index(insn: &mut [u16], op: Opcode, remap: &Remap) -> Result<()> {
+    let table = match op.index_kind() {
+        IndexKind::None => return Ok(()),
+        IndexKind::String => &remap.string,
+        IndexKind::Type => &remap.type_,
+        IndexKind::Field => &remap.field,
+        IndexKind::Method => &remap.method,
+    };
+    if op.format() == Format::F31c {
+        let mapped = table[(u32::from(insn[1]) | (u32::from(insn[2]) << 16)) as usize];
+        insn[1] = mapped as u16;
+        insn[2] = (mapped >> 16) as u16;
+        return Ok(());
+    }
+    // 21c, 22c, 35c and 3rc: a 16-bit index in the second unit.
+    let idx = u32::from(insn[1]);
+    let mapped = table[idx as usize];
+    if mapped == idx {
+        return Ok(());
+    }
+    if mapped > 0xffff {
+        return Err(DalvikError::OperandRange {
+            mnemonic: op.mnemonic(),
+            operand: "index",
+            value: i64::from(mapped),
+        });
+    }
+    insn[1] = mapped as u16;
+    // The encoder writes zeros where the decoder ignored bits: the 35c
+    // register nibbles past the argument count (and `vG` below five
+    // arguments), and a 3rc start register with no arguments.
+    match op.format() {
+        Format::F35c => {
+            let count = insn[0] >> 12;
+            if count < 5 {
+                insn[0] &= 0xf0ff;
+            }
+            insn[2] &= match count {
+                0..=3 => (1u16 << (4 * count)) - 1,
+                _ => 0xffff,
+            };
+        }
+        Format::F3rc if insn[0] >> 8 == 0 => insn[2] = 0,
+        _ => {}
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::MethodAssembler;
+    use crate::decode::decode_method;
+    use crate::encode::encode_decoded;
+    use crate::insn::Decoded;
     use crate::opcode::Opcode;
     use dexlego_dex::verify::{verify, Strictness};
     use dexlego_dex::{AccessFlags, EncodedMethod};
@@ -351,6 +399,104 @@ mod tests {
         let back = dexlego_dex::reader::read_dex(&bytes).unwrap();
         assert_eq!(back, canonical);
         verify(&back, Strictness::Sorted).unwrap();
+    }
+
+    /// The re-encoding rewrite that patching in place replaced: decode the
+    /// body, then re-encode every instruction whose index changes.
+    fn remap_by_reencoding(insns: &[u16], remap: &Remap) -> Result<Vec<u16>> {
+        let mut units = insns.to_vec();
+        for (addr, decoded) in decode_method(insns)? {
+            if let Decoded::Insn(mut insn) = decoded {
+                let mapped = match insn.op.index_kind() {
+                    IndexKind::None => continue,
+                    IndexKind::String => remap.string[insn.idx as usize],
+                    IndexKind::Type => remap.type_[insn.idx as usize],
+                    IndexKind::Field => remap.field[insn.idx as usize],
+                    IndexKind::Method => remap.method[insn.idx as usize],
+                };
+                if mapped == insn.idx {
+                    continue;
+                }
+                insn.idx = mapped;
+                let encoded = encode_decoded(&Decoded::Insn(insn))?;
+                units[addr as usize..addr as usize + encoded.len()].copy_from_slice(&encoded);
+            }
+        }
+        Ok(units)
+    }
+
+    /// Random bodies of indexed instructions with stray bits in the
+    /// operands the decoder ignores, switch and array payloads, and the
+    /// odd malformed tail, over tables that move most indices (some past
+    /// 16 bits): patching in place gives re-encoding's units and errors.
+    #[test]
+    fn patching_in_place_matches_reencoding() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        const POOL: u32 = 70_000;
+        let table = |shift: u32| {
+            (0..POOL)
+                .map(|i| (i * 7 + shift) % POOL)
+                .collect::<Vec<_>>()
+        };
+        let remap = Remap {
+            string: table(3),
+            type_: table(5),
+            proto: Vec::new(),
+            field: (0..POOL).map(|i| (POOL - 1 - i) % 60_000).collect(),
+            method: (0..POOL).map(|i| i ^ 1).collect(),
+        };
+        let indexed = [
+            Opcode::ConstString,
+            Opcode::ConstStringJumbo,
+            Opcode::NewInstance,
+            Opcode::Iget,
+            Opcode::Sput,
+            Opcode::InstanceOf,
+            Opcode::InvokeVirtual,
+            Opcode::InvokeStaticRange,
+            Opcode::FilledNewArray,
+            Opcode::AddInt,
+        ];
+        let mut moved = 0;
+        for _ in 0..2_000 {
+            let mut body = Vec::new();
+            for _ in 0..1 + next(12) {
+                let op = indexed[next(indexed.len() as u64) as usize];
+                let junk = next(1 << 16) as u16;
+                body.push(op as u16 | (junk & 0xff00));
+                for _ in 1..op.format().units() {
+                    body.push(next(1 << 16) as u16);
+                }
+                if op.format() == Format::F31c {
+                    // Keep the 32-bit index inside the pool.
+                    *body.last_mut().unwrap() = 0;
+                }
+                match next(8) {
+                    0 => body.extend([0x0100, 1, 0, 0, 3, 0]),
+                    1 => body.extend([0x0200, 1, 5, 0, 3, 0]),
+                    2 => body.extend([0x0300, 1, 3, 0, 0x0102, 0x03]),
+                    _ => {}
+                }
+            }
+            match next(20) {
+                0 => body.push(0x0400),
+                1 => body.push(0x003e),
+                2 => body.push(Opcode::InvokeDirect as u16),
+                _ => {}
+            }
+            let mut code = CodeItem::new(16, 0, 0, body.clone());
+            let patched = remap_code(&mut code, &remap).map(|()| code.insns);
+            let expected = remap_by_reencoding(&body, &remap);
+            assert_eq!(patched, expected, "body {body:04x?}");
+            moved += usize::from(matches!(&expected, Ok(units) if *units != body));
+        }
+        assert!(moved > 500, "only {moved} bodies changed");
     }
 
     #[test]

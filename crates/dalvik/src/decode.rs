@@ -255,6 +255,44 @@ fn decode_payload(code: &[u16], pc: usize, ident: u16) -> Result<Decoded> {
     }
 }
 
+/// The unit length of the instruction or payload starting at `pc`,
+/// checked as [`decode_insn`] checks it (the same error for the same
+/// stream) without building the decoded value: a walk over a method body
+/// that allocates nothing.
+///
+/// # Errors
+///
+/// As [`decode_insn`].
+pub fn insn_units(code: &[u16], pc: usize) -> Result<usize> {
+    let first = unit(code, pc, pc)?;
+    let op_byte = (first & 0xff) as u8;
+    let len = if op_byte == 0x00 && first >> 8 != 0 {
+        let at = |i: usize| unit(code, pc + i, pc).map(usize::from);
+        match first {
+            payload::PACKED_SWITCH => 4 + at(1)? * 2,
+            payload::SPARSE_SWITCH => 2 + at(1)? * 4,
+            payload::FILL_ARRAY_DATA => {
+                let (width, size) = (at(1)?, at(2)? | (at(3)? << 16));
+                4 + (width * size).div_ceil(2)
+            }
+            _ => return Err(DalvikError::BadPayload("unknown payload identifier")),
+        }
+    } else {
+        let op = Opcode::from_u8(op_byte).ok_or(DalvikError::UnknownOpcode(op_byte))?;
+        let len = op.format().units();
+        // Like the decoder, read the whole 35c instruction before
+        // rejecting its argument count.
+        if op.format() == Format::F35c && pc + len <= code.len() && first >> 12 > 5 {
+            return Err(DalvikError::BadPayload("35c argument count > 5"));
+        }
+        len
+    };
+    if pc + len > code.len() {
+        return Err(DalvikError::TruncatedInsn { at: pc });
+    }
+    Ok(len)
+}
+
 /// Decodes an entire method body into `(address, decoded)` pairs.
 ///
 /// # Errors

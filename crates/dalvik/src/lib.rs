@@ -52,7 +52,7 @@ pub mod quick;
 pub mod subset;
 
 pub use asm::MethodAssembler;
-pub use decode::{decode_insn, decode_method, predecode, PredecodedMethod};
+pub use decode::{decode_insn, decode_method, insn_units, predecode, PredecodedMethod};
 pub use encode::{encode_insn, encode_insn_into};
 pub use insn::{Decoded, Insn};
 pub use opcode::{Format, IndexKind, Opcode};

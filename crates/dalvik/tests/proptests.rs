@@ -1,7 +1,9 @@
 //! Property-based tests for the instruction codec and assembler.
 
 use dexlego_dalvik::insn::{Decoded, Insn};
-use dexlego_dalvik::{decode_insn, decode_method, encode_insn, Format, MethodAssembler, Opcode};
+use dexlego_dalvik::{
+    decode_insn, decode_method, encode_insn, insn_units, Format, MethodAssembler, Opcode,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a random valid instruction for a random opcode.
@@ -128,6 +130,22 @@ proptest! {
     fn decode_never_panics(units in proptest::collection::vec(any::<u16>(), 1..12)) {
         let _ = decode_insn(&units, 0);
         let _ = decode_method(&units);
+    }
+
+    /// Measuring an instruction gives the decoder's length and error on
+    /// arbitrary units, the first one often a payload identifier with a
+    /// small size.
+    #[test]
+    fn insn_units_agrees_with_decode(
+        ident in prop_oneof![any::<u16>(), (1u16..4).prop_map(|k| k << 8)],
+        sizes in proptest::collection::vec(0u16..6, 3),
+        rest in proptest::collection::vec(any::<u16>(), 0..12),
+    ) {
+        let units: Vec<u16> = std::iter::once(ident).chain(sizes).chain(rest).collect();
+        for end in 1..=units.len() {
+            let code = &units[..end];
+            prop_assert_eq!(insn_units(code, 0), decode_insn(code, 0).map(|d| d.units()));
+        }
     }
 }
 

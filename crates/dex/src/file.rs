@@ -376,6 +376,18 @@ impl DexFile {
         &self.class_defs
     }
 
+    /// Code units across every method body: the size of the code that
+    /// executing, verifying or tracing the file works through.
+    pub fn code_units(&self) -> usize {
+        self.class_defs
+            .iter()
+            .filter_map(|c| c.class_data.as_ref())
+            .flat_map(|data| data.methods())
+            .filter_map(|m| m.code.as_ref())
+            .map(|code| code.insns.len())
+            .sum()
+    }
+
     /// Mutable access to the class definitions.
     pub fn class_defs_mut(&mut self) -> &mut Vec<ClassDef> {
         &mut self.class_defs

@@ -170,7 +170,8 @@ fn write_class_data(
 /// Serialises `dex` to bytes.
 ///
 /// The output has a correct header, map list, Adler-32 checksum and SHA-1
-/// signature, and can be re-parsed by [`crate::reader::read_dex`].
+/// signature, and can be re-parsed by [`crate::reader::read_dex`]. Its
+/// capacity equals its length.
 ///
 /// # Errors
 ///
@@ -484,6 +485,10 @@ pub fn write_dex(dex: &DexFile) -> Result<Vec<u8>> {
     let sum = checksum::adler32(&out.buf[12..]);
     out.buf[8..12].copy_from_slice(&sum.to_le_bytes());
 
+    // Callers keep the bytes (a result store, a reply, a benchmark's
+    // record), so hand back exactly their length, not the doubling
+    // growth buffer's capacity.
+    out.buf.shrink_to_fit();
     Ok(out.buf)
 }
 
@@ -504,6 +509,7 @@ mod tests {
         let sum = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         assert_eq!(sum, checksum::adler32(&bytes[12..]));
         assert_eq!(&bytes[12..32], &checksum::sha1(&bytes[32..]));
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]

@@ -195,7 +195,20 @@ impl CollectionFiles {
 
     /// Serialises to the compact binary "dump file" format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Writer(Vec::new());
+        self.encode(&mut w);
+        w.0
+    }
+
+    /// The length of [`Self::to_bytes`], counted by the same encoder
+    /// without materialising the bytes.
+    pub fn encoded_len(&self) -> usize {
+        let mut w = Writer(0);
+        self.encode(&mut w);
+        w.0
+    }
+
+    fn encode(&self, w: &mut Writer<impl Sink>) {
         w.bytes(b"DLCF\x01");
         w.u32(self.classes.len() as u32);
         for class in &self.classes {
@@ -345,7 +358,6 @@ impl CollectionFiles {
                 w.u32(t.param_count);
             }
         }
-        w.out
     }
 
     /// Parses the binary format produced by [`Self::to_bytes`].
@@ -532,26 +544,40 @@ impl CollectionFiles {
     }
 }
 
-#[derive(Default)]
-struct Writer {
-    out: Vec<u8>,
+/// Where the encoder's bytes go: a buffer, or a running count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Writer {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+struct Writer<S>(S);
+
+impl<S: Sink> Writer<S> {
     fn bytes(&mut self, b: &[u8]) {
-        self.out.extend_from_slice(b);
+        self.0.put(b);
     }
     fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.0.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn units(&mut self, units: &[u16]) {
         self.u32(units.len() as u32);
@@ -715,6 +741,7 @@ mod tests {
         let bytes = files.to_bytes();
         let back = CollectionFiles::from_bytes(&bytes).unwrap();
         assert_eq!(back, files);
+        assert_eq!(files.encoded_len(), bytes.len());
     }
 
     #[test]
@@ -748,7 +775,7 @@ mod tests {
         // The file ends with the method's tree count and the site count.
         let tail = bytes.split_off(bytes.len() - 8);
         assert_eq!(tail, [0; 8]);
-        let mut w = Writer { out: bytes };
+        let mut w = Writer(bytes);
         w.u32(1);
         w.u32(nodes.len() as u32);
         for &(parent, pcs) in nodes {
@@ -763,7 +790,7 @@ mod tests {
             }
         }
         w.u32(0);
-        w.out
+        w.0
     }
 
     #[test]

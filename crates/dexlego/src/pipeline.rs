@@ -1,8 +1,17 @@
 //! The end-to-end DexLego pipeline of Figure 1: execute the target
 //! application under JIT collection (optionally with force execution), then
 //! reassemble the collected files into a new DEX offline.
+//!
+//! The offline half runs serialise-count → tree merge → DEX generation →
+//! canonicalisation → verification → validation. On a reassembled DEX of
+//! at least [`OVERLAP_THRESHOLD`] code units, validation runs on a helper
+//! thread beside verification; its findings, phase timing and counters
+//! are recorded in the sequential order, and only read once the
+//! verification gate has passed.
 
 use std::collections::HashMap;
+use std::panic::resume_unwind;
+use std::time::Instant;
 
 use dexlego_dalvik::canon::canonicalize;
 use dexlego_dex::{ClassDef, DexFile};
@@ -134,13 +143,7 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
                 }
                 found_method = true;
                 if let Some(code) = &method.code {
-                    if let Ok(decoded) = dexlego_dalvik::decode_method(&code.insns) {
-                        for (_, d) in decoded {
-                            if let dexlego_dalvik::Decoded::Insn(insn) = d {
-                                reassembled[insn.op as usize] = true;
-                            }
-                        }
-                    }
+                    mark_opcodes(&code.insns, &mut reassembled);
                 }
             }
         }
@@ -166,6 +169,27 @@ pub fn validate_reveal(files: &CollectionFiles, dex: &DexFile) -> Vec<String> {
         }
     }
     problems
+}
+
+/// Marks the opcode of every instruction in `insns`, walking the stream
+/// without decoding it. A stream that does not decode marks nothing.
+fn mark_opcodes(insns: &[u16], marked: &mut [bool; 256]) {
+    let mut seen = [false; 256];
+    let mut pc = 0;
+    while pc < insns.len() {
+        let Ok(len) = dexlego_dalvik::insn_units(insns, pc) else {
+            return;
+        };
+        // A payload's first unit has opcode byte 0 and a nonzero high byte.
+        let unit = insns[pc];
+        if unit & 0xff != 0 || unit >> 8 == 0 {
+            seen[usize::from(unit & 0xff)] = true;
+        }
+        pc += len;
+    }
+    for (m, s) in marked.iter_mut().zip(seen) {
+        *m |= s;
+    }
 }
 
 /// Whether pool method `method_idx` is the collected method `key` or one
@@ -213,11 +237,25 @@ fn finish(
     finish_files(collector.into_files(), metrics)
 }
 
+/// Code units below which a job runs its independent stages one after
+/// another instead of side by side on a helper thread: for a smaller
+/// input, spawning the helper costs more than the overlap saves. Each
+/// overlapping stage reads the size of its own input: the reassembled DEX
+/// here, the app a job starts from in the batch harness.
+pub const OVERLAP_THRESHOLD: usize = 16_384;
+
+/// Runs `f`, returning its value and the microseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_micros() as u64)
+}
+
 fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<RevealOutcome> {
     metrics.count("classes_collected", files.classes.len() as u64);
     metrics.count("methods_collected", files.methods.len() as u64);
     metrics.count("insns_collected", files.total_insns() as u64);
-    let dump_size = metrics.time("serialize", || files.to_bytes().len());
+    let dump_size = metrics.time("serialize", || files.encoded_len());
     // `reassemble_with_metrics` records the `tree_merge` and `dexgen`
     // phases itself.
     let dex = reassemble_with_metrics(&files, &mut metrics)?;
@@ -230,15 +268,33 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
     // gated here (error-severity diagnostics abort) and its typed IR and
     // cache counters ride along in the outcome instead of anyone
     // re-verifying the same bytes.
-    let typed = metrics.time("verify", || {
-        dexlego_verifier::verify_dex_typed(&dex, &dexlego_verifier::VerifyOptions::default())
-    });
+    //
+    // Validation reads the same DEX, so on a large one it runs beside the
+    // verifier. Its result, or its panic, counts only where the
+    // sequential order would have reached it: after a passing gate.
+    let verify = || {
+        timed(|| {
+            dexlego_verifier::verify_dex_typed(&dex, &dexlego_verifier::VerifyOptions::default())
+        })
+    };
+    let validate = || timed(|| validate_reveal(&files, &dex));
+    let ((typed, verify_us), validated) = if dex.code_units() >= OVERLAP_THRESHOLD {
+        let (typed, validated) = dexlego_pool::join(verify, validate);
+        (typed.unwrap_or_else(|p| resume_unwind(p)), Some(validated))
+    } else {
+        (verify(), None)
+    };
+    metrics.record_phase_us("verify", verify_us);
     metrics.count("verify_cache_hits", typed.cache_hits);
     metrics.count("verify_cache_misses", typed.cache_misses);
     let typed_methods = typed.methods.len();
     let typed_insns = typed.insn_count() as u64;
     let (_typed, lints) = crate::reassemble::gate_verified(typed)?;
-    let validation = metrics.time("validate", || validate_reveal(&files, &dex));
+    let (validation, validate_us) = match validated {
+        Some(validated) => validated.unwrap_or_else(|p| resume_unwind(p)),
+        None => validate(),
+    };
+    metrics.record_phase_us("validate", validate_us);
     metrics.count("verifier_lints", lints.len() as u64);
     metrics.count("typed_methods", typed_methods as u64);
     metrics.count("typed_insns", typed_insns);
@@ -253,4 +309,37 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
         validation,
         metrics,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Walking a stream marks what decoding it marks: instructions, not
+    /// payloads, and nothing at all in a stream that does not decode.
+    #[test]
+    fn walking_marks_what_decoding_marks() {
+        let decoded = |insns: &[u16]| {
+            let mut marked = [false; 256];
+            for (_, d) in dexlego_dalvik::decode_method(insns).unwrap_or_default() {
+                if let dexlego_dalvik::Decoded::Insn(insn) = d {
+                    marked[insn.op as usize] = true;
+                }
+            }
+            marked
+        };
+        let streams: [&[u16]; 6] = [
+            &[0x0000, 0x000e],
+            &[0x0012, 0x0100, 1, 0, 0, 3, 0],
+            &[0x0300, 1, 3, 0, 0x0102, 3, 0x000e],
+            &[0x0012, 0x003e],
+            &[0x0012, 0x0070],
+            &[0x0400, 0x000e],
+        ];
+        for insns in streams {
+            let mut walked = [false; 256];
+            mark_opcodes(insns, &mut walked);
+            assert_eq!(walked, decoded(insns), "{insns:04x?}");
+        }
+    }
 }

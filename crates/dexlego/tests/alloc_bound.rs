@@ -84,17 +84,43 @@ fn loop_app() -> dexlego_dex::DexFile {
     pb.build().unwrap()
 }
 
-/// Collecting a loop allocates nothing per trip: a re-executed
-/// instruction records nothing, and the finished execution's duplicate
-/// tree is reused by the next call. (A `packed-switch` in the loop would
-/// not do: the interpreter's per-step tier decodes its payload, and
-/// allocates, on every execution.)
-#[test]
-fn collected_loop_allocations_do_not_grow_with_trips() {
+/// `static int run(int n)`: a loop of `n` trips whose body branches on
+/// the counter's low bit through a `packed-switch` (or a `sparse-switch`).
+fn switch_loop_app(sparse: bool) -> dexlego_dex::DexFile {
+    let mut pb = ProgramBuilder::new();
+    pb.class("Lalloc/Loop;", |c| {
+        c.static_method("run", &["I"], "I", 3, |m| {
+            let n = m.param_reg(0);
+            let [top, even, odd, next] = [(); 4].map(|()| m.asm.new_label());
+            m.asm.const4(0, 0);
+            m.asm.bind(top);
+            m.asm.binop_lit8(Opcode::AndIntLit8, 1, 0, 1);
+            if sparse {
+                m.asm.sparse_switch(1, vec![0, 1], vec![even, odd]);
+            } else {
+                m.asm.packed_switch(1, 0, vec![even, odd]);
+            }
+            m.asm.goto(next);
+            m.asm.bind(even);
+            m.asm.goto(next);
+            m.asm.bind(odd);
+            m.asm.bind(next);
+            m.asm.binop_lit8(Opcode::AddIntLit8, 0, 0, 1);
+            m.asm.if_cmp(Opcode::IfLt, 0, n, top);
+            m.asm.ret(Opcode::Return, 0);
+        });
+    });
+    pb.build().unwrap()
+}
+
+/// Collects `Lalloc/Loop;->run(I)I` at 10 and at 1,000 trips and requires
+/// the longer run to allocate no more: a re-executed instruction records
+/// nothing, the finished execution's duplicate tree is reused by the next
+/// call, and a switch resolves its target from the payload's units.
+fn assert_collected_loop_allocations_flat(app: &dexlego_dex::DexFile) {
     let mut rt = Runtime::new();
     let mut collector = JitCollector::new();
-    rt.load_dex_observed(&loop_app(), "app", &mut collector)
-        .unwrap();
+    rt.load_dex_observed(app, "app", &mut collector).unwrap();
     let mut run = |trips: i32| {
         let before = allocs();
         let r = rt
@@ -119,6 +145,21 @@ fn collected_loop_allocations_do_not_grow_with_trips() {
     let files = collector.into_files();
     assert_eq!(files.methods.len(), 1);
     assert_eq!(files.methods[0].trees.len(), 1, "every call has one shape");
+}
+
+#[test]
+fn collected_loop_allocations_do_not_grow_with_trips() {
+    assert_collected_loop_allocations_flat(&loop_app());
+}
+
+#[test]
+fn collected_packed_switch_loop_allocations_do_not_grow_with_trips() {
+    assert_collected_loop_allocations_flat(&switch_loop_app(false));
+}
+
+#[test]
+fn collected_sparse_switch_loop_allocations_do_not_grow_with_trips() {
+    assert_collected_loop_allocations_flat(&switch_loop_app(true));
 }
 
 /// A one-method collection whose tree is `insns` straight-line

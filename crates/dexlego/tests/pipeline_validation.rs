@@ -182,3 +182,67 @@ fn findings_name_the_exact_missing_class_method_and_opcode() {
         ]
     );
 }
+
+/// Phase and counter names of an outcome, in recording order.
+fn names(outcome: &dexlego_core::RevealOutcome) -> (Vec<&'static str>, Vec<&'static str>) {
+    let phases = outcome.metrics.phases().iter().map(|&(n, _)| n).collect();
+    let counters = outcome.metrics.counters().iter().map(|&(n, _)| n).collect();
+    (phases, counters)
+}
+
+/// A reassembled DEX of at least `OVERLAP_THRESHOLD` code units is
+/// validated beside the verifier. Its findings, phases and counters must
+/// be what the sequential order records for a small one.
+#[test]
+fn large_truncated_collection_keeps_its_findings_and_order() {
+    use dexlego_core::pipeline::OVERLAP_THRESHOLD;
+    let dex = {
+        let mut pb = ProgramBuilder::new();
+        pb.class(HELPER, |c| {
+            c.static_method("triple", &["I"], "I", 2, |m| {
+                let n = m.param_reg(0);
+                m.asm.binop_lit8(Opcode::MulIntLit8, 0, n, 3);
+                m.asm.ret(Opcode::Return, 0);
+            });
+        });
+        pb.class(MAIN, |c| {
+            c.static_method("run", &[], "I", 2, |m| {
+                for _ in 0..OVERLAP_THRESHOLD {
+                    m.asm.nop();
+                }
+                m.asm.const4(0, 5);
+                m.invoke(Opcode::InvokeStatic, HELPER, "triple", &["I"], "I", &[0]);
+                let mut mr = dexlego_dalvik::Insn::of(Opcode::MoveResult);
+                mr.a = 1;
+                m.asm.push(mr);
+                m.asm.ret(Opcode::Return, 1);
+            });
+        });
+        pb.build().expect("assembles")
+    };
+    let mut rt = Runtime::new();
+    let mut files = reveal(&mut rt, |rt, obs| {
+        rt.load_dex_observed(&dex, "app", obs).unwrap();
+        rt.call_static(obs, MAIN, "run", "()I", &[]).unwrap();
+    })
+    .expect("reveal succeeds")
+    .files;
+    files.classes.retain(|c| c.descriptor != HELPER);
+    let large = reassemble_collection(files.clone()).expect("reassembly still succeeds");
+    assert!(large.dex.code_units() >= OVERLAP_THRESHOLD);
+    assert_eq!(large.validation, validate_reveal(&files, &large.dex));
+    assert!(
+        large
+            .validation
+            .iter()
+            .any(|p| p.contains(HELPER) && p.contains("class missing from output")),
+        "{:?}",
+        large.validation
+    );
+
+    let mut small = collect();
+    small.classes.retain(|c| c.descriptor != HELPER);
+    let small = reassemble_collection(small).expect("reassembly still succeeds");
+    assert!(small.dex.code_units() < OVERLAP_THRESHOLD);
+    assert_eq!(names(&large), names(&small));
+}

@@ -8,6 +8,8 @@
 //! and canonicalisation may legally shift instruction offsets, and the
 //! conformance claim is about behaviour, not layout.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use dexlego_dalvik::Opcode;
 use dexlego_dex::DexFile;
 use dexlego_runtime::class::{MethodId, SigKey};
@@ -239,6 +241,79 @@ pub fn diff_traces(original: &[TraceEvent], revealed: &[TraceEvent]) -> Option<S
     None
 }
 
+/// The original app's traces, one per seed in seed order, as
+/// [`check_revealed`] reads them. They depend only on the job's input,
+/// so they can be recorded before, or beside, the reveal they are checked
+/// against.
+#[derive(Debug)]
+pub struct OriginalTraces {
+    /// Per seed, in order. Tracing stops at the first seed that does not
+    /// yield a trace: [`check_revealed`] never reads past it.
+    seeds: Vec<(u64, SeedTrace)>,
+}
+
+/// One seed's trace of the original: the events, the trace failure, or
+/// the payload of the panic that stopped it.
+type SeedTrace = std::thread::Result<Result<Vec<TraceEvent>, String>>;
+
+/// Traces `entry` in `original` under every seed, the first half of
+/// [`check_reveal`].
+///
+/// A panicking trace is caught and kept, so [`check_revealed`] re-raises
+/// it with its payload untouched where a sequential [`check_reveal`]
+/// would have panicked, and never if an earlier seed already diverged.
+pub fn trace_original(
+    original: &DexFile,
+    entry: &str,
+    seeds: &[u64],
+    events: usize,
+    fuel: u64,
+) -> OriginalTraces {
+    let mut traces = OriginalTraces { seeds: Vec::new() };
+    for &seed in seeds {
+        let trace = catch_unwind(AssertUnwindSafe(|| {
+            trace_app(original, entry, seed, events, fuel)
+        }));
+        let traced = matches!(trace, Ok(Ok(_)));
+        traces.seeds.push((seed, trace));
+        if !traced {
+            break;
+        }
+    }
+    traces
+}
+
+/// Checks `revealed` against the original's traces, seed by seed, the
+/// second half of [`check_reveal`].
+///
+/// # Errors
+///
+/// Returns the first divergence (or trace failure) found.
+pub fn check_revealed(
+    original: OriginalTraces,
+    revealed: &DexFile,
+    entry: &str,
+    events: usize,
+    fuel: u64,
+) -> Result<(), String> {
+    for (seed, trace) in original.seeds {
+        let a = trace
+            .unwrap_or_else(|payload| resume_unwind(payload))
+            .map_err(|e| format!("seed {seed}: original trace failed: {e}"))?;
+        let b = trace_app(revealed, entry, seed, events, fuel)
+            .map_err(|e| format!("seed {seed}: revealed trace failed: {e}"))?;
+        if a.is_empty() {
+            return Err(format!(
+                "seed {seed}: original trace is empty — nothing to compare"
+            ));
+        }
+        if let Some(diff) = diff_traces(&a, &b) {
+            return Err(format!("seed {seed}: {diff}"));
+        }
+    }
+    Ok(())
+}
+
 /// Full differential check: traces `entry` in `original` and in `revealed`
 /// under every seed and requires identical event streams.
 ///
@@ -253,21 +328,8 @@ pub fn check_reveal(
     events: usize,
     fuel: u64,
 ) -> Result<(), String> {
-    for &seed in seeds {
-        let a = trace_app(original, entry, seed, events, fuel)
-            .map_err(|e| format!("seed {seed}: original trace failed: {e}"))?;
-        let b = trace_app(revealed, entry, seed, events, fuel)
-            .map_err(|e| format!("seed {seed}: revealed trace failed: {e}"))?;
-        if a.is_empty() {
-            return Err(format!(
-                "seed {seed}: original trace is empty — nothing to compare"
-            ));
-        }
-        if let Some(diff) = diff_traces(&a, &b) {
-            return Err(format!("seed {seed}: {diff}"));
-        }
-    }
-    Ok(())
+    let traces = trace_original(original, entry, seeds, events, fuel);
+    check_revealed(traces, revealed, entry, events, fuel)
 }
 
 #[cfg(test)]
@@ -302,6 +364,35 @@ mod tests {
         assert!(d.contains("event 0"), "{d}");
         let d = diff_traces(&a, &[]).unwrap();
         assert!(d.contains("lengths differ"), "{d}");
+    }
+
+    /// A panic kept from the original's traces is raised where the
+    /// sequential check would have panicked, with its payload, and not
+    /// at all when an earlier seed already diverged.
+    #[test]
+    fn kept_panic_is_raised_only_where_the_sequential_check_reaches_it() {
+        use dexlego_droidbench::appgen::{generate, AppSpec};
+        const FUEL: u64 = 1_000_000;
+        let app = generate(&AppSpec::plain_profile("conf/kept", 120));
+        let first = trace_app(&app.dex, &app.entry, 1, 2, FUEL).unwrap();
+        let traces = || OriginalTraces {
+            seeds: vec![
+                (1, Ok(Ok(first.clone()))),
+                (5, Err(Box::new("tracing seed 5 broke"))),
+            ],
+        };
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            check_revealed(traces(), &app.dex, &app.entry, 2, FUEL)
+        }))
+        .expect_err("seed 1 matches, so seed 5's panic is reached");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"tracing seed 5 broke")
+        );
+        let other = generate(&AppSpec::plain_profile("conf/other", 120));
+        let diff = check_revealed(traces(), &other.dex, &app.entry, 2, FUEL)
+            .expect_err("seed 1 diverges first");
+        assert!(diff.starts_with("seed 1: revealed trace failed"), "{diff}");
     }
 
     #[test]

@@ -10,12 +10,21 @@
 //! * **fuel timeout** — the runtime's per-execution instruction budget is
 //!   set from [`JobSpec::fuel`]; a runaway loop exhausts it and the job is
 //!   reported as [`JobStatus::Timeout`].
+//!
+//! A job whose app holds at least [`OVERLAP_THRESHOLD`] code units runs
+//! its independent stages side by side on a second thread: the
+//! original app's conformance traces beside the whole reveal, and the DEX
+//! write beside the revealed app's traces (validation beside verification
+//! happens inside the pipeline). Each branch's result, failure or panic is
+//! read only where the sequential order reads it, so status precedence,
+//! details, counters and revealed bytes are the sequential order's. Below
+//! the threshold, a spawned thread costs more than the overlap saves.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use dexlego_core::pipeline::reveal;
-use dexlego_core::{DexLegoError, RevealOutcome};
+use dexlego_core::pipeline::{reveal, OVERLAP_THRESHOLD};
+use dexlego_core::DexLegoError;
 use dexlego_dex::writer::write_dex;
 use dexlego_dex::DexFile;
 use dexlego_droidbench::{register_tamper_specs, TamperSpec};
@@ -24,7 +33,7 @@ use dexlego_runtime::class::SigKey;
 use dexlego_runtime::observer::RuntimeObserver;
 use dexlego_runtime::{Env, Runtime, RuntimeError, Slot};
 
-use crate::conformance::check_reveal;
+use crate::conformance::{check_revealed, trace_original, OriginalTraces};
 use crate::report::JobReport;
 
 /// Default per-job instruction budget. Generous for any corpus app (the
@@ -182,20 +191,14 @@ pub fn execute_job(spec: JobSpec) -> JobReport {
 /// Like [`execute_job`], but additionally returns the serialised revealed
 /// DEX when the job succeeded — what the result store caches and the
 /// `dexlegod` service sends back over the wire. `None` whenever the job
-/// did not produce a verified, validated DEX.
+/// did not produce a verified, validated DEX. The bytes' capacity equals
+/// their length, and they are allocated on the calling thread.
 pub fn execute_job_revealing(spec: JobSpec) -> (JobReport, Option<Vec<u8>>) {
     let name = spec.name.clone();
     let packer = spec.packer.map(|id| id.profile().name);
     let start = Instant::now();
     match catch_unwind(AssertUnwindSafe(|| run_job(&spec))) {
-        Ok((report, dex)) => {
-            let bytes = if report.status.is_ok() {
-                dex.as_ref().and_then(|d| write_dex(d).ok())
-            } else {
-                None
-            };
-            (report, bytes)
-        }
+        Ok(done) => done,
         Err(payload) => (
             JobReport {
                 status: JobStatus::Panicked(panic_message(payload.as_ref())),
@@ -205,6 +208,71 @@ pub fn execute_job_revealing(spec: JobSpec) -> (JobReport, Option<Vec<u8>>) {
             None,
         ),
     }
+}
+
+/// Runs the whole job. On an app of at least [`OVERLAP_THRESHOLD`] code
+/// units, the stages that do not feed each other run side by side: the
+/// original app's conformance traces beside the reveal, and the DEX write
+/// beside the revealed app's traces. A branch's result, failure or panic
+/// counts only where the sequential order would have read it, so the
+/// report and the bytes are the sequential order's.
+fn run_job(spec: &JobSpec) -> (JobReport, Option<Vec<u8>>) {
+    let start = Instant::now();
+    let events = spec.effective_events();
+    let overlap = spec.dex.code_units() >= OVERLAP_THRESHOLD;
+    let ((mut report, revealed), original) = if spec.check_conformance && overlap {
+        let (revealed, original) = dexlego_pool::join(
+            || reveal_job(spec, events),
+            || trace_original(&spec.dex, &spec.entry, &spec.seeds, events, spec.fuel),
+        );
+        (
+            revealed.unwrap_or_else(|p| resume_unwind(p)),
+            Some(original),
+        )
+    } else {
+        (reveal_job(spec, events), None)
+    };
+    let mut bytes = None;
+    if let Some(dex) = revealed {
+        let original = original.map(|traced| traced.unwrap_or_else(|p| resume_unwind(p)));
+        match check_and_write(spec, events, overlap, original, &dex) {
+            Ok(written) => bytes = written,
+            Err(diff) => report.status = JobStatus::ConformanceMismatch(diff),
+        }
+    }
+    report.wall_us = start.elapsed().as_micros() as u64;
+    (report, bytes)
+}
+
+/// The last two stages of a job whose reveal passed every gate: the
+/// conformance check (when requested) and the DEX write. `original` holds
+/// the original app's traces when they were recorded beside the reveal.
+///
+/// # Errors
+///
+/// The conformance check's first divergence.
+fn check_and_write(
+    spec: &JobSpec,
+    events: usize,
+    overlap: bool,
+    original: Option<OriginalTraces>,
+    dex: &DexFile,
+) -> Result<Option<Vec<u8>>, String> {
+    if !spec.check_conformance {
+        return Ok(write_dex(dex).ok());
+    }
+    let original = original
+        .unwrap_or_else(|| trace_original(&spec.dex, &spec.entry, &spec.seeds, events, spec.fuel));
+    let check = || check_revealed(original, dex, &spec.entry, events, spec.fuel);
+    if !overlap {
+        check()?;
+        return Ok(write_dex(dex).ok());
+    }
+    // The bytes are written on this thread while the helper traces the
+    // revealed app; they count only if the check passes.
+    let (written, checked) = dexlego_pool::join(|| write_dex(dex), check);
+    checked.unwrap_or_else(|p| resume_unwind(p))?;
+    Ok(written.unwrap_or_else(|p| resume_unwind(p)).ok())
 }
 
 /// Fires up to `events` registered callbacks, mirroring the standard
@@ -233,11 +301,11 @@ fn fire_callbacks(
     Ok(())
 }
 
-fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
-    let start = Instant::now();
+/// Packs, collects, reassembles, verifies and validates the job's app.
+/// Returns the revealed DEX only when every one of those gates passed.
+fn reveal_job(spec: &JobSpec, events: usize) -> (JobReport, Option<DexFile>) {
     let name = spec.name.clone();
     let packer_name = spec.packer.map(|id| id.profile().name);
-    let events = spec.effective_events();
 
     // Pack before the runtime exists: a packing failure is a setup failure.
     let packed = match spec.packer {
@@ -247,7 +315,6 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
                 return (
                     JobReport {
                         status: JobStatus::SetupFailed(format!("pack failed: {e}")),
-                        wall_us: start.elapsed().as_micros() as u64,
                         ..JobReport::empty(name, packer_name)
                     },
                     None,
@@ -351,8 +418,10 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
                 report.absorb(&outcome);
                 let status = if timed_out {
                     JobStatus::Timeout
+                } else if !outcome.validation.is_empty() {
+                    JobStatus::ValidationFailed(outcome.validation.clone())
                 } else {
-                    finish_status(spec, events, &outcome)
+                    JobStatus::Ok
                 };
                 if status.is_ok() {
                     revealed = Some(outcome.dex);
@@ -373,26 +442,5 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
             Err(e) => JobStatus::ReassemblyFailed(e.to_string()),
         }
     };
-    report.wall_us = start.elapsed().as_micros() as u64;
     (report, revealed)
-}
-
-/// Post-reveal checks for a job that ran to completion.
-fn finish_status(spec: &JobSpec, events: usize, outcome: &RevealOutcome) -> JobStatus {
-    if !outcome.validation.is_empty() {
-        return JobStatus::ValidationFailed(outcome.validation.clone());
-    }
-    if spec.check_conformance {
-        if let Err(diff) = check_reveal(
-            &spec.dex,
-            &outcome.dex,
-            &spec.entry,
-            &spec.seeds,
-            events,
-            spec.fuel,
-        ) {
-            return JobStatus::ConformanceMismatch(diff);
-        }
-    }
-    JobStatus::Ok
 }

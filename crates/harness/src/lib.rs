@@ -64,7 +64,10 @@ pub mod pool;
 pub mod report;
 
 pub use cache::{execute_job_cached, job_key, run_batch_cached};
-pub use conformance::{check_reveal, diff_traces, trace_app, TraceEvent, TraceRecorder};
+pub use conformance::{
+    check_reveal, check_revealed, diff_traces, trace_app, trace_original, OriginalTraces,
+    TraceEvent, TraceRecorder,
+};
 pub use corpus::{all_packers, work_list, CorpusSpec};
 pub use job::{execute_job, execute_job_revealing, JobSpec, JobStatus, DEFAULT_FUEL};
 pub use pool::{

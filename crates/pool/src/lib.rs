@@ -8,6 +8,8 @@
 //!   bounded pool of `std::thread` workers, preserving submission order and
 //!   capturing per-item panics.
 //! * [`run_tasks`] — the same machinery for heterogeneous named closures.
+//! * [`join`] — two closures side by side, each outcome (panic payload
+//!   included) handed back untouched.
 //! * [`default_workers`] / [`resolve_workers`] / [`WORKERS_ENV`] — the
 //!   worker-count policy every driver resolves through.
 //!
@@ -117,6 +119,29 @@ where
         .collect()
 }
 
+/// Runs `a` on the calling thread and `b` on one scoped helper thread, and
+/// returns both outcomes, in argument order, once both have finished.
+///
+/// A panic in either closure is caught and handed back as its `Err`
+/// payload, untouched (not rendered to a string as [`parallel_map`]
+/// does), so the caller can re-raise it with
+/// [`std::panic::resume_unwind`] exactly where a sequential run would
+/// have panicked, or drop it where a sequential run would never have got
+/// that far.
+pub fn join<RA, RB>(
+    a: impl FnOnce() -> RA,
+    b: impl FnOnce() -> RB + Send,
+) -> (std::thread::Result<RA>, std::thread::Result<RB>)
+where
+    RB: Send,
+{
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(b);
+        let ra = catch_unwind(AssertUnwindSafe(a));
+        (ra, helper.join())
+    })
+}
+
 /// A named unit of heterogeneous work for [`run_tasks`].
 pub struct Task<R> {
     /// Display name (used in error reporting).
@@ -192,6 +217,38 @@ mod tests {
         assert_eq!(out[0].1, Ok(1));
         assert_eq!(out[1].0, "broken");
         assert!(out[1].1.as_ref().unwrap_err().contains("nope"));
+    }
+
+    #[test]
+    fn join_returns_both_results_in_argument_order() {
+        let caller = std::thread::current().id();
+        let (a, b) = join(
+            || (std::thread::current().id(), "a"),
+            || (std::thread::current().id(), 2_u8),
+        );
+        let (a_thread, a) = a.unwrap();
+        let (b_thread, b) = b.unwrap();
+        assert_eq!((a, b), ("a", 2));
+        assert_eq!(a_thread, caller, "the first closure runs on the caller");
+        assert_ne!(b_thread, caller, "the second runs on a helper");
+    }
+
+    #[test]
+    fn join_keeps_each_panic_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let (a, b) = join(
+            || -> u8 { std::panic::panic_any(Payload(7)) },
+            || -> u8 { std::panic::panic_any(String::from("helper broke")) },
+        );
+        let a = a.unwrap_err();
+        assert_eq!(a.downcast_ref::<Payload>(), Some(&Payload(7)));
+        let b = b.unwrap_err();
+        assert_eq!(b.downcast_ref::<String>().unwrap(), "helper broke");
+        // One side panicking leaves the other's result intact.
+        let (a, b) = join(|| 1, || -> u8 { panic!("only b") });
+        assert_eq!(a.unwrap(), 1);
+        assert_eq!(panic_message(b.unwrap_err().as_ref()), "only b");
     }
 
     #[test]

@@ -48,6 +48,7 @@
 
 use std::sync::Arc;
 
+use dexlego_dalvik::opcode::payload;
 use dexlego_dalvik::quick::{self, QuickCells};
 use dexlego_dalvik::{decode_insn, Decoded, Insn, Opcode, PredecodedMethod};
 
@@ -237,14 +238,14 @@ fn fetch_step(
     }
 }
 
-/// Reads the payload referenced by a 31t instruction from the live body.
-fn fetch_payload(rt: &Runtime, method: MethodId, payload_pc: u32) -> Result<Decoded> {
-    let MethodImpl::Bytecode { insns, .. } = &rt.method(method).body else {
-        return Err(RuntimeError::Internal(
+/// The live body of a bytecode method.
+fn live_insns(rt: &Runtime, method: MethodId) -> Result<&[u16]> {
+    match &rt.method(method).body {
+        MethodImpl::Bytecode { insns, .. } => Ok(insns),
+        _ => Err(RuntimeError::Internal(
             "fetch on non-bytecode method".into(),
-        ));
-    };
-    Ok(decode_insn(insns, payload_pc as usize)?)
+        )),
+    }
 }
 
 struct Frame<'r> {
@@ -289,7 +290,70 @@ fn payload_ref<'a>(
             return Ok(p);
         }
     }
-    Ok(storage.insert(fetch_payload(rt, method, ppc)?))
+    Ok(storage.insert(decode_insn(live_insns(rt, method)?, ppc as usize)?))
+}
+
+/// The branch offset a switch takes for `key`, from the payload at `ppc`:
+/// the frame's predecoded table when it has one, else read straight from
+/// the live body's units, so a per-step switch allocates nothing.
+fn switch_offset(
+    code: &FrameCode,
+    rt: &Runtime,
+    method: MethodId,
+    ppc: u32,
+    key: i32,
+) -> Result<Option<i32>> {
+    if let FrameCode::Pre { pre, .. } = code {
+        if let Some(p) = pre.payload_at(ppc) {
+            return decoded_switch_offset(p, key);
+        }
+    }
+    let insns = live_insns(rt, method)?;
+    match switch_in_units(insns, ppc as usize, key) {
+        Some(offset) => Ok(offset),
+        // Not a whole switch payload: decode it for the decoder's error.
+        None => decoded_switch_offset(&decode_insn(insns, ppc as usize)?, key),
+    }
+}
+
+/// Resolves `key` against the switch payload whose units start at `ppc`,
+/// reading the units in place: `None` unless a whole packed or sparse
+/// switch payload is there.
+fn switch_in_units(units: &[u16], ppc: usize, key: i32) -> Option<Option<i32>> {
+    let word = |at: usize| (u32::from(units[at]) | (u32::from(units[at + 1]) << 16)) as i32;
+    let size = usize::from(*units.get(ppc + 1)?);
+    match *units.get(ppc)? {
+        payload::PACKED_SWITCH if ppc + 4 + 2 * size <= units.len() => {
+            let idx = i64::from(key) - i64::from(word(ppc + 2));
+            let hit = usize::try_from(idx).ok().filter(|&i| i < size);
+            Some(hit.map(|i| word(ppc + 4 + 2 * i)))
+        }
+        payload::SPARSE_SWITCH if ppc + 2 + 4 * size <= units.len() => {
+            let (keys, targets) = (ppc + 2, ppc + 2 + 2 * size);
+            let hit = (0..size).find(|&i| word(keys + 2 * i) == key);
+            Some(hit.map(|i| word(targets + 2 * i)))
+        }
+        _ => None,
+    }
+}
+
+/// Resolves `key` against a decoded switch payload.
+fn decoded_switch_offset(payload: &Decoded, key: i32) -> Result<Option<i32>> {
+    match payload {
+        Decoded::PackedSwitchPayload { first_key, targets } => {
+            let idx = i64::from(key) - i64::from(*first_key);
+            Ok(usize::try_from(idx)
+                .ok()
+                .and_then(|i| targets.get(i))
+                .copied())
+        }
+        Decoded::SparseSwitchPayload { keys, targets } => {
+            Ok(keys.iter().position(|&k| k == key).map(|i| targets[i]))
+        }
+        _ => Err(RuntimeError::Internal(
+            "switch target is not a switch payload".into(),
+        )),
+    }
 }
 
 /// Invoke argument counts at or below this use a stack buffer; longer
@@ -1760,27 +1824,7 @@ fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
         // ---- switches --------------------------------------------------------
         Opcode::PackedSwitch | Opcode::SparseSwitch => {
             let key = frame.reg(insn.a).as_int();
-            let mut storage = None;
-            let payload = payload_ref(code, &mut storage, rt, method, insn.target(pc))?;
-            let target = match payload {
-                Decoded::PackedSwitchPayload { first_key, targets } => {
-                    let idx = i64::from(key) - i64::from(*first_key);
-                    if idx >= 0 && (idx as usize) < targets.len() {
-                        Some(targets[idx as usize])
-                    } else {
-                        None
-                    }
-                }
-                Decoded::SparseSwitchPayload { keys, targets } => {
-                    keys.iter().position(|&k| k == key).map(|i| targets[i])
-                }
-                _ => {
-                    return Err(RuntimeError::Internal(
-                        "switch target is not a switch payload".into(),
-                    ))
-                }
-            };
-            if let Some(off) = target {
+            if let Some(off) = switch_offset(code, rt, method, insn.target(pc), key)? {
                 return Ok(Flow::Jump(pc.wrapping_add(off as u32)));
             }
         }

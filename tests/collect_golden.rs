@@ -71,8 +71,16 @@ fn push_digests(
         }
     }
     let dump = outcome.files.to_bytes();
+    // The reported dump size is counted by the same encoder.
+    assert_eq!(outcome.files.encoded_len(), dump.len(), "{name}");
+    assert_eq!(outcome.dump_size, dump.len(), "{name}");
     actual.push((format!("collect/{name}"), hex(sha1(&dump))));
     let bytes = write_dex(&outcome.dex).expect("revealed DEX writes");
+    assert_eq!(
+        bytes.capacity(),
+        bytes.len(),
+        "{name}: revealed bytes exact-size"
+    );
     actual.push((format!("revealed/{name}"), hex(sha1(&bytes))));
 }
 

@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 cargo run -p dexlego-harness --bin harness-smoke --release -- \
     --workers 2 --apps 2 --packers all
+# The same gates on one app large enough (20,000 instructions) that each
+# job runs its independent stages side by side (conformance on).
+cargo run -p dexlego-harness --bin harness-smoke --release -- \
+    --workers 2 --apps 1 --insns 20000 --packers all
 
 # Interpreter fetch smoke: the quickened/fused fast path must not be
 # slower than per-step decoding on either microbench workload (prints the
