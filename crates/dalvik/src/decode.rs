@@ -354,12 +354,16 @@ impl PredecodedMethod {
 
     /// The instruction and cached unit length at dense index `idx` —
     /// the inverse direction of [`Self::fetch_at`], for callers that
-    /// already know the index (superinstruction second halves are always
-    /// at `head_idx + 1`).
+    /// already hold a valid index (superinstruction second halves are
+    /// always at `head_idx + 1`).
+    ///
+    /// # Panics
+    ///
+    /// `idx` is not below [`Self::insn_count`].
     #[inline]
-    pub fn at_index(&self, idx: u32) -> Option<(&Insn, u32)> {
-        let insn = self.insns.get(idx as usize)?;
-        Some((insn, u32::from(self.lens[idx as usize])))
+    pub fn at_index(&self, idx: u32) -> (&Insn, u32) {
+        let idx = idx as usize;
+        (&self.insns[idx], u32::from(self.lens[idx]))
     }
 
     /// The payload starting at `pc`, if one was predecoded there.
@@ -549,7 +553,7 @@ mod tests {
         assert_eq!(pre.payload_count(), 1);
         let (idx, insn, len) = pre.fetch_at(1).unwrap();
         assert_eq!((idx, insn.op, len), (1, Opcode::PackedSwitch, 3));
-        assert_eq!(pre.at_index(1).unwrap().0, insn);
+        assert_eq!(pre.at_index(1).0, insn);
         // Operand units and payload interiors are not instruction starts.
         assert!(pre.fetch_at(2).is_none());
         assert!(pre.fetch_at(7).is_none());

@@ -113,10 +113,32 @@ fn switch_loop_app(sparse: bool) -> dexlego_dex::DexFile {
     pb.build().unwrap()
 }
 
+/// `static int run(int n)`: a loop of `n` trips that refills one array
+/// from a `fill-array-data` payload on every trip.
+fn array_refill_loop_app() -> dexlego_dex::DexFile {
+    let mut pb = ProgramBuilder::new();
+    pb.class("Lalloc/Loop;", |c| {
+        c.static_method("run", &["I"], "I", 3, |m| {
+            let n = m.param_reg(0);
+            let top = m.asm.new_label();
+            m.asm.const4(0, 4);
+            m.new_array(1, 0, "[I");
+            m.asm.const4(0, 0);
+            m.asm.bind(top);
+            m.asm
+                .fill_array_data(1, 4, vec![1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]);
+            m.asm.binop_lit8(Opcode::AddIntLit8, 0, 0, 1);
+            m.asm.if_cmp(Opcode::IfLt, 0, n, top);
+            m.asm.ret(Opcode::Return, 0);
+        });
+    });
+    pb.build().unwrap()
+}
+
 /// Collects `Lalloc/Loop;->run(I)I` at 10 and at 1,000 trips and requires
 /// the longer run to allocate no more: a re-executed instruction records
 /// nothing, the finished execution's duplicate tree is reused by the next
-/// call, and a switch resolves its target from the payload's units.
+/// call, and a switch or an array fill reads its payload's units in place.
 fn assert_collected_loop_allocations_flat(app: &dexlego_dex::DexFile) {
     let mut rt = Runtime::new();
     let mut collector = JitCollector::new();
@@ -160,6 +182,11 @@ fn collected_packed_switch_loop_allocations_do_not_grow_with_trips() {
 #[test]
 fn collected_sparse_switch_loop_allocations_do_not_grow_with_trips() {
     assert_collected_loop_allocations_flat(&switch_loop_app(true));
+}
+
+#[test]
+fn collected_array_refill_loop_allocations_do_not_grow_with_trips() {
+    assert_collected_loop_allocations_flat(&array_refill_loop_app());
 }
 
 /// A one-method collection whose tree is `insns` straight-line

@@ -30,8 +30,8 @@
 //!   disk and a rerun of the same corpus is near-free
 //!   ([`cache::run_batch_cached`]).
 //! - **Persistent pool** ([`pool::JobPool`]): the long-lived,
-//!   bounded-admission variant of the batch pool that the `dexlegod`
-//!   service dispatches requests onto.
+//!   bounded-admission variant of the batch pool that the server core of
+//!   `dexlegod` and the router dispatches request work onto.
 //!
 //! The generic layer ([`pool::parallel_map`], [`pool::run_tasks`]) is what
 //! `dexlego-bench` uses to execute every paper experiment with parallel
@@ -72,6 +72,6 @@ pub use corpus::{all_packers, work_list, CorpusSpec};
 pub use job::{execute_job, execute_job_revealing, JobSpec, JobStatus, DEFAULT_FUEL};
 pub use pool::{
     default_workers, parallel_map, parallel_map_expect, resolve_workers, run_batch, run_batch_with,
-    run_tasks, HarnessConfig, JobPool, JobResult, PoolExecutor, Task, WORKERS_ENV,
+    run_tasks, HarnessConfig, Job, JobPool, Task, WORKERS_ENV,
 };
 pub use report::{JobReport, RunReport};

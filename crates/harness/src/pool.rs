@@ -11,13 +11,12 @@
 //!   bench drivers use: apply a function (or a list of boxed tasks) across
 //!   a worker pool with per-item panic capture.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::job::{execute_job, execute_job_revealing, JobSpec};
+use crate::job::{execute_job, JobSpec};
 use crate::report::{JobReport, RunReport};
 
 // The generic layer lives in `dexlego-pool` (dependency-free, below every
@@ -117,132 +116,54 @@ where
     }
 }
 
-/// The per-job executor a [`JobPool`] runs: job in, report plus (for
-/// successful jobs) serialised revealed DEX out.
-pub type PoolExecutor = Arc<dyn Fn(JobSpec) -> JobResult + Send + Sync>;
-
-/// What a pool job yields: the report and, for successful jobs, the
-/// serialised revealed DEX.
-pub type JobResult = (JobReport, Option<Vec<u8>>);
-
-/// Where a pool job's result goes: back over a channel (the blocking
-/// callers) or into a callback invoked on the worker thread (the event-loop
-/// server, which must never block a reader on `recv`).
-enum ReplySink {
-    Channel(std::sync::mpsc::Sender<JobResult>),
-    Notify(Box<dyn FnOnce(JobResult) + Send>),
-}
-
-struct PoolJob {
-    spec: JobSpec,
-    reply: ReplySink,
-}
+/// A unit of work for a [`JobPool`]: it runs once, on a worker thread,
+/// and hands its result back by its own means.
+pub type Job = Box<dyn FnOnce() + Send>;
 
 /// A *persistent* worker pool with bounded admission — the service-facing
 /// sibling of [`run_batch`]. Where `run_batch` owns a finite work-list and
-/// blocks the producer on a full queue, a daemon must never block its
-/// request handlers on extraction backlog: [`JobPool::try_submit`] either
-/// enqueues the job and hands back a receiver for its result, or returns
-/// the job to the caller immediately so it can answer `overloaded`.
+/// blocks the producer on a full queue, a server must never block its
+/// event loop on a backlog: [`JobPool::try_submit`] either enqueues the
+/// job or hands it straight back so the caller can keep it queued or shed
+/// it.
 ///
 /// Dropping the pool (or calling [`JobPool::shutdown`]) closes admission
-/// and *drains*: queued and in-flight jobs run to completion before the
-/// worker threads exit.
+/// and *drains*: queued and running jobs finish before the worker
+/// threads exit.
 pub struct JobPool {
-    tx: Option<SyncSender<PoolJob>>,
+    tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    in_flight: Arc<AtomicUsize>,
 }
 
 impl JobPool {
-    /// A pool of `workers` threads executing jobs via
-    /// [`execute_job_revealing`], admitting at most `queue_depth` queued
-    /// jobs beyond the ones being executed.
+    /// A pool of `workers` threads admitting at most `queue_depth` queued
+    /// jobs beyond the ones running.
     pub fn new(workers: usize, queue_depth: usize) -> JobPool {
-        JobPool::with_executor(workers, queue_depth, Arc::new(execute_job_revealing))
-    }
-
-    /// A pool with a custom executor — how `dexlegod` threads its result
-    /// store into every job, and how tests make workers block on cue.
-    pub fn with_executor(workers: usize, queue_depth: usize, exec: PoolExecutor) -> JobPool {
-        let workers = workers.max(1);
-        let (tx, rx) = sync_channel::<PoolJob>(queue_depth.max(1));
+        let (tx, rx) = sync_channel::<Job>(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let handles = (0..workers)
+        let workers = (0..workers.max(1))
             .map(|_| {
                 let rx = Arc::clone(&rx);
-                let exec = Arc::clone(&exec);
-                let in_flight = Arc::clone(&in_flight);
                 std::thread::spawn(move || loop {
+                    // Hold the lock only for the dequeue, not the job.
                     let next = rx.lock().expect("pool queue lock").recv();
                     let Ok(job) = next else { break };
-                    let result = exec(job.spec);
-                    // Decrement before replying: once a requester can see
-                    // its result, in_flight must not still count the job.
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    match job.reply {
-                        // A dropped receiver just means the requester went
-                        // away; the job still ran and (if cached) was
-                        // stored.
-                        ReplySink::Channel(tx) => {
-                            let _ = tx.send(result);
-                        }
-                        ReplySink::Notify(notify) => notify(result),
-                    }
+                    job();
                 })
             })
             .collect();
         JobPool {
             tx: Some(tx),
-            workers: handles,
-            in_flight,
+            workers,
         }
     }
 
-    /// Submits `spec` if the queue has room. `Ok` carries the receiver the
-    /// job's result will arrive on; `Err` returns the spec unchanged — the
-    /// pool is saturated and the caller should shed load.
-    #[allow(clippy::result_large_err)] // the Err *is* the returned job
-    pub fn try_submit(&self, spec: JobSpec) -> Result<Receiver<JobResult>, JobSpec> {
-        let (reply, result_rx) = channel();
-        self.submit_sink(spec, ReplySink::Channel(reply))
-            .map(|()| result_rx)
-    }
-
-    /// [`JobPool::try_submit`] delivering the result through `notify`
-    /// instead of a channel — the dispatch hook the event-loop server
-    /// uses. `notify` runs *on the worker thread* right after the job
-    /// completes, so it must be cheap and non-blocking (the server's
-    /// implementation pushes onto a completion queue and writes one wake
-    /// byte). On `Err` the spec comes back and `notify` is dropped unrun.
-    #[allow(clippy::result_large_err)] // the Err *is* the returned job
-    pub fn try_submit_notify(
-        &self,
-        spec: JobSpec,
-        notify: Box<dyn FnOnce(JobResult) + Send>,
-    ) -> Result<(), JobSpec> {
-        self.submit_sink(spec, ReplySink::Notify(notify))
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn submit_sink(&self, spec: JobSpec, reply: ReplySink) -> Result<(), JobSpec> {
+    /// Enqueues `job` if the queue has room; `Err` hands it back unrun.
+    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
         let tx = self.tx.as_ref().expect("pool not shut down");
-        // Count before sending so a worker's decrement can never race the
-        // increment below zero.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        match tx.try_send(PoolJob { spec, reply }) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                Err(job.spec)
-            }
-        }
-    }
-
-    /// Jobs admitted but not yet completed (queued + executing).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        tx.try_send(job).map_err(|e| match e {
+            TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
+        })
     }
 
     /// Closes admission and blocks until every admitted job has completed
@@ -268,6 +189,7 @@ impl Drop for JobPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn default_config_is_sane() {
@@ -275,93 +197,64 @@ mod tests {
         assert!(HarnessConfig::default().workers >= 1);
     }
 
-    fn stub_spec(name: &str) -> JobSpec {
-        // The blocking-executor tests never run the spec, so an empty DEX
-        // is fine.
-        JobSpec::new(name, dexlego_dex::DexFile::new(), "LMain;")
-    }
-
+    /// A pool of one worker and a one-slot queue whose jobs block until
+    /// released, so occupancy is deterministic.
     #[test]
     fn job_pool_rejects_when_saturated_and_drains_on_shutdown() {
-        // Executor blocks until released, making queue occupancy
-        // deterministic: 1 worker executing + 1 queued = full.
         let (release_tx, release_rx) = channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
         let done = Arc::new(AtomicUsize::new(0));
-        let exec: PoolExecutor = {
+        let blocking = || -> Job {
             let release_rx = Arc::clone(&release_rx);
             let done = Arc::clone(&done);
-            Arc::new(move |spec: JobSpec| {
+            Box::new(move || {
                 release_rx
                     .lock()
                     .expect("release lock")
                     .recv()
                     .expect("released");
                 done.fetch_add(1, Ordering::SeqCst);
-                (
-                    crate::report::JobReport::empty(spec.name, None),
-                    Some(vec![1, 2, 3]),
-                )
             })
         };
-        let pool = JobPool::with_executor(1, 1, exec);
+        let pool = JobPool::new(1, 1);
 
-        let r1 = pool.try_submit(stub_spec("a")).expect("first admitted");
-        // Wait until the worker has dequeued job a (the queue is empty
-        // again), then fill the queue with job b.
+        assert!(pool.try_submit(blocking()).is_ok(), "first admitted");
+        // Wait until the worker has dequeued the first job (the queue is
+        // empty again), then fill the queue with the second.
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        let r2 = loop {
-            match pool.try_submit(stub_spec("b")) {
-                Ok(rx) => break rx,
-                Err(_) if Instant::now() < deadline => std::thread::yield_now(),
-                Err(_) => panic!("queue never accepted the second job"),
-            }
-        };
+        while pool.try_submit(blocking()).is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "queue never accepted the second job"
+            );
+            std::thread::yield_now();
+        }
         // Depending on dequeue timing the pool may briefly have capacity
         // for one more; saturate until it refuses.
-        let mut extra = Vec::new();
-        let rejected = loop {
-            match pool.try_submit(stub_spec("c")) {
-                Ok(rx) => {
-                    extra.push(rx);
-                    assert!(extra.len() <= 1, "queue depth 1 admitted too much");
-                }
-                Err(spec) => break spec,
-            }
-        };
-        assert_eq!(rejected.name, "c");
-        assert_eq!(pool.in_flight(), 2 + extra.len());
+        let mut admitted = 2;
+        while pool.try_submit(blocking()).is_ok() {
+            admitted += 1;
+            assert!(admitted <= 3, "queue depth 1 admitted too much");
+        }
 
         // Release every admitted job and require the drain to finish them.
-        for _ in 0..(2 + extra.len()) {
+        for _ in 0..admitted {
             release_tx.send(()).unwrap();
         }
-        assert!(r1.recv().unwrap().0.status.is_ok());
-        assert!(r2.recv().unwrap().0.status.is_ok());
         pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 2 + extra.len());
+        assert_eq!(done.load(Ordering::SeqCst), admitted);
     }
 
     #[test]
     fn job_pool_notify_hook_delivers_from_the_worker() {
-        let exec: PoolExecutor = Arc::new(|spec: JobSpec| {
-            (
-                crate::report::JobReport::empty(spec.name, None),
-                Some(vec![9]),
-            )
-        });
-        let pool = JobPool::with_executor(1, 1, exec);
+        let pool = JobPool::new(1, 1);
         let (tx, rx) = channel();
-        pool.try_submit_notify(
-            stub_spec("n"),
-            Box::new(move |(report, dex)| {
-                tx.send((report.name, dex)).unwrap();
-            }),
-        )
-        .expect("admitted");
-        let (name, dex) = rx.recv().unwrap();
-        assert_eq!(name, "n");
-        assert_eq!(dex, Some(vec![9]));
+        let caller = std::thread::current().id();
+        let admitted = pool.try_submit(Box::new(move || {
+            tx.send(std::thread::current().id() != caller).unwrap();
+        }));
+        assert!(admitted.is_ok(), "admitted");
+        assert!(rx.recv().unwrap(), "the job ran on a worker thread");
         pool.shutdown();
     }
 
@@ -370,9 +263,12 @@ mod tests {
         let pool = JobPool::new(2, 4);
         let apps = dexlego_droidbench::appgen::corpus_apps(1, 60);
         let (_, app) = &apps[0];
-        let rx = pool
-            .try_submit(JobSpec::new("real", app.dex.clone(), &app.entry))
-            .expect("admitted");
+        let spec = JobSpec::new("real", app.dex.clone(), &app.entry);
+        let (tx, rx) = channel();
+        let admitted = pool.try_submit(Box::new(move || {
+            tx.send(crate::job::execute_job_revealing(spec)).unwrap();
+        }));
+        assert!(admitted.is_ok(), "admitted");
         let (report, dex) = rx.recv().unwrap();
         assert!(report.status.is_ok(), "{:?}", report.status);
         let bytes = dex.expect("successful job carries revealed DEX");

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use dexlego_service::protocol::reply_body;
 use dexlego_service::{
     Backoff, ClientError, ExtractRequest, PipelinedClient, PipelinedSender, Reply, RequestId,
 };
@@ -20,8 +21,10 @@ use dexlego_store::Key;
 /// What a routing thread hears about its forwarded requests.
 #[derive(Debug)]
 pub enum Event {
-    /// Backend `idx` answered the request the waiter registered.
-    Reply(usize, Reply),
+    /// Backend `idx` answered the request the waiter registered: the
+    /// parsed reply, and the reply line as received with its `id` member
+    /// cut out (see [`reply_body`]), ready to relay.
+    Reply(usize, Reply, String),
     /// Backend `idx`'s connection died with the request outstanding;
     /// its reply is never coming.
     Lost(usize),
@@ -224,13 +227,14 @@ impl Backend {
         let this = Arc::clone(self);
         std::thread::spawn(move || {
             loop {
-                match rx.recv_any() {
-                    Ok((Some(RequestId::Num(id)), reply)) => {
+                match rx.recv_line() {
+                    Ok((Some(tag @ RequestId::Num(id)), reply, line)) => {
                         let waiter = reader_pending.lock().expect("pending lock").remove(&id);
                         // No waiter: a cancelled loser's straggling
                         // reply, or a fire-and-forget ack. Drop it.
                         if let Some(waiter) = waiter {
-                            waiter.deliver(Event::Reply(this.index, reply));
+                            let body = reply_body(line, Some(&tag));
+                            waiter.deliver(Event::Reply(this.index, reply, body));
                         }
                     }
                     // Replies this client never asks for (id-less or

@@ -14,7 +14,12 @@
 //! client-visible errors.
 //!
 //! Both faces speak the `dexlegod` newline-JSON dialect, so existing
-//! clients, the load harness, and the bench drive a fleet unchanged.
+//! clients, the load harness, and the bench drive a fleet unchanged. The
+//! front runs on `dexlegod`'s own server core
+//! ([`dexlego_service::core`]): one event loop with the daemon's framing,
+//! pending queues, shedding, backpressure and drain, handing each routed
+//! request to a bounded worker pool. Beside it run one repair thread and
+//! one reader thread per backend connection.
 
 #![warn(missing_docs)]
 

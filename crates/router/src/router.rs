@@ -18,26 +18,29 @@
 //! to cache misses on its neighbours — a client sees an error only
 //! when the whole fleet is unreachable.
 //!
-//! The front side speaks the exact daemon dialect — ids, deadlines,
-//! `stats`, `shutdown` — so [`dexlego_service::Client`] and
-//! [`dexlego_service::PipelinedClient`] work against a router without
-//! knowing it is one.
+//! The front side is `dexlegod`'s own [server core](dexlego_service::core)
+//! — framing, ids, deadlines, pending queues, shedding, backpressure and
+//! drain — with a handler whose `extract`, `fetch`, `backfill` and
+//! `stats` run as closures on the core's pool, so
+//! [`dexlego_service::Client`] and [`dexlego_service::PipelinedClient`]
+//! work against a router without knowing it is one. Backend replies are
+//! relayed as received, with only their `id` swapped.
 
 use std::collections::HashSet;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dexlego_harness::job_key;
 use dexlego_harness::json::{self, Value};
-use dexlego_service::protocol::push_reply_line;
-use dexlego_service::{parse_request_line, ExtractRequest, Reply, Request, RequestId};
+use dexlego_harness::{job_key, JobPool};
+use dexlego_service::core::{Action, CoreStats, Handler, Limits, Server};
+use dexlego_service::protocol::error_reply;
+use dexlego_service::{ExtractRequest, Reply};
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::hex::from_hex;
-use dexlego_store::Key;
+use dexlego_store::{CachedResult, Key};
 
 use crate::backend::{Backend, Event, HealthConfig, Waiter};
 use crate::ring::Ring;
@@ -64,7 +67,9 @@ pub struct RouterConfig {
     /// Hard per-request fleet budget, milliseconds (bounds requests
     /// that carry no deadline of their own).
     pub request_timeout_ms: u64,
-    /// Routing worker threads (concurrent tagged requests in flight).
+    /// Routing worker threads: requests routed concurrently. The pool
+    /// queues as many again before the front's per-connection queues take
+    /// over.
     pub workers: usize,
     /// Backend health gate.
     pub health: HealthConfig,
@@ -112,9 +117,6 @@ pub struct RouterStats {
     pub fleet_errors: u64,
 }
 
-/// A routing task handed to the worker pool.
-type Job = Box<dyn FnOnce() + Send>;
-
 enum RepairJob {
     /// An entry payload already in hand: offer it to `target`.
     Push {
@@ -139,9 +141,7 @@ struct Ctx {
     stats: Mutex<RouterStats>,
     started: Instant,
     seq: AtomicU64,
-    shutting_down: AtomicBool,
     repair_tx: Mutex<Option<mpsc::Sender<RepairJob>>>,
-    job_tx: Mutex<Option<mpsc::Sender<Job>>>,
     /// `(target, key)` pairs already repaired/replicated, so hedged hits
     /// do not re-offer the same entry every read. Bounded: cleared
     /// wholesale when full (a re-repair is a harmless `put_if_absent`).
@@ -181,37 +181,59 @@ impl Ctx {
         }
         repaired.insert((target, key))
     }
+}
 
-    fn submit(&self, job: Job) {
-        let tx = self.job_tx.lock().expect("job lock").clone();
-        let rejected = match tx {
-            Some(tx) => match tx.send(job) {
-                Ok(()) => None,
-                Err(mpsc::SendError(job)) => Some(job),
-            },
-            None => Some(job),
-        };
-        // Pool gone (drain): run inline rather than drop the reply.
-        if let Some(job) = rejected {
-            job();
+/// The router's front [`Handler`]: every op it owns is routed on the
+/// core's pool.
+struct Front {
+    ctx: Arc<Ctx>,
+}
+
+impl Front {
+    fn defer(
+        &self,
+        deadline_ms: Option<u64>,
+        route: impl FnOnce(&Ctx) -> String + Send + 'static,
+    ) -> Action {
+        let ctx = Arc::clone(&self.ctx);
+        Action::Defer {
+            deadline_ms,
+            work: Box::new(move || route(&ctx)),
         }
+    }
+}
+
+impl Handler for Front {
+    fn extract(&mut self, req: Box<ExtractRequest>) -> Action {
+        self.defer(req.deadline_ms, move |ctx| route_extract(ctx, &req))
+    }
+
+    fn fetch(&mut self, key: Key) -> Action {
+        self.defer(None, move |ctx| route_fetch(ctx, &key))
+    }
+
+    fn backfill(&mut self, key: Key, entry: Box<CachedResult>) -> Action {
+        self.defer(None, move |ctx| route_backfill(ctx, key, &entry))
+    }
+
+    fn stats(&mut self, _core: &CoreStats) -> Action {
+        self.defer(None, stats_reply)
     }
 }
 
 /// A running router; dropping the handle does not stop it — use
 /// [`Router::trigger_shutdown`] + [`Router::wait`].
 pub struct Router {
+    server: Server,
     ctx: Arc<Ctx>,
-    addr: std::net::SocketAddr,
-    accept: Option<JoinHandle<()>>,
     repair: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds the front socket, spawns the accept/worker/repair threads,
-    /// and returns the handle. Backends are dialled lazily on first
-    /// use, so a fleet can be wired up in any order.
+    /// Binds the front socket, starts the front's event loop, routing
+    /// pool and repair thread, and returns the handle. Backends are
+    /// dialled lazily on first use, so a fleet can be wired up in any
+    /// order.
     ///
     /// # Errors
     ///
@@ -226,8 +248,6 @@ impl Router {
             !config.backends.is_empty(),
             "router needs at least one backend"
         );
-        let listener = TcpListener::bind(&config.listen)?;
-        let addr = listener.local_addr()?;
         let ring = Ring::new(&config.backends, config.vnodes.max(1), config.seed);
         let backends: Vec<Arc<Backend>> = config
             .backends
@@ -237,21 +257,28 @@ impl Router {
             .collect();
 
         let (repair_tx, repair_rx) = mpsc::channel::<RepairJob>();
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
+        let workers = config.workers.max(1);
+        let listen = config.listen.clone();
         let ctx = Arc::new(Ctx {
             ring,
             backends,
             stats: Mutex::new(RouterStats::default()),
             started: Instant::now(),
             seq: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
             repair_tx: Mutex::new(Some(repair_tx)),
-            job_tx: Mutex::new(Some(job_tx)),
             repaired: Mutex::new(HashSet::new()),
             config,
         });
+
+        let server = Server::start(
+            "dexlego-router-loop",
+            &listen,
+            JobPool::new(workers, workers),
+            Limits::default(),
+            Front {
+                ctx: Arc::clone(&ctx),
+            },
+        )?;
 
         let repair_ctx = Arc::clone(&ctx);
         let repair = std::thread::spawn(move || {
@@ -276,230 +303,41 @@ impl Router {
             }
         });
 
-        let workers: Vec<JoinHandle<()>> = (0..ctx.config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&job_rx);
-                std::thread::spawn(move || loop {
-                    let job = rx.lock().expect("job queue lock").recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-
-        let accept_ctx = Arc::clone(&ctx);
-        let accept = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_ctx.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_ctx = Arc::clone(&accept_ctx);
-                std::thread::spawn(move || serve_conn(&conn_ctx, stream));
-            }
-        });
-
         Ok(Router {
+            server,
             ctx,
-            addr,
-            accept: Some(accept),
             repair: Some(repair),
-            workers,
         })
     }
 
     /// The bound front address.
     #[must_use]
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Starts a drain exactly as a front `shutdown` request would.
     pub fn trigger_shutdown(&self) {
-        begin_shutdown(&self.ctx, self.addr);
+        self.server.trigger_shutdown();
     }
 
-    /// Blocks until the router has drained: the accept loop has exited
-    /// and the routing and repair workers have finished their queues.
+    /// Blocks until the router has drained: every admitted front request
+    /// has been answered and flushed, and the repair thread has finished
+    /// its queue.
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        // Closing the channels lets the workers drain and exit.
-        self.ctx.job_tx.lock().expect("job lock").take();
+        self.server.wait();
+        // Closing the channel lets the repair thread drain and exit.
         self.ctx.repair_tx.lock().expect("repair lock").take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         if let Some(repair) = self.repair.take() {
             let _ = repair.join();
         }
     }
 }
 
-fn begin_shutdown(ctx: &Arc<Ctx>, addr: std::net::SocketAddr) {
-    if ctx.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Unblock the accept loop so it observes the flag.
-    let _ = TcpStream::connect(addr);
-}
-
-fn error_reply(reason: &str) -> String {
-    json::object(&[
-        ("status", json::string("error")),
-        ("reason", json::string(reason)),
-    ])
-}
-
-fn write_reply(writer: &Mutex<TcpStream>, id: Option<&RequestId>, body: &str) {
-    let mut framed = Vec::new();
-    push_reply_line(&mut framed, id, body);
-    let mut stream = writer.lock().expect("front writer lock");
-    let _ = stream.write_all(&framed);
-    let _ = stream.flush();
-}
-
-fn serve_conn(ctx: &Arc<Ctx>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(write_half));
-    let local_addr = stream.local_addr().ok();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (id, request) = parse_request_line(trimmed);
-        match request {
-            Err(reason) => write_reply(&writer, id.as_ref(), &error_reply(&reason)),
-            Ok(Request::Ping) => write_reply(
-                &writer,
-                id.as_ref(),
-                &json::object(&[("status", json::string("ok"))]),
-            ),
-            Ok(Request::Stats) => {
-                let body = stats_reply(ctx);
-                write_reply(&writer, id.as_ref(), &body);
-            }
-            Ok(Request::Shutdown) => {
-                write_reply(
-                    &writer,
-                    id.as_ref(),
-                    &json::object(&[("status", json::string("ok"))]),
-                );
-                if let Some(addr) = local_addr {
-                    begin_shutdown(ctx, addr);
-                }
-                return;
-            }
-            Ok(Request::Cancel(_)) => {
-                // The router dispatches extracts the moment they arrive,
-                // so there is never a front-side pending queue to revoke
-                // from; report the no-op honestly.
-                write_reply(
-                    &writer,
-                    id.as_ref(),
-                    &json::object(&[
-                        ("status", json::string("ok")),
-                        ("cancelled", "false".to_owned()),
-                    ]),
-                );
-            }
-            Ok(Request::Backfill { key, entry }) => {
-                let body = route_backfill(ctx, key, &entry);
-                write_reply(&writer, id.as_ref(), &body);
-            }
-            Ok(Request::Fetch(key)) => {
-                let body = route_fetch(ctx, &key);
-                write_reply(&writer, id.as_ref(), &body);
-            }
-            Ok(Request::Extract(req)) => match id {
-                // Tagged: fan out through the worker pool so many
-                // requests ride this connection concurrently.
-                Some(id) => {
-                    let job_ctx = Arc::clone(ctx);
-                    let job_writer = Arc::clone(&writer);
-                    ctx.submit(Box::new(move || {
-                        let body = route_extract(&job_ctx, &req);
-                        write_reply(&job_writer, Some(&id), &body);
-                    }));
-                }
-                // Id-less: the ordered compatibility dialect. Routing
-                // inline on the connection thread preserves strict
-                // request-order replies for free.
-                None => {
-                    let body = route_extract(ctx, &req);
-                    write_reply(&writer, None, &body);
-                }
-            },
-        }
-        if ctx.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-/// Removes `keys` members from an object value (no-op otherwise).
-fn strip_members(value: Value, keys: &[&str]) -> Value {
-    match value {
-        Value::Obj(members) => Value::Obj(
-            members
-                .into_iter()
-                .filter(|(k, _)| !keys.contains(&k.as_str()))
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-/// Re-encodes a backend reply for the front connection. The backend's
-/// own `id` echo is stripped (the front framing adds the front id).
-fn encode_reply(reply: Reply) -> String {
-    match reply {
-        Reply::Ok(value) => strip_members(value, &["id"]).to_json(),
-        Reply::Failed {
-            job_status,
-            detail,
-            report,
-        } => {
-            let mut members = vec![
-                ("status", json::string("failed")),
-                ("job_status", json::string(&job_status)),
-            ];
-            if let Some(detail) = detail {
-                members.push(("detail", json::string(&detail)));
-            }
-            members.push(("report", report.to_json()));
-            json::object(&members)
-        }
-        Reply::Overloaded { in_flight } => json::object(&[
-            ("status", json::string("overloaded")),
-            ("in_flight", in_flight.to_string()),
-        ]),
-        Reply::DeadlineExceeded { waited_ms } => json::object(&[
-            ("status", json::string("deadline_exceeded")),
-            ("waited_ms", waited_ms.to_string()),
-        ]),
-        Reply::Error(reason) => error_reply(&reason),
-    }
-}
-
 /// Routes one extract through the fleet and returns the front reply
 /// body (id-less; the caller frames it).
 #[allow(clippy::too_many_lines)]
-fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
+fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
     let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
     let fallback = format!("req{seq:06}");
     let spec = match req.to_spec(&fallback) {
@@ -514,12 +352,10 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
     let r = ctx.config.replicas.clamp(1, candidates.len());
     let replica_set: Vec<usize> = candidates[..r].to_vec();
 
-    // Forwarded copy. `want_entry` is passed through untouched: the
-    // hot-path reply stays thin, and the repair thread pulls the entry
-    // with an explicit `fetch` when replication or read-repair needs
-    // it.
-    let fwd = req.clone();
-
+    // The client's request is forwarded as it came, `want_entry`
+    // included: the hot-path reply stays as thin as the client asked,
+    // and the repair thread pulls the entry with an explicit `fetch`
+    // when replication or read-repair needs it.
     ctx.stats.lock().expect("stats lock").routed += 1;
 
     let started = Instant::now();
@@ -548,7 +384,7 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
         if !ctx.backends[b].available() {
             continue;
         }
-        if let Some(id) = ctx.backends[b].send_extract(&fwd, &waiter) {
+        if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
             first_backend = b;
             outstanding.push((b, id));
             break;
@@ -587,7 +423,7 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                 if !ctx.backends[b].available() {
                     continue;
                 }
-                if let Some(id) = ctx.backends[b].send_extract(&fwd, &waiter) {
+                if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
                     outstanding.push((b, id));
                     last_send = Instant::now();
                     sent = true;
@@ -605,22 +441,22 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                 Event::Lost(b) => {
                     outstanding.retain(|(x, _)| *x != b);
                 }
-                Event::Reply(b, reply) => {
+                Event::Reply(b, reply, body) => {
                     outstanding.retain(|(x, _)| *x != b);
                     match reply {
                         Reply::Ok(value) => {
-                            return finish_ok(
+                            finish_ok(
                                 ctx,
-                                req,
                                 key,
                                 &replica_set,
                                 first_backend,
                                 b,
-                                value,
+                                &value,
                                 outstanding,
                             );
+                            return body;
                         }
-                        terminal @ Reply::Failed { .. } => {
+                        Reply::Failed { .. } => {
                             // A definitive job outcome: retrying on a
                             // replica would just fail the same way.
                             let mut stats = ctx.stats.lock().expect("stats lock");
@@ -632,15 +468,15 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                                 ctx.backends[ob].cancel(oid);
                                 ctx.stats.lock().expect("stats lock").cancels += 1;
                             }
-                            return encode_reply(terminal);
+                            return body;
                         }
-                        soft @ (Reply::Overloaded { .. }
+                        Reply::Overloaded { .. }
                         | Reply::DeadlineExceeded { .. }
-                        | Reply::Error(_)) => {
+                        | Reply::Error(_) => {
                             // This backend shed or garbled the request;
                             // remember its answer but try further
                             // replicas before giving it to the client.
-                            fallback_reply = Some(encode_reply(soft));
+                            fallback_reply = Some(body);
                         }
                     }
                 }
@@ -656,7 +492,7 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
                 if !ctx.backends[b].available() {
                     continue;
                 }
-                if let Some(id) = ctx.backends[b].send_extract(&fwd, &waiter) {
+                if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
                     outstanding.push((b, id));
                     last_send = Instant::now();
                     sent = true;
@@ -676,19 +512,19 @@ fn route_extract(ctx: &Arc<Ctx>, req: &ExtractRequest) -> String {
 }
 
 /// Winner bookkeeping for a successful reply from backend `winner`:
-/// cancel the losers, schedule replication / read-repair, and shape
-/// the front reply.
-#[allow(clippy::too_many_arguments)]
+/// cancel the losers and schedule replication / read-repair. The reply
+/// itself is relayed as the backend wrote it; it carries an `entry` only
+/// when the front client asked for one, because the forwarded request is
+/// the client's own.
 fn finish_ok(
-    ctx: &Arc<Ctx>,
-    req: &ExtractRequest,
+    ctx: &Ctx,
     key: Option<Key>,
     replica_set: &[usize],
     first_backend: usize,
     winner: usize,
-    value: Value,
+    value: &Value,
     losers: Vec<(usize, u64)>,
-) -> String {
+) {
     {
         let mut stats = ctx.stats.lock().expect("stats lock");
         if winner != first_backend {
@@ -751,28 +587,19 @@ fn finish_ok(
             }
         }
     }
-
-    // The entry payload is router plumbing; forward it only when the
-    // front client asked for it itself.
-    let strip: &[&str] = if req.want_entry {
-        &["id"]
-    } else {
-        &["id", "entry"]
-    };
-    strip_members(value, strip).to_json()
 }
 
 /// Pulls the entry payload for `key` from `source` with an explicit
 /// `fetch` round-trip (the repair thread's read path). `None` when the
 /// backend is unreachable, times out, or no longer has the entry.
-fn fetch_entry(ctx: &Arc<Ctx>, source: usize, key: &Key) -> Option<Vec<u8>> {
+fn fetch_entry(ctx: &Ctx, source: usize, key: &Key) -> Option<Vec<u8>> {
     let waiter = Waiter::new();
     ctx.backends[source].send_fetch(key, &waiter)?;
     let deadline = Instant::now() + Duration::from_millis(ctx.config.request_timeout_ms);
     // A fetch has exactly one in-flight request, so the first event (or a
     // timeout's empty batch) settles it.
     match waiter.wait_until(deadline).into_iter().next() {
-        Some(Event::Reply(_, Reply::Ok(value))) => value
+        Some(Event::Reply(_, Reply::Ok(value), _)) => value
             .get("entry")
             .and_then(Value::as_str)
             .and_then(from_hex),
@@ -783,7 +610,7 @@ fn fetch_entry(ctx: &Arc<Ctx>, source: usize, key: &Key) -> Option<Vec<u8>> {
 /// Routes a front-side fetch: ask the key's replicas in placement
 /// order, return the first entry found (with the same shape a backend
 /// answers), `found: false` if no replica has it.
-fn route_fetch(ctx: &Arc<Ctx>, key: &Key) -> String {
+fn route_fetch(ctx: &Ctx, key: &Key) -> String {
     let candidates = ctx.ring.candidates(Ring::key_position(key));
     let r = ctx.config.replicas.clamp(1, candidates.len());
     for &b in &candidates[..r] {
@@ -805,7 +632,7 @@ fn route_fetch(ctx: &Arc<Ctx>, key: &Key) -> String {
 
 /// Routes a front-side backfill to the key's replica set and reports
 /// whether any replica newly stored it.
-fn route_backfill(ctx: &Arc<Ctx>, key: Key, entry: &dexlego_store::CachedResult) -> String {
+fn route_backfill(ctx: &Ctx, key: Key, entry: &CachedResult) -> String {
     let payload = encode_entry(entry);
     let pos = Ring::key_position(&key);
     let candidates = ctx.ring.candidates(pos);
@@ -834,7 +661,7 @@ fn route_backfill(ctx: &Arc<Ctx>, key: Key, entry: &dexlego_store::CachedResult)
         }
         for event in events {
             heard += 1;
-            if let Event::Reply(_, Reply::Ok(value)) = event {
+            if let Event::Reply(_, Reply::Ok(value), _) = event {
                 stored |= value
                     .get("stored")
                     .and_then(Value::as_bool)
@@ -872,7 +699,7 @@ fn merge_stats(into: &mut Value, from: &Value) {
 /// Fans `stats` out to every reachable backend and aggregates: numeric
 /// counters sum, `uptime_ms` is the fleet maximum, and the router adds
 /// its own `router` / `fleet` members.
-fn stats_reply(ctx: &Arc<Ctx>) -> String {
+fn stats_reply(ctx: &Ctx) -> String {
     let waiter = Waiter::new();
     let mut expected = 0usize;
     for backend in &ctx.backends {
@@ -891,7 +718,7 @@ fn stats_reply(ctx: &Arc<Ctx>) -> String {
         }
         for event in events {
             heard += 1;
-            let Event::Reply(_, Reply::Ok(value)) = event else {
+            let Event::Reply(_, Reply::Ok(value), _) = event else {
                 continue;
             };
             let Some(stats) = value.get("stats").cloned() else {
@@ -954,8 +781,8 @@ fn stats_reply(ctx: &Arc<Ctx>) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dexlego_service::parse_reply_line;
+    use dexlego_service::protocol::{push_reply_line, reply_body};
+    use dexlego_service::{parse_reply_line, RequestId};
     use std::path::Path;
 
     /// The wire golden files, kept next to the daemon's encoders.
@@ -972,9 +799,14 @@ mod tests {
             ("extract_ok_reply.line", "router_ok_reply.line"),
             ("extract_failed_reply.line", "router_failed_reply.line"),
         ] {
-            let (_, reply) = parse_reply_line(golden(backend).trim_end()).expect("golden parses");
+            let line = golden(backend).trim_end().to_owned();
+            let (id, _) = parse_reply_line(&line).expect("golden parses");
             let mut framed = Vec::new();
-            push_reply_line(&mut framed, Some(&RequestId::Num(3)), &encode_reply(reply));
+            push_reply_line(
+                &mut framed,
+                Some(&RequestId::Num(3)),
+                &reply_body(line, id.as_ref()),
+            );
             assert!(
                 framed == golden(front).as_bytes(),
                 "{front}: relayed bytes changed\n got: {}",

@@ -10,9 +10,11 @@ use std::time::{Duration, Instant};
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, HarnessConfig, JobReport, JobSpec, PoolExecutor};
+use dexlego_harness::{job_key, HarnessConfig, JobReport, JobSpec};
 use dexlego_router::{run_batch_routed, Ring, Router, RouterConfig};
-use dexlego_service::{Client, Daemon, ExtractRequest, PipelinedClient, Reply, ServiceConfig};
+use dexlego_service::{
+    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, ServiceConfig,
+};
 use dexlego_store::{Store, StoreConfig, TempDir};
 
 fn corpus_requests(count: usize) -> Vec<ExtractRequest> {

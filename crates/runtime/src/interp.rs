@@ -275,39 +275,11 @@ enum Thrown {
     Java(&'static str, String),
 }
 
-/// Serves the payload at `ppc` from the frame's predecoded tables when
-/// available, decoding it from the live method body otherwise. `storage`
-/// anchors the decoded fallback so both paths return a borrow.
-fn payload_ref<'a>(
-    code: &'a FrameCode,
-    storage: &'a mut Option<Decoded>,
-    rt: &Runtime,
-    method: MethodId,
-    ppc: u32,
-) -> Result<&'a Decoded> {
-    if let FrameCode::Pre { pre, .. } = code {
-        if let Some(p) = pre.payload_at(ppc) {
-            return Ok(p);
-        }
-    }
-    Ok(storage.insert(decode_insn(live_insns(rt, method)?, ppc as usize)?))
-}
-
-/// The branch offset a switch takes for `key`, from the payload at `ppc`:
-/// the frame's predecoded table when it has one, else read straight from
-/// the live body's units, so a per-step switch allocates nothing.
-fn switch_offset(
-    code: &FrameCode,
-    rt: &Runtime,
-    method: MethodId,
-    ppc: u32,
-    key: i32,
-) -> Result<Option<i32>> {
-    if let FrameCode::Pre { pre, .. } = code {
-        if let Some(p) = pre.payload_at(ppc) {
-            return decoded_switch_offset(p, key);
-        }
-    }
+/// The branch offset a switch takes for `key`, read straight from the
+/// units of the payload at `ppc` in the live body, so a per-step switch
+/// allocates nothing. (A quickened frame's switches run through their
+/// pre-resolved tables in [`h_switch_pre`].)
+fn switch_offset(rt: &Runtime, method: MethodId, ppc: u32, key: i32) -> Result<Option<i32>> {
     let insns = live_insns(rt, method)?;
     match switch_in_units(insns, ppc as usize, key) {
         Some(offset) => Ok(offset),
@@ -334,6 +306,31 @@ fn switch_in_units(units: &[u16], ppc: usize, key: i32) -> Option<Option<i32>> {
             Some(hit.map(|i| word(targets + 2 * i)))
         }
         _ => None,
+    }
+}
+
+/// The `fill-array-data` payload whose units start at `ppc`, read in
+/// place: its element width, element count and data units, `None` unless
+/// a whole payload is there.
+fn array_payload_in_units(units: &[u16], ppc: usize) -> Option<(usize, usize, &[u16])> {
+    if *units.get(ppc)? != payload::FILL_ARRAY_DATA {
+        return None;
+    }
+    let width = usize::from(*units.get(ppc + 1)?);
+    let size = usize::from(*units.get(ppc + 2)?) | (usize::from(*units.get(ppc + 3)?) << 16);
+    let data = units.get(ppc + 4..ppc + 4 + (width * size).div_ceil(2))?;
+    Some((width, size, data))
+}
+
+/// Stores the first `size` little-endian elements of `width` bytes packed
+/// in `units` into `dst` (as many as fit).
+fn fill_array(dst: &mut [WideValue], width: usize, size: usize, units: &[u16]) {
+    let byte = |k: usize| u64::from((units[k / 2] >> (8 * (k % 2))) & 0xff);
+    for (i, slot) in dst.iter_mut().take(size).enumerate() {
+        let v = (0..width).fold(0u64, |v, j| {
+            v | byte(i * width + j).wrapping_shl(8 * j as u32)
+        });
+        *slot = WideValue::of(v);
     }
 }
 
@@ -422,7 +419,6 @@ struct Ctx<'a, 'r> {
     obs: &'a mut dyn RuntimeObserver,
     method: MethodId,
     frame: &'a mut Frame<'r>,
-    code: &'a FrameCode,
     depth: usize,
     pc: u32,
     next_pc: u32,
@@ -451,30 +447,28 @@ impl Ctx<'_, '_> {
         self.called_out = true;
     }
 
-    /// The pre-resolved data slot of cell `qidx`, or [`quick::NO_DATA`]
-    /// when the frame has no quickening overlay.
-    fn cell_data(&self, qidx: u32) -> u32 {
-        match self.code {
-            FrameCode::Pre { qc, .. } => qc.data(qidx),
-            FrameCode::Step => quick::NO_DATA,
-        }
-    }
-
-    /// Rewrites cell `qidx` to dispatch byte `byte` with resolved `data`,
-    /// counting a successful first-time rewrite in the runtime stats.
-    fn quicken(&mut self, qidx: u32, byte: u8, data: u32) {
-        if let FrameCode::Pre { qc, .. } = self.code {
-            if qc.quicken(qidx, byte, data) {
-                self.rt.stats.quickens += 1;
-            }
+    /// Rewrites cell `qidx` of `q` to dispatch byte `byte` with resolved
+    /// `data`, counting a successful first-time rewrite in the runtime
+    /// stats.
+    fn quicken(&mut self, q: Quick<'_>, qidx: u32, byte: u8, data: u32) {
+        if q.qc.quicken(qidx, byte, data) {
+            self.rt.stats.quickens += 1;
         }
     }
 }
 
+/// A quickened frame's code: its predecoded body and the [`QuickCells`]
+/// overlay that drives table dispatch. Table handlers only ever run inside
+/// [`run_quick_segment`], so they are handed this by type.
+#[derive(Clone, Copy)]
+struct Quick<'a> {
+    pre: &'a PredecodedMethod,
+    qc: &'a QuickCells,
+}
+
 /// One dispatch-table entry: executes an instruction under its dispatch
-/// byte. `qidx` is the instruction's dense cell index in the frame's
-/// [`QuickCells`] overlay.
-type Handler = fn(&mut Ctx<'_, '_>, &Insn, u32) -> Result<Flow>;
+/// byte. `qidx` is the instruction's dense cell index in `q`'s overlay.
+type Handler = fn(&mut Ctx<'_, '_>, Quick<'_>, &Insn, u32) -> Result<Flow>;
 
 /// The 256-entry dispatch table, indexed by dispatch byte (a Dalvik opcode
 /// byte or an internal [`quick`] byte). Cold opcodes share [`h_generic`].
@@ -628,12 +622,13 @@ fn run_frame_inner(
     // to the per-step loop below for good.
     if !wants_events {
         let mut code = acquire_code(rt, method);
-        while let FrameCode::Pre { epoch, .. } = &code {
+        while let FrameCode::Pre { pre, qc, epoch } = &code {
             if *epoch != rt.code_epoch(method) {
                 code = acquire_code(rt, method);
                 continue;
             }
-            match run_quick_segment(rt, obs, method, &mut frame, depth, &code, pc)? {
+            let q = Quick { pre, qc };
+            match run_quick_segment(rt, obs, method, &mut frame, depth, q, pc)? {
                 Seg::Done(outcome) => return Ok(outcome),
                 Seg::Resume(at) => pc = at,
                 Seg::Fallback(at) => {
@@ -678,7 +673,6 @@ fn run_frame_inner(
             obs: &mut *obs,
             method,
             frame: &mut frame,
-            code: &FrameCode::Step,
             depth,
             pc,
             next_pc,
@@ -758,12 +752,9 @@ fn run_quick_segment(
     method: MethodId,
     frame: &mut Frame<'_>,
     depth: usize,
-    code: &FrameCode,
+    q: Quick<'_>,
     start_pc: u32,
 ) -> Result<Seg> {
-    let FrameCode::Pre { pre, qc, .. } = code else {
-        return Ok(Seg::Fallback(start_pc));
-    };
     let obs_branch_hooks = obs.wants_branch_hooks();
     // Constant within a segment: only call-outs can start nested budgeted
     // execution, and a call-out ends the segment.
@@ -773,7 +764,6 @@ fn run_quick_segment(
         obs,
         method,
         frame,
-        code,
         depth,
         pc: start_pc,
         next_pc: start_pc,
@@ -782,7 +772,7 @@ fn run_quick_segment(
         budget_limit,
     };
     loop {
-        let Some((idx, insn, len)) = pre.fetch_at(ctx.pc) else {
+        let Some((idx, insn, len)) = q.pre.fetch_at(ctx.pc) else {
             return Ok(Seg::Fallback(ctx.pc));
         };
         ctx.rt.stats.insns += 1;
@@ -793,14 +783,14 @@ fn run_quick_segment(
         // The hottest dispatch bytes are direct calls the compiler can
         // inline, so loop state survives in registers; everything else
         // goes through the opaque function-pointer table.
-        let byte = qc.dispatch_byte(idx);
+        let byte = q.qc.dispatch_byte(idx);
         let flow = match byte {
-            quick::FUSE_ALU_ALU => h_fuse_alu_alu(&mut ctx, insn, idx)?,
-            quick::FUSE_ALU_GOTO => h_fuse_alu_goto(&mut ctx, insn, idx)?,
-            quick::FUSE_IF_ALU => h_fuse_if_alu(&mut ctx, insn, idx)?,
-            quick::FUSE_CMP_IF => h_fuse_cmp_if(&mut ctx, insn, idx)?,
-            quick::SWITCH_PRE => h_switch_pre(&mut ctx, insn, idx)?,
-            _ => TABLE[byte as usize](&mut ctx, insn, idx)?,
+            quick::FUSE_ALU_ALU => h_fuse_alu_alu(&mut ctx, q, insn, idx)?,
+            quick::FUSE_ALU_GOTO => h_fuse_alu_goto(&mut ctx, q, insn, idx)?,
+            quick::FUSE_IF_ALU => h_fuse_if_alu(&mut ctx, q, insn, idx)?,
+            quick::FUSE_CMP_IF => h_fuse_cmp_if(&mut ctx, q, insn, idx)?,
+            quick::SWITCH_PRE => h_switch_pre(&mut ctx, q, insn, idx)?,
+            _ => TABLE[byte as usize](&mut ctx, q, insn, idx)?,
         };
         let (fault_pc, resume_pc) = (ctx.pc, ctx.next_pc);
         let exc = match flow {
@@ -855,30 +845,30 @@ fn run_quick_segment(
 
 // ---- dedicated dispatch handlers (hot opcodes) -----------------------------
 
-fn h_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_generic(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     // Conservatively treated as a call-out: some generic-match opcodes
     // (invokes, class-initialising accesses, throw) run nested code.
     ctx.mark_call_out();
     exec_generic(ctx, insn)
 }
 
-fn h_nop(_ctx: &mut Ctx<'_, '_>, _insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_nop(_ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, _insn: &Insn, _qidx: u32) -> Result<Flow> {
     Ok(Flow::Next)
 }
 
-fn h_move(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_move(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     let v = ctx.frame.reg(insn.b);
     ctx.frame.set(insn.a, v);
     Ok(Flow::Next)
 }
 
-fn h_move_wide(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_move_wide(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     let v = ctx.frame.wide(insn.b);
     ctx.frame.set_wide(insn.a, v);
     Ok(Flow::Next)
 }
 
-fn h_move_result(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_move_result(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     match ctx.frame.last_result {
         RetVal::Single(s) => ctx.frame.set(insn.a, s),
         _ => ctx.frame.set(insn.a, Slot::default()),
@@ -886,7 +876,12 @@ fn h_move_result(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow>
     Ok(Flow::Next)
 }
 
-fn h_move_result_wide(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_move_result_wide(
+    ctx: &mut Ctx<'_, '_>,
+    _q: Quick<'_>,
+    insn: &Insn,
+    _qidx: u32,
+) -> Result<Flow> {
     match ctx.frame.last_result {
         RetVal::Wide(w) => ctx.frame.set_wide(insn.a, w),
         _ => ctx.frame.set_wide(insn.a, WideValue::default()),
@@ -894,49 +889,49 @@ fn h_move_result_wide(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<
     Ok(Flow::Next)
 }
 
-fn h_move_exception(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_move_exception(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     let caught = ctx.frame.caught.take().unwrap_or(0);
     ctx.frame.set(insn.a, Slot::of(caught));
     Ok(Flow::Next)
 }
 
-fn h_return_void(_ctx: &mut Ctx<'_, '_>, _insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_return_void(_ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, _insn: &Insn, _qidx: u32) -> Result<Flow> {
     Ok(Flow::Ret(RetVal::Void))
 }
 
-fn h_return(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_return(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     Ok(Flow::Ret(RetVal::Single(ctx.frame.reg(insn.a))))
 }
 
-fn h_return_wide(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_return_wide(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     Ok(Flow::Ret(RetVal::Wide(ctx.frame.wide(insn.a))))
 }
 
-fn h_const(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_const(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     ctx.frame.set(insn.a, Slot::of(insn.lit as i32 as u32));
     Ok(Flow::Next)
 }
 
-fn h_const_wide(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_const_wide(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     ctx.frame.set_wide(insn.a, WideValue::from_long(insn.lit));
     Ok(Flow::Next)
 }
 
-fn h_goto(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_goto(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     Ok(Flow::Jump(insn.target(ctx.pc)))
 }
 
-fn h_cmp(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_cmp(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     exec_cmp(ctx.frame, insn);
     Ok(Flow::Next)
 }
 
-fn h_if(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_if(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     let would_take = eval_branch(ctx.frame, insn);
     Ok(branch_flow(ctx, insn, would_take))
 }
 
-fn h_int_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
+fn h_int_alu(ctx: &mut Ctx<'_, '_>, _q: Quick<'_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
     match exec_int_alu(ctx.frame, insn) {
         Ok(()) => Ok(Flow::Next),
         Err(t) => Ok(Flow::Throw(t)),
@@ -945,7 +940,7 @@ fn h_int_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, _qidx: u32) -> Result<Flow> {
 
 /// `iget*` under table dispatch: identical to the generic arm, plus a
 /// one-time rewrite of the cell to its pre-resolved quick form.
-fn h_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iget(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -959,7 +954,7 @@ fn h_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     } else {
         quick::IGET_QUICK
     };
-    ctx.quicken(qidx, byte, field.0 as u32);
+    ctx.quicken(q, qidx, byte, field.0 as u32);
     let v = ctx.rt.heap.read_field(obj, field).unwrap_or_default();
     if insn.op == Opcode::IgetWide {
         ctx.frame.set_wide(insn.a, v);
@@ -976,7 +971,7 @@ fn h_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
 }
 
 /// `iput*` under table dispatch, with the same one-time quickening.
-fn h_iput(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iput(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -990,7 +985,7 @@ fn h_iput(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     } else {
         quick::IPUT_QUICK
     };
-    ctx.quicken(qidx, byte, field.0 as u32);
+    ctx.quicken(q, qidx, byte, field.0 as u32);
     let v = if insn.op == Opcode::IputWide {
         ctx.frame.wide(insn.a)
     } else {
@@ -1007,7 +1002,7 @@ fn h_iput(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
 /// Invokes under table dispatch. Static/direct/super call sites whose
 /// target resolves to a non-framework bytecode method quicken to a
 /// pre-resolved method id; everything else takes the full resolution path.
-fn h_invoke(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_invoke(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.mark_call_out();
     let args = marshal_args(ctx.frame, insn);
     let is_static = matches!(insn.op, Opcode::InvokeStatic | Opcode::InvokeStaticRange);
@@ -1026,7 +1021,7 @@ fn h_invoke(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
             } else {
                 quick::INVOKE_DIRECT_QUICK
             };
-            ctx.quicken(qidx, byte, target.0 as u32);
+            ctx.quicken(q, qidx, byte, target.0 as u32);
             return invoke_resolved(ctx, target, args.slots(), is_static);
         }
     }
@@ -1041,22 +1036,23 @@ fn h_invoke(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
 
 /// `const-string[/jumbo]`: resolve, intern, and cache the interned object
 /// reference in the cell (string interning is stable for the heap's life).
-fn h_const_string(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_const_string(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let s = resolve_string(ctx.rt, ctx.method, insn.idx)?;
     let r = ctx.rt.intern_string(&s);
     ctx.frame.set(insn.a, Slot::of(r));
-    ctx.quicken(qidx, quick::CONST_STRING_QUICK, r);
+    ctx.quicken(q, qidx, quick::CONST_STRING_QUICK, r);
     Ok(Flow::Next)
 }
 
 // ---- quickened handlers ----------------------------------------------------
 //
 // These run only for cells already rewritten by their slow-path
-// counterparts, so the data slot is authoritative; the NO_DATA fallbacks
-// are defensive. Null checks and taint flow are identical to the generic
-// arms — only the constant-pool resolution is skipped.
+// counterparts, and a cell's quick byte is only ever written together with
+// its data, so the data slot is authoritative. Null checks and taint flow
+// are identical to the generic arms — only the constant-pool resolution is
+// skipped.
 
-fn h_iget_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iget_quick(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -1064,10 +1060,7 @@ fn h_iget_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
             "iget on null".into(),
         )));
     }
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+    let data = q.qc.data(qidx);
     let v = ctx
         .rt
         .heap
@@ -1083,7 +1076,7 @@ fn h_iget_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     Ok(Flow::Next)
 }
 
-fn h_iget_wide_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iget_wide_quick(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -1091,10 +1084,7 @@ fn h_iget_wide_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Fl
             "iget on null".into(),
         )));
     }
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+    let data = q.qc.data(qidx);
     let v = ctx
         .rt
         .heap
@@ -1104,7 +1094,7 @@ fn h_iget_wide_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Fl
     Ok(Flow::Next)
 }
 
-fn h_iput_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iput_quick(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -1112,10 +1102,7 @@ fn h_iput_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
             "iput on null".into(),
         )));
     }
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+    let data = q.qc.data(qidx);
     let s = ctx.frame.reg(insn.a);
     ctx.rt.heap.write_field(
         obj,
@@ -1128,7 +1115,7 @@ fn h_iput_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     Ok(Flow::Next)
 }
 
-fn h_iput_wide_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_iput_wide_quick(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
         return Ok(Flow::Throw(Thrown::Java(
@@ -1136,38 +1123,41 @@ fn h_iput_wide_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Fl
             "iput on null".into(),
         )));
     }
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+    let data = q.qc.data(qidx);
     let v = ctx.frame.wide(insn.a);
     ctx.rt.heap.write_field(obj, FieldId(data as usize), v);
     Ok(Flow::Next)
 }
 
-fn h_invoke_static_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+fn h_invoke_static_quick(
+    ctx: &mut Ctx<'_, '_>,
+    q: Quick<'_>,
+    insn: &Insn,
+    qidx: u32,
+) -> Result<Flow> {
+    let data = q.qc.data(qidx);
     let args = marshal_args(ctx.frame, insn);
     invoke_resolved(ctx, MethodId(data as usize), args.slots(), true)
 }
 
-fn h_invoke_direct_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+fn h_invoke_direct_quick(
+    ctx: &mut Ctx<'_, '_>,
+    q: Quick<'_>,
+    insn: &Insn,
+    qidx: u32,
+) -> Result<Flow> {
+    let data = q.qc.data(qidx);
     let args = marshal_args(ctx.frame, insn);
     invoke_resolved(ctx, MethodId(data as usize), args.slots(), false)
 }
 
-fn h_const_string_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
-    let data = ctx.cell_data(qidx);
-    if data == quick::NO_DATA {
-        return exec_generic(ctx, insn);
-    }
+fn h_const_string_quick(
+    ctx: &mut Ctx<'_, '_>,
+    q: Quick<'_>,
+    insn: &Insn,
+    qidx: u32,
+) -> Result<Flow> {
+    let data = q.qc.data(qidx);
     ctx.frame.set(insn.a, Slot::of(data));
     Ok(Flow::Next)
 }
@@ -1175,12 +1165,9 @@ fn h_const_string_quick(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result
 /// `packed-switch`/`sparse-switch` through the table pre-resolved at
 /// predecode time (absolute targets, no payload walk).
 #[inline]
-fn h_switch_pre(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
-    let FrameCode::Pre { qc, .. } = ctx.code else {
-        return exec_generic(ctx, insn);
-    };
+fn h_switch_pre(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     let key = ctx.frame.reg(insn.a).as_int();
-    match qc.switch_table(qc.data(qidx)).lookup(key) {
+    match q.qc.switch_table(q.qc.data(qidx)).lookup(key) {
         Some(target) => Ok(Flow::Jump(target)),
         None => Ok(Flow::Next),
     }
@@ -1201,11 +1188,8 @@ fn h_switch_pre(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
 /// The predecoded second half of the fused pair headed by `head_idx`.
 /// Fusion only pairs adjacent instructions, so the second half is always
 /// the next dense index — no pc lookup needed.
-fn fused_second(code: &FrameCode, head_idx: u32) -> Option<(&Insn, u32)> {
-    if let FrameCode::Pre { pre, .. } = code {
-        return pre.at_index(head_idx + 1);
-    }
-    None
+fn fused_second(q: Quick<'_>, head_idx: u32) -> (&Insn, u32) {
+    q.pre.at_index(head_idx + 1)
 }
 
 /// Starts the second half of a fused pair: mirrors the top of the dispatch
@@ -1222,15 +1206,13 @@ fn begin_second(ctx: &mut Ctx<'_, '_>, pc2: u32, units2: u32) -> Result<()> {
 }
 
 #[inline]
-fn h_fuse_alu_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_alu_alu(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     if let Err(t) = exec_int_alu(ctx.frame, insn) {
         return Ok(Flow::Throw(t));
     }
     let pc2 = ctx.next_pc;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
     match exec_int_alu(ctx.frame, insn2) {
         Ok(()) => Ok(Flow::Next),
@@ -1239,30 +1221,26 @@ fn h_fuse_alu_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow>
 }
 
 #[inline]
-fn h_fuse_alu_goto(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_alu_goto(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     if let Err(t) = exec_int_alu(ctx.frame, insn) {
         return Ok(Flow::Throw(t));
     }
     let pc2 = ctx.next_pc;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
     Ok(Flow::Jump(insn2.target(pc2)))
 }
 
 #[inline]
-fn h_fuse_if_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_if_alu(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     let would_take = eval_branch(ctx.frame, insn);
     if let Flow::Jump(target) = branch_flow(ctx, insn, would_take) {
         return Ok(Flow::Jump(target));
     }
     let pc2 = ctx.next_pc;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
     match exec_int_alu(ctx.frame, insn2) {
         Ok(()) => Ok(Flow::Next),
@@ -1271,13 +1249,11 @@ fn h_fuse_if_alu(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> 
 }
 
 #[inline]
-fn h_fuse_cmp_if(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_cmp_if(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     exec_cmp(ctx.frame, insn);
     let pc2 = ctx.next_pc;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
     let would_take = eval_branch(ctx.frame, insn2);
     // branch_flow reads ctx.pc, which begin_second moved to the `if` — the
@@ -1285,13 +1261,11 @@ fn h_fuse_cmp_if(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> 
     Ok(branch_flow(ctx, insn2, would_take))
 }
 
-fn h_fuse_const_move(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_const_move(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     ctx.frame.set(insn.a, Slot::of(insn.lit as i32 as u32));
     let pc2 = ctx.next_pc;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
     let v = ctx.frame.reg(insn2.b);
     ctx.frame.set(insn2.a, v);
@@ -1301,7 +1275,7 @@ fn h_fuse_const_move(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Fl
 /// Two narrow `iget`s off the same object register (fusion requires the
 /// first destination not clobber the object register, so one null check
 /// and one receiver read cover both).
-fn h_fuse_iget_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flow> {
+fn h_fuse_iget_iget(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, insn: &Insn, qidx: u32) -> Result<Flow> {
     ctx.rt.stats.superinsn_hits += 1;
     let obj = ctx.frame.reg(insn.b).raw;
     if obj == 0 {
@@ -1310,7 +1284,7 @@ fn h_fuse_iget_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flo
             "iget on null".into(),
         )));
     }
-    let field = quick_field(ctx, qidx, insn)?;
+    let field = quick_field(ctx, q, qidx, insn)?;
     let v = ctx.rt.heap.read_field(obj, field).unwrap_or_default();
     ctx.frame.set(
         insn.a,
@@ -1321,11 +1295,9 @@ fn h_fuse_iget_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flo
     );
     let pc2 = ctx.next_pc;
     let idx2 = qidx + 1;
-    let Some((insn2, len2)) = fused_second(ctx.code, qidx) else {
-        return Ok(Flow::Next);
-    };
+    let (insn2, len2) = fused_second(q, qidx);
     begin_second(ctx, pc2, len2)?;
-    let field2 = quick_field(ctx, idx2, insn2)?;
+    let field2 = quick_field(ctx, q, idx2, insn2)?;
     let v2 = ctx.rt.heap.read_field(obj, field2).unwrap_or_default();
     ctx.frame.set(
         insn2.a,
@@ -1341,13 +1313,13 @@ fn h_fuse_iget_iget(ctx: &mut Ctx<'_, '_>, insn: &Insn, qidx: u32) -> Result<Flo
 
 /// The field a narrow `iget` cell refers to: its pre-resolved data slot if
 /// quickened, else a full resolution that also quickens the cell.
-fn quick_field(ctx: &mut Ctx<'_, '_>, qidx: u32, insn: &Insn) -> Result<FieldId> {
-    let data = ctx.cell_data(qidx);
+fn quick_field(ctx: &mut Ctx<'_, '_>, q: Quick<'_>, qidx: u32, insn: &Insn) -> Result<FieldId> {
+    let data = q.qc.data(qidx);
     if data != quick::NO_DATA {
         return Ok(FieldId(data as usize));
     }
     let field = resolve_field_ref(ctx.rt, ctx.method, insn.idx)?;
-    ctx.quicken(qidx, quick::IGET_QUICK, field.0 as u32);
+    ctx.quicken(q, qidx, quick::IGET_QUICK, field.0 as u32);
     Ok(field)
 }
 
@@ -1602,17 +1574,10 @@ fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
     let method = ctx.method;
     let pc = ctx.pc;
     let depth = ctx.depth;
-    let Ctx {
-        rt,
-        obs,
-        frame,
-        code,
-        ..
-    } = ctx;
+    let Ctx { rt, obs, frame, .. } = ctx;
     let rt = &mut **rt;
     let obs = &mut **obs;
     let frame = &mut **frame;
-    let code = &**code;
 
     // `thrown` carries a pending Java exception raised by this instruction.
     let mut thrown: Option<Thrown> = None;
@@ -1772,37 +1737,32 @@ fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
         }
         Opcode::FillArrayData => {
             let arr = frame.reg(insn.a).raw;
-            let mut storage = None;
-            let payload = payload_ref(code, &mut storage, rt, method, insn.target(pc))?;
-            if let Decoded::FillArrayDataPayload {
-                element_width,
-                data,
-            } = payload
-            {
-                if rt.heap.array_len(arr).is_none() {
-                    throw_java!(
-                        "Ljava/lang/NullPointerException;",
-                        "fill-array-data on null".into()
-                    );
-                } else if let Some(obj) = rt.heap.get_mut(arr) {
-                    if let ObjKind::Array { data: dst, .. } = &mut obj.kind {
-                        let w = *element_width as usize;
-                        for (i, chunk) in data.chunks(w).enumerate() {
-                            if i >= dst.len() {
-                                break;
-                            }
-                            let mut v: u64 = 0;
-                            for (j, &b) in chunk.iter().enumerate() {
-                                v |= u64::from(b) << (8 * j);
-                            }
-                            dst[i] = WideValue::of(v);
-                        }
-                    }
-                }
-            } else {
+            // Read in place from the live body, which a quickened frame's
+            // predecoded copy always matches: nothing is decoded or
+            // allocated per execution.
+            let MethodImpl::Bytecode { insns, .. } = &rt.methods[method.0].body else {
+                return Err(RuntimeError::Internal(
+                    "fill-array-data in a non-bytecode method".into(),
+                ));
+            };
+            let ppc = insn.target(pc) as usize;
+            let Some((width, size, units)) = array_payload_in_units(insns, ppc) else {
+                // Not a whole array payload: decode it for the decoder's
+                // error.
+                decode_insn(insns, ppc)?;
                 return Err(RuntimeError::Internal(
                     "fill-array-data target is not an array payload".into(),
                 ));
+            };
+            if rt.heap.array_len(arr).is_none() {
+                throw_java!(
+                    "Ljava/lang/NullPointerException;",
+                    "fill-array-data on null".into()
+                );
+            } else if let Some(obj) = rt.heap.get_mut(arr) {
+                if let ObjKind::Array { data: dst, .. } = &mut obj.kind {
+                    fill_array(dst, width, size, units);
+                }
             }
         }
 
@@ -1824,7 +1784,7 @@ fn exec_generic(ctx: &mut Ctx<'_, '_>, insn: &Insn) -> Result<Flow> {
         // ---- switches --------------------------------------------------------
         Opcode::PackedSwitch | Opcode::SparseSwitch => {
             let key = frame.reg(insn.a).as_int();
-            if let Some(off) = switch_offset(code, rt, method, insn.target(pc), key)? {
+            if let Some(off) = switch_offset(rt, method, insn.target(pc), key)? {
                 return Ok(Flow::Jump(pc.wrapping_add(off as u32)));
             }
         }

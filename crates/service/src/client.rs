@@ -456,13 +456,27 @@ impl PipelinedReceiver {
     ///
     /// Read failures, a closed connection, or an undecodable reply.
     pub fn recv_any(&mut self) -> ClientResult<(Option<RequestId>, Reply)> {
+        self.recv_line().map(|(id, reply, _)| (id, reply))
+    }
+
+    /// [`PipelinedReceiver::recv_any`] that also hands back the reply line
+    /// as received, without its line terminator — what a relay forwards.
+    ///
+    /// # Errors
+    ///
+    /// Read failures, a closed connection, or an undecodable reply.
+    pub fn recv_line(&mut self) -> ClientResult<(Option<RequestId>, Reply, String)> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => Err(ClientError::Lost(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection",
             ))),
-            Ok(_) => parse_reply_line(line.trim_end()).map_err(ClientError::Protocol),
+            Ok(_) => {
+                line.truncate(line.trim_end().len());
+                let (id, reply) = parse_reply_line(&line).map_err(ClientError::Protocol)?;
+                Ok((id, reply, line))
+            }
             Err(e) => Err(ClientError::from_io(e)),
         }
     }

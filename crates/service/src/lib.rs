@@ -11,14 +11,16 @@
 //! across analysts, across tool versions that only change downstream
 //! stages. This crate keeps the pipeline warm behind a daemon:
 //!
-//! - [`server`] — the daemon itself: a single-threaded readiness-based
-//!   event loop ([`poll`], over `poll(2)`)
-//!   multiplexing every connection, speaking pipelined newline-delimited
-//!   JSON ([`protocol`], framed by [`framing`]) with optional request ids
-//!   and deadlines, dispatching extractions round-robin onto a bounded
-//!   [`JobPool`] and shedding load with structured `overloaded` /
-//!   `deadline_exceeded` replies instead of queueing unboundedly, with
-//!   graceful drain on shutdown.
+//! - [`core`] — the server core: a single-threaded readiness-based event
+//!   loop ([`poll`], over `poll(2)`) multiplexing every connection,
+//!   speaking pipelined newline-delimited JSON ([`protocol`], framed by
+//!   [`framing`]) with optional request ids and deadlines, deferring work
+//!   round-robin onto a bounded [`JobPool`] and shedding load with
+//!   structured `overloaded` / `deadline_exceeded` replies instead of
+//!   queueing unboundedly, with graceful drain on shutdown. The router in
+//!   `dexlego-router` runs its front on the same core.
+//! - [`server`] — the daemon itself: the core plus a handler that serves
+//!   cache hits on the loop and runs misses on the pool.
 //! - results are content-addressed into the persistent `dexlego-store`:
 //!   a repeated request is served from disk, byte-identical to the fresh
 //!   extraction, and a corrupted entry is quarantined and transparently
@@ -32,6 +34,7 @@
 //! [`JobPool`]: dexlego_harness::JobPool
 
 pub mod client;
+pub mod core;
 pub mod framing;
 pub mod poll;
 pub mod protocol;
@@ -46,4 +49,4 @@ pub use protocol::{
     parse_reply, parse_reply_line, parse_request, parse_request_line, ExtractRequest, Reply,
     Request, RequestId,
 };
-pub use server::{Daemon, ServiceConfig};
+pub use server::{Daemon, PoolExecutor, ServiceConfig};

@@ -481,6 +481,29 @@ pub fn push_reply_line(out: &mut Vec<u8>, id: Option<&RequestId>, reply: &str) {
     out.push(b'\n');
 }
 
+/// A reply line as a daemon framed it, turned back into a reply body for
+/// [`push_reply_line`]: the leading `"id"` member it carries for `id` is
+/// cut out in place and every other byte stays as received. A relay
+/// frames the body under its own client's id, so the id is swapped,
+/// inserted or dropped without re-encoding the reply.
+pub fn reply_body(mut line: String, id: Option<&RequestId>) -> String {
+    if let Some(id) = id {
+        let member = format!("\"id\": {}, ", id.encode());
+        if line.starts_with('{') && line[1..].starts_with(&member) {
+            line.replace_range(1..=member.len(), "");
+        }
+    }
+    line
+}
+
+/// The body of an `error` reply.
+pub fn error_reply(reason: &str) -> String {
+    json::object(&[
+        ("status", json::string("error")),
+        ("reason", json::string(reason)),
+    ])
+}
+
 /// A decoded reply line, from the client's point of view.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {

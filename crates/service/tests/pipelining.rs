@@ -1,7 +1,9 @@
 //! Multiplexing semantics over a live daemon: tagged requests complete
 //! out of order, id-less requests keep the old strictly-ordered contract
 //! (the blocking [`Client`] compatibility dialect), and deadlines shed
-//! work that cannot start in time.
+//! work that cannot start in time. The contract tests that need no
+//! admission control of their own also run through a router with the
+//! daemon behind it, whose front is the same server core.
 
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -9,9 +11,11 @@ use std::time::Duration;
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{JobReport, JobSpec, PoolExecutor};
+use dexlego_harness::{JobReport, JobSpec};
+use dexlego_router::{Router, RouterConfig};
 use dexlego_service::{
-    Client, Daemon, ExtractReply, ExtractRequest, PipelinedClient, Reply, ServiceConfig,
+    Client, Daemon, ExtractReply, ExtractRequest, PipelinedClient, PoolExecutor, Reply, RequestId,
+    ServiceConfig,
 };
 use dexlego_store::{Store, StoreConfig, TempDir};
 
@@ -36,8 +40,30 @@ fn delay_daemon(dir: &TempDir, delays: Vec<(&'static str, u64)>) -> Daemon {
         (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
     });
     let mut config = ServiceConfig::new(dir.path());
-    config.workers = 2; // both jobs run concurrently
+    config.workers = 3; // every job of a test runs concurrently
     Daemon::start_with_executor(config, store, exec).expect("daemon starts")
+}
+
+/// The address to talk to: `daemon` itself, or a router with `daemon` as
+/// its only backend.
+fn front(daemon: &Daemon, through_router: bool) -> (Option<Router>, String) {
+    if !through_router {
+        return (None, daemon.addr().to_string());
+    }
+    let router =
+        Router::start(RouterConfig::new(vec![daemon.addr().to_string()])).expect("router starts");
+    let addr = router.addr().to_string();
+    (Some(router), addr)
+}
+
+/// Shuts down what [`front`] started.
+fn stop(router: Option<Router>, daemon: Daemon) {
+    if let Some(router) = router {
+        router.trigger_shutdown();
+        router.wait();
+    }
+    daemon.trigger_shutdown();
+    daemon.wait();
 }
 
 fn report_name(reply: &Reply) -> String {
@@ -169,4 +195,97 @@ fn unexpired_deadlines_do_not_shed() {
 
     client.shutdown().expect("shutdown");
     daemon.wait();
+}
+
+/// Id-less requests keep their order while a slower tagged request on the
+/// same connection is still running: the tagged reply may land anywhere,
+/// the id-less ones come back in request order even though the second
+/// finishes first.
+#[test]
+fn idless_order_holds_beside_a_slower_tagged_request() {
+    for through_router in [false, true] {
+        let dir = TempDir::new("service-mixed-order").unwrap();
+        let daemon = delay_daemon(&dir, vec![("tagged", 400), ("mid", 200), ("fast", 0)]);
+        let (router, addr) = front(&daemon, through_router);
+
+        let mut client = Client::connect(&addr).expect("connect");
+        let tagged = sample_request("tagged").encode_with_id(&RequestId::Num(77));
+        client.send_line(&tagged).expect("send tagged");
+        client
+            .send_line(&sample_request("mid").encode())
+            .expect("send mid");
+        client
+            .send_line(&sample_request("fast").encode())
+            .expect("send fast");
+
+        let mut ordered = Vec::new();
+        let mut tagged_seen = false;
+        for _ in 0..3 {
+            let reply = client.recv().expect("reply");
+            let name = report_name(&reply);
+            if name == "tagged" {
+                tagged_seen = true;
+            } else {
+                ordered.push(name);
+            }
+        }
+        assert!(tagged_seen, "the tagged request is answered");
+        assert_eq!(ordered, ["mid", "fast"], "router: {through_router}");
+
+        drop(client);
+        stop(router, daemon);
+    }
+}
+
+/// A `shutdown` drains: every request read before it still gets its
+/// reply, flushed before `wait` returns.
+#[test]
+fn shutdown_flushes_every_admitted_reply_before_wait_returns() {
+    for through_router in [false, true] {
+        let dir = TempDir::new("service-drain").unwrap();
+        let names = ["d0", "d1", "d2", "d3", "d4", "d5"];
+        let daemon = delay_daemon(&dir, names.iter().map(|&n| (n, 100)).collect());
+        let (router, addr) = front(&daemon, through_router);
+
+        let mut client = PipelinedClient::connect(&addr).expect("connect");
+        let mut sent = Vec::new();
+        for name in names {
+            sent.push(client.send_extract(&sample_request(name)).expect("send"));
+        }
+        let shutdown = client.send_op("shutdown").expect("send shutdown");
+        client.flush().expect("flush");
+
+        // Every reply is small enough to sit in the socket buffers, so the
+        // drain can finish while this client reads nothing.
+        let backend = match router {
+            Some(router) => {
+                router.wait();
+                Some(daemon)
+            }
+            None => {
+                daemon.wait();
+                None
+            }
+        };
+        let mut ids = collect_ids(&mut client, names.len() + 1);
+        ids.sort_unstable();
+        sent.push(shutdown);
+        assert_eq!(ids, sent, "router: {through_router}");
+        if let Some(daemon) = backend {
+            daemon.trigger_shutdown();
+            daemon.wait();
+        }
+    }
+}
+
+/// Reads `n` replies and returns their ids.
+fn collect_ids(client: &mut PipelinedClient, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(
+            |_| match client.recv_any().expect("reply after the drain") {
+                (Some(RequestId::Num(id)), Reply::Ok(_)) => id,
+                other => panic!("unexpected reply: {other:?}"),
+            },
+        )
+        .collect()
 }

@@ -10,9 +10,9 @@ use std::time::Duration;
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, JobReport, JobSpec, PoolExecutor};
+use dexlego_harness::{job_key, JobReport, JobSpec};
 use dexlego_service::{
-    Client, Daemon, ExtractRequest, PipelinedClient, Reply, RequestId, ServiceConfig,
+    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, RequestId, ServiceConfig,
 };
 use dexlego_store::hex::from_hex;
 use dexlego_store::{Store, StoreConfig, TempDir};

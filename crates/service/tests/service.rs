@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, JobReport, JobSpec, PoolExecutor};
-use dexlego_service::{Client, Daemon, ExtractReply, ExtractRequest, ServiceConfig};
+use dexlego_harness::{job_key, JobReport, JobSpec};
+use dexlego_service::{Client, Daemon, ExtractReply, ExtractRequest, PoolExecutor, ServiceConfig};
 use dexlego_store::{object_path, Store, StoreConfig, TempDir};
 
 fn sample_request(insns: usize) -> ExtractRequest {

@@ -1,6 +1,7 @@
 //! Partial-I/O and backpressure tests: one misbehaving connection — a
 //! byte-dribbling writer or a client that stops reading its replies —
-//! must never stall the other connections sharing the event loop.
+//! must never stall the other connections sharing the event loop, on the
+//! daemon or on a router's front.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -9,8 +10,11 @@ use std::time::{Duration, Instant};
 
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
-use dexlego_harness::{JobReport, JobSpec, PoolExecutor};
-use dexlego_service::{Client, Daemon, ExtractRequest, PipelinedClient, ServiceConfig};
+use dexlego_harness::{JobReport, JobSpec};
+use dexlego_router::{Router, RouterConfig};
+use dexlego_service::{
+    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, ServiceConfig,
+};
 use dexlego_store::{Store, StoreConfig, TempDir};
 
 fn sample_request(insns: usize) -> ExtractRequest {
@@ -92,10 +96,22 @@ fn byte_dribbling_writer_does_not_stall_other_connections() {
 
 #[test]
 fn stalled_reader_gets_backpressure_without_stalling_others() {
+    for through_router in [false, true] {
+        stalled_reader_does_not_stall_others(through_router);
+    }
+}
+
+fn stalled_reader_does_not_stall_others(through_router: bool) {
     let dir = TempDir::new("service-stalled").unwrap();
     // ~16 KiB of hex per reply: a few unread replies trip the soft cap.
     let daemon = stub_daemon(&dir, 8 * 1024);
-    let addr = daemon.addr().to_string();
+    let router = through_router.then(|| {
+        Router::start(RouterConfig::new(vec![daemon.addr().to_string()])).expect("router starts")
+    });
+    let addr = router
+        .as_ref()
+        .map_or(daemon.addr(), Router::addr)
+        .to_string();
 
     // The stalled client pipelines many tagged requests and reads nothing.
     // Sends run on their own thread: once the server pauses intake, the
@@ -120,11 +136,21 @@ fn stalled_reader_gets_backpressure_without_stalling_others() {
     // Give the server time to execute and buffer up to the soft cap.
     std::thread::sleep(Duration::from_millis(200));
 
-    // Other connections keep making progress while that client sulks.
+    // Other connections keep making progress while that client sulks:
+    // requests the loop answers, and requests that need the pool.
     let mut fast = Client::connect(&addr).expect("fast connects");
+    let mut fast_tagged = PipelinedClient::connect(&addr).expect("fast tagged connects");
     let started = Instant::now();
     for _ in 0..20 {
         fast.ping().expect("fast ping behind a stalled reader");
+    }
+    for _ in 0..5 {
+        fast_tagged
+            .send_extract(&sample_request(40))
+            .expect("fast extract");
+        fast_tagged
+            .recv_extract()
+            .expect("fast extract behind a stalled reader");
     }
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -151,9 +177,14 @@ fn stalled_reader_gets_backpressure_without_stalling_others() {
     assert!(seen.iter().all(|&s| s), "every request got its reply");
     sender.join().expect("sender finished");
 
-    daemon.trigger_shutdown();
     drop(stalled_reader);
     drop(fast);
+    drop(fast_tagged);
+    if let Some(router) = router {
+        router.trigger_shutdown();
+        router.wait();
+    }
+    daemon.trigger_shutdown();
     daemon.wait();
 }
 
