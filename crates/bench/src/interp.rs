@@ -131,23 +131,12 @@ fn measure(
     (best, per_call)
 }
 
-/// Runs every workload whose name matches `filter` (all of them when
-/// `None`) on both paths.
-pub fn run_filtered(
-    iterations: i32,
-    repeats: u32,
-    filter: Option<&crate::filter::Pattern>,
-) -> Vec<WorkloadResult> {
+/// Runs both workloads on both paths.
+pub fn run(iterations: i32, repeats: u32) -> Vec<WorkloadResult> {
     let (dex, entry) = benchmark_app();
-    ["hot_loop", "switch_loop"]
-        .iter()
-        .filter(|&&name| filter.is_none_or(|f| f.is_match(name)))
-        .map(|&name| {
-            let method = if name == "hot_loop" {
-                "hotLoop"
-            } else {
-                "switchLoop"
-            };
+    [("hot_loop", "hotLoop"), ("switch_loop", "switchLoop")]
+        .into_iter()
+        .map(|(name, method)| {
             let (step, insns) = measure(&dex, &entry, method, &mut PerStep, iterations, repeats);
             let (quick, _) = measure(&dex, &entry, method, &mut NullObserver, iterations, repeats);
             WorkloadResult {
@@ -158,11 +147,6 @@ pub fn run_filtered(
             }
         })
         .collect()
-}
-
-/// Runs both workloads on both paths.
-pub fn run(iterations: i32, repeats: u32) -> Vec<WorkloadResult> {
-    run_filtered(iterations, repeats, None)
 }
 
 /// Formats the results as one JSON object.

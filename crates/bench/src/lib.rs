@@ -22,7 +22,6 @@
 pub mod common;
 pub mod fig5;
 pub mod fig6;
-pub mod filter;
 pub mod interp;
 pub mod router;
 pub mod service;

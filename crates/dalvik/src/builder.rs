@@ -182,7 +182,7 @@ impl MethodBuilder<'_> {
         self.asm.push(insn);
     }
 
-    /// `aput`-style array store: vval into varr[vidx].
+    /// `aput`-style array store: `vval` into `varr[vidx]`.
     pub fn aput(&mut self, op: Opcode, val: u32, arr: u32, idx: u32) {
         let mut insn = crate::insn::Insn::of(op);
         insn.a = val;

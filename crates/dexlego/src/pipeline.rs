@@ -38,16 +38,14 @@ pub struct RevealOutcome {
     /// Warning-severity verifier lints over the reassembled DEX
     /// (error-severity diagnostics abort the pipeline instead).
     pub lints: Vec<dexlego_verifier::Diagnostic>,
-    /// Method bodies for which the verifier materialized typed IR.
-    pub typed_methods: usize,
-    /// Instructions across all typed-IR methods.
-    pub typed_insns: u64,
     /// [`validate_reveal`] findings over the outcome (empty = every
     /// collected method and instruction made it into the reassembled DEX).
     /// Computed as part of the pipeline so callers cannot forget the check.
     pub validation: Vec<String>,
     /// Per-phase timings and counters recorded while producing this
-    /// outcome.
+    /// outcome (collected methods and instructions, `dump_size`, verifier
+    /// lints, typed-IR methods and instructions, verify-cache hits and
+    /// misses, …).
     pub metrics: PipelineMetrics,
 }
 
@@ -256,6 +254,7 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
     metrics.count("methods_collected", files.methods.len() as u64);
     metrics.count("insns_collected", files.total_insns() as u64);
     let dump_size = metrics.time("serialize", || files.encoded_len());
+    metrics.count("dump_size", dump_size as u64);
     // `reassemble_with_metrics` records the `tree_merge` and `dexgen`
     // phases itself.
     let dex = reassemble_with_metrics(&files, &mut metrics)?;
@@ -287,8 +286,8 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
     metrics.record_phase_us("verify", verify_us);
     metrics.count("verify_cache_hits", typed.cache_hits);
     metrics.count("verify_cache_misses", typed.cache_misses);
-    let typed_methods = typed.methods.len();
-    let typed_insns = typed.insn_count() as u64;
+    metrics.count("typed_methods", typed.methods.len() as u64);
+    metrics.count("typed_insns", typed.insn_count() as u64);
     let (_typed, lints) = crate::reassemble::gate_verified(typed)?;
     let (validation, validate_us) = match validated {
         Some(validated) => validated.unwrap_or_else(|p| resume_unwind(p)),
@@ -296,16 +295,12 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
     };
     metrics.record_phase_us("validate", validate_us);
     metrics.count("verifier_lints", lints.len() as u64);
-    metrics.count("typed_methods", typed_methods as u64);
-    metrics.count("typed_insns", typed_insns);
     metrics.count("validation_findings", validation.len() as u64);
     Ok(RevealOutcome {
         files,
         dex,
         dump_size,
         lints,
-        typed_methods,
-        typed_insns,
         validation,
         metrics,
     })

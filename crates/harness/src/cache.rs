@@ -48,46 +48,33 @@ pub fn job_key(spec: &JobSpec) -> Option<Key> {
 }
 
 /// Converts a *successful* job's report and revealed DEX into the store's
-/// entry form.
+/// entry form: every counter by name, and the phase timings.
 pub fn to_cached(report: &JobReport, dex_bytes: &[u8]) -> CachedResult {
     CachedResult {
         dex_bytes: dex_bytes.to_vec(),
-        wall_us: report.wall_us,
-        insns: report.insns,
-        frames: report.frames,
-        methods_collected: report.methods_collected as u64,
-        insns_collected: report.insns_collected,
-        dump_size: report.dump_size as u64,
-        verifier_lints: report.verifier_lints as u64,
-        typed_methods: report.typed_methods as u64,
-        typed_insns: report.typed_insns,
-        verify_cache_hits: report.verify_cache_hits,
-        verify_cache_misses: report.verify_cache_misses,
-        validation: Vec::new(), // a cached job passed validation
+        counters: report
+            .counters()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
         phases_us: report.phases_us.clone(),
     }
 }
 
-/// Reconstructs a job report from a cache hit. Collection counters and
-/// phase timings describe the original extraction; `wall_us` is the
-/// lookup time and [`JobReport::cached`] is set.
+/// Reconstructs a job report from a cache hit. Counters and phase
+/// timings describe the original extraction; a counter the entry does not
+/// carry reads 0, and one the report does not know is skipped. `wall_us`
+/// is left for the caller to set to the lookup time, and
+/// [`JobReport::cached`] is set.
 pub fn from_cached(name: &str, packer: Option<&'static str>, hit: &CachedResult) -> JobReport {
-    JobReport {
-        status: JobStatus::Ok,
+    let mut report = JobReport {
         cached: true,
-        insns: hit.insns,
-        frames: hit.frames,
-        methods_collected: hit.methods_collected as usize,
-        insns_collected: hit.insns_collected,
-        dump_size: hit.dump_size as usize,
-        verifier_lints: hit.verifier_lints as usize,
-        typed_methods: hit.typed_methods as usize,
-        typed_insns: hit.typed_insns,
-        verify_cache_hits: hit.verify_cache_hits,
-        verify_cache_misses: hit.verify_cache_misses,
         phases_us: hit.phases_us.clone(),
         ..JobReport::empty(name.to_owned(), packer)
+    };
+    for (counter, value) in &hit.counters {
+        report.set_counter(counter, *value);
     }
+    report
 }
 
 /// Executes `spec` through `store`: a verified cache hit is served without
@@ -179,35 +166,47 @@ mod tests {
         assert_eq!(job_key(&spec), None);
     }
 
+    /// Every counter, each set to a distinct value, and every phase
+    /// survive the store entry and its codec.
     #[test]
     fn report_roundtrips_through_cache_entry() {
-        let report = JobReport {
+        let mut report = JobReport {
             wall_us: 900,
-            insns: 11,
-            frames: 2,
-            methods_collected: 3,
-            insns_collected: 40,
-            dump_size: 512,
-            verifier_lints: 1,
-            typed_methods: 2,
-            typed_insns: 33,
-            verify_cache_hits: 6,
-            verify_cache_misses: 3,
-            phases_us: vec![("collect".to_owned(), 7)],
+            phases_us: vec![("collect".to_owned(), 7), ("verify".to_owned(), 3)],
             ..JobReport::empty("j".to_owned(), Some("360"))
         };
+        for (i, c) in crate::COUNTERS.iter().enumerate() {
+            report.set_counter(c.name, 1_000 + 7 * i as u64);
+        }
         let entry = to_cached(&report, &[1, 2, 3]);
-        let back = from_cached("j", Some("360"), &entry);
+        let decoded =
+            dexlego_store::entry::decode(&dexlego_store::entry::encode(&entry)).expect("decodes");
+        assert_eq!(decoded, entry);
+        let back = from_cached("j", Some("360"), &decoded);
         assert!(back.cached);
         assert!(back.status.is_ok());
-        assert_eq!(back.insns, report.insns);
-        assert_eq!(back.frames, report.frames);
-        assert_eq!(back.methods_collected, report.methods_collected);
-        assert_eq!(back.typed_methods, report.typed_methods);
-        assert_eq!(back.typed_insns, report.typed_insns);
-        assert_eq!(back.verify_cache_hits, report.verify_cache_hits);
-        assert_eq!(back.verify_cache_misses, report.verify_cache_misses);
+        assert!(back.counters().eq(report.counters()));
         assert_eq!(back.phases_us, report.phases_us);
-        assert_eq!(entry.dex_bytes, vec![1, 2, 3]);
+        assert_eq!(decoded.dex_bytes, vec![1, 2, 3]);
+    }
+
+    /// An entry written by a build with a counter this one does not know
+    /// still serves, and a counter it lacks reads 0.
+    #[test]
+    fn unknown_counters_are_skipped_and_missing_ones_read_zero() {
+        let entry = CachedResult {
+            dex_bytes: vec![9],
+            counters: vec![
+                ("frames".to_owned(), 4),
+                ("from_a_newer_build".to_owned(), 99),
+            ],
+            phases_us: Vec::new(),
+        };
+        let decoded = dexlego_store::entry::decode(&dexlego_store::entry::encode(&entry))
+            .expect("unknown names decode");
+        let report = from_cached("j", None, &decoded);
+        for (name, value) in report.counters() {
+            assert_eq!(value, u64::from(name == "frames") * 4, "{name}");
+        }
     }
 }

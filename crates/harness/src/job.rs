@@ -99,11 +99,13 @@ impl JobSpec {
     }
 }
 
-/// Terminal status of a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Terminal status of a job. A report starts out [`JobStatus::Ok`] (the
+/// default) and records the first gate the job fails.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum JobStatus {
     /// Extraction succeeded, the reassembled DEX verified, validation and
     /// (if requested) conformance passed.
+    #[default]
     Ok,
     /// The instruction budget was exhausted while driving the app.
     Timeout,
@@ -430,7 +432,7 @@ fn reveal_job(spec: &JobSpec, events: usize) -> (JobReport, Option<DexFile>) {
             }
             Err(_) if timed_out => JobStatus::Timeout,
             Err(DexLegoError::Verification(diags)) => {
-                report.verifier_errors = diags.len();
+                report.verifier_errors = diags.len() as u64;
                 JobStatus::VerifierRejected(
                     diags
                         .iter()

@@ -3,7 +3,7 @@
 //!
 //! Two halves:
 //!
-//! * **Emission** ([`escape`], [`string`], [`object`], [`array`],
+//! * **Emission** ([`escape`], [`string`], [`object`], [`array()`],
 //!   [`ObjectWriter`]) — what the run reports and wire lines need:
 //!   objects, arrays, strings, unsigned integers. Each document is written
 //!   into one buffer, and unescaped runs are copied whole, so emission is

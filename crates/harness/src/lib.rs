@@ -6,19 +6,20 @@
 //! corpora of (application, packer-profile) pairs. This crate makes such
 //! runs practical:
 //!
-//! - **Sharding** ([`pool`]): a work-list of [`JobSpec`]s is fed through a
-//!   bounded queue to a `std::thread` worker pool; results stream back and
-//!   are reassembled in submission order.
+//! - **Sharding** ([`pool`]): a work-list of [`JobSpec`]s is spread over a
+//!   `std::thread` worker pool, and the reports come back in submission
+//!   order.
 //! - **Fault isolation** ([`job`]): each job runs in its own freshly
 //!   constructed [`Runtime`], wrapped in `catch_unwind` so a panicking
 //!   interpreter run is reported as a failed job instead of killing the
 //!   batch, and with a *fuel* (instruction-budget) timeout so a runaway
 //!   loop in a sample becomes a reported [`JobStatus::Timeout`].
 //! - **Reporting** ([`report`]): every job yields a structured
-//!   [`JobReport`] — status, collection counts, reassembly/verifier
-//!   outcome, wall time, interpreted-instruction count, and the per-phase
-//!   pipeline timings recorded by [`dexlego_core::PipelineMetrics`] —
-//!   aggregated into a [`RunReport`] serialisable as JSON.
+//!   [`JobReport`] — status, wall time, the job counters named once in
+//!   [`COUNTERS`] (interpreted instructions, collection counts,
+//!   verifier outcome, …), and the per-phase pipeline timings recorded by
+//!   [`dexlego_core::PipelineMetrics`] — aggregated into a [`RunReport`]
+//!   serialisable as JSON.
 //! - **Conformance** ([`conformance`]): differential checking that the
 //!   extracted+reassembled DEX behaves like the original — equal observable
 //!   event streams (method entries, field writes, branch outcomes).
@@ -74,4 +75,4 @@ pub use pool::{
     default_workers, parallel_map, parallel_map_expect, resolve_workers, run_batch, run_batch_with,
     run_tasks, HarnessConfig, Job, JobPool, Task, WORKERS_ENV,
 };
-pub use report::{JobReport, RunReport};
+pub use report::{JobReport, RunReport, COUNTERS};

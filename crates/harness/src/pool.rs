@@ -2,16 +2,16 @@
 //!
 //! Two layers:
 //!
-//! * [`run_batch`] — the harness proper: feeds [`JobSpec`]s through a
-//!   *bounded* queue (`sync_channel`) to `std::thread` workers, each of
-//!   which executes jobs via [`execute_job`] (own runtime, panic capture,
-//!   fuel timeout) and streams [`JobReport`]s back; results are reassembled
-//!   in submission order into a [`RunReport`].
+//! * [`run_batch`] — the harness proper: spreads [`JobSpec`]s over
+//!   `std::thread` workers with [`parallel_map`], each of which executes
+//!   jobs via [`execute_job`] (own runtime, panic capture, fuel timeout),
+//!   and returns the [`JobReport`]s in submission order as a
+//!   [`RunReport`].
 //! * [`parallel_map`] / [`run_tasks`] — the generic work-stealing layer the
 //!   bench drivers use: apply a function (or a list of boxed tasks) across
 //!   a worker pool with per-item panic capture.
 
-use std::sync::mpsc::{channel, sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -32,19 +32,13 @@ pub use dexlego_pool::{
 pub struct HarnessConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Bounded job-queue depth. Small on purpose: job specs carry whole
-    /// DEX models, and a deep queue would just hold memory that workers
-    /// cannot get to yet.
-    pub queue_depth: usize,
 }
 
 impl HarnessConfig {
-    /// A config with `workers` threads and a queue depth of twice that.
+    /// A config with `workers` threads.
     pub fn with_workers(workers: usize) -> HarnessConfig {
-        let workers = workers.max(1);
         HarnessConfig {
-            workers,
-            queue_depth: workers * 2,
+            workers: workers.max(1),
         }
     }
 }
@@ -64,55 +58,23 @@ pub fn run_batch(jobs: Vec<JobSpec>, config: &HarnessConfig) -> RunReport {
 
 /// [`run_batch`] with a pluggable per-job executor — the seam through which
 /// cache-aware runs ([`crate::cache::run_batch_cached`]) reuse the sharding
-/// machinery.
+/// machinery. No more workers run than there are jobs.
+///
+/// # Panics
+///
+/// If `exec` itself panics (the executors here capture a job's panic in
+/// its report instead).
 pub fn run_batch_with<E>(jobs: Vec<JobSpec>, config: &HarnessConfig, exec: E) -> RunReport
 where
     E: Fn(JobSpec) -> JobReport + Sync,
 {
     let start = Instant::now();
-    let n = jobs.len();
-    let workers = config.workers.max(1).min(n.max(1));
-    let (job_tx, job_rx) = sync_channel::<(usize, JobSpec)>(config.queue_depth.max(1));
-    let job_rx = Mutex::new(job_rx);
-    let (report_tx, report_rx) = channel::<(usize, JobReport)>();
-    let mut slots: Vec<Option<JobReport>> = (0..n).map(|_| None).collect();
-
-    let exec = &exec;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = &job_rx;
-            let report_tx = report_tx.clone();
-            scope.spawn(move || loop {
-                // Hold the lock only for the dequeue, not the job.
-                let next = job_rx.lock().expect("job queue lock").recv();
-                let Ok((index, spec)) = next else { break };
-                let report = exec(spec);
-                if report_tx.send((index, report)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(report_tx);
-        // The bounded send blocks once `queue_depth` jobs are in flight,
-        // so producing and consuming overlap instead of buffering the
-        // whole corpus. Reports drain afterwards; the report channel is
-        // unbounded, so workers never block on it.
-        for item in jobs.into_iter().enumerate() {
-            job_tx.send(item).expect("a worker is always receiving");
-        }
-        drop(job_tx);
-        for (index, report) in report_rx {
-            slots[index] = Some(report);
-        }
-    });
-
+    let workers = config.workers.max(1).min(jobs.len().max(1));
+    let jobs = parallel_map_expect(jobs, workers, exec);
     RunReport {
         workers,
         wall_us: start.elapsed().as_micros() as u64,
-        jobs: slots
-            .into_iter()
-            .map(|s| s.expect("every job reports exactly once"))
-            .collect(),
+        jobs,
     }
 }
 
@@ -121,11 +83,10 @@ where
 pub type Job = Box<dyn FnOnce() + Send>;
 
 /// A *persistent* worker pool with bounded admission — the service-facing
-/// sibling of [`run_batch`]. Where `run_batch` owns a finite work-list and
-/// blocks the producer on a full queue, a server must never block its
-/// event loop on a backlog: [`JobPool::try_submit`] either enqueues the
-/// job or hands it straight back so the caller can keep it queued or shed
-/// it.
+/// sibling of [`run_batch`]. Where `run_batch` owns a finite work-list, a
+/// server takes work as it arrives and must never block its event loop on
+/// a backlog: [`JobPool::try_submit`] either enqueues the job or hands it
+/// straight back so the caller can keep it queued or shed it.
 ///
 /// Dropping the pool (or calling [`JobPool::shutdown`]) closes admission
 /// and *drains*: queued and running jobs finish before the worker
@@ -190,10 +151,10 @@ impl Drop for JobPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
 
     #[test]
     fn default_config_is_sane() {
-        assert!(HarnessConfig::default().queue_depth >= 2);
         assert!(HarnessConfig::default().workers >= 1);
     }
 

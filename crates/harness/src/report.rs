@@ -12,7 +12,7 @@ use crate::job::JobStatus;
 use crate::json::{self, Value};
 
 /// Everything recorded about one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobReport {
     /// Job name from the spec.
     pub name: String,
@@ -32,18 +32,18 @@ pub struct JobReport {
     /// Method frames entered while driving the app.
     pub frames: u64,
     /// Methods with collected trees.
-    pub methods_collected: usize,
+    pub methods_collected: u64,
     /// Instructions collected across all trees.
     pub insns_collected: u64,
     /// Serialised collection-file size in bytes.
-    pub dump_size: usize,
+    pub dump_size: u64,
     /// Warning-severity verifier lints on the reassembled DEX.
-    pub verifier_lints: usize,
+    pub verifier_lints: u64,
     /// Error-severity verifier diagnostics (nonzero only when the job was
     /// rejected by the verification gate).
-    pub verifier_errors: usize,
+    pub verifier_errors: u64,
     /// Method bodies with typed IR materialized by the verifier.
-    pub typed_methods: usize,
+    pub typed_methods: u64,
     /// Instructions across all typed-IR methods.
     pub typed_insns: u64,
     /// Method verifications served from the digest-keyed verify cache
@@ -57,6 +57,46 @@ pub struct JobReport {
     pub phases_us: Vec<(String, u64)>,
 }
 
+/// A job counter: a `u64` field of [`JobReport`] and the name it travels
+/// under.
+#[derive(Clone, Copy)]
+pub struct Counter {
+    /// The field's name, which is also its member name in the report's
+    /// JSON, in the store entry and in dexlegod's `stats`.
+    pub name: &'static str,
+    get: fn(&JobReport) -> u64,
+    field: fn(&mut JobReport) -> &mut u64,
+}
+
+macro_rules! counters {
+    ($($field:ident),+ $(,)?) => {
+        &[$(Counter {
+            name: stringify!($field),
+            get: |report| report.$field,
+            field: |report| &mut report.$field,
+        }),+]
+    };
+}
+
+/// The job counters, in report order. The report's JSON, the store entry
+/// ([`crate::cache::to_cached`]) and dexlegod's `stats` carry each one by
+/// name, so a new counter is a [`JobReport`] field, an entry here and the
+/// code that counts it. Pipeline counters reach the report through
+/// [`JobReport::absorb`] under the same name.
+pub const COUNTERS: &[Counter] = counters![
+    insns,
+    frames,
+    methods_collected,
+    insns_collected,
+    dump_size,
+    verifier_lints,
+    verifier_errors,
+    typed_methods,
+    typed_insns,
+    verify_cache_hits,
+    verify_cache_misses,
+];
+
 impl JobReport {
     /// A zeroed report carrying only identity; callers fill in what the
     /// job managed to produce before it stopped.
@@ -64,34 +104,29 @@ impl JobReport {
         JobReport {
             name,
             packer,
-            status: JobStatus::Ok,
-            cached: false,
-            wall_us: 0,
-            insns: 0,
-            frames: 0,
-            methods_collected: 0,
-            insns_collected: 0,
-            dump_size: 0,
-            verifier_lints: 0,
-            verifier_errors: 0,
-            typed_methods: 0,
-            typed_insns: 0,
-            verify_cache_hits: 0,
-            verify_cache_misses: 0,
-            phases_us: Vec::new(),
+            ..JobReport::default()
         }
     }
 
-    /// Copies collection counts and phase timings out of a reveal outcome.
+    /// Every counter's name and value, in [`COUNTERS`] order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTERS.iter().map(move |c| (c.name, (c.get)(self)))
+    }
+
+    /// Sets the counter called `name`; a name [`COUNTERS`] does not know
+    /// is ignored.
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        if let Some(c) = COUNTERS.iter().find(|c| c.name == name) {
+            *(c.field)(self) = value;
+        }
+    }
+
+    /// Copies every pipeline counter [`COUNTERS`] names, and the phase
+    /// timings, out of a reveal outcome.
     pub fn absorb(&mut self, outcome: &RevealOutcome) {
-        self.methods_collected = outcome.files.methods.len();
-        self.insns_collected = outcome.metrics.counter("insns_collected").unwrap_or(0);
-        self.dump_size = outcome.dump_size;
-        self.verifier_lints = outcome.lints.len();
-        self.typed_methods = outcome.typed_methods;
-        self.typed_insns = outcome.typed_insns;
-        self.verify_cache_hits = outcome.metrics.counter("verify_cache_hits").unwrap_or(0);
-        self.verify_cache_misses = outcome.metrics.counter("verify_cache_misses").unwrap_or(0);
+        for &(name, value) in outcome.metrics.counters() {
+            self.set_counter(name, value);
+        }
         self.phases_us = outcome
             .metrics
             .phases()
@@ -149,28 +184,20 @@ impl JobReport {
                 .collect(),
             _ => Vec::new(),
         };
-        Ok(JobReport {
-            name,
-            packer,
+        let mut report = JobReport {
             status,
             cached: value
                 .get("cached")
                 .and_then(Value::as_bool)
                 .unwrap_or(false),
             wall_us: num("wall_us"),
-            insns: num("insns"),
-            frames: num("frames"),
-            methods_collected: num("methods_collected") as usize,
-            insns_collected: num("insns_collected"),
-            dump_size: num("dump_size") as usize,
-            verifier_lints: num("verifier_lints") as usize,
-            verifier_errors: num("verifier_errors") as usize,
-            typed_methods: num("typed_methods") as usize,
-            typed_insns: num("typed_insns"),
-            verify_cache_hits: num("verify_cache_hits"),
-            verify_cache_misses: num("verify_cache_misses"),
             phases_us,
-        })
+            ..JobReport::empty(name, packer)
+        };
+        for c in COUNTERS {
+            *(c.field)(&mut report) = num(c.name);
+        }
+        Ok(report)
     }
 
     /// This job as a JSON object.
@@ -180,34 +207,26 @@ impl JobReport {
             .iter()
             .map(|(name, us)| (name.as_str(), us.to_string()))
             .collect();
-        json::object(&[
-            ("name", json::string(&self.name)),
-            (
-                "packer",
-                self.packer.map_or("null".to_owned(), json::string),
-            ),
-            ("status", json::string(self.status.label())),
-            ("cached", self.cached.to_string()),
-            (
-                "detail",
-                self.status
-                    .detail()
-                    .map_or("null".to_owned(), |d| json::string(&d)),
-            ),
-            ("wall_us", self.wall_us.to_string()),
-            ("insns", self.insns.to_string()),
-            ("frames", self.frames.to_string()),
-            ("methods_collected", self.methods_collected.to_string()),
-            ("insns_collected", self.insns_collected.to_string()),
-            ("dump_size", self.dump_size.to_string()),
-            ("verifier_lints", self.verifier_lints.to_string()),
-            ("verifier_errors", self.verifier_errors.to_string()),
-            ("typed_methods", self.typed_methods.to_string()),
-            ("typed_insns", self.typed_insns.to_string()),
-            ("verify_cache_hits", self.verify_cache_hits.to_string()),
-            ("verify_cache_misses", self.verify_cache_misses.to_string()),
-            ("phases_us", json::object(&phases)),
-        ])
+        let mut out = String::with_capacity(512);
+        let mut obj = json::ObjectWriter::new(&mut out);
+        obj.string("name", &self.name);
+        match self.packer {
+            Some(packer) => obj.string("packer", packer),
+            None => obj.raw("packer", "null"),
+        }
+        obj.string("status", self.status.label());
+        obj.raw("cached", &self.cached.to_string());
+        match self.status.detail() {
+            Some(detail) => obj.string("detail", &detail),
+            None => obj.raw("detail", "null"),
+        }
+        obj.raw("wall_us", &self.wall_us.to_string());
+        for (name, value) in self.counters() {
+            obj.raw(name, &value.to_string());
+        }
+        obj.raw("phases_us", &json::object(&phases));
+        obj.finish();
+        out
     }
 }
 
@@ -364,5 +383,46 @@ mod tests {
         assert!(JobReport::from_json(&bad).is_err());
         let anonymous = json::parse(r#"{"status": "ok"}"#).unwrap();
         assert!(JobReport::from_json(&anonymous).is_err());
+    }
+
+    #[test]
+    fn every_counter_survives_json_in_table_order() {
+        let mut report = sample_report(JobStatus::Ok);
+        for (i, c) in COUNTERS.iter().enumerate() {
+            report.set_counter(c.name, 1_000 + 7 * i as u64);
+        }
+        let value = json::parse(&report.to_json()).expect("emitted JSON parses");
+        let Value::Obj(members) = &value else {
+            panic!("a report is an object")
+        };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let table: Vec<&str> = COUNTERS.iter().map(|c| c.name).collect();
+        assert_eq!(names[6..6 + COUNTERS.len()], table[..], "{names:?}");
+        let back = JobReport::from_json(&value).expect("round trip");
+        assert!(back.counters().eq(report.counters()));
+    }
+
+    #[test]
+    fn absorb_copies_the_pipeline_counters_the_table_names() {
+        let mut metrics = dexlego_core::PipelineMetrics::new();
+        metrics.count("insns_collected", 40);
+        metrics.count("dump_size", 512);
+        metrics.count("classes_collected", 3); // not a job counter
+        metrics.record_phase_us("collect", 9);
+        let mut rt = dexlego_runtime::Runtime::new();
+        let outcome = dexlego_core::pipeline::reveal(&mut rt, |_, _| {}).expect("reveals");
+        let outcome = RevealOutcome { metrics, ..outcome };
+        let mut report = JobReport {
+            insns: 77,
+            ..JobReport::empty("j".to_owned(), None)
+        };
+        report.absorb(&outcome);
+        assert_eq!(report.insns_collected, 40);
+        assert_eq!(report.dump_size, 512);
+        assert_eq!(
+            report.insns, 77,
+            "counters the pipeline does not count stay"
+        );
+        assert_eq!(report.phases_us, vec![("collect".to_owned(), 9)]);
     }
 }

@@ -160,7 +160,7 @@ fn serial(spec: &JobSpec) -> (JobReport, Option<Vec<u8>>) {
         }
         (Some(Stop::Timeout), Err(_)) => JobStatus::Timeout,
         (None, Err(DexLegoError::Verification(diags))) => {
-            report.verifier_errors = diags.len();
+            report.verifier_errors = diags.len() as u64;
             let details: Vec<String> = diags.iter().map(ToString::to_string).collect();
             JobStatus::VerifierRejected(details.join("; "))
         }
@@ -205,21 +205,7 @@ fn assert_matches_serial(spec: &JobSpec) -> JobReport {
     let name = &spec.name;
     assert_eq!(job.status.label(), want.status.label(), "{name}");
     assert_eq!(job.status.detail(), want.status.detail(), "{name}");
-    let counters = |r: &JobReport| {
-        [
-            r.insns,
-            r.frames,
-            r.methods_collected as u64,
-            r.insns_collected,
-            r.dump_size as u64,
-            r.verifier_lints as u64,
-            r.verifier_errors as u64,
-            r.typed_methods as u64,
-            r.typed_insns,
-            r.verify_cache_hits,
-            r.verify_cache_misses,
-        ]
-    };
+    let counters = |r: &JobReport| r.counters().collect::<Vec<_>>();
     assert_eq!(counters(&job), counters(&want), "{name}");
     let phases = |r: &JobReport| {
         r.phases_us

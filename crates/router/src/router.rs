@@ -13,7 +13,7 @@
 //! Replication payloads travel on the background repair thread (an
 //! explicit `fetch` from the backend that served the result, then
 //! `backfill` offers to the targets), so hot-path replies never carry
-//! entry bytes the client did not ask for. Backends that keep failing are
+//! entry bytes. Backends that keep failing are
 //! ejected for a growing probation window, and a dead shard degrades
 //! to cache misses on its neighbours — a client sees an error only
 //! when the whole fleet is unreachable.
@@ -117,21 +117,14 @@ pub struct RouterStats {
     pub fleet_errors: u64,
 }
 
-enum RepairJob {
-    /// An entry payload already in hand: offer it to `target`.
-    Push {
-        target: usize,
-        key: Key,
-        entry: Vec<u8>,
-    },
-    /// Pull the entry from `source` (which just served it) and offer it
-    /// to each of `targets`. Extract replies stay thin — the payload
-    /// transfer happens here, off the request hot path.
-    Pull {
-        source: usize,
-        targets: Vec<usize>,
-        key: Key,
-    },
+/// A replication or read-repair job for the repair thread: pull the
+/// entry for `key` from `source` (which just served it) and offer it to
+/// each of `targets`. Extract replies stay thin — the payload transfer
+/// happens here, off the request hot path.
+struct RepairJob {
+    source: usize,
+    targets: Vec<usize>,
+    key: Key,
 }
 
 struct Ctx {
@@ -149,26 +142,14 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn schedule_push(&self, target: usize, key: Key, entry: &[u8]) {
-        self.schedule(RepairJob::Push {
-            target,
-            key,
-            entry: entry.to_vec(),
-        });
-    }
-
     fn schedule_pull(&self, source: usize, targets: Vec<usize>, key: Key) {
-        self.schedule(RepairJob::Pull {
-            source,
-            targets,
-            key,
-        });
-    }
-
-    fn schedule(&self, job: RepairJob) {
         let tx = self.repair_tx.lock().expect("repair lock").clone();
         if let Some(tx) = tx {
-            let _ = tx.send(job);
+            let _ = tx.send(RepairJob {
+                source,
+                targets,
+                key,
+            });
         }
     }
 
@@ -283,22 +264,11 @@ impl Router {
         let repair_ctx = Arc::clone(&ctx);
         let repair = std::thread::spawn(move || {
             for job in repair_rx {
-                match job {
-                    RepairJob::Push { target, key, entry } => {
-                        let _ = repair_ctx.backends[target].send_backfill(&key, &entry);
-                    }
-                    RepairJob::Pull {
-                        source,
-                        targets,
-                        key,
-                    } => {
-                        let Some(entry) = fetch_entry(&repair_ctx, source, &key) else {
-                            continue;
-                        };
-                        for target in targets {
-                            let _ = repair_ctx.backends[target].send_backfill(&key, &entry);
-                        }
-                    }
+                let Some(entry) = fetch_entry(&repair_ctx, job.source, &job.key) else {
+                    continue;
+                };
+                for target in job.targets {
+                    let _ = repair_ctx.backends[target].send_backfill(&job.key, &entry);
                 }
             }
         });
@@ -352,10 +322,9 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
     let r = ctx.config.replicas.clamp(1, candidates.len());
     let replica_set: Vec<usize> = candidates[..r].to_vec();
 
-    // The client's request is forwarded as it came, `want_entry`
-    // included: the hot-path reply stays as thin as the client asked,
-    // and the repair thread pulls the entry with an explicit `fetch`
-    // when replication or read-repair needs it.
+    // The client's request is forwarded as it came; the repair thread
+    // pulls the entry with an explicit `fetch` when replication or
+    // read-repair needs it.
     ctx.stats.lock().expect("stats lock").routed += 1;
 
     let started = Instant::now();
@@ -512,10 +481,9 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
 }
 
 /// Winner bookkeeping for a successful reply from backend `winner`:
-/// cancel the losers and schedule replication / read-repair. The reply
-/// itself is relayed as the backend wrote it; it carries an `entry` only
-/// when the front client asked for one, because the forwarded request is
-/// the client's own.
+/// cancel the losers and schedule replication / read-repair, which pull
+/// the entry from the winner. The reply itself is relayed as the backend
+/// wrote it.
 fn finish_ok(
     ctx: &Ctx,
     key: Option<Key>,
@@ -541,12 +509,6 @@ fn finish_ok(
             .get("cached")
             .and_then(Value::as_bool)
             .unwrap_or(false);
-        // If the front asked for the entry itself the reply already
-        // carries it — reuse it instead of re-fetching.
-        let entry = value
-            .get("entry")
-            .and_then(Value::as_str)
-            .and_then(from_hex);
         let targets: Vec<usize> = if cached {
             // A replica served a hit the primary did not: repair the
             // primary so the next read finds it in one hop.
@@ -578,13 +540,7 @@ fn finish_ok(
                     stats.replica_fills += targets.len() as u64;
                 }
             }
-            if let Some(entry) = entry {
-                for b in targets {
-                    ctx.schedule_push(b, key, &entry);
-                }
-            } else {
-                ctx.schedule_pull(winner, targets, key);
-            }
+            ctx.schedule_pull(winner, targets, key);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! * **Per step** — frames whose observer wants instruction events (the
 //!   collector, trace recorders) decode each instruction from the live
 //!   method body as they reach it and execute it through the classic full
-//!   match ([`exec_generic`]). Such observers see every instruction anyway,
+//!   match (`exec_generic`). Such observers see every instruction anyway,
 //!   and most of what they see runs once, so there is nothing to amortise a
 //!   predecode over. A rewritten body is simply fetched anew: per-step
 //!   execution needs no code-epoch check. This path is also the

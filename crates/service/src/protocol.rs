@@ -112,12 +112,6 @@ pub struct ExtractRequest {
     /// instead of running it. `None` = wait indefinitely. Not part of the
     /// cache key — it shapes scheduling, not the result.
     pub deadline_ms: Option<u64>,
-    /// Ask the daemon to attach the encoded store entry (`"entry"`, hex)
-    /// to a successful reply — the routing tier uses it to replicate and
-    /// read-repair results across backends without re-extracting. Not part
-    /// of the cache key; omitted from the wire when false, so old lines
-    /// stay byte-identical.
-    pub want_entry: bool,
 }
 
 impl ExtractRequest {
@@ -134,7 +128,6 @@ impl ExtractRequest {
             fuel: DEFAULT_FUEL,
             conformance: false,
             deadline_ms: None,
-            want_entry: false,
         }
     }
 
@@ -198,9 +191,6 @@ impl ExtractRequest {
         obj.raw("conformance", &self.conformance.to_string());
         if let Some(deadline) = self.deadline_ms {
             obj.raw("deadline_ms", &deadline.to_string());
-        }
-        if self.want_entry {
-            obj.raw("want_entry", "true");
         }
         obj.finish();
         line
@@ -432,12 +422,6 @@ fn request_from_value(value: &Value) -> Result<Request, String> {
                         .to_owned(),
                 ),
             };
-            let want_entry = match value.get("want_entry") {
-                None => false,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| "extract: \"want_entry\" must be a boolean".to_owned())?,
-            };
             Ok(Request::Extract(Box::new(ExtractRequest {
                 name,
                 dex,
@@ -448,7 +432,6 @@ fn request_from_value(value: &Value) -> Result<Request, String> {
                 fuel,
                 conformance,
                 deadline_ms,
-                want_entry,
             })))
         }
         other => Err(format!("unknown op: {other}")),
@@ -638,7 +621,6 @@ mod tests {
             fuel: 5_000_000,
             conformance: true,
             deadline_ms: Some(250),
-            want_entry: true,
         }
     }
 
@@ -659,6 +641,19 @@ mod tests {
         let (id, parsed) = parse_request_line(&line);
         assert_eq!(id, None);
         match parsed.unwrap() {
+            Request::Extract(parsed) => assert_eq!(*parsed, req),
+            other => panic!("parsed as {other:?}"),
+        }
+    }
+
+    /// A line from a client that still sends the retired `want_entry`
+    /// member is the same request: unknown members are ignored.
+    #[test]
+    fn retired_want_entry_member_is_ignored() {
+        let req = sample();
+        let line = req.encode();
+        let old = format!("{}, \"want_entry\": true}}", &line[..line.len() - 1]);
+        match parse_request(&old).unwrap() {
             Request::Extract(parsed) => assert_eq!(*parsed, req),
             other => panic!("parsed as {other:?}"),
         }
@@ -712,7 +707,6 @@ mod tests {
                 assert_eq!(req.packer, None);
                 assert_eq!(req.name, None);
                 assert_eq!(req.deadline_ms, None);
-                assert!(!req.want_entry);
             }
             other => panic!("parsed as {other:?}"),
         }
@@ -742,7 +736,7 @@ mod tests {
     fn backfill_roundtrips_and_validates() {
         let entry = CachedResult {
             dex_bytes: vec![1, 2, 3],
-            wall_us: 7,
+            counters: vec![("insns".to_owned(), 7)],
             ..CachedResult::default()
         };
         let key = Key::new([0xab; 20]);

@@ -17,9 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dexlego_harness::cache::{from_cached, to_cached};
+use dexlego_harness::cache::from_cached;
 use dexlego_harness::json;
-use dexlego_harness::{execute_job_cached, job_key, JobPool, JobReport, JobSpec};
+use dexlego_harness::{execute_job_cached, job_key, JobPool, JobReport, JobSpec, COUNTERS};
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{CachedResult, Key, Store, StoreConfig, StoreStats};
 
@@ -113,19 +113,9 @@ struct ServiceStats {
     ///
     /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
     failed: u64,
-    /// Warning-severity verifier lints across extractions served.
-    verifier_lints: u64,
-    /// Error-severity verifier diagnostics across rejected extractions.
-    verifier_errors: u64,
-    /// Method bodies with typed IR materialized across extractions.
-    typed_methods: u64,
-    /// Instructions across all typed-IR methods, across extractions.
-    typed_insns: u64,
-    /// Method verifications served from the digest-keyed verify cache
-    /// across extractions.
-    verify_cache_hits: u64,
-    /// Method verifications that ran the fixpoint across extractions.
-    verify_cache_misses: u64,
+    /// Every job counter summed over the extractions served, hits
+    /// included, in [`COUNTERS`] order.
+    counters: [u64; COUNTERS.len()],
     /// Per-phase `(count, total_us)` aggregates over fresh extractions.
     phases_us: BTreeMap<String, (u64, u64)>,
 }
@@ -133,12 +123,9 @@ struct ServiceStats {
 impl ServiceStats {
     fn absorb(&mut self, report: &JobReport) {
         self.extracts += 1;
-        self.verifier_lints += report.verifier_lints as u64;
-        self.verifier_errors += report.verifier_errors as u64;
-        self.typed_methods += report.typed_methods as u64;
-        self.typed_insns += report.typed_insns;
-        self.verify_cache_hits += report.verify_cache_hits;
-        self.verify_cache_misses += report.verify_cache_misses;
+        for (sum, (_, value)) in self.counters.iter_mut().zip(report.counters()) {
+            *sum += value;
+        }
         if report.cached {
             self.hits += 1;
         } else {
@@ -297,18 +284,17 @@ impl Handler for Extractor {
                 let mut report = from_cached(&spec.name, packer, &hit);
                 report.wall_us = start.elapsed().as_micros() as u64;
                 self.stats.lock().expect("stats lock").absorb(&report);
-                return Action::Reply(extract_reply(&report, Some(&hit.dex_bytes), req.want_entry));
+                return Action::Reply(extract_reply(&report, Some(&hit.dex_bytes)));
             }
         }
 
         let (exec, stats) = (Arc::clone(&self.exec), Arc::clone(&self.stats));
-        let want_entry = req.want_entry;
         Action::Defer {
             deadline_ms: req.deadline_ms,
             work: Box::new(move || {
                 let (report, dex) = exec(spec);
                 stats.lock().expect("stats lock").absorb(&report);
-                extract_reply(&report, dex.as_deref(), want_entry)
+                extract_reply(&report, dex.as_deref())
             }),
         }
     }
@@ -347,27 +333,16 @@ impl Handler for Extractor {
     }
 }
 
-fn extract_reply(report: &JobReport, dex: Option<&[u8]>, want_entry: bool) -> String {
+fn extract_reply(report: &JobReport, dex: Option<&[u8]>) -> String {
     if report.status.is_ok() {
-        // The caller intends to replicate this result elsewhere (the
-        // router's R=2 fill and read-repair paths), so hand back the store
-        // encoding ready to ship in a backfill request.
-        let entry = match dex {
-            Some(dex) if want_entry => Some(encode_entry(&to_cached(report, dex))),
-            _ => None,
-        };
         let dex = dex.unwrap_or_default();
         let report_json = report.to_json();
-        let hex_len = (dex.len() + entry.as_ref().map_or(0, Vec::len)) * 2;
-        let mut reply = String::with_capacity(hex_len + report_json.len() + 96);
+        let mut reply = String::with_capacity(dex.len() * 2 + report_json.len() + 96);
         let mut obj = json::ObjectWriter::new(&mut reply);
         obj.string("status", "ok");
         obj.raw("cached", &report.cached.to_string());
         obj.hex("dex", dex);
         obj.raw("report", &report_json);
-        if let Some(entry) = &entry {
-            obj.hex("entry", entry);
-        }
         obj.finish();
         reply
     } else {
@@ -416,7 +391,7 @@ fn stats_reply(daemon: &Extractor, core: &CoreStats) -> String {
         .iter()
         .map(|(phase, obj)| (phase.as_str(), obj.clone()))
         .collect();
-    let body = json::object(&[
+    let mut members = vec![
         ("requests", core.requests.to_string()),
         ("extracts", stats.extracts.to_string()),
         ("hits", stats.hits.to_string()),
@@ -437,17 +412,22 @@ fn stats_reply(daemon: &Extractor, core: &CoreStats) -> String {
         ("fetches", stats.fetches.to_string()),
         ("errors", core.errors.to_string()),
         ("failed", stats.failed.to_string()),
-        ("verifier_lints", stats.verifier_lints.to_string()),
-        ("verifier_errors", stats.verifier_errors.to_string()),
-        ("typed_methods", stats.typed_methods.to_string()),
-        ("typed_insns", stats.typed_insns.to_string()),
-        ("verify_cache_hits", stats.verify_cache_hits.to_string()),
-        ("verify_cache_misses", stats.verify_cache_misses.to_string()),
+    ];
+    members.extend(
+        COUNTERS
+            .iter()
+            .zip(&stats.counters)
+            .map(|(c, sum)| (c.name, sum.to_string())),
+    );
+    members.extend([
         ("in_flight", core.in_flight.to_string()),
         ("store", store_json),
         ("phases_us", json::object(&phase_members)),
     ]);
-    json::object(&[("status", json::string("ok")), ("stats", body)])
+    json::object(&[
+        ("status", json::string("ok")),
+        ("stats", json::object(&members)),
+    ])
 }
 
 #[cfg(test)]
@@ -455,6 +435,7 @@ mod tests {
     use super::*;
     use crate::protocol::golden::{assert_golden, DEX};
     use crate::protocol::{push_reply_line, Request, RequestId};
+    use dexlego_harness::cache::to_cached;
     use dexlego_harness::JobStatus;
 
     /// A fixed report whose name and detail need every kind of escape.
@@ -486,8 +467,8 @@ mod tests {
     }
 
     #[test]
-    fn ok_reply_with_entry_is_golden() {
-        let reply = extract_reply(&report(JobStatus::Ok), Some(DEX), true);
+    fn ok_reply_is_golden() {
+        let reply = extract_reply(&report(JobStatus::Ok), Some(DEX));
         let id = RequestId::Str("hit/1".to_owned());
         assert_golden("extract_ok_reply.line", &framed(Some(&id), &reply));
     }
@@ -495,7 +476,7 @@ mod tests {
     #[test]
     fn failed_reply_is_golden() {
         let status = JobStatus::VerifierRejected("v3: \"int\" vs ref\tat 0x1c".to_owned());
-        let reply = extract_reply(&report(status), None, false);
+        let reply = extract_reply(&report(status), None);
         assert_golden("extract_failed_reply.line", &framed(None, &reply));
     }
 

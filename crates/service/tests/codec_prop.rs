@@ -113,7 +113,6 @@ fn request_line() -> String {
     req.packer = Some("360".to_owned());
     req.seeds = vec![1, u64::MAX];
     req.deadline_ms = Some(250);
-    req.want_entry = true;
     req.encode_with_id(&RequestId::Str("r/1".to_owned()))
 }
 

@@ -1,8 +1,8 @@
-//! The fleet-facing protocol extensions end to end: `want_entry`
-//! replies carry a shippable store entry, `backfill` installs it on a
-//! second daemon (which then serves the result as a cache hit without
-//! ever running the pipeline), and `cancel` revokes a pending tagged
-//! request before it reaches a worker.
+//! The fleet-facing protocol extensions end to end: `fetch` reads a
+//! shippable store entry, `backfill` installs it on a second daemon
+//! (which then serves the result as a cache hit without ever running the
+//! pipeline), and `cancel` revokes a pending tagged request before it
+//! reaches a worker.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,39 +42,35 @@ fn stat_u64(stats: &Value, key: &str) -> u64 {
 /// A result extracted on daemon A travels to daemon B as a backfill and
 /// is then served by B as a cache hit — B never runs the pipeline.
 #[test]
-fn want_entry_and_backfill_replicate_a_result() {
+fn fetch_and_backfill_replicate_a_result() {
     let dir_a = TempDir::new("repl-a").unwrap();
     let dir_b = TempDir::new("repl-b").unwrap();
     let daemon_a = Daemon::start(ServiceConfig::new(dir_a.path())).expect("daemon a");
     let daemon_b = Daemon::start(ServiceConfig::new(dir_b.path())).expect("daemon b");
 
-    let mut req = sample_request("repl");
-    req.want_entry = true;
-    let key = job_key(&req.to_spec("repl").expect("valid request")).expect("cacheable");
+    let plain = sample_request("repl");
+    let key = job_key(&plain.to_spec("repl").expect("valid request")).expect("cacheable");
 
-    // Extract on A, asking for the shippable entry alongside the DEX.
+    // Extract on A: the reply carries the DEX and never the store entry.
     let mut client_a = PipelinedClient::connect(&daemon_a.addr().to_string()).expect("connect a");
-    let sent = client_a.send_extract(&req).expect("send");
+    let sent = client_a.send_extract(&plain).expect("send");
     let (id, reply) = client_a.recv_any().expect("reply");
     assert_eq!(id, Some(RequestId::Num(sent)));
     let value = ok_value(reply);
+    assert!(value.get("dex").is_some());
+    assert!(value.get("entry").is_none(), "extract replies stay thin");
+
+    // Pull the shippable entry from A with an explicit fetch.
+    client_a.send_fetch(&key).expect("send fetch");
+    let (_, reply) = client_a.recv_any().expect("fetch reply");
+    let value = ok_value(reply);
+    assert_eq!(value.get("found").and_then(Value::as_bool), Some(true));
     let entry_hex = value
         .get("entry")
         .and_then(Value::as_str)
-        .expect("want_entry reply carries the store entry");
+        .expect("a found entry is attached");
     let entry = from_hex(entry_hex).expect("entry is hex");
     assert!(!entry.is_empty());
-
-    // Without want_entry the member stays absent — replies to ordinary
-    // clients do not grow.
-    let plain = sample_request("repl");
-    client_a.send_extract(&plain).expect("send plain");
-    let (_, reply) = client_a.recv_any().expect("plain reply");
-    let plain_value = ok_value(reply);
-    assert!(
-        plain_value.get("entry").is_none(),
-        "entry only ships when asked for"
-    );
 
     // Backfill onto B: first offer lands, the repeat is a no-op.
     let mut client_b = PipelinedClient::connect(&daemon_b.addr().to_string()).expect("connect b");

@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, JobReport, JobSpec};
+use dexlego_harness::{job_key, JobReport, JobSpec, COUNTERS};
 use dexlego_service::{Client, Daemon, ExtractReply, ExtractRequest, PoolExecutor, ServiceConfig};
-use dexlego_store::{object_path, Store, StoreConfig, TempDir};
+use dexlego_store::{object_path, CachedResult, Store, StoreConfig, TempDir};
 
 fn sample_request(insns: usize) -> ExtractRequest {
     let (_, app) = corpus_apps(1, insns).into_iter().next().unwrap();
@@ -25,6 +25,17 @@ fn sample_request(insns: usize) -> ExtractRequest {
 fn extract_done(client: &mut Client, req: &ExtractRequest) -> (bool, Vec<u8>) {
     match client.extract(req).expect("extract round-trip") {
         ExtractReply::Done { cached, dex, .. } => (cached, dex),
+        other => panic!("extract did not complete: {other:?}"),
+    }
+}
+
+/// Whether the reply was a cache hit, and its report.
+fn extract_report(client: &mut Client, req: &ExtractRequest) -> (bool, JobReport) {
+    match client.extract(req).expect("extract round-trip") {
+        ExtractReply::Done { cached, report, .. } => (
+            cached,
+            JobReport::from_json(&report).expect("report parses"),
+        ),
         other => panic!("extract did not complete: {other:?}"),
     }
 }
@@ -177,5 +188,96 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
     assert_eq!(stat_u64(&stats, "in_flight"), 0, "pool drained");
 
     control.shutdown().expect("graceful shutdown");
+    daemon.wait();
+}
+
+/// `stats` sums every job counter by name, over hits and misses alike.
+#[test]
+fn stats_sums_every_job_counter() {
+    let dir = TempDir::new("service-counters").unwrap();
+    let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
+    let exec: PoolExecutor = Arc::new(|spec: JobSpec| {
+        let mut report = JobReport::empty(spec.name.clone(), None);
+        for (i, c) in COUNTERS.iter().enumerate() {
+            report.set_counter(c.name, 1_000 + 7 * i as u64);
+        }
+        (report, Some(Vec::new()))
+    });
+    let daemon = Daemon::start_with_executor(ServiceConfig::new(dir.path()), store, exec)
+        .expect("daemon starts");
+    let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
+    let req = sample_request(40);
+    for _ in 0..2 {
+        let (cached, _) = extract_done(&mut client, &req);
+        assert!(!cached, "the stand-in executor stores nothing");
+    }
+    let stats = client.stats().expect("stats");
+    for (i, c) in COUNTERS.iter().enumerate() {
+        assert_eq!(
+            stat_u64(&stats, c.name),
+            2 * (1_000 + 7 * i as u64),
+            "{}",
+            c.name
+        );
+    }
+    client.shutdown().expect("graceful shutdown");
+    daemon.wait();
+}
+
+/// A daemon restarted on the same store answers the first repeat of a
+/// request as a hit whose report is the fresh extraction's, every counter
+/// and phase included.
+#[test]
+fn restarted_daemon_serves_the_fresh_report_as_a_hit() {
+    let dir = TempDir::new("service-restart").unwrap();
+    let req = sample_request(60);
+    let run = |req: &ExtractRequest| {
+        let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
+        let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
+        let done = extract_report(&mut client, req);
+        client.shutdown().expect("graceful shutdown");
+        daemon.wait();
+        done
+    };
+    let (cached, fresh) = run(&req);
+    assert!(!cached);
+    assert!(fresh.insns > 0 && fresh.dump_size > 0 && fresh.typed_insns > 0);
+    let (cached, hit) = run(&req);
+    assert!(cached, "the restarted daemon serves the stored result");
+    assert!(hit.counters().eq(fresh.counters()), "{hit:?}\n{fresh:?}");
+    assert_eq!(hit.phases_us, fresh.phases_us);
+}
+
+/// An entry from a build that counts something this one does not, and
+/// lacks counters this one has, is served: the unknown counter is skipped
+/// and the missing ones read 0.
+#[test]
+fn entry_with_unknown_counters_is_served() {
+    let dir = TempDir::new("service-unknown-counter").unwrap();
+    let req = sample_request(40);
+    let key = job_key(&req.to_spec("probe").expect("valid request")).expect("cacheable job");
+    Store::open(StoreConfig::new(dir.path()))
+        .unwrap()
+        .put(
+            &key,
+            &CachedResult {
+                dex_bytes: b"dex\n".to_vec(),
+                counters: vec![
+                    ("frames".to_owned(), 4),
+                    ("from_a_newer_build".to_owned(), 99),
+                ],
+                phases_us: vec![("collect".to_owned(), 5)],
+            },
+        )
+        .unwrap();
+    let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
+    let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
+    let (cached, report) = extract_report(&mut client, &req);
+    assert!(cached);
+    for (name, value) in report.counters() {
+        assert_eq!(value, u64::from(name == "frames") * 4, "{name}");
+    }
+    assert_eq!(report.phases_us, vec![("collect".to_owned(), 5)]);
+    client.shutdown().expect("graceful shutdown");
     daemon.wait();
 }

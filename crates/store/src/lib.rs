@@ -15,8 +15,12 @@
 //!   `objects/<first-byte>/<rest>`, with an append-only `index.log`
 //!   carrying sizes and LRU order across reopens.
 //! - **Verified reads**: every entry embeds a checksum over its payload;
-//!   a mismatching entry is *quarantined* (moved aside, never served) and
-//!   the lookup reports a miss so the caller re-extracts.
+//!   a mismatching or undecodable entry is *quarantined* (moved aside,
+//!   never served) and the lookup reports a miss so the caller
+//!   re-extracts.
+//! - **A self-describing payload** ([`entry`]): the revealed DEX plus
+//!   the job's counters and phase timings as name/value lists, so a new
+//!   counter needs no format change.
 //! - **LRU eviction** under a configurable byte budget.
 //! - **Fill deduplication** ([`Store::get_or_fill`]): concurrent misses on
 //!   one key run the expensive fill exactly once.
@@ -31,7 +35,8 @@
 //! let key = Key::new([7u8; 20]);
 //! let result = CachedResult {
 //!     dex_bytes: vec![1, 2, 3],
-//!     ..CachedResult::default()
+//!     counters: vec![("insns".to_owned(), 42)],
+//!     phases_us: vec![("collect".to_owned(), 7)],
 //! };
 //! assert!(store.get(&key).is_none());
 //! store.put(&key, &result).unwrap();

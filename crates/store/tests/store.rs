@@ -14,11 +14,11 @@ fn key(n: u8) -> Key {
 fn result(size: usize, tag: u8) -> CachedResult {
     CachedResult {
         dex_bytes: vec![tag; size],
-        wall_us: 100 + u64::from(tag),
-        insns: 7,
-        validation: vec![format!("finding-{tag}")],
+        counters: vec![
+            ("insns".to_owned(), 7),
+            ("frames".to_owned(), 100 + u64::from(tag)),
+        ],
         phases_us: vec![("collect".to_owned(), 11), ("verify".to_owned(), 3)],
-        ..CachedResult::default()
     }
 }
 
@@ -55,7 +55,7 @@ fn persists_across_reopen() {
 fn lru_eviction_respects_access_order_across_reopen() {
     let dir = TempDir::new("store-lru").unwrap();
     // Size the budget for roughly two entries: each entry is payload
-    // (~size + 130 bytes of codec overhead) + 36 bytes of container.
+    // (size + under 100 bytes of codec overhead) + 36 bytes of container.
     let entry_bytes = {
         let probe = TempDir::new("store-probe").unwrap();
         let s = Store::open(StoreConfig::new(probe.path())).unwrap();
@@ -128,6 +128,37 @@ fn corrupt_entry_is_quarantined_not_served() {
     assert_eq!(fills.load(Ordering::SeqCst), 1, "re-extraction ran");
     assert_eq!(got.unwrap(), result(128, 6));
     assert_eq!(store.get(&key(5)).unwrap(), result(128, 6));
+}
+
+/// An entry in an older payload format (`RES5`: fixed counters after
+/// the DEX) under a valid container and checksum reads as a miss, is
+/// quarantined once, and is then refilled.
+#[test]
+fn older_format_entry_is_a_miss_quarantined_once() {
+    let dir = TempDir::new("store-res5").unwrap();
+    let store = Store::open(StoreConfig::new(dir.path())).unwrap();
+    store.put(&key(8), &result(64, 8)).unwrap();
+
+    let mut payload = b"RES5".to_vec();
+    payload.extend_from_slice(&64u32.to_le_bytes());
+    payload.extend_from_slice(&[8; 64]);
+    for counter in 0..11u64 {
+        payload.extend_from_slice(&counter.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0; 8]); // no findings, no phases
+    let mut blob = b"DLSTORE1".to_vec();
+    blob.extend_from_slice(&dexlego_dex::checksum::sha1(&payload));
+    blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    blob.extend_from_slice(&payload);
+    std::fs::write(object_path(dir.path(), key(8)), &blob).unwrap();
+
+    assert!(store.get(&key(8)).is_none());
+    assert!(store.get(&key(8)).is_none());
+    let stats = store.stats();
+    assert_eq!((stats.quarantined, stats.misses, stats.entries), (1, 2, 0));
+    let (got, hit) = store.get_or_fill(&key(8), || Some(result(64, 9)));
+    assert!(!hit);
+    assert_eq!(got.unwrap(), result(64, 9));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full check suite: release build, all tests, clippy as errors (test and
-# bench targets included), formatting,
+# bench targets included), formatting, rustdoc with warnings as errors
+# (so a doc link to a renamed or deleted item fails here),
 # a sharded harness smoke run over every packer profile (fails on any
 # job panic, timeout, verifier rejection, validation finding, or
 # behavioural divergence), a pipelined dexlegod load smoke, a
@@ -15,6 +16,7 @@ cargo build --release --workspace
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run -p dexlego-harness --bin harness-smoke --release -- \
     --workers 2 --apps 2 --packers all
 # The same gates on one app large enough (20,000 instructions) that each
