@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! cargo run -p dexlego-bench --release --bin verifier \
-//!     [-- --apps N --insns N --rounds N --repeats N --smoke --baseline]
+//!     [-- --apps N --insns N --rounds N --repeats N --smoke]
 //! ```
 //!
-//! The default mode measures the reference sequential engine against the
-//! fast path (slab frames + whole-DEX verify cache) over a generated
-//! corpus, differentially checking that both emit identical diagnostics.
-//! `--baseline` measures only the reference engine (for pinning pre-
-//! optimization numbers). `--smoke` runs a reduced corpus and asserts the
-//! fast-path invariants hold; `verify.sh` runs it on every change.
+//! Measures the verifier over a generated corpus: one pass cold, one warm
+//! (every DEX a verify-cache hit, checked against the cold diagnostics),
+//! and the repeated-verification corpus workload with the cache against
+//! re-verifying every round from an empty cache. `--smoke` runs a reduced
+//! corpus and asserts the cache invariants hold; `verify.sh` runs it on
+//! every change.
 
 fn main() {
     let mut apps = 12usize;
@@ -18,7 +18,6 @@ fn main() {
     let mut rounds = 4u32;
     let mut repeats = 3u32;
     let mut smoke = false;
-    let mut baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,7 +36,6 @@ fn main() {
                 }
             }
             "--smoke" => smoke = true,
-            "--baseline" => baseline = true,
             other => panic!("unknown argument: {other}"),
         }
     }
@@ -47,37 +45,13 @@ fn main() {
         rounds = 3;
         repeats = 2;
     }
-    if baseline {
-        let (single_s, corpus_s, bench_insns) =
-            dexlego_bench::verifier::run_baseline(apps, insns, rounds, repeats);
-        println!(
-            "{}",
-            dexlego_harness::json::object(&[
-                (
-                    "experiment",
-                    dexlego_harness::json::string("verifier_baseline")
-                ),
-                ("apps", apps.to_string()),
-                ("insns", bench_insns.to_string()),
-                ("rounds", rounds.to_string()),
-                ("baseline_us", format!("{:.0}", single_s * 1e6)),
-                ("corpus_baseline_us", format!("{:.0}", corpus_s * 1e6)),
-                (
-                    "baseline_insns_per_s",
-                    format!("{:.0}", bench_insns as f64 / single_s.max(1e-9)),
-                ),
-            ])
-        );
-        return;
-    }
     let r = dexlego_bench::verifier::run(apps, insns, rounds, repeats);
     println!("{}", dexlego_bench::verifier::format(&r));
     if smoke {
         eprintln!(
-            "verifier smoke: {} methods, corpus {:.2}x, cold {:.2}x, warm {:.2}x, {} hits / {} misses",
+            "verifier smoke: {} methods, corpus {:.2}x, warm {:.2}x, {} hits / {} misses",
             r.methods,
             r.corpus_speedup(),
-            r.cold_speedup(),
             r.warm_speedup(),
             r.cache_hits,
             r.cache_misses
@@ -92,10 +66,10 @@ fn main() {
         );
         // A warm pass is pure cache hits and must beat verifying cold.
         assert!(
-            r.fast_warm_s <= r.fast_cold_s,
+            r.warm_s <= r.cold_s,
             "warm pass slower than cold pass ({:.0}us > {:.0}us)",
-            r.fast_warm_s * 1e6,
-            r.fast_cold_s * 1e6
+            r.warm_s * 1e6,
+            r.cold_s * 1e6
         );
         assert!(
             r.cache_hits > 0,

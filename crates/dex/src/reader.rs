@@ -1,4 +1,13 @@
 //! Binary parsing of DEX bytes into a [`DexFile`] model.
+//!
+//! DEX bytes are hostile input (a packed app, or a request line computed
+//! by a client with a valid checksum), so the reader never trusts a
+//! declared count with memory: every up-front allocation is capped by how
+//! many items the rest of the input can hold (`fitting`), nested static
+//! values stop at [`crate::value::MAX_DEPTH`], and the items read once per
+//! reference to them decode at most `MAX_EXPANSION` times the input.
+
+use std::cell::Cell;
 
 use crate::access::AccessFlags;
 use crate::code::{CatchClause, CodeItem, EncodedCatchHandler, TryItem};
@@ -10,11 +19,32 @@ use crate::file::{
 use crate::value::EncodedValue;
 use crate::{checksum, leb128, mutf8, DEX_MAGIC, ENDIAN_CONSTANT, HEADER_SIZE, NO_INDEX};
 
+/// How many times its own size a file's strings, type lists, code items,
+/// class data and static values may decode to, counted in the input bytes
+/// each is read from. Each is read once per reference to it, so a file
+/// whose many ids point at one large item would otherwise cost memory
+/// quadratic in its size; the sharing a valid file has (the writer shares
+/// equal type lists) stays well below the bound.
+const MAX_EXPANSION: usize = 4;
+
 struct In<'a> {
     buf: &'a [u8],
+    /// Input bytes left to decode under [`MAX_EXPANSION`].
+    budget: Cell<usize>,
 }
 
 impl<'a> In<'a> {
+    /// Charges `bytes` of decoded input against the budget.
+    fn charge(&self, bytes: usize) -> Result<()> {
+        let left = self.budget.get().checked_sub(bytes).ok_or_else(|| {
+            DexError::Invalid(format!(
+                "shared items decode to more than {MAX_EXPANSION} times the file's size"
+            ))
+        })?;
+        self.budget.set(left);
+        Ok(())
+    }
+
     fn u16_at(&self, off: usize) -> Result<u16> {
         let b = self.buf.get(off..off + 2).ok_or(DexError::Truncated {
             offset: off,
@@ -31,6 +61,13 @@ impl<'a> In<'a> {
     }
 }
 
+/// How many items of `size` bytes fit in `buf` from `off`: the most an
+/// up-front allocation for `count` declared items reserves, so a hostile
+/// count costs no more memory than the input could fill.
+pub(crate) fn fitting(buf: &[u8], off: usize, size: usize, count: usize) -> usize {
+    count.min(buf.len().saturating_sub(off) / size)
+}
+
 fn read_string_data(input: &In<'_>, off: usize) -> Result<String> {
     let mut pos = off;
     let _utf16_len = leb128::read_uleb128(input.buf, &mut pos)?;
@@ -42,6 +79,7 @@ fn read_string_data(input: &In<'_>, off: usize) -> Result<String> {
     {
         pos += 1;
     }
+    input.charge(pos + 1 - off)?;
     mutf8::decode(&input.buf[start..pos])
 }
 
@@ -51,7 +89,8 @@ fn read_type_list(input: &In<'_>, off: u32) -> Result<Vec<u32>> {
     }
     let off = off as usize;
     let size = input.u32_at(off)? as usize;
-    let mut list = Vec::with_capacity(size);
+    input.charge(4 + 2 * size)?;
+    let mut list = Vec::with_capacity(fitting(input.buf, off + 4, 2, size));
     for i in 0..size {
         list.push(u32::from(input.u16_at(off + 4 + i * 2)?));
     }
@@ -65,7 +104,8 @@ fn read_code_item(input: &In<'_>, off: usize) -> Result<CodeItem> {
     let tries_size = input.u16_at(off + 6)? as usize;
     let insns_size = input.u32_at(off + 12)? as usize;
     let insns_off = off + 16;
-    let mut insns = Vec::with_capacity(insns_size);
+    input.charge(16 + 2 * insns_size)?;
+    let mut insns = Vec::with_capacity(fitting(input.buf, insns_off, 2, insns_size));
     for i in 0..insns_size {
         insns.push(input.u16_at(insns_off + i * 2)?);
     }
@@ -104,6 +144,7 @@ fn read_code_item(input: &In<'_>, off: usize) -> Result<CodeItem> {
             }
             code.handlers.push(handler);
         }
+        input.charge(hpos - tries_off)?;
         for i in 0..tries_size {
             let toff = tries_off + i * 8;
             let start_addr = input.u32_at(toff)?;
@@ -136,7 +177,7 @@ fn read_class_data(input: &In<'_>, off: usize) -> Result<ClassData> {
         let mut idx = 0u32;
         for i in 0..count {
             let diff = leb128::read_uleb128(input.buf, &mut pos)?;
-            idx = if i == 0 { diff } else { idx + diff };
+            idx = if i == 0 { diff } else { idx.wrapping_add(diff) };
             let access = AccessFlags(leb128::read_uleb128(input.buf, &mut pos)?);
             list.push(EncodedField {
                 field_idx: idx,
@@ -151,7 +192,7 @@ fn read_class_data(input: &In<'_>, off: usize) -> Result<ClassData> {
         let mut idx = 0u32;
         for i in 0..count {
             let diff = leb128::read_uleb128(input.buf, &mut pos)?;
-            idx = if i == 0 { diff } else { idx + diff };
+            idx = if i == 0 { diff } else { idx.wrapping_add(diff) };
             let access = AccessFlags(leb128::read_uleb128(input.buf, &mut pos)?);
             let code_off = leb128::read_uleb128(input.buf, &mut pos)?;
             let code = if code_off == 0 {
@@ -166,6 +207,7 @@ fn read_class_data(input: &In<'_>, off: usize) -> Result<ClassData> {
             });
         }
     }
+    input.charge(pos - off)?;
     Ok(data)
 }
 
@@ -196,7 +238,10 @@ pub fn read_dex(bytes: &[u8]) -> Result<DexFile> {
 ///
 /// Returns structural [`DexError`]s for malformed content.
 pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
-    let input = In { buf: bytes };
+    let input = In {
+        buf: bytes,
+        budget: Cell::new(MAX_EXPANSION * bytes.len()),
+    };
     if bytes.len() < HEADER_SIZE as usize {
         return Err(DexError::Truncated {
             offset: bytes.len(),
@@ -225,13 +270,13 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
     let class_defs_size = input.u32_at(96)? as usize;
     let class_defs_off = input.u32_at(100)? as usize;
 
-    let mut strings = Vec::with_capacity(string_ids_size);
+    let mut strings = Vec::with_capacity(fitting(bytes, string_ids_off, 4, string_ids_size));
     for i in 0..string_ids_size {
         let data_off = input.u32_at(string_ids_off + i * 4)? as usize;
         strings.push(read_string_data(&input, data_off)?);
     }
 
-    let mut type_ids = Vec::with_capacity(type_ids_size);
+    let mut type_ids = Vec::with_capacity(fitting(bytes, type_ids_off, 4, type_ids_size));
     for i in 0..type_ids_size {
         let sidx = input.u32_at(type_ids_off + i * 4)?;
         if sidx as usize >= strings.len() {
@@ -244,7 +289,7 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
         type_ids.push(sidx);
     }
 
-    let mut protos = Vec::with_capacity(proto_ids_size);
+    let mut protos = Vec::with_capacity(fitting(bytes, proto_ids_off, 12, proto_ids_size));
     for i in 0..proto_ids_size {
         let off = proto_ids_off + i * 12;
         protos.push(ProtoIdItem {
@@ -254,7 +299,7 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
         });
     }
 
-    let mut field_ids = Vec::with_capacity(field_ids_size);
+    let mut field_ids = Vec::with_capacity(fitting(bytes, field_ids_off, 8, field_ids_size));
     for i in 0..field_ids_size {
         let off = field_ids_off + i * 8;
         field_ids.push(FieldIdItem {
@@ -264,7 +309,7 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
         });
     }
 
-    let mut method_ids = Vec::with_capacity(method_ids_size);
+    let mut method_ids = Vec::with_capacity(fitting(bytes, method_ids_off, 8, method_ids_size));
     for i in 0..method_ids_size {
         let off = method_ids_off + i * 8;
         method_ids.push(MethodIdItem {
@@ -274,7 +319,7 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
         });
     }
 
-    let mut class_defs = Vec::with_capacity(class_defs_size);
+    let mut class_defs = Vec::with_capacity(fitting(bytes, class_defs_off, 32, class_defs_size));
     for i in 0..class_defs_size {
         let off = class_defs_off + i * 32;
         let class_idx = input.u32_at(off)?;
@@ -294,11 +339,8 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
             Vec::new()
         } else {
             let mut pos = static_values_off;
-            let n = leb128::read_uleb128(bytes, &mut pos)?;
-            let mut values = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                values.push(EncodedValue::read(bytes, &mut pos)?);
-            }
+            let values = EncodedValue::read_list(bytes, &mut pos, 0)?;
+            input.charge(pos - static_values_off)?;
             values
         };
 

@@ -2,7 +2,14 @@
 //! field initialisers (`encoded_array_item`) in a DEX file.
 
 use crate::error::{DexError, Result};
+use crate::reader::fitting;
 use crate::{FieldIdx, MethodIdx, StringIdx, TypeIdx};
+
+/// The deepest nesting of [`EncodedValue::Array`]s the reader accepts.
+/// Reading, cloning, writing and dropping a value all recurse once per
+/// level, so the bound keeps a hostile static value from overflowing the
+/// stack of whichever thread touches it.
+pub const MAX_DEPTH: usize = 64;
 
 /// A constant value as stored in an `encoded_value` structure.
 ///
@@ -138,6 +145,11 @@ fn read_unsigned(buf: &[u8], pos: &mut usize, n: usize) -> Result<u64> {
 }
 
 fn read_float_bits(buf: &[u8], pos: &mut usize, n: usize, width: usize) -> Result<u64> {
+    if n > width {
+        return Err(DexError::Invalid(format!(
+            "{n}-byte encoded value of a {width}-byte float"
+        )));
+    }
     let bytes = read_bytes(buf, pos, n)?;
     let mut v: u64 = 0;
     for (i, &b) in bytes.iter().enumerate() {
@@ -188,8 +200,33 @@ impl EncodedValue {
     /// # Errors
     ///
     /// Returns [`DexError::Truncated`] or [`DexError::Invalid`] on malformed
-    /// input.
+    /// input, including arrays nested deeper than [`MAX_DEPTH`].
     pub fn read(buf: &[u8], pos: &mut usize) -> Result<EncodedValue> {
+        EncodedValue::read_nested(buf, pos, 0)
+    }
+
+    /// Parses an `encoded_array` (a count, then that many values) nested
+    /// in `depth` arrays.
+    pub(crate) fn read_list(
+        buf: &[u8],
+        pos: &mut usize,
+        depth: usize,
+    ) -> Result<Vec<EncodedValue>> {
+        if depth > MAX_DEPTH {
+            return Err(DexError::Invalid(format!(
+                "encoded arrays nested deeper than {MAX_DEPTH}"
+            )));
+        }
+        let n = crate::leb128::read_uleb128(buf, pos)? as usize;
+        // Every value takes at least its header byte.
+        let mut items = Vec::with_capacity(fitting(buf, *pos, 1, n));
+        for _ in 0..n {
+            items.push(EncodedValue::read_nested(buf, pos, depth)?);
+        }
+        Ok(items)
+    }
+
+    fn read_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<EncodedValue> {
         let header = *buf.get(*pos).ok_or(DexError::Truncated {
             offset: *pos,
             what: "encoded_value header",
@@ -215,14 +252,7 @@ impl EncodedValue {
             VALUE_FIELD => EncodedValue::Field(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_METHOD => EncodedValue::Method(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_ENUM => EncodedValue::Enum(read_unsigned(buf, pos, arg + 1)? as u32),
-            VALUE_ARRAY => {
-                let n = crate::leb128::read_uleb128(buf, pos)?;
-                let mut items = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    items.push(EncodedValue::read(buf, pos)?);
-                }
-                EncodedValue::Array(items)
-            }
+            VALUE_ARRAY => EncodedValue::Array(EncodedValue::read_list(buf, pos, depth + 1)?),
             VALUE_NULL => EncodedValue::Null,
             VALUE_BOOLEAN => EncodedValue::Boolean(arg != 0),
             other => return Err(DexError::Invalid(format!("unknown value_type {other:#x}"))),
@@ -326,6 +356,35 @@ mod tests {
             EncodedValue::Null
         );
         assert_eq!(EncodedValue::default_for_type("[I"), EncodedValue::Null);
+    }
+
+    /// `depth` arrays, each holding the next, around one `null`.
+    fn nested(depth: usize) -> Vec<u8> {
+        let mut buf = [VALUE_ARRAY, 1].repeat(depth);
+        buf.push(VALUE_NULL);
+        buf
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let mut pos = 0;
+        assert!(EncodedValue::read(&nested(MAX_DEPTH), &mut pos).is_ok());
+        let mut pos = 0;
+        assert!(EncodedValue::read(&nested(MAX_DEPTH + 1), &mut pos).is_err());
+        // Recursing once per level would overflow this test thread's
+        // stack.
+        let mut pos = 0;
+        assert!(EncodedValue::read(&nested(20_000), &mut pos).is_err());
+    }
+
+    #[test]
+    fn oversized_floats_rejected() {
+        for (ty, arg) in [(VALUE_FLOAT, 4u8), (VALUE_DOUBLE, 7)] {
+            let mut pos = 0;
+            let buf = [(arg << 5) | ty, 1, 2, 3, 4, 5, 6, 7, 8];
+            let ok = EncodedValue::read(&buf, &mut pos);
+            assert_eq!(ok.is_ok(), ty == VALUE_DOUBLE, "{ty:#x}/{arg}");
+        }
     }
 
     #[test]

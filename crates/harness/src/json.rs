@@ -10,9 +10,10 @@
 //!   linear in the output.
 //! * **Parsing** ([`parse`], [`Value`]) — what the `dexlegod` wire
 //!   protocol needs: a strict recursive-descent parser for one JSON
-//!   document. Numbers keep their raw token ([`Value::Num`]) so `u64`
-//!   values (e.g. fuzzing seeds) survive without a float round-trip.
-//!   Strings are copied run by run between escapes.
+//!   document, nested at most [`MAX_DEPTH`] arrays and objects deep.
+//!   Numbers keep their raw token ([`Value::Num`]) so `u64` values (e.g.
+//!   fuzzing seeds) survive without a float round-trip. Strings are
+//!   copied run by run between escapes.
 
 use std::fmt::Write as _;
 
@@ -295,14 +296,25 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile request line
+/// from overflowing the stack of the thread that parses it; the deepest
+/// document the wire protocol carries (a `stats` reply) nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses exactly one JSON document (trailing whitespace allowed, trailing
 /// content rejected).
 ///
 /// # Errors
 ///
-/// A message naming the byte offset and what went wrong.
+/// A message naming the byte offset and what went wrong, including
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { s: input, pos: 0 };
+    let mut p = Parser {
+        s: input,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -315,6 +327,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     s: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -355,8 +369,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{' | '[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Value::Str(self.string()?)),
             Some('t') => self.eat("true", Value::Bool(true)),
             Some('f') => self.eat("false", Value::Bool(false)),
@@ -364,6 +382,14 @@ impl Parser<'_> {
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -624,6 +650,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert!(parse(&deeper).unwrap_err().contains("nesting deeper than"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // A hostile request line: recursing once per level would overflow
+        // this test thread's stack.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -4,18 +4,23 @@
 //! dexlegod-smoke --addr HOST:PORT [--insns N] [--packer NAME] [--shutdown]
 //! ```
 //!
-//! Pings the daemon, submits the same extraction twice, and asserts the
-//! second reply is a cache hit with a byte-identical revealed DEX; then
-//! checks the stats endpoint saw at least one hit. With `--shutdown`, asks
-//! the daemon to drain and exit afterwards. Exits 0 on success, 1 on any
-//! failed assertion.
+//! Opens with two hostile request lines, 100,000 nested `[` and an
+//! extract whose DEX (valid checksum and signature) nests 20,000 static
+//! value arrays, and asserts each gets an `error` reply. Then, on the same
+//! connection, pings the daemon, submits the same extraction twice, and
+//! asserts the second reply is a cache hit with a byte-identical revealed
+//! DEX; then checks the stats endpoint saw at least one hit. With
+//! `--shutdown`, asks the daemon to drain and exit afterwards. Exits 0 on
+//! success, 1 on any failed assertion.
 
 use std::process::ExitCode;
 
+use dexlego_dex::checksum::{adler32, sha1};
 use dexlego_dex::writer::write_dex;
+use dexlego_dex::{ClassDef, DexFile, EncodedValue};
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_service::{Client, ExtractReply, ExtractRequest};
+use dexlego_service::{Client, ExtractReply, ExtractRequest, Reply};
 
 struct Args {
     addr: String,
@@ -56,9 +61,55 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// A DEX whose one static value nests 20,000 arrays around a `null`,
+/// with its file size, signature and checksum set as a forging client
+/// would set them.
+fn nested_value_dex() -> Result<Vec<u8>, String> {
+    let mut dex = DexFile::new();
+    let mut def = ClassDef::new(dex.intern_type("Lhostile/A;"));
+    def.static_values.push(EncodedValue::Null);
+    dex.add_class(def);
+    let mut bytes = write_dex(&dex).map_err(|e| format!("serialise hostile DEX: {e:?}"))?;
+    // Point the class's static values at a new list appended to the file.
+    let class_def = u32::from_le_bytes([bytes[100], bytes[101], bytes[102], bytes[103]]) as usize;
+    let at = (bytes.len() as u32).to_le_bytes();
+    bytes[class_def + 28..class_def + 32].copy_from_slice(&at);
+    bytes.push(1);
+    for _ in 0..20_000 {
+        bytes.extend([0x1c, 1]); // VALUE_ARRAY of one value
+    }
+    bytes.push(0x1e); // VALUE_NULL
+    let len = (bytes.len() as u32).to_le_bytes();
+    bytes[32..36].copy_from_slice(&len);
+    let signature = sha1(&bytes[32..]);
+    bytes[12..32].copy_from_slice(&signature);
+    let checksum = adler32(&bytes[12..]).to_le_bytes();
+    bytes[8..12].copy_from_slice(&checksum);
+    Ok(bytes)
+}
+
+/// Sends each hostile line and expects an `error` reply to it.
+fn refuse_hostile_lines(client: &mut Client) -> Result<(), String> {
+    let nested_dex = ExtractRequest::new(nested_value_dex()?, "Lhostile/A;->main()V");
+    for (what, line) in [
+        ("100,000 nested '['", "[".repeat(100_000)),
+        ("20,000 nested static values", nested_dex.encode()),
+    ] {
+        client
+            .send_line(&line)
+            .map_err(|e| format!("{what}: {e}"))?;
+        match client.recv().map_err(|e| format!("{what}: {e}"))? {
+            Reply::Error(reason) => eprintln!("dexlegod-smoke: {what} refused: {reason}"),
+            other => return Err(format!("{what}: expected an error reply, got {other:?}")),
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), String> {
     let mut client =
         Client::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
+    refuse_hostile_lines(&mut client)?;
     client.ping().map_err(|e| format!("ping: {e}"))?;
 
     let (_, app) = corpus_apps(1, args.insns).into_iter().next().unwrap();

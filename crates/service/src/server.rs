@@ -113,8 +113,9 @@ struct ServiceStats {
     ///
     /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
     failed: u64,
-    /// Every job counter summed over the extractions served, hits
-    /// included, in [`COUNTERS`] order.
+    /// Every job counter summed over the fresh extractions, in
+    /// [`COUNTERS`] order. A hit's counters describe the run that stored
+    /// it, not work this daemon did, so hits add nothing.
     counters: [u64; COUNTERS.len()],
     /// Per-phase `(count, total_us)` aggregates over fresh extractions.
     phases_us: BTreeMap<String, (u64, u64)>,
@@ -123,13 +124,13 @@ struct ServiceStats {
 impl ServiceStats {
     fn absorb(&mut self, report: &JobReport) {
         self.extracts += 1;
-        for (sum, (_, value)) in self.counters.iter_mut().zip(report.counters()) {
-            *sum += value;
-        }
         if report.cached {
             self.hits += 1;
         } else {
             self.misses += 1;
+            for (sum, (_, value)) in self.counters.iter_mut().zip(report.counters()) {
+                *sum += value;
+            }
             for (phase, us) in &report.phases_us {
                 let slot = self.phases_us.entry(phase.clone()).or_insert((0, 0));
                 slot.0 += 1;
@@ -398,11 +399,6 @@ fn stats_reply(daemon: &Extractor, core: &CoreStats) -> String {
         ("misses", stats.misses.to_string()),
         ("rejected", core.rejected.to_string()),
         ("deadline_exceeded", core.deadline_exceeded.to_string()),
-        // Aliases for the admission-control counters under the names the
-        // fleet tooling aggregates; the original fields stay byte-for-byte
-        // so old clients keep parsing.
-        ("shed_overloaded", core.rejected.to_string()),
-        ("shed_deadline", core.deadline_exceeded.to_string()),
         (
             "uptime_ms",
             daemon.started.elapsed().as_millis().to_string(),

@@ -226,7 +226,8 @@ fn stats_sums_every_job_counter() {
 
 /// A daemon restarted on the same store answers the first repeat of a
 /// request as a hit whose report is the fresh extraction's, every counter
-/// and phase included.
+/// and phase included. Its `stats` count only the work it did: one hit,
+/// and no job counter, since it ran no job.
 #[test]
 fn restarted_daemon_serves_the_fresh_report_as_a_hit() {
     let dir = TempDir::new("service-restart").unwrap();
@@ -234,18 +235,26 @@ fn restarted_daemon_serves_the_fresh_report_as_a_hit() {
     let run = |req: &ExtractRequest| {
         let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
         let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
-        let done = extract_report(&mut client, req);
+        let (cached, report) = extract_report(&mut client, req);
+        let stats = client.stats().expect("stats");
         client.shutdown().expect("graceful shutdown");
         daemon.wait();
-        done
+        (cached, report, stats)
     };
-    let (cached, fresh) = run(&req);
+    let (cached, fresh, stats) = run(&req);
     assert!(!cached);
     assert!(fresh.insns > 0 && fresh.dump_size > 0 && fresh.typed_insns > 0);
-    let (cached, hit) = run(&req);
+    for (name, value) in fresh.counters() {
+        assert_eq!(stat_u64(&stats, name), value, "{name}");
+    }
+    let (cached, hit, stats) = run(&req);
     assert!(cached, "the restarted daemon serves the stored result");
     assert!(hit.counters().eq(fresh.counters()), "{hit:?}\n{fresh:?}");
     assert_eq!(hit.phases_us, fresh.phases_us);
+    assert_eq!(stat_u64(&stats, "hits"), 1);
+    for c in COUNTERS {
+        assert_eq!(stat_u64(&stats, c.name), 0, "{}", c.name);
+    }
 }
 
 /// An entry from a build that counts something this one does not, and

@@ -10,7 +10,7 @@
 //!   files that agree on them intern identical pools in identical order,
 //!   so cached `TypeId`s, pool-index-dependent diagnostics and the
 //!   identity-stamped IR are valid verbatim;
-//! * an options fingerprint (engine, lint enablement, suppressed rules);
+//! * an options fingerprint (lint enablement, suppressed rules);
 //! * every method body in class-definition order: its pool index,
 //!   staticness, frame configuration, raw code units, and try/catch
 //!   tables.
@@ -170,19 +170,13 @@ pub(crate) fn dex_key<'a>(
             put_u32(&mut buf, i);
         }
     }
-    // The options that select between distinct result spaces. The engine
-    // is included so fast and reference runs never share entries, which
-    // keeps differential tests honest with the cache enabled.
+    // The options that select between distinct result spaces; the worker
+    // count is not one of them.
     let mut allowed: Vec<&str> = options.allowed.iter().map(String::as_str).collect();
     allowed.sort_unstable();
     put_str(
         &mut buf,
-        &format!(
-            "eo={}|ref={}|allow={}",
-            options.errors_only,
-            options.reference,
-            allowed.join(",")
-        ),
+        &format!("eo={}|allow={}", options.errors_only, allowed.join(",")),
     );
     for (method_idx, is_static, code) in bodies {
         put_u32(&mut buf, method_idx);
@@ -253,10 +247,9 @@ mod tests {
         linked.class_defs_mut()[0].superclass = Some(0);
         assert_ne!(with_class, key(&linked, &opts, &bodies), "superclass");
 
-        // Options: lint enablement, suppressed rules, engine.
+        // Options: lint enablement, suppressed rules.
         assert_ne!(k, key(&dex, &VerifyOptions::errors_only(), &bodies));
         assert_ne!(k, key(&dex, &opts.clone().allow("L0001"), &bodies));
-        assert_ne!(k, key(&dex, &opts.clone().sequential_reference(), &bodies));
         assert_eq!(
             k,
             key(&dex, &opts.clone().with_workers(3), &bodies),

@@ -1,33 +1,28 @@
 //! Worklist fixpoint dataflow over the register typestate lattice.
 //!
 //! Each basic block has an entry frame (one [`RegType`] per register);
-//! blocks are simulated in worklist order, merging the outgoing frame into
-//! every successor and re-queueing successors whose entry frame changed.
-//! Exception handlers receive the merge of the frame *before* every
-//! instruction their try range covers (the ART rule: a throw can occur at
-//! any covered instruction). Errors are deduplicated by (rule, pc).
+//! blocks are simulated in FIFO worklist order, merging the outgoing frame
+//! into every successor and re-queueing successors whose entry frame
+//! changed. Exception handlers receive the merge of the frame *before*
+//! every instruction their try range covers (the ART rule: a throw can
+//! occur at any covered instruction). Block entry states live in one dense
+//! [`FrameSlab`], each block walk reuses a single scratch frame, and each
+//! instruction's exception-handler targets come precomputed from the CFG
+//! ([`Cfg::throw_targets`]). Errors are deduplicated by (rule, pc).
 //!
-//! Two engines produce the same fixpoint:
-//!
-//! * [`Strategy::Fast`] — the production path: a FIFO worklist whose block
-//!   entry states live in one dense [`FrameSlab`] instead of per-block
-//!   `Vec`s, each block walk reuses a single scratch frame instead of
-//!   cloning, instruction effects fill a reusable buffer instead of
-//!   allocating, and each instruction's exception-handler targets come
-//!   precomputed from the CFG ([`Cfg::throw_targets`]) instead of a scan
-//!   over every try range per instruction.
-//! * [`Strategy::Reference`] — the pre-optimization engine with per-visit
-//!   frame clones and per-range scans, kept as the differential oracle
-//!   (`bench --bin verifier --baseline`, proptests).
+//! Debug builds check every converged fixpoint with a one-pass
+//! certificate checker ([`certify`]) before using it: the per-block entry
+//! frames are the certificate, and the checker replays each reached block
+//! once, finding its handler edges by its own scan of the try table.
 //!
 //! Diagnostics are emitted only during the post-fixpoint *replay*: the
 //! fixpoint runs muted, then each reached block is replayed once from its
 //! converged entry frame, snapshotting per-instruction pre-states into a
 //! dense [`FrameSlab`] (what [`crate::typed_ir::TypedIr`] materializes) and
-//! reporting findings against the final states. Because the converged
-//! fixpoint is unique, the diagnostics are a function of the method alone —
-//! independent of worklist order, engine, and (for whole-DEX runs) of how
-//! many threads verified sibling methods.
+//! reporting findings against the final states. Each method is solved by
+//! one thread in FIFO order, so the diagnostics are a function of the
+//! method alone — independent, for whole-DEX runs, of how many threads
+//! verified sibling methods.
 //!
 //! With DEX context ([`TypeCtx::dex`]), reference writes are refined to the
 //! descriptor the instruction actually produces (`new-instance`,
@@ -50,18 +45,6 @@ use crate::effects::{effects_into, Effects, Need, Write};
 use crate::hierarchy::{ClassHierarchy, TypeId};
 use crate::typestate::{join_frames, RegType};
 use crate::ParamKind;
-
-/// Which fixpoint engine verifies a method. Both produce identical
-/// diagnostics and frames (enforced by the differential proptests); the
-/// reference engine exists as the measured baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum Strategy {
-    /// Dense state slab, reusable scratch frame, precomputed handlers.
-    #[default]
-    Fast,
-    /// FIFO worklist with per-visit clones — the pre-optimization engine.
-    Reference,
-}
 
 /// One dense slab of `regs` lattice values per slot: per-instruction
 /// fixpoint pre-states (indexed like [`Cfg::insns`]; unreachable
@@ -195,7 +178,6 @@ pub(crate) fn run(
     params: &[ParamKind],
     tcx: &TypeCtx<'_>,
     out: &mut Vec<Diagnostic>,
-    strategy: Strategy,
 ) -> FrameSlab {
     let regs = code.registers_size as usize;
     let ins = code.ins_size as usize;
@@ -220,15 +202,17 @@ pub(crate) fn run(
     }
 
     ctx.mute = true;
-    let in_states = match strategy {
-        Strategy::Fast => fixpoint_fast(cfg, &entry, tcx, &mut ctx),
-        Strategy::Reference => fixpoint_reference(cfg, code, &entry, tcx, &mut ctx),
-    };
+    let in_states = fixpoint(cfg, &entry, tcx, &mut ctx);
+    debug_assert_eq!(
+        certify(cfg, code, &entry, &in_states, tcx),
+        Ok(()),
+        "the converged frames fail their certificate check at this block"
+    );
     ctx.mute = false;
 
     // Replay each reached block once from its converged entry frame: this
     // snapshots per-instruction pre-states and emits every diagnostic
-    // against the unique fixpoint (never an intermediate state).
+    // against the converged frames (never an intermediate state).
     let mut scratch: Vec<RegType> = Vec::with_capacity(regs);
     let mut eff = Effects::default();
     for (bid, block) in cfg.blocks().iter().enumerate() {
@@ -256,9 +240,9 @@ pub(crate) fn run(
     frames
 }
 
-/// The fast engine: FIFO worklist over dense block states, one reusable
+/// The fixpoint: FIFO worklist over dense block states, one reusable
 /// scratch frame, precomputed handler targets.
-fn fixpoint_fast(cfg: &Cfg, entry: &[RegType], tcx: &TypeCtx<'_>, ctx: &mut Ctx) -> FrameSlab {
+fn fixpoint(cfg: &Cfg, entry: &[RegType], tcx: &TypeCtx<'_>, ctx: &mut Ctx) -> FrameSlab {
     let nblocks = cfg.blocks().len();
     let mut states = FrameSlab::new(nblocks, entry.len());
     states.set(0, entry);
@@ -312,95 +296,75 @@ fn fixpoint_fast(cfg: &Cfg, entry: &[RegType], tcx: &TypeCtx<'_>, ctx: &mut Ctx)
     states
 }
 
-/// The pre-optimization engine, kept verbatim as the measured baseline and
-/// differential oracle: FIFO worklist, per-visit entry-frame clone,
-/// per-instruction scan over every try range, per-instruction effects
-/// allocation, per-merge `to_vec`.
-fn fixpoint_reference(
+/// The one-pass certificate check of a converged fixpoint, after
+/// *Formal Certification of Android Bytecode* (Tiu et al.). Starting from
+/// the entry frame, it replays `transfer` once from the frame in `states`
+/// of each block it reaches, and contributes each out-frame to the
+/// block's normal successors and each throwing instruction's pre-state to
+/// the handlers of every try range covering it. The handler edges come
+/// from its own scan of `code.tries`, never from [`Cfg::throw_targets`].
+///
+/// It accepts only if every contribution is already below its target's
+/// frame (closure) and the blocks that get a contribution are exactly the
+/// blocks that have a frame (presence). Closure and not equality, because
+/// `transfer` is not monotone: `aget-object` is typed from the array
+/// register, so a null `Const` that later meets an array reference can
+/// leave a converged frame above the one-pass join. `Err` names the first
+/// block found to fail.
+fn certify(
     cfg: &Cfg,
     code: &CodeItem,
     entry: &[RegType],
+    states: &FrameSlab,
     tcx: &TypeCtx<'_>,
-    ctx: &mut Ctx,
-) -> FrameSlab {
-    let nblocks = cfg.blocks().len();
-    let mut in_states: Vec<Option<Vec<RegType>>> = vec![None; nblocks];
-    in_states[0] = Some(entry.to_vec());
-    let mut worklist: VecDeque<usize> = VecDeque::from([0]);
-    let mut queued = vec![false; nblocks];
-    queued[0] = true;
-
-    // try range -> handler block ids, resolved once.
-    let handler_edges = handler_ranges(cfg, code);
-
-    while let Some(bid) = worklist.pop_front() {
-        queued[bid] = false;
-        let Some(mut frame) = in_states[bid].clone() else {
-            continue;
-        };
-        let block = &cfg.blocks()[bid];
-        for i in block.insns.clone() {
-            let (pc, insn) = (cfg.pcs()[i], &cfg.insns()[i]);
-            for (range, handler_blocks) in &handler_edges {
-                if range.covers(pc) && insn.op.can_throw() {
-                    for &hb in handler_blocks {
-                        merge_into(
-                            &mut in_states,
-                            hb,
-                            &frame,
-                            tcx.hier,
-                            &mut worklist,
-                            &mut queued,
-                        );
-                    }
-                }
+) -> Result<(), usize> {
+    let mut ctx = Ctx {
+        regs: entry.len(),
+        mute: true,
+        seen: HashSet::new(),
+        out: Vec::new(),
+    };
+    let handlers = handler_ranges(cfg, code);
+    let mut reached = vec![false; cfg.blocks().len()];
+    let mut joined = Vec::with_capacity(entry.len());
+    let mut contribute =
+        |target: usize, frame: &[RegType], stack: &mut Vec<usize>| -> Result<(), usize> {
+            joined.clear();
+            joined.extend_from_slice(states.get(target).ok_or(target)?);
+            if join_frames(&mut joined, frame, tcx.hier) {
+                return Err(target);
             }
-            let mut eff = Effects::default();
-            transfer(insn, pc, cfg.prev_insn(i), &mut frame, ctx, tcx, &mut eff);
+            if !reached[target] {
+                reached[target] = true;
+                stack.push(target);
+            }
+            Ok(())
+        };
+    let mut stack = Vec::new();
+    contribute(0, entry, &mut stack)?;
+    let (mut frame, mut eff) = (Vec::with_capacity(entry.len()), Effects::default());
+    while let Some(bid) = stack.pop() {
+        let block = &cfg.blocks()[bid];
+        frame.clear();
+        frame.extend_from_slice(states.get(bid).ok_or(bid)?);
+        for i in block.insns.clone() {
+            let (pc, insn, prev) = (cfg.pcs()[i], &cfg.insns()[i], cfg.prev_insn(i));
+            let covering = handlers
+                .iter()
+                .filter(|(t, _)| insn.op.can_throw() && t.covers(pc));
+            for &hb in covering.flat_map(|(_, blocks)| blocks) {
+                contribute(hb, &frame, &mut stack)?;
+            }
+            transfer(insn, pc, prev, &mut frame, &mut ctx, tcx, &mut eff);
         }
         for edge in cfg.succs(block) {
-            if edge.kind == EdgeKind::Exception {
-                continue;
+            if edge.kind != EdgeKind::Exception {
+                contribute(edge.target, &frame, &mut stack)?;
             }
-            merge_into(
-                &mut in_states,
-                edge.target,
-                &frame,
-                tcx.hier,
-                &mut worklist,
-                &mut queued,
-            );
         }
     }
-
-    let mut states = FrameSlab::new(nblocks, entry.len());
-    for (b, s) in in_states.iter().enumerate() {
-        if let Some(s) = s {
-            states.set(b, s);
-        }
-    }
-    states
-}
-
-fn merge_into(
-    in_states: &mut [Option<Vec<RegType>>],
-    target: usize,
-    frame: &[RegType],
-    hier: &ClassHierarchy,
-    worklist: &mut VecDeque<usize>,
-    queued: &mut [bool],
-) {
-    let changed = match &mut in_states[target] {
-        Some(existing) => join_frames(existing, frame, hier),
-        slot @ None => {
-            *slot = Some(frame.to_vec());
-            true
-        }
-    };
-    if changed && !queued[target] {
-        queued[target] = true;
-        worklist.push_back(target);
-    }
+    let absent = (0..reached.len()).find(|&b| reached[b] != states.get(b).is_some());
+    absent.map_or(Ok(()), Err)
 }
 
 fn entry_frame(
@@ -468,7 +432,8 @@ fn entry_frame(
     frame
 }
 
-/// try ranges with their handler block ids.
+/// try ranges with their handler block ids (for [`certify`], which must
+/// not trust [`Cfg::throw_targets`]).
 fn handler_ranges<'c>(cfg: &Cfg, code: &'c CodeItem) -> Vec<(&'c TryItem, Vec<usize>)> {
     let mut out = Vec::new();
     for t in &code.tries {
@@ -852,4 +817,106 @@ fn write_wide(reg: u32, pc: u32, frame: &mut [RegType], ctx: &mut Ctx) {
     invalidate_half(r + 1, frame);
     frame[r] = RegType::WideLo;
     frame[r + 1] = RegType::WideHi;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `if-eqz v0` either skips or runs `const/4 v1`, so the two
+    /// predecessors of the `return-void` block disagree on v1.
+    const BRANCH: [u16; 5] = [0x0012, 0x0038, 0x0003, 0x1112, 0x000e];
+
+    /// Solves `code`, checks that the certificate holds, then applies
+    /// `perturb` to the block frames and certifies them again.
+    fn certify_perturbed(
+        code: &CodeItem,
+        perturb: impl FnOnce(&Cfg, &mut FrameSlab),
+    ) -> Result<(), usize> {
+        let cfg = Cfg::build(&code.insns, &code.tries, &code.handlers).unwrap();
+        let hier = ClassHierarchy::empty();
+        let tcx = TypeCtx::bare(&hier);
+        let regs = usize::from(code.registers_size);
+        let mut ctx = Ctx {
+            regs,
+            mute: true,
+            seen: HashSet::new(),
+            out: Vec::new(),
+        };
+        let entry = entry_frame(regs, usize::from(code.ins_size), &[], &tcx, &mut ctx);
+        let mut states = fixpoint(&cfg, &entry, &tcx, &mut ctx);
+        assert_eq!(certify(&cfg, code, &entry, &states, &tcx), Ok(()));
+        perturb(&cfg, &mut states);
+        certify(&cfg, code, &entry, &states, &tcx)
+    }
+
+    fn block_at(cfg: &Cfg, pc: u32) -> usize {
+        cfg.block_of(cfg.index_of_pc(pc).unwrap())
+    }
+
+    #[test]
+    fn a_frame_narrowed_below_a_predecessor_is_rejected() {
+        let code = CodeItem::new(2, 0, 0, BRANCH.to_vec());
+        let mut join = 0;
+        let verdict = certify_perturbed(&code, |cfg, states| {
+            join = block_at(cfg, 4);
+            assert_eq!(states.get(join).unwrap()[1], RegType::Conflict);
+            states.set(join, &[RegType::Const, RegType::Const]);
+        });
+        assert_eq!(verdict, Err(join));
+    }
+
+    #[test]
+    fn a_reached_block_without_a_frame_is_rejected() {
+        let code = CodeItem::new(2, 0, 0, BRANCH.to_vec());
+        let mut arm = 0;
+        let verdict = certify_perturbed(&code, |cfg, states| {
+            arm = block_at(cfg, 3);
+            states.present[arm] = false;
+        });
+        assert_eq!(verdict, Err(arm));
+    }
+
+    #[test]
+    fn a_frame_on_an_unreached_block_is_rejected() {
+        // return-void; const/4 v0, 0 (dead); return-void.
+        let code = CodeItem::new(1, 0, 0, vec![0x000e, 0x0012, 0x000e]);
+        let mut dead = 0;
+        let verdict = certify_perturbed(&code, |cfg, states| {
+            dead = block_at(cfg, 1);
+            states.set(dead, &[RegType::Uninit]);
+        });
+        assert_eq!(verdict, Err(dead));
+    }
+
+    #[test]
+    fn a_handler_missing_one_throwing_contribution_is_rejected() {
+        // const/4 v0, 1; const/4 v1, 1; div-int/2addr v0, v1 (throws with
+        // v2 unset); const/4 v2, 0; div-int/2addr v0, v1 (throws with v2
+        // set); return-void; the catch-all handler: return-void.
+        let mut code = CodeItem::new(
+            3,
+            0,
+            0,
+            vec![0x1012, 0x1112, 0x10b3, 0x0212, 0x10b3, 0x000e, 0x000e],
+        );
+        code.tries.push(TryItem {
+            start_addr: 2,
+            insn_count: 3,
+            handler_index: 0,
+        });
+        code.handlers.push(dexlego_dex::EncodedCatchHandler {
+            catches: Vec::new(),
+            catch_all_addr: Some(6),
+        });
+        let mut handler = 0;
+        let verdict = certify_perturbed(&code, |cfg, states| {
+            handler = block_at(cfg, 6);
+            let full = [RegType::Int, RegType::Const, RegType::Conflict];
+            assert_eq!(states.get(handler).unwrap(), full);
+            // The join of the second throw's pre-state alone.
+            states.set(handler, &[RegType::Int, RegType::Const, RegType::Const]);
+        });
+        assert_eq!(verdict, Err(handler));
+    }
 }

@@ -67,7 +67,7 @@ pub use hierarchy::{ClassHierarchy, TypeId};
 pub use typed_ir::{TypedInsn, TypedIr};
 pub use typestate::RegType;
 
-use dataflow::{Strategy, TypeCtx};
+use dataflow::TypeCtx;
 
 /// Empties the process-level verify cache (benches and tests; production
 /// callers never need this — version and epoch digests handle
@@ -131,19 +131,17 @@ pub fn param_kinds<S: AsRef<str>>(is_static: bool, params: &[S]) -> Vec<ParamKin
 }
 
 /// Verification options: lint enablement, per-rule suppression, and the
-/// execution knobs of the fast path (engine, worker count).
+/// worker count of whole-DEX verification.
 ///
-/// Defaults are the production configuration: the fast fixpoint engine and
-/// the worker count resolved from `DEXLEGO_WORKERS`/available parallelism.
-/// Both engines produce identical diagnostics and IR (enforced by the
-/// differential proptests), so these knobs trade speed, never results.
+/// Defaults are the production configuration, with the worker count
+/// resolved from `DEXLEGO_WORKERS`/available parallelism. Each method is
+/// verified by one thread and results are collected in submission order,
+/// so the worker count trades speed, never results.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
     /// Skip the lint pass entirely (errors only).
     pub errors_only: bool,
     allowed: HashSet<String>,
-    /// Use the pre-optimization engine (the measured baseline).
-    reference: bool,
     /// Explicit worker count for whole-DEX verification; `None` resolves
     /// via [`dexlego_pool::resolve_workers`].
     workers: Option<usize>,
@@ -163,16 +161,6 @@ impl VerifyOptions {
     /// rule — use with care.
     pub fn allow(mut self, code: &str) -> VerifyOptions {
         self.allowed.insert(code.to_owned());
-        self
-    }
-
-    /// Selects the pre-optimization sequential engine: per-visit frame
-    /// clones, per-range handler scans, no parallelism. This is the
-    /// `--baseline` measured by `bench --bin verifier` and the reference
-    /// side of the differential proptests. Its results are cached under
-    /// their own key, apart from the fast engine's.
-    pub fn sequential_reference(mut self) -> VerifyOptions {
-        self.reference = true;
         self
     }
 
@@ -242,12 +230,7 @@ fn verify_method_with(
             } else {
                 params
             };
-            let strategy = if options.reference {
-                Strategy::Reference
-            } else {
-                Strategy::Fast
-            };
-            let frames = dataflow::run(&cfg, code, params, tcx, &mut diags, strategy);
+            let frames = dataflow::run(&cfg, code, params, tcx, &mut diags);
             if !options.errors_only {
                 lint::run(&cfg, &mut diags);
             }
@@ -395,7 +378,7 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
     // class-definition order).
     let workers = dexlego_pool::resolve_workers(options.workers).min(work.len().max(1));
     let results: Vec<(Vec<Diagnostic>, Option<Arc<TypedIr>>)> =
-        if workers > 1 && !options.reference && work.len() >= PARALLEL_THRESHOLD {
+        if workers > 1 && work.len() >= PARALLEL_THRESHOLD {
             let refs: Vec<&WorkItem<'_>> = work.iter().collect();
             dexlego_pool::parallel_map_expect(refs, workers, run_one)
         } else {

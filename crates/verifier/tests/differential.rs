@@ -1,23 +1,16 @@
-//! Differential property tests: the fast fixpoint engine (slab frames,
-//! reusable scratch frame, precomputed handler targets) must emit
-//! *byte-identical* diagnostics to the reference engine on arbitrary
-//! code — valid, invalid, or garbage. Diagnostics are reported only during
-//! the replay over converged frames, and the fixpoint computes the unique
-//! least fixpoint of a monotone transfer regardless of visit order, so any
-//! divergence is a bug in one of the engines.
+//! Property tests of the verifier against its certificate checker on
+//! arbitrary code — valid, invalid, or garbage. Debug builds certify every
+//! converged fixpoint before the replay reports from it (a one-pass check
+//! that each block's frame is closed under its predecessors' transfers and
+//! that exactly the reached blocks have frames), so each property below
+//! fails if the checker rejects the engine's frames on any generated body.
+//! The `errors_only` property pins that skipping lints drops exactly the
+//! lints.
 
 use dexlego_dex::{CodeItem, EncodedCatchHandler, TryItem};
-use dexlego_verifier::{verify_method, VerifyOptions};
+use dexlego_verifier::{verify_method, Diagnostic, VerifyOptions};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-fn fast() -> VerifyOptions {
-    VerifyOptions::default()
-}
-
-fn reference() -> VerifyOptions {
-    VerifyOptions::default().sequential_reference()
-}
 
 /// One plausible instruction word: biased toward real one-unit opcodes so
 /// streams decode into interesting CFGs, with fully random units mixed in
@@ -36,7 +29,7 @@ fn unit() -> impl Strategy<Value = u16> {
 
 proptest! {
     #[test]
-    fn engines_agree_on_random_code(
+    fn checker_accepts_random_code(
         units in vec(unit(), 1..48),
         regs in 1u16..10,
         ins in 0u16..4,
@@ -44,13 +37,12 @@ proptest! {
         let mut insns = units;
         insns.push(0x000e); // return-void backstop
         let code = CodeItem::new(regs.max(ins + 1), ins.min(regs), 0, insns);
-        let fast = verify_method("La;->m()V", &code, &[], &fast());
-        let slow = verify_method("La;->m()V", &code, &[], &reference());
-        prop_assert_eq!(fast, slow);
+        let diags = verify_method("La;->m()V", &code, &[], &VerifyOptions::default());
+        prop_assert!(diags.iter().all(|d| d.method == "La;->m()V"));
     }
 
     #[test]
-    fn engines_agree_with_exception_handlers(
+    fn checker_accepts_random_code_with_exception_handlers(
         units in vec(unit(), 1..40),
         regs in 1u16..10,
         first in (0u32..16, 1u16..12, 0u32..24),
@@ -82,27 +74,21 @@ proptest! {
                 catch_all_addr: Some(a2),
             });
         }
-        let fast = verify_method("La;->m()V", &code, &[], &fast());
-        let slow = verify_method("La;->m()V", &code, &[], &reference());
-        prop_assert_eq!(fast, slow);
+        let diags = verify_method("La;->m()V", &code, &[], &VerifyOptions::default());
+        prop_assert!(diags.iter().all(|d| d.method == "La;->m()V"));
     }
 
     #[test]
-    fn engines_agree_under_errors_only(
+    fn errors_only_is_the_error_subset_of_the_default_run(
         units in vec(unit(), 1..40),
         regs in 1u16..8,
     ) {
         let mut insns = units;
         insns.push(0x000e);
         let code = CodeItem::new(regs, 0, 0, insns);
-        let fast = verify_method(
-            "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only(),
-        );
-        let slow = verify_method(
-            "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only().sequential_reference(),
-        );
-        prop_assert_eq!(fast, slow);
+        let errors = verify_method("La;->m()V", &code, &[], &VerifyOptions::errors_only());
+        let all = verify_method("La;->m()V", &code, &[], &VerifyOptions::default());
+        let subset: Vec<Diagnostic> = all.into_iter().filter(Diagnostic::is_error).collect();
+        prop_assert_eq!(errors, subset);
     }
 }

@@ -87,11 +87,7 @@ fn one_method_dex(code: CodeItem) -> DexFile {
 proptest! {
     #[test]
     fn hostile_bodies_yield_diagnostics_not_panics(code in code_item()) {
-        for opts in [
-            VerifyOptions::default(),
-            VerifyOptions::errors_only(),
-            VerifyOptions::default().sequential_reference(),
-        ] {
+        for opts in [VerifyOptions::default(), VerifyOptions::errors_only()] {
             let diags = verify_method("La;->m(I)V", &code, &[], &opts);
             prop_assert!(diags.iter().all(|d| d.method == "La;->m(I)V"));
         }

@@ -1,6 +1,6 @@
-//! Verification fast-path integration tests: the parallel fast engine
-//! must match the sequential reference byte-for-byte over whole DEX
-//! files, and the digest-keyed whole-DEX verify cache must reproduce fresh
+//! Verification fast-path integration tests: parallel verification must
+//! match one sequential worker byte-for-byte over whole DEX files, and
+//! the digest-keyed whole-DEX verify cache must reproduce fresh
 //! results exactly, invalidate when code changes, report hit/miss
 //! counters, and stay bounded by evicting its least recently used result.
 
@@ -48,22 +48,22 @@ fn fingerprint(typed: &TypedDex, dex: &dexlego_suite::dex::DexFile) -> Vec<Strin
     out
 }
 
-/// The fast engine (slab frames, parallel workers) must produce the
-/// identical diagnostics and typed IR as the sequential reference engine
-/// over complete generated apps. Both sides verify from an empty cache.
+/// Four workers must produce the identical diagnostics and typed IR as
+/// one over complete generated apps. Both sides verify from an empty
+/// cache.
 #[test]
-fn fast_engine_matches_reference_on_whole_dex() {
+fn four_workers_match_one_on_whole_dex() {
     let _guard = CACHE_LOCK.lock().unwrap();
-    let fast_opts = VerifyOptions::default().with_workers(4);
-    let reference_opts = VerifyOptions::default().sequential_reference();
+    let parallel = VerifyOptions::default().with_workers(4);
+    let sequential = VerifyOptions::default().with_workers(1);
     for dex in corpus(6, 120) {
         clear_verify_cache();
-        let fast = verify_dex_typed(&dex, &fast_opts);
+        let four = verify_dex_typed(&dex, &parallel);
         clear_verify_cache();
-        let reference = verify_dex_typed(&dex, &reference_opts);
-        assert_eq!(fast.cache_hits + reference.cache_hits, 0);
-        assert_eq!(fast.diagnostics, reference.diagnostics);
-        assert_eq!(fingerprint(&fast, &dex), fingerprint(&reference, &dex));
+        let one = verify_dex_typed(&dex, &sequential);
+        assert_eq!(four.cache_hits + one.cache_hits, 0);
+        assert_eq!(four.diagnostics, one.diagnostics);
+        assert_eq!(fingerprint(&four, &dex), fingerprint(&one, &dex));
     }
 }
 

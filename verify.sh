@@ -6,9 +6,9 @@
 # job panic, timeout, verifier rejection, validation finding, or
 # behavioural divergence), a pipelined dexlegod load smoke, a
 # taint-precision regression gate against a
-# checked-in baseline, and a dexlegod service round-trip (second
-# identical extraction must be a byte-identical cache hit; graceful
-# shutdown must exit 0).
+# checked-in baseline, and a dexlegod service round-trip (two hostile
+# lines refused with error replies; second identical extraction must be
+# a byte-identical cache hit; graceful shutdown must exit 0).
 set -eu
 cd "$(dirname "$0")"
 
@@ -29,13 +29,12 @@ cargo run -p dexlego-harness --bin harness-smoke --release -- \
 # speedup ratios).
 cargo run -p dexlego-bench --bin interp --release -- --quick-smoke
 
-# Verifier fast-path smoke: the fast engine must match the reference
-# engine's diagnostics exactly, a warm whole-DEX cache pass must not be
-# slower than a cold one (every cold pass, the reference engine's
-# included, starts from an empty cache), hits must occur, and the
-# repeated-verification corpus workload must beat the reference engine
-# re-verifying from scratch. The taint gate below then exercises
-# analysis on the cached verification path.
+# Verifier smoke: every DEX's warm (cache-hit) diagnostics must equal its
+# cold ones, a warm whole-DEX cache pass must not be slower than a cold
+# one (every cold pass starts from an empty cache), hits must occur, and
+# the repeated-verification corpus workload must beat the same engine
+# re-verifying every round from an empty cache by 1.2x. The taint gate
+# below then exercises analysis on the cached verification path.
 cargo run -p dexlego-bench --bin verifier --release -- --smoke
 
 # Service load smoke: concurrent pipelined connections against a live
@@ -49,9 +48,12 @@ cargo run -p dexlego-bench --bin service --release -- --smoke
 # introduces a new false positive (or loses a true leak) fails here.
 cargo run -p dexlego-bench --bin taint_gate --release
 
-# Service smoke: start dexlegod on an ephemeral port, submit the same
-# extraction twice (the smoke client asserts the second is a cache hit
-# with byte-identical DEX), then drain gracefully and check exit 0.
+# Service smoke: start dexlegod on an ephemeral port, send two hostile
+# lines (100,000 nested '[' and an extract whose DEX nests 20,000 static
+# values; each must get an error reply), then on the same connection
+# submit the same extraction twice (the smoke client asserts the second
+# is a cache hit with byte-identical DEX), then drain gracefully and
+# check exit 0.
 service_dir="target/verify-dexlegod"
 rm -rf "$service_dir"
 mkdir -p "$service_dir"
@@ -97,10 +99,11 @@ echo "verify: dexlegod service smoke ok"
 cargo run -p dexlego-bench --bin service --release -- --router 3 --smoke
 
 # Router fleet smoke: three real dexlegod processes behind a real
-# dexlego-router process. Round-trip through the router (second
-# extraction must be a cache hit), then kill -9 one shard and read
-# again — the fleet must still answer — then drain the router
-# gracefully and check exit 0.
+# dexlego-router process. Each of the three smoke runs opens with the
+# same two hostile lines, refused with error replies. Round-trip through
+# the router (second extraction must be a cache hit), then kill -9 one
+# shard and read again — the fleet must still answer — then drain the
+# router gracefully and check exit 0.
 fleet_dir="target/verify-fleet"
 rm -rf "$fleet_dir"
 mkdir -p "$fleet_dir"
