@@ -81,20 +81,8 @@ fn bench_pipeline(c: &mut Criterion) {
                 let dex = app.dex.clone();
                 let entry = app.entry.clone();
                 reveal(&mut rt, move |rt, obs| {
-                    if rt.load_dex_observed(&dex, "app", obs).is_err() {
-                        return;
-                    }
-                    let Ok(activity) = rt.new_instance(obs, &entry) else {
-                        return;
-                    };
-                    let Some(class) = rt.find_class(&entry) else {
-                        return;
-                    };
-                    if let Some(m) = rt.resolve_method(
-                        class,
-                        &dexlego_runtime::class::SigKey::new("onCreate", "(Landroid/os/Bundle;)V"),
-                    ) {
-                        let _ = rt.call_method(obs, m, &[Slot::of(activity), Slot::of(0)]);
+                    if rt.load_dex_observed(&dex, "app", obs).is_ok() {
+                        let _ = rt.launch(obs, &entry);
                     }
                 })
                 .unwrap()

@@ -1,22 +1,25 @@
 //! Regenerates every table and figure.
 //!
 //! The functional experiments (Tables I–VII, Figure 5) are independent of
-//! each other, so they run as named tasks on the harness worker pool —
-//! Figure 5 rides in Table II's task because it consumes its results. The
+//! each other, so they run as named closures on the harness worker pool —
+//! Figure 5 rides in Table II's closure because it consumes its results. The
 //! two performance experiments (Figure 6, Table VIII) measure wall time and
 //! would be skewed by concurrent load, so they run sequentially afterwards.
 //! Output is printed in the paper's canonical order regardless of
 //! completion order.
 
-use dexlego_harness::{default_workers, run_tasks, Task};
+use dexlego_harness::{default_workers, parallel_map};
+
+/// A functional experiment: its name and the function that prints it.
+type Experiment = (&'static str, fn() -> String);
 
 fn main() {
-    let tasks = vec![
-        Task::new("table1", || {
+    let experiments: [Experiment; 6] = [
+        ("table1", || {
             let (counts, cells) = dexlego_bench::table1::run();
             dexlego_bench::table1::format(&counts, &cells)
         }),
-        Task::new("table2+fig5", || {
+        ("table2+fig5", || {
             let t2 = dexlego_bench::table2::run();
             format!(
                 "{}\n{}",
@@ -24,21 +27,22 @@ fn main() {
                 dexlego_bench::fig5::format(&dexlego_bench::fig5::run(&t2))
             )
         }),
-        Task::new("table4", || {
+        ("table4", || {
             dexlego_bench::table4::format(&dexlego_bench::table4::run())
         }),
-        Task::new("table5", || {
+        ("table5", || {
             dexlego_bench::table5::format(&dexlego_bench::table5::run())
         }),
-        Task::new("table6", || {
+        ("table6", || {
             dexlego_bench::table6::format(&dexlego_bench::table6::run())
         }),
-        Task::new("table7", || {
+        ("table7", || {
             dexlego_bench::table7::format(&dexlego_bench::table7::run())
         }),
     ];
-    for (name, result) in run_tasks(tasks, default_workers()) {
-        match result {
+    let outputs = parallel_map(experiments.to_vec(), default_workers(), |(_, run)| run());
+    for ((name, _), output) in experiments.iter().zip(outputs) {
+        match output {
             Ok(output) => println!("{output}"),
             Err(e) => panic!("{name} failed: {e}"),
         }

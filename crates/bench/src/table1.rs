@@ -12,7 +12,7 @@ use dexlego_core::pipeline::reveal;
 use dexlego_droidbench::appgen::{generate, AppSpec};
 use dexlego_packer::{pack, PackerId};
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{MethodId, Runtime, Slot};
+use dexlego_runtime::{MethodId, Runtime};
 
 /// The paper's four AOSP applications with their instruction counts.
 pub const APPS: [(&str, usize); 4] = [
@@ -91,16 +91,9 @@ fn run_app((name, target): (&'static str, usize)) -> ((&'static str, usize), Vec
                 return;
             }
             let _ = packed2.launch(rt, &mut chained);
-            // Fire registered callbacks once each.
-            let cbs = rt.callbacks.clone();
-            for cb in cbs {
-                rt.callback_depth += 1;
-                let _ = rt.call_method(
-                    &mut chained,
-                    cb.method,
-                    &[Slot::of(cb.receiver), Slot::of(0)],
-                );
-                rt.callback_depth -= 1;
+            // Fire the callbacks registered so far once each.
+            for i in 0..rt.callbacks.len() {
+                let _ = rt.fire_callback(&mut chained, i);
             }
         });
         let cell = match outcome {

@@ -69,23 +69,7 @@ fn baseline_unpack(sample: &Sample, kind: BaselineKind) -> dexlego_dex::DexFile 
     for seed in SEEDS {
         rt.input_state = seed | 1;
         let _ = packed.launch(&mut rt, &mut obs);
-        for n in 0..EVENTS {
-            if rt.callbacks.is_empty() {
-                break;
-            }
-            let pick = (seed as usize + n) % rt.callbacks.len();
-            let cb = rt.callbacks[pick].clone();
-            rt.callback_depth += 1;
-            let _ = rt.call_method(
-                &mut obs,
-                cb.method,
-                &[
-                    dexlego_runtime::Slot::of(cb.receiver),
-                    dexlego_runtime::Slot::of(0),
-                ],
-            );
-            rt.callback_depth -= 1;
-        }
+        let _ = rt.fire_callbacks(&mut obs, seed, EVENTS);
     }
     dump(&rt, kind).unwrap_or_else(|e| panic!("{}: dump failed: {e}", sample.name))
 }
@@ -200,23 +184,7 @@ pub fn reveal_packed(sample: &Sample) -> dexlego_dex::DexFile {
         for seed in SEEDS {
             rt.input_state = seed | 1;
             let _ = packed.launch(rt, obs);
-            for n in 0..EVENTS {
-                if rt.callbacks.is_empty() {
-                    break;
-                }
-                let pick = (seed as usize + n) % rt.callbacks.len();
-                let cb = rt.callbacks[pick].clone();
-                rt.callback_depth += 1;
-                let _ = rt.call_method(
-                    obs,
-                    cb.method,
-                    &[
-                        dexlego_runtime::Slot::of(cb.receiver),
-                        dexlego_runtime::Slot::of(0),
-                    ],
-                );
-                rt.callback_depth -= 1;
-            }
+            let _ = rt.fire_callbacks(obs, seed, EVENTS);
         }
     })
     .unwrap_or_else(|e| panic!("{}: reveal failed: {e}", sample.name));

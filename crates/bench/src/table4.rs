@@ -9,7 +9,7 @@ use dexlego_dalvik::{Insn, Opcode};
 use dexlego_droidbench::drive_sample;
 use dexlego_droidbench::samples::Sample;
 use dexlego_droidbench::Category;
-use dexlego_runtime::{Runtime, Slot};
+use dexlego_runtime::Runtime;
 
 fn mr_obj(m: &mut MethodBuilder<'_>, reg: u32) {
     let mut mr = Insn::of(Opcode::MoveResultObject);
@@ -291,12 +291,9 @@ pub fn run() -> Vec<Row> {
                     return;
                 }
                 drive_sample(rt, obs, &sample, 7, 4);
-                // Fire remaining callbacks deterministically.
-                let cbs = rt.callbacks.clone();
-                for cb in cbs {
-                    rt.callback_depth += 1;
-                    let _ = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-                    rt.callback_depth -= 1;
+                // Fire the callbacks registered so far once each.
+                for i in 0..rt.callbacks.len() {
+                    let _ = rt.fire_callback(obs, i);
                 }
             })
             .expect("reveal succeeds");

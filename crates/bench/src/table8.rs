@@ -9,9 +9,8 @@ use std::time::Instant;
 
 use dexlego_core::JitCollector;
 use dexlego_droidbench::appgen::{generate, AppSpec};
-use dexlego_runtime::class::SigKey;
 use dexlego_runtime::observer::NullObserver;
-use dexlego_runtime::{Runtime, RuntimeObserver, Slot};
+use dexlego_runtime::{LaunchError, Runtime, RuntimeObserver};
 
 use crate::stats::median;
 
@@ -61,12 +60,8 @@ fn launch_ms(dex: &dexlego_dex::DexFile, entry: &str, collected: bool) -> f64 {
     let obs: &mut dyn RuntimeObserver = if collected { &mut collector } else { &mut null };
     let start = Instant::now();
     rt.load_dex_observed(dex, "app", obs).expect("loads");
-    let activity = rt.new_instance(obs, entry).expect("instantiates");
-    let class = rt.find_class(entry).expect("linked");
-    if let Some(on_create) =
-        rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-    {
-        let _ = rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
+    if let Err(LaunchError::Instantiate(e)) = rt.launch(obs, entry) {
+        panic!("cannot instantiate {entry}: {e}");
     }
     start.elapsed().as_secs_f64() * 1000.0
 }

@@ -221,13 +221,46 @@ fn remap_value(value: &mut EncodedValue, remap: &Remap) {
     }
 }
 
-/// Rewrites the index operands of `code` in place. Every format keeps its
-/// unit length when only the index changes (index width is fixed per
-/// format), so addresses, branch offsets, and try ranges are unaffected.
+/// Rewrites the index operands of `code` and its catch types in place.
 fn remap_code(code: &mut CodeItem, remap: &Remap) -> Result<()> {
+    remap_indices(&mut code.insns, |kind, idx| {
+        let table = match kind {
+            IndexKind::None => return Ok(idx),
+            IndexKind::String => &remap.string,
+            IndexKind::Type => &remap.type_,
+            IndexKind::Field => &remap.field,
+            IndexKind::Method => &remap.method,
+        };
+        Ok::<_, DalvikError>(table[idx as usize])
+    })?;
+    for handler in &mut code.handlers {
+        for clause in &mut handler.catches {
+            clause.type_idx = remap.type_[clause.type_idx as usize];
+        }
+    }
+    Ok(())
+}
+
+/// Rewrites every index operand of the method body `units` in place: the
+/// operand `idx` of an instruction whose opcode has index kind `kind`
+/// becomes `map(kind, idx)`, called once per indexed instruction in
+/// address order. The units come out as re-encoding each decoded
+/// instruction whose index changed would leave them. Every format keeps
+/// its unit length when only the index changes (index width is fixed per
+/// format), so addresses, branch offsets, and try ranges are unaffected.
+///
+/// # Errors
+///
+/// A body that does not decode fails as decoding it fails, before `map`
+/// is called; a mapped index too wide for its 16-bit operand fails with
+/// [`DalvikError::OperandRange`]; an error of `map` is returned as is.
+/// Indices rewritten before an error stay rewritten.
+pub fn remap_indices<E: From<DalvikError>>(
+    units: &mut [u16],
+    mut map: impl FnMut(IndexKind, u32) -> std::result::Result<u32, E>,
+) -> std::result::Result<(), E> {
     // The whole body must decode before any index is rewritten, so a
     // malformed method fails exactly as decoding it fails.
-    let units = &mut code.insns;
     let mut pc = 0;
     while pc < units.len() {
         pc += insn_units(units, pc)?;
@@ -237,39 +270,31 @@ fn remap_code(code: &mut CodeItem, remap: &Remap) -> Result<()> {
         let len = insn_units(units, pc)?;
         // A payload's first unit has opcode byte 0 (`nop`), which has no
         // index.
-        if let Some(op) = Opcode::from_u8(units[pc] as u8) {
-            remap_index(&mut units[pc..pc + len], op, remap)?;
+        let op = Opcode::from_u8(units[pc] as u8).filter(|op| op.index_kind() != IndexKind::None);
+        if let Some(op) = op {
+            let insn = &mut units[pc..pc + len];
+            // 31c holds a 32-bit index; 21c, 22c, 35c and 3rc a 16-bit
+            // index in the second unit.
+            let idx = match op.format() {
+                Format::F31c => u32::from(insn[1]) | (u32::from(insn[2]) << 16),
+                _ => u32::from(insn[1]),
+            };
+            set_index(insn, op, idx, map(op.index_kind(), idx)?)?;
         }
         pc += len;
-    }
-    for handler in &mut code.handlers {
-        for clause in &mut handler.catches {
-            clause.type_idx = remap.type_[clause.type_idx as usize];
-        }
     }
     Ok(())
 }
 
-/// Rewrites the index operand of one instruction `insn` (its units,
-/// opcode `op`), leaving the units as re-encoding the decoded instruction
-/// with the new index would.
-fn remap_index(insn: &mut [u16], op: Opcode, remap: &Remap) -> Result<()> {
-    let table = match op.index_kind() {
-        IndexKind::None => return Ok(()),
-        IndexKind::String => &remap.string,
-        IndexKind::Type => &remap.type_,
-        IndexKind::Field => &remap.field,
-        IndexKind::Method => &remap.method,
-    };
+/// Changes the index operand of one instruction `insn` (its units, opcode
+/// `op`) from `idx` to `mapped`, leaving the units as re-encoding the
+/// decoded instruction with the new index would.
+fn set_index(insn: &mut [u16], op: Opcode, idx: u32, mapped: u32) -> Result<()> {
     if op.format() == Format::F31c {
-        let mapped = table[(u32::from(insn[1]) | (u32::from(insn[2]) << 16)) as usize];
         insn[1] = mapped as u16;
         insn[2] = (mapped >> 16) as u16;
         return Ok(());
     }
-    // 21c, 22c, 35c and 3rc: a 16-bit index in the second unit.
-    let idx = u32::from(insn[1]);
-    let mapped = table[idx as usize];
     if mapped == idx {
         return Ok(());
     }

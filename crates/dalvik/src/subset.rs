@@ -6,11 +6,9 @@ use dexlego_dex::file::{EncodedField, EncodedMethod};
 use dexlego_dex::value::EncodedValue;
 use dexlego_dex::{ClassDef, CodeItem, DexFile};
 
-use crate::decode::decode_method;
-use crate::encode::encode_decoded;
-use crate::insn::Decoded;
+use crate::canon::remap_indices;
 use crate::opcode::IndexKind;
-use crate::Result;
+use crate::{DalvikError, Result};
 
 /// Copies the classes selected by `keep` into a new model, re-interning
 /// every pool reference (including those embedded in instruction streams).
@@ -165,28 +163,17 @@ fn remap_value(dex: &DexFile, out: &mut DexFile, value: &EncodedValue) -> Encode
 
 fn remap_code(dex: &DexFile, out: &mut DexFile, code: &CodeItem) -> Result<CodeItem> {
     let mut new = code.clone();
-    let mut units = code.insns.clone();
-    for (pc, decoded) in decode_method(&code.insns)? {
-        if let Decoded::Insn(mut insn) = decoded {
-            let mapped = match insn.op.index_kind() {
-                IndexKind::None => continue,
-                IndexKind::String => dex.string(insn.idx).ok().map(|s| out.intern_string(s)),
-                IndexKind::Type => dex
-                    .type_descriptor(insn.idx)
-                    .ok()
-                    .map(|t| out.intern_type(t)),
-                IndexKind::Field => intern_field_ref(dex, out, insn.idx),
-                IndexKind::Method => intern_method_ref(dex, out, insn.idx),
-            };
-            let Some(mapped) = mapped else { continue };
-            if mapped != insn.idx {
-                insn.idx = mapped;
-                let encoded = encode_decoded(&Decoded::Insn(insn))?;
-                units[pc as usize..pc as usize + encoded.len()].copy_from_slice(&encoded);
-            }
-        }
-    }
-    new.insns = units;
+    // An index that does not resolve in `dex` is left as it is.
+    remap_indices(&mut new.insns, |kind, idx| {
+        let mapped = match kind {
+            IndexKind::None => None,
+            IndexKind::String => dex.string(idx).ok().map(|s| out.intern_string(s)),
+            IndexKind::Type => dex.type_descriptor(idx).ok().map(|t| out.intern_type(t)),
+            IndexKind::Field => intern_field_ref(dex, out, idx),
+            IndexKind::Method => intern_method_ref(dex, out, idx),
+        };
+        Ok::<_, DalvikError>(mapped.unwrap_or(idx))
+    })?;
     for handler in &mut new.handlers {
         for clause in &mut handler.catches {
             if let Ok(t) = dex.type_descriptor(clause.type_idx) {
@@ -201,6 +188,7 @@ fn remap_code(dex: &DexFile, out: &mut DexFile, code: &CodeItem) -> Result<CodeI
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::decode::decode_method;
     use crate::opcode::Opcode;
 
     #[test]

@@ -15,7 +15,8 @@
 
 use std::collections::HashMap;
 
-use dexlego_dalvik::{decode_method, encode_insn, Decoded, IndexKind};
+use dexlego_dalvik::canon::remap_indices;
+use dexlego_dalvik::IndexKind;
 use dexlego_dex::file::{EncodedField, EncodedMethod};
 use dexlego_dex::value::EncodedValue;
 use dexlego_dex::{AccessFlags, ClassDef, CodeItem, DexFile};
@@ -201,51 +202,29 @@ pub fn dump(rt: &Runtime, kind: BaselineKind) -> Result<DexFile> {
 /// output DEX (index widths are format-fixed, so lengths never change).
 fn remap_units(rt: &Runtime, source: usize, insns: &[u16], dex: &mut DexFile) -> Result<Vec<u16>> {
     let table = rt.dex_table(source);
+    let out_of_range = |pool: &str| DexLegoError::Reassembly(format!("{pool} index out of range"));
     let mut units = insns.to_vec();
-    for (pc, decoded) in decode_method(insns).map_err(DexLegoError::Dalvik)? {
-        let Decoded::Insn(mut insn) = decoded else {
-            continue;
-        };
-        let new_idx = match insn.op.index_kind() {
-            IndexKind::None => continue,
+    remap_indices(&mut units, |kind, idx| {
+        let i = idx as usize;
+        Ok::<_, DexLegoError>(match kind {
+            IndexKind::None => idx,
             IndexKind::String => {
-                let s = table
-                    .strings
-                    .get(insn.idx as usize)
-                    .ok_or_else(|| DexLegoError::Reassembly("string index out of range".into()))?;
-                dex.intern_string(s)
+                dex.intern_string(table.strings.get(i).ok_or_else(|| out_of_range("string"))?)
             }
             IndexKind::Type => {
-                let t = table
-                    .types
-                    .get(insn.idx as usize)
-                    .ok_or_else(|| DexLegoError::Reassembly("type index out of range".into()))?;
-                dex.intern_type(&t.clone())
+                dex.intern_type(table.types.get(i).ok_or_else(|| out_of_range("type"))?)
             }
             IndexKind::Field => {
-                let (c, n, t) = table
-                    .fields
-                    .get(insn.idx as usize)
-                    .cloned()
-                    .ok_or_else(|| DexLegoError::Reassembly("field index out of range".into()))?;
-                dex.intern_field(&c, &t, &n)
+                let (c, n, t) = table.fields.get(i).ok_or_else(|| out_of_range("field"))?;
+                dex.intern_field(c, t, n)
             }
             IndexKind::Method => {
-                let (c, sig) = table
-                    .methods
-                    .get(insn.idx as usize)
-                    .cloned()
-                    .ok_or_else(|| DexLegoError::Reassembly("method index out of range".into()))?;
+                let (c, sig) = table.methods.get(i).ok_or_else(|| out_of_range("method"))?;
                 let (params, ret) = crate::reassemble::parse_descriptor(&sig.descriptor)?;
                 let param_refs: Vec<&str> = params.iter().map(String::as_str).collect();
-                dex.intern_method(&c, &sig.name, &ret, &param_refs)
+                dex.intern_method(c, &sig.name, &ret, &param_refs)
             }
-        };
-        if new_idx != insn.idx {
-            insn.idx = new_idx;
-            let encoded = encode_insn(&insn).map_err(DexLegoError::Dalvik)?;
-            units[pc as usize..pc as usize + encoded.len()].copy_from_slice(&encoded);
-        }
-    }
+        })
+    })?;
     Ok(units)
 }

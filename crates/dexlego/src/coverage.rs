@@ -4,9 +4,9 @@
 use std::collections::{HashMap, HashSet};
 
 use dexlego_dalvik::{decode_method, Decoded};
-use dexlego_runtime::class::{MethodImpl, SigKey};
+use dexlego_runtime::class::MethodImpl;
 use dexlego_runtime::observer::{InsnEvent, RuntimeObserver};
-use dexlego_runtime::{MethodId, Runtime, Slot};
+use dexlego_runtime::{LaunchError, MethodId, Runtime};
 
 /// Records executed instructions and branch directions per method.
 #[derive(Debug, Default)]
@@ -177,32 +177,23 @@ impl EventFuzzer {
         self.seed
     }
 
-    /// Runs one fuzzing session against `activity_desc`: constructs the
-    /// activity, invokes `onCreate`, then fires random callbacks.
-    /// Execution errors are swallowed (a fuzzer keeps going after crashes).
+    /// Runs one fuzzing session against `activity_desc`:
+    /// [`Runtime::launch`], then callbacks fired in random order through
+    /// [`Runtime::fire_callback`]. Execution errors are swallowed (a fuzzer
+    /// keeps going after crashes and budget exhaustion); only an activity
+    /// that cannot be instantiated ends the session.
     pub fn run(&mut self, rt: &mut Runtime, obs: &mut dyn RuntimeObserver, activity_desc: &str) {
         rt.input_state = self.next();
-        let Ok(activity) = rt.new_instance(obs, activity_desc) else {
+        if let Err(LaunchError::Instantiate(_)) = rt.launch(obs, activity_desc) {
             return;
-        };
-        let Some(class) = rt.find_class(activity_desc) else {
-            return;
-        };
-        if let Some(on_create) =
-            rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-        {
-            let _ = rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
         }
         for _ in 0..self.events {
             if rt.callbacks.is_empty() {
                 break;
             }
             let pick = (self.next() % rt.callbacks.len() as u64) as usize;
-            let cb = rt.callbacks[pick].clone();
             rt.input_state = self.next();
-            rt.callback_depth += 1;
-            let _ = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-            rt.callback_depth -= 1;
+            let _ = rt.fire_callback(obs, pick);
         }
     }
 }

@@ -80,7 +80,7 @@ where
     let mut collector = JitCollector::new();
     let mut metrics = PipelineMetrics::new();
     metrics.time("collect", || drive(rt, &mut collector));
-    finish(rt, collector, None, metrics)
+    finish_files(collector.into_files(), metrics)
 }
 
 /// Like [`reveal`], but additionally runs the iterative force-execution
@@ -102,7 +102,7 @@ where
     let (_coverage, stats) = metrics.time("collect", || {
         iterative_force(rt, &mut drive, &mut collector, max_iterations)
     });
-    let outcome = finish(rt, collector, Some(stats), metrics)?;
+    let outcome = finish_files(collector.into_files(), metrics)?;
     Ok((outcome, stats))
 }
 
@@ -224,15 +224,6 @@ fn is_method_or_variant(dex: &DexFile, method_idx: u32, key: &MethodKey) -> bool
 /// [`reveal`].
 pub fn reassemble_collection(files: CollectionFiles) -> Result<RevealOutcome> {
     finish_files(files, PipelineMetrics::new())
-}
-
-fn finish(
-    _rt: &mut Runtime,
-    collector: JitCollector,
-    _stats: Option<ForceStats>,
-    metrics: PipelineMetrics,
-) -> Result<RevealOutcome> {
-    finish_files(collector.into_files(), metrics)
 }
 
 /// Code units below which a job runs its independent stages one after

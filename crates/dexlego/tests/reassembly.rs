@@ -5,7 +5,6 @@ use dexlego_core::pipeline::{reveal, reveal_with_force};
 use dexlego_dalvik::builder::ProgramBuilder;
 use dexlego_dalvik::{decode_method, Decoded, Insn, Opcode};
 use dexlego_dex::verify::{verify, Strictness};
-use dexlego_runtime::class::SigKey;
 use dexlego_runtime::{Runtime, Slot};
 
 fn invoked_names(dex: &dexlego_dex::DexFile, insns: &[u16]) -> Vec<String> {
@@ -314,14 +313,7 @@ fn force_assisted_reveal_collects_gated_code() {
         if rt.find_class(entry).is_none() && rt.load_dex_observed(&dex, "app", obs).is_err() {
             return;
         }
-        let Ok(activity) = rt.new_instance(obs, entry) else {
-            return;
-        };
-        let class = rt.find_class(entry).unwrap();
-        let on_create = rt
-            .resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-            .unwrap();
-        let _ = rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
+        let _ = rt.launch(obs, entry);
     };
 
     // Plain reveal misses `hidden`.

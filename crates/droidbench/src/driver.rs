@@ -1,15 +1,18 @@
-//! The standard sample driver: instantiate the entry activity, run
-//! `onCreate`, then fire registered callbacks with pseudo-random inputs —
-//! the "Sapienz-generated inputs" role from §V-B.
+//! The standard sample driver: one input session (instantiate the entry
+//! activity, run `onCreate`, then fire registered callbacks with
+//! pseudo-random inputs), the "Sapienz-generated inputs" role from §V-B.
+//! The session is [`Runtime::launch`] followed by
+//! [`Runtime::fire_callbacks`], the primitives every driver runs.
 
-use dexlego_runtime::class::SigKey;
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{Runtime, Slot};
+use dexlego_runtime::Runtime;
 
 use crate::samples::Sample;
 
-/// Drives one sample for a complete fuzzing session; execution faults are
-/// swallowed (a crashing sample still yields partial collection).
+/// Drives one sample for a complete fuzzing session, seeding the input
+/// native with `seed`. Budget exhaustion ends the session; every other
+/// execution fault is swallowed (a crashing sample still yields partial
+/// collection).
 pub fn drive_sample(
     rt: &mut Runtime,
     obs: &mut dyn RuntimeObserver,
@@ -18,26 +21,8 @@ pub fn drive_sample(
     events: usize,
 ) {
     rt.input_state = seed | 1;
-    let Ok(activity) = rt.new_instance(obs, &sample.entry) else {
-        return;
-    };
-    let Some(class) = rt.find_class(&sample.entry) else {
-        return;
-    };
-    if let Some(on_create) =
-        rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-    {
-        let _ = rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
-    }
-    for n in 0..events {
-        if rt.callbacks.is_empty() {
-            break;
-        }
-        let pick = (seed as usize + n) % rt.callbacks.len();
-        let cb = rt.callbacks[pick].clone();
-        rt.callback_depth += 1;
-        let _ = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-        rt.callback_depth -= 1;
+    if rt.launch(obs, &sample.entry).is_ok() {
+        let _ = rt.fire_callbacks(obs, seed, events);
     }
 }
 

@@ -4,6 +4,10 @@
 //! entries, field writes, and conditional-branch outcomes — restricted to
 //! the application's own package, and the two streams must be equal.
 //!
+//! Each trace is one input session per seed, the one every driver runs
+//! ([`Runtime::launch`], then [`Runtime::fire_callbacks`]; see
+//! [`trace_app`]), so both apps see the same inputs.
+//!
 //! Program counters are deliberately excluded from the trace: tree merging
 //! and canonicalisation may legally shift instruction offsets, and the
 //! conformance claim is about behaviour, not layout.
@@ -12,9 +16,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use dexlego_dalvik::Opcode;
 use dexlego_dex::DexFile;
-use dexlego_runtime::class::{MethodId, SigKey};
+use dexlego_runtime::class::MethodId;
 use dexlego_runtime::observer::{InsnEvent, RuntimeObserver};
-use dexlego_runtime::{Env, Runtime, RuntimeError, Slot};
+use dexlego_runtime::{Env, LaunchError, Runtime};
 
 /// One observable event in an execution trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,18 +162,20 @@ pub fn package_prefix(entry: &str) -> String {
     }
 }
 
-/// Executes `entry` of `dex` in a fresh runtime for one fuzzing session
-/// (instantiate, `onCreate`, then `events` callback firings with inputs
-/// seeded by `seed`) and returns the recorded in-package event stream.
+/// Executes `entry` of `dex` in a fresh runtime for one input session
+/// ([`Runtime::launch`], then `events` firings of
+/// [`Runtime::fire_callbacks`], inputs seeded by `seed`) and returns the
+/// recorded in-package event stream.
 ///
-/// Execution faults other than budget exhaustion are swallowed, mirroring
-/// the sample driver: a crashing app still has a (truncated) trace, and the
-/// truncation itself will surface as a stream mismatch.
+/// The session's fault rule applies: execution faults other than budget
+/// exhaustion are swallowed, so a crashing app still has a (truncated)
+/// trace, and the truncation itself will surface as a stream mismatch.
 ///
 /// # Errors
 ///
-/// Returns an error if the DEX cannot be loaded or the instruction budget
-/// is exhausted (the trace would be meaninglessly truncated).
+/// Returns an error if the DEX cannot be loaded, the entry cannot be
+/// instantiated, or the instruction budget is exhausted (the trace would be
+/// meaninglessly truncated).
 pub fn trace_app(
     dex: &DexFile,
     entry: &str,
@@ -185,36 +191,13 @@ pub fn trace_app(
     rt.load_dex_observed(dex, "conformance", &mut recorder)
         .map_err(|e| format!("load failed: {e}"))?;
     rt.input_state = seed | 1;
-    let check = |r: Result<_, RuntimeError>| match r {
-        Err(RuntimeError::BudgetExhausted) => Err("budget exhausted during trace".to_owned()),
-        _ => Ok(()),
-    };
-    let activity = rt
-        .new_instance(&mut recorder, entry)
-        .map_err(|e| format!("cannot instantiate {entry}: {e}"))?;
-    let class = rt
-        .find_class(entry)
-        .ok_or_else(|| format!("{entry} not linked"))?;
-    if let Some(on_create) =
-        rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-    {
-        check(rt.call_method(&mut recorder, on_create, &[Slot::of(activity), Slot::of(0)]))?;
-    }
-    for n in 0..events {
-        if rt.callbacks.is_empty() {
-            break;
-        }
-        let pick = (seed as usize + n) % rt.callbacks.len();
-        let cb = rt.callbacks[pick].clone();
-        rt.callback_depth += 1;
-        let outcome = rt.call_method(
-            &mut recorder,
-            cb.method,
-            &[Slot::of(cb.receiver), Slot::of(0)],
-        );
-        rt.callback_depth -= 1;
-        check(outcome)?;
-    }
+    let exhausted = || "budget exhausted during trace".to_owned();
+    rt.launch(&mut recorder, entry).map_err(|e| match e {
+        LaunchError::Instantiate(e) => format!("cannot instantiate {entry}: {e}"),
+        LaunchError::BudgetExhausted => exhausted(),
+    })?;
+    rt.fire_callbacks(&mut recorder, seed, events)
+        .map_err(|_| exhausted())?;
     Ok(recorder.events)
 }
 

@@ -11,6 +11,14 @@
 //!   set from [`JobSpec::fuel`]; a runaway loop exhausts it and the job is
 //!   reported as [`JobStatus::Timeout`].
 //!
+//! The app is driven by the runtime's input session: a packed app's shell
+//! is launched once ([`PackedApp::launch`]) and a plain app's entry
+//! activity once per seed ([`Runtime::launch`]), and each seed then fires
+//! its callbacks ([`Runtime::fire_callbacks`]). Budget exhaustion anywhere
+//! is the fuel timeout, an entry activity that cannot be instantiated is a
+//! setup failure, and every other execution fault is tolerated: a crashing
+//! app still yields a partial collection.
+//!
 //! A job whose app holds at least [`OVERLAP_THRESHOLD`] code units runs
 //! its independent stages side by side on a second thread: the
 //! original app's conformance traces beside the whole reveal, and the DEX
@@ -28,10 +36,9 @@ use dexlego_core::DexLegoError;
 use dexlego_dex::writer::write_dex;
 use dexlego_dex::DexFile;
 use dexlego_droidbench::{register_tamper_specs, TamperSpec};
-use dexlego_packer::{pack, PackerError, PackerId};
-use dexlego_runtime::class::SigKey;
+use dexlego_packer::{pack, PackedApp, PackerError, PackerId};
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{Env, Runtime, RuntimeError, Slot};
+use dexlego_runtime::{Env, LaunchError, Runtime, RuntimeError};
 
 use crate::conformance::{check_revealed, trace_original, OriginalTraces};
 use crate::report::JobReport;
@@ -277,28 +284,61 @@ fn check_and_write(
     Ok(written.unwrap_or_else(|p| resume_unwind(p)).ok())
 }
 
-/// Fires up to `events` registered callbacks, mirroring the standard
-/// sample driver but reporting budget exhaustion instead of swallowing it.
-fn fire_callbacks(
+/// Why a job stopped driving its app early.
+enum Stop {
+    /// The instruction budget ran out.
+    Timeout,
+    /// The app could not be installed, loaded or instantiated.
+    Setup(String),
+}
+
+/// Installs the job's app (the packed shell, or the plain DEX) and runs
+/// one input session per seed. A packed app launches its shell once,
+/// seeded by the first seed; a plain app launches its entry activity per
+/// seed. Faults other than budget exhaustion are tolerated: a crashing app
+/// still yields a (partial) collection.
+fn drive(
     rt: &mut Runtime,
     obs: &mut dyn RuntimeObserver,
-    seed: u64,
+    spec: &JobSpec,
+    packed: Option<&PackedApp>,
     events: usize,
-) -> Result<(), RuntimeError> {
-    for n in 0..events {
-        if rt.callbacks.is_empty() {
-            break;
+) -> Result<(), Stop> {
+    match packed {
+        Some(app) => {
+            app.install_observed(rt, obs)
+                .map_err(|e| Stop::Setup(format!("install failed: {e}")))?;
+            register_tamper_specs(rt, &spec.tampers);
+            rt.input_state = spec.seeds.first().copied().unwrap_or(1) | 1;
+            if let Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) = app.launch(rt, obs) {
+                return Err(Stop::Timeout);
+            }
         }
-        let pick = (seed as usize + n) % rt.callbacks.len();
-        let cb = rt.callbacks[pick].clone();
-        rt.callback_depth += 1;
-        let outcome = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-        rt.callback_depth -= 1;
-        // Other faults are tolerated: a crashing app still yields a
-        // (partial) collection.
-        if let Err(RuntimeError::BudgetExhausted) = outcome {
-            return Err(RuntimeError::BudgetExhausted);
+        None => {
+            rt.load_dex_observed(&spec.dex, "app", obs)
+                .map_err(|e| Stop::Setup(format!("load failed: {e}")))?;
+            register_tamper_specs(rt, &spec.tampers);
         }
+    }
+    for &seed in &spec.seeds {
+        rt.input_state = seed | 1;
+        if packed.is_none() {
+            match rt.launch(obs, &spec.entry) {
+                Ok(()) => {}
+                Err(
+                    LaunchError::BudgetExhausted
+                    | LaunchError::Instantiate(RuntimeError::BudgetExhausted),
+                ) => return Err(Stop::Timeout),
+                Err(LaunchError::Instantiate(e)) => {
+                    return Err(Stop::Setup(format!(
+                        "cannot instantiate {}: {e}",
+                        spec.entry
+                    )))
+                }
+            }
+        }
+        rt.fire_callbacks(obs, seed, events)
+            .map_err(|_| Stop::Timeout)?;
     }
     Ok(())
 }
@@ -330,76 +370,9 @@ fn reveal_job(spec: &JobSpec, events: usize) -> (JobReport, Option<DexFile>) {
         insn_budget: spec.fuel,
         ..Env::default()
     });
-    let mut timed_out = false;
-    let mut setup_err: Option<String> = None;
-
-    let result = reveal(&mut rt, |rt, obs| match &packed {
-        Some(app) => {
-            if let Err(e) = app.install_observed(rt, obs) {
-                setup_err = Some(format!("install failed: {e}"));
-                return;
-            }
-            register_tamper_specs(rt, &spec.tampers);
-            let first_seed = spec.seeds.first().copied().unwrap_or(1);
-            rt.input_state = first_seed | 1;
-            match app.launch(rt, obs) {
-                Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) => {
-                    timed_out = true;
-                    return;
-                }
-                Err(PackerError::BadInput(e)) => {
-                    setup_err = Some(format!("launch failed: {e}"));
-                    return;
-                }
-                _ => {} // app crashes still leave a valid partial collection
-            }
-            for &seed in &spec.seeds {
-                rt.input_state = seed | 1;
-                if fire_callbacks(rt, obs, seed, events).is_err() {
-                    timed_out = true;
-                    return;
-                }
-            }
-        }
-        None => {
-            if let Err(e) = rt.load_dex_observed(&spec.dex, "app", obs) {
-                setup_err = Some(format!("load failed: {e}"));
-                return;
-            }
-            register_tamper_specs(rt, &spec.tampers);
-            for &seed in &spec.seeds {
-                rt.input_state = seed | 1;
-                let activity = match rt.new_instance(obs, &spec.entry) {
-                    Ok(a) => a,
-                    Err(RuntimeError::BudgetExhausted) => {
-                        timed_out = true;
-                        return;
-                    }
-                    Err(e) => {
-                        setup_err = Some(format!("cannot instantiate {}: {e}", spec.entry));
-                        return;
-                    }
-                };
-                let Some(class) = rt.find_class(&spec.entry) else {
-                    setup_err = Some(format!("{} not linked", spec.entry));
-                    return;
-                };
-                if let Some(on_create) =
-                    rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-                {
-                    let outcome =
-                        rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
-                    if matches!(outcome, Err(RuntimeError::BudgetExhausted)) {
-                        timed_out = true;
-                        return;
-                    }
-                }
-                if fire_callbacks(rt, obs, seed, events).is_err() {
-                    timed_out = true;
-                    return;
-                }
-            }
-        }
+    let mut stop = None;
+    let result = reveal(&mut rt, |rt, obs| {
+        stop = drive(rt, obs, spec, packed.as_ref(), events).err();
     });
 
     let mut report = JobReport {
@@ -412,7 +385,8 @@ fn reveal_job(spec: &JobSpec, events: usize) -> (JobReport, Option<DexFile>) {
     // timeout trumps downstream failures (a truncated collection routinely
     // fails reassembly or validation, but the root cause is the timeout).
     let mut revealed = None;
-    report.status = if let Some(e) = setup_err {
+    let timed_out = matches!(stop, Some(Stop::Timeout));
+    report.status = if let Some(Stop::Setup(e)) = stop {
         JobStatus::SetupFailed(e)
     } else {
         match result {

@@ -34,9 +34,9 @@
 //!   bounded-admission variant of the batch pool that the server core of
 //!   `dexlegod` and the router dispatches request work onto.
 //!
-//! The generic layer ([`pool::parallel_map`], [`pool::run_tasks`]) is what
-//! `dexlego-bench` uses to execute every paper experiment with parallel
-//! execution and panic capture.
+//! The generic layer ([`pool::parallel_map`]) is what `dexlego-bench` uses
+//! to execute every paper experiment with parallel execution and panic
+//! capture.
 //!
 //! [`Runtime`]: dexlego_runtime::Runtime
 //! [`JobStatus::Timeout`]: job::JobStatus::Timeout
@@ -73,6 +73,6 @@ pub use corpus::{all_packers, work_list, CorpusSpec};
 pub use job::{execute_job, execute_job_revealing, JobSpec, JobStatus, DEFAULT_FUEL};
 pub use pool::{
     default_workers, parallel_map, parallel_map_expect, resolve_workers, run_batch, run_batch_with,
-    run_tasks, HarnessConfig, Job, JobPool, Task, WORKERS_ENV,
+    HarnessConfig, Job, JobPool, WORKERS_ENV,
 };
 pub use report::{JobReport, RunReport, COUNTERS};

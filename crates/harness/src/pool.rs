@@ -7,9 +7,9 @@
 //!   jobs via [`execute_job`] (own runtime, panic capture, fuel timeout),
 //!   and returns the [`JobReport`]s in submission order as a
 //!   [`RunReport`].
-//! * [`parallel_map`] / [`run_tasks`] — the generic work-stealing layer the
-//!   bench drivers use: apply a function (or a list of boxed tasks) across
-//!   a worker pool with per-item panic capture.
+//! * [`parallel_map`] — the generic work-stealing layer the bench drivers
+//!   use: apply a function across a worker pool with per-item panic
+//!   capture.
 
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -23,8 +23,7 @@ use crate::report::{JobReport, RunReport};
 // other crate) so the verifier shares it; re-exported here so existing
 // `harness::pool` callers keep their import paths.
 pub use dexlego_pool::{
-    default_workers, parallel_map, parallel_map_expect, resolve_workers, run_tasks, Task,
-    WORKERS_ENV,
+    default_workers, parallel_map, parallel_map_expect, resolve_workers, WORKERS_ENV,
 };
 
 /// Worker-pool configuration.

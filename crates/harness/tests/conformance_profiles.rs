@@ -8,7 +8,7 @@ use dexlego_core::pipeline::reveal;
 use dexlego_dex::DexFile;
 use dexlego_harness::check_reveal;
 use dexlego_packer::{pack, PackerError, PackerId};
-use dexlego_runtime::{Env, Runtime, RuntimeError, Slot};
+use dexlego_runtime::{Env, Runtime, RuntimeError};
 
 const SEEDS: [u64; 2] = [1, 5];
 const EVENTS: usize = 3;
@@ -41,16 +41,8 @@ fn extract_through(id: PackerId, tag: &str) -> (DexFile, DexFile, String, usize)
         }
         for &seed in &SEEDS {
             rt.input_state = seed | 1;
-            for n in 0..events {
-                if rt.callbacks.is_empty() {
-                    break;
-                }
-                let pick = (seed as usize + n) % rt.callbacks.len();
-                let cb = rt.callbacks[pick].clone();
-                rt.callback_depth += 1;
-                let _ = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-                rt.callback_depth -= 1;
-            }
+            rt.fire_callbacks(obs, seed, events)
+                .expect("callbacks run within budget");
         }
     })
     .expect("reveal succeeds");

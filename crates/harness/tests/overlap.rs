@@ -24,9 +24,8 @@ use dexlego_harness::{
     JobSpec, JobStatus,
 };
 use dexlego_packer::{pack, PackedApp, PackerError};
-use dexlego_runtime::class::SigKey;
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{Env, Runtime, RuntimeError, Slot};
+use dexlego_runtime::{Env, LaunchError, Runtime, RuntimeError};
 use dexlego_verifier::clear_verify_cache;
 
 /// The verify cache is process-wide and its hit counters are part of a
@@ -44,28 +43,6 @@ enum Stop {
     Setup(String),
 }
 
-fn fire_callbacks(
-    rt: &mut Runtime,
-    obs: &mut dyn RuntimeObserver,
-    seed: u64,
-    events: usize,
-) -> Result<(), Stop> {
-    for n in 0..events {
-        if rt.callbacks.is_empty() {
-            break;
-        }
-        let pick = (seed as usize + n) % rt.callbacks.len();
-        let cb = rt.callbacks[pick].clone();
-        rt.callback_depth += 1;
-        let outcome = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-        rt.callback_depth -= 1;
-        if let Err(RuntimeError::BudgetExhausted) = outcome {
-            return Err(Stop::Timeout);
-        }
-    }
-    Ok(())
-}
-
 /// Drives the app under `obs` as a job does.
 fn drive(
     rt: &mut Runtime,
@@ -73,58 +50,41 @@ fn drive(
     spec: &JobSpec,
     packed: Option<&PackedApp>,
 ) -> Result<(), Stop> {
-    let events = spec.effective_events();
     match packed {
         Some(app) => {
             app.install_observed(rt, obs)
                 .map_err(|e| Stop::Setup(format!("install failed: {e}")))?;
             register_tamper_specs(rt, &spec.tampers);
             rt.input_state = spec.seeds.first().copied().unwrap_or(1) | 1;
-            match app.launch(rt, obs) {
-                Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) => {
-                    return Err(Stop::Timeout)
-                }
-                Err(PackerError::BadInput(e)) => {
-                    return Err(Stop::Setup(format!("launch failed: {e}")))
-                }
-                _ => {}
-            }
-            for &seed in &spec.seeds {
-                rt.input_state = seed | 1;
-                fire_callbacks(rt, obs, seed, events)?;
+            if let Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) = app.launch(rt, obs) {
+                return Err(Stop::Timeout);
             }
         }
         None => {
             rt.load_dex_observed(&spec.dex, "app", obs)
                 .map_err(|e| Stop::Setup(format!("load failed: {e}")))?;
             register_tamper_specs(rt, &spec.tampers);
-            for &seed in &spec.seeds {
-                rt.input_state = seed | 1;
-                let activity = match rt.new_instance(obs, &spec.entry) {
-                    Ok(a) => a,
-                    Err(RuntimeError::BudgetExhausted) => return Err(Stop::Timeout),
-                    Err(e) => {
-                        return Err(Stop::Setup(format!(
-                            "cannot instantiate {}: {e}",
-                            spec.entry
-                        )))
-                    }
-                };
-                let class = rt
-                    .find_class(&spec.entry)
-                    .ok_or_else(|| Stop::Setup(format!("{} not linked", spec.entry)))?;
-                if let Some(on_create) =
-                    rt.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-                {
-                    let outcome =
-                        rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
-                    if matches!(outcome, Err(RuntimeError::BudgetExhausted)) {
-                        return Err(Stop::Timeout);
-                    }
+        }
+    }
+    for &seed in &spec.seeds {
+        rt.input_state = seed | 1;
+        if packed.is_none() {
+            match rt.launch(obs, &spec.entry) {
+                Ok(()) => {}
+                Err(
+                    LaunchError::BudgetExhausted
+                    | LaunchError::Instantiate(RuntimeError::BudgetExhausted),
+                ) => return Err(Stop::Timeout),
+                Err(LaunchError::Instantiate(e)) => {
+                    return Err(Stop::Setup(format!(
+                        "cannot instantiate {}: {e}",
+                        spec.entry
+                    )))
                 }
-                fire_callbacks(rt, obs, seed, events)?;
             }
         }
+        rt.fire_callbacks(obs, seed, spec.effective_events())
+            .map_err(|_| Stop::Timeout)?;
     }
     Ok(())
 }

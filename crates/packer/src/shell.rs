@@ -8,7 +8,7 @@ use dexlego_dex::{writer, DexFile};
 use dexlego_runtime::class::MethodImpl;
 use dexlego_runtime::events::RuntimeEvent;
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{RetVal, Runtime, Slot};
+use dexlego_runtime::{LaunchError, RetVal, Runtime, RuntimeError};
 
 use crate::profiles::PackerId;
 use crate::{PackerError, Result};
@@ -244,24 +244,20 @@ impl PackedApp {
     }
 
     /// Launches the shell activity (install must have happened), driving
-    /// the full unpack-and-run sequence.
+    /// the full unpack-and-run sequence through [`Runtime::launch`].
     ///
     /// # Errors
     ///
-    /// Propagates execution failures from the shell or the original app.
+    /// [`PackerError::Runtime`] with the instantiation failure if the shell
+    /// cannot be instantiated, or with
+    /// [`RuntimeError::BudgetExhausted`] if its `onCreate` runs out of
+    /// instruction budget. Every other fault of the shell or the original
+    /// app is tolerated, as every input session tolerates it.
     pub fn launch(&self, rt: &mut Runtime, obs: &mut dyn RuntimeObserver) -> Result<()> {
-        let activity = rt.new_instance(obs, &self.shell_class)?;
-        let class = rt
-            .find_class(&self.shell_class)
-            .ok_or_else(|| PackerError::BadInput("shell not installed".into()))?;
-        let on_create = rt
-            .resolve_method(
-                class,
-                &dexlego_runtime::class::SigKey::new("onCreate", "(Landroid/os/Bundle;)V"),
-            )
-            .ok_or_else(|| PackerError::BadInput("shell has no onCreate".into()))?;
-        rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)])?;
-        Ok(())
+        rt.launch(obs, &self.shell_class).map_err(|e| match e {
+            LaunchError::Instantiate(e) => e.into(),
+            LaunchError::BudgetExhausted => RuntimeError::BudgetExhausted.into(),
+        })
     }
 
     /// Total encrypted payload bytes (for size reporting).

@@ -7,7 +7,6 @@
 //! * [`parallel_map`] / [`parallel_map_expect`] — apply a function across a
 //!   bounded pool of `std::thread` workers, preserving submission order and
 //!   capturing per-item panics.
-//! * [`run_tasks`] — the same machinery for heterogeneous named closures.
 //! * [`join`] — two closures side by side, each outcome (panic payload
 //!   included) handed back untouched.
 //! * [`default_workers`] / [`resolve_workers`] / [`WORKERS_ENV`] — the
@@ -142,38 +141,6 @@ where
     })
 }
 
-/// A named unit of heterogeneous work for [`run_tasks`].
-pub struct Task<R> {
-    /// Display name (used in error reporting).
-    pub name: String,
-    /// The work itself.
-    pub run: Box<dyn FnOnce() -> R + Send>,
-}
-
-impl<R> Task<R> {
-    /// Boxes `run` under `name`.
-    pub fn new(name: &str, run: impl FnOnce() -> R + Send + 'static) -> Task<R> {
-        Task {
-            name: name.to_owned(),
-            run: Box::new(run),
-        }
-    }
-}
-
-impl<R> std::fmt::Debug for Task<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Task").field("name", &self.name).finish()
-    }
-}
-
-/// Runs named tasks across the pool, returning `(name, result)` pairs in
-/// submission order.
-pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, workers: usize) -> Vec<(String, Result<R, String>)> {
-    let names: Vec<String> = tasks.iter().map(|t| t.name.clone()).collect();
-    let results = parallel_map(tasks, workers, |t| (t.run)());
-    names.into_iter().zip(results).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,19 +171,6 @@ mod tests {
         assert!(parallel_map(Vec::<i32>::new(), 4, |i| i).is_empty());
         let out = parallel_map(vec![5, 6], 1, |i: i32| i + 1);
         assert_eq!(out, vec![Ok(6), Ok(7)]);
-    }
-
-    #[test]
-    fn run_tasks_names_results() {
-        let tasks = vec![
-            Task::new("fine", || 1),
-            Task::new("broken", || panic!("nope")),
-        ];
-        let out = run_tasks(tasks, 2);
-        assert_eq!(out[0].0, "fine");
-        assert_eq!(out[0].1, Ok(1));
-        assert_eq!(out[1].0, "broken");
-        assert!(out[1].1.as_ref().unwrap_err().contains("nope"));
     }
 
     #[test]

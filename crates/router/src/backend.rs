@@ -331,26 +331,17 @@ impl Backend {
         self.send_with(Some(waiter), |tx| tx.send_op(op))
     }
 
-    /// Fire-and-forget backfill offer; the ack is discarded.
-    pub fn send_backfill(self: &Arc<Self>, key: &Key, entry_payload: &[u8]) -> bool {
-        let sent = self
-            .send_with(None, |tx| tx.send_backfill(key, entry_payload))
-            .is_some();
-        if sent {
-            self.backfills_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
-    /// Backfill offer whose ack the caller wants to hear (the front-side
-    /// backfill op reports whether any replica stored the entry).
-    pub fn send_backfill_waited(
+    /// Offers the stored entry payload under `key`. The ack lands in
+    /// `waiter` if one is given (the front-side backfill op reports
+    /// whether any replica stored the entry) and is discarded otherwise
+    /// (replication and read-repair offers).
+    pub fn send_backfill(
         self: &Arc<Self>,
         key: &Key,
         entry_payload: &[u8],
-        waiter: &Arc<Waiter>,
+        waiter: Option<&Arc<Waiter>>,
     ) -> Option<u64> {
-        let id = self.send_with(Some(waiter), |tx| tx.send_backfill(key, entry_payload));
+        let id = self.send_with(waiter, |tx| tx.send_backfill(key, entry_payload));
         if id.is_some() {
             self.backfills_sent.fetch_add(1, Ordering::Relaxed);
         }

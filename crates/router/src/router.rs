@@ -268,7 +268,7 @@ impl Router {
                     continue;
                 };
                 for target in job.targets {
-                    let _ = repair_ctx.backends[target].send_backfill(&job.key, &entry);
+                    let _ = repair_ctx.backends[target].send_backfill(&job.key, &entry, None);
                 }
             }
         });
@@ -340,25 +340,27 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
     let mut cursor = 0usize;
     let mut outstanding: Vec<(usize, u64)> = Vec::new();
     let mut fallback_reply: Option<String> = None;
-    let first_backend;
 
-    // First send: walk the candidate order until a backend accepts.
-    loop {
-        if cursor >= candidates.len() {
-            ctx.stats.lock().expect("stats lock").fleet_errors += 1;
-            return error_reply("no backend available");
+    // Each send walks the candidate order from `cursor` to the next
+    // available backend that accepts the request.
+    let send_next = |cursor: &mut usize, outstanding: &mut Vec<(usize, u64)>| {
+        while let Some(&b) = candidates.get(*cursor) {
+            *cursor += 1;
+            if !ctx.backends[b].available() {
+                continue;
+            }
+            if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
+                outstanding.push((b, id));
+                return Some(b);
+            }
         }
-        let b = candidates[cursor];
-        cursor += 1;
-        if !ctx.backends[b].available() {
-            continue;
-        }
-        if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
-            first_backend = b;
-            outstanding.push((b, id));
-            break;
-        }
-    }
+        None
+    };
+
+    let Some(first_backend) = send_next(&mut cursor, &mut outstanding) else {
+        ctx.stats.lock().expect("stats lock").fleet_errors += 1;
+        return error_reply("no backend available");
+    };
     let mut last_send = Instant::now();
 
     loop {
@@ -385,21 +387,8 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
                 });
             }
             // Hedge budget elapsed: fire a copy at the next candidate.
-            let mut sent = false;
-            while cursor < candidates.len() {
-                let b = candidates[cursor];
-                cursor += 1;
-                if !ctx.backends[b].available() {
-                    continue;
-                }
-                if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
-                    outstanding.push((b, id));
-                    last_send = Instant::now();
-                    sent = true;
-                    break;
-                }
-            }
-            if sent {
+            if send_next(&mut cursor, &mut outstanding).is_some() {
+                last_send = Instant::now();
                 ctx.stats.lock().expect("stats lock").hedges += 1;
             }
             continue;
@@ -454,21 +443,8 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
 
         // Everything in flight died or shed: fail over down the ring.
         if outstanding.is_empty() {
-            let mut sent = false;
-            while cursor < candidates.len() {
-                let b = candidates[cursor];
-                cursor += 1;
-                if !ctx.backends[b].available() {
-                    continue;
-                }
-                if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
-                    outstanding.push((b, id));
-                    last_send = Instant::now();
-                    sent = true;
-                    break;
-                }
-            }
-            if sent {
+            if send_next(&mut cursor, &mut outstanding).is_some() {
+                last_send = Instant::now();
                 ctx.stats.lock().expect("stats lock").failovers += 1;
             } else {
                 return fallback_reply.unwrap_or_else(|| {
@@ -597,7 +573,7 @@ fn route_backfill(ctx: &Ctx, key: Key, entry: &CachedResult) -> String {
     let mut expected = 0usize;
     for &b in &candidates[..r] {
         if ctx.backends[b]
-            .send_backfill_waited(&key, &payload, &waiter)
+            .send_backfill(&key, &payload, Some(&waiter))
             .is_some()
         {
             expected += 1;

@@ -22,6 +22,11 @@
 //! passive observer run a quickened tier over the predecoded code cache
 //! ([`code_cache`]), with fused superinstructions for hot loops.
 //!
+//! Apps are driven through one input session ([`session`]):
+//! [`Runtime::launch`] instantiates the entry activity and runs its
+//! `onCreate`, and [`Runtime::fire_callbacks`] fires the callbacks it
+//! registered, stopping only when the instruction budget runs out.
+//!
 //! Self-modifying code is supported the same way it exists on Android: a
 //! registered native method receives `&mut Runtime` and may rewrite the
 //! in-memory code units of any loaded method. A per-step frame sees the
@@ -69,6 +74,7 @@ pub mod linker;
 pub mod natives;
 pub mod observer;
 pub mod runtime;
+pub mod session;
 pub mod value;
 
 pub use class::{ClassId, FieldId, MethodId};
@@ -76,4 +82,5 @@ pub use events::RuntimeEvent;
 pub use heap::{Heap, ObjKind, ObjRef};
 pub use observer::RuntimeObserver;
 pub use runtime::{Env, Runtime, RuntimeError};
+pub use session::LaunchError;
 pub use value::{RetVal, Slot};

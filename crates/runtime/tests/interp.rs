@@ -574,12 +574,9 @@ fn callbacks_register_and_fire() {
     rt.call_static(&mut obs, "LMain;", "setup", "()V", &[])
         .unwrap();
     assert_eq!(rt.callbacks.len(), 1);
-    // Fire the callback the way the event driver would.
-    let cb = rt.callbacks[0].clone();
-    rt.callback_depth += 1;
-    rt.call_method(&mut obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)])
-        .unwrap();
-    rt.callback_depth -= 1;
+    // Fire the callback the way the event driver does.
+    rt.fire_callback(&mut obs, 0).unwrap();
+    assert_eq!(rt.callback_depth, 0);
     let has_cb_leak = rt.log.tainted_sinks().any(|e| {
         matches!(e, dexlego_runtime::RuntimeEvent::SinkCall { callback_depth, .. } if *callback_depth == 1)
     });

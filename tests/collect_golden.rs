@@ -25,9 +25,7 @@ use dexlego_suite::droidbench::appgen::{generate, AppSpec};
 use dexlego_suite::droidbench::{build_suite, drive_sample};
 use dexlego_suite::harness::all_packers;
 use dexlego_suite::packer::pack;
-use dexlego_suite::runtime::class::SigKey;
-use dexlego_suite::runtime::observer::RuntimeObserver;
-use dexlego_suite::runtime::{Runtime, Slot};
+use dexlego_suite::runtime::Runtime;
 
 const GOLDEN: &str = include_str!("golden/collect_digests.txt");
 
@@ -36,20 +34,6 @@ const EVENTS: usize = 4;
 
 fn hex(digest: [u8; 20]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Fires up to `events` registered callbacks, as the sample driver does.
-fn fire_callbacks(rt: &mut Runtime, obs: &mut dyn RuntimeObserver, seed: u64, events: usize) {
-    for n in 0..events {
-        if rt.callbacks.is_empty() {
-            break;
-        }
-        let pick = (seed as usize + n) % rt.callbacks.len();
-        let cb = rt.callbacks[pick].clone();
-        rt.callback_depth += 1;
-        let _ = rt.call_method(obs, cb.method, &[Slot::of(cb.receiver), Slot::of(0)]);
-        rt.callback_depth -= 1;
-    }
 }
 
 /// Pushes the `collect/` and `revealed/` digests of one outcome, and
@@ -119,16 +103,11 @@ fn collection_and_reveal_match_golden_digests() {
                 }
                 None => {
                     rt.load_dex_observed(&app.dex, "app", obs).expect("loads");
-                    let activity = rt.new_instance(obs, &app.entry).expect("instantiates");
-                    let class = rt.find_class(&app.entry).expect("linked");
-                    let on_create = rt
-                        .resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
-                        .expect("onCreate");
-                    rt.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)])
-                        .expect("onCreate runs");
+                    rt.launch(obs, &app.entry).expect("launches");
                 }
             }
-            fire_callbacks(rt, obs, 1, EVENTS);
+            rt.fire_callbacks(obs, 1, EVENTS)
+                .expect("callbacks run within budget");
         })
         .unwrap_or_else(|e| panic!("{tag}: {e}"));
         push_digests(&mut actual, &mut seen, &format!("app/{tag}"), &outcome);

@@ -5,8 +5,8 @@
 # a sharded harness smoke run over every packer profile (fails on any
 # job panic, timeout, verifier rejection, validation finding, or
 # behavioural divergence), a pipelined dexlegod load smoke, a
-# taint-precision regression gate against a
-# checked-in baseline, and a dexlegod service round-trip (two hostile
+# taint-precision regression gate against a checked-in baseline, the
+# exact Tables II/III pin, and a dexlegod service round-trip (two hostile
 # lines refused with error replies; second identical extraction must be
 # a byte-identical cache hit; graceful shutdown must exit 0).
 set -eu
@@ -47,6 +47,11 @@ cargo run -p dexlego-bench --bin service --release -- --smoke
 # corpus must already be in the checked-in baseline — a change that
 # introduces a new false positive (or loses a true leak) fails here.
 cargo run -p dexlego-bench --bin taint_gate --release
+
+# Paper pin: Tables II and III must match the paper's numbers exactly.
+# The test is ignored in the tier-1 run because it drives the whole
+# corpus; in release it takes well under a second once built.
+cargo test -p dexlego-bench --release --test regressions -- --ignored
 
 # Service smoke: start dexlegod on an ephemeral port, send two hostile
 # lines (100,000 nested '[' and an extract whose DEX nests 20,000 static
