@@ -91,10 +91,8 @@ fn run_app((name, target): (&'static str, usize)) -> ((&'static str, usize), Vec
                 return;
             }
             let _ = packed2.launch(rt, &mut chained);
-            // Fire the callbacks registered so far once each.
-            for i in 0..rt.callbacks.len() {
-                let _ = rt.fire_callback(&mut chained, i);
-            }
+            // Fire the callbacks registered so far once each, in order.
+            let _ = rt.fire_callbacks(&mut chained, 0, rt.callbacks.len());
         });
         let cell = match outcome {
             Err(_) => Cell {

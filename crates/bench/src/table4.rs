@@ -291,10 +291,8 @@ pub fn run() -> Vec<Row> {
                     return;
                 }
                 drive_sample(rt, obs, &sample, 7, 4);
-                // Fire the callbacks registered so far once each.
-                for i in 0..rt.callbacks.len() {
-                    let _ = rt.fire_callback(obs, i);
-                }
+                // Fire the callbacks registered so far once each, in order.
+                let _ = rt.fire_callbacks(obs, 0, rt.callbacks.len());
             })
             .expect("reveal succeeds");
             let hd = horndroid().run(&outcome.dex).leaks.len();

@@ -313,7 +313,9 @@ fn force_assisted_reveal_collects_gated_code() {
         if rt.find_class(entry).is_none() && rt.load_dex_observed(&dex, "app", obs).is_err() {
             return;
         }
-        let _ = rt.launch(obs, entry);
+        if let Ok(ran) = rt.launch(obs, entry) {
+            assert!(ran, "{entry} has onCreate");
+        }
     };
 
     // Plain reveal misses `hidden`.

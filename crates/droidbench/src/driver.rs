@@ -1,7 +1,7 @@
 //! The standard sample driver: one input session (instantiate the entry
 //! activity, run `onCreate`, then fire registered callbacks with
 //! pseudo-random inputs), the "Sapienz-generated inputs" role from §V-B.
-//! The session is [`Runtime::launch`] followed by
+//! The session is [`Runtime::start_session`] followed by
 //! [`Runtime::fire_callbacks`], the primitives every driver runs.
 
 use dexlego_runtime::observer::RuntimeObserver;
@@ -21,7 +21,7 @@ pub fn drive_sample(
     events: usize,
 ) {
     rt.input_state = seed | 1;
-    if rt.launch(obs, &sample.entry).is_ok() {
+    if rt.start_session(obs, &sample.entry).is_ok() {
         let _ = rt.fire_callbacks(obs, seed, events);
     }
 }

@@ -5,7 +5,7 @@
 //! the application's own package, and the two streams must be equal.
 //!
 //! Each trace is one input session per seed, the one every driver runs
-//! ([`Runtime::launch`], then [`Runtime::fire_callbacks`]; see
+//! ([`Runtime::start_session`], then [`Runtime::fire_callbacks`]; see
 //! [`trace_app`]), so both apps see the same inputs.
 //!
 //! Program counters are deliberately excluded from the trace: tree merging
@@ -163,7 +163,7 @@ pub fn package_prefix(entry: &str) -> String {
 }
 
 /// Executes `entry` of `dex` in a fresh runtime for one input session
-/// ([`Runtime::launch`], then `events` firings of
+/// ([`Runtime::start_session`], then `events` firings of
 /// [`Runtime::fire_callbacks`], inputs seeded by `seed`) and returns the
 /// recorded in-package event stream.
 ///
@@ -192,10 +192,11 @@ pub fn trace_app(
         .map_err(|e| format!("load failed: {e}"))?;
     rt.input_state = seed | 1;
     let exhausted = || "budget exhausted during trace".to_owned();
-    rt.launch(&mut recorder, entry).map_err(|e| match e {
-        LaunchError::Instantiate(e) => format!("cannot instantiate {entry}: {e}"),
-        LaunchError::BudgetExhausted => exhausted(),
-    })?;
+    rt.start_session(&mut recorder, entry)
+        .map_err(|e| match e {
+            LaunchError::Instantiate(e) => format!("cannot instantiate {entry}: {e}"),
+            LaunchError::OnCreate(_) => exhausted(),
+        })?;
     rt.fire_callbacks(&mut recorder, seed, events)
         .map_err(|_| exhausted())?;
     Ok(recorder.events)

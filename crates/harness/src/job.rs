@@ -11,13 +11,13 @@
 //!   set from [`JobSpec::fuel`]; a runaway loop exhausts it and the job is
 //!   reported as [`JobStatus::Timeout`].
 //!
-//! The app is driven by the runtime's input session: a packed app's shell
-//! is launched once ([`PackedApp::launch`]) and a plain app's entry
-//! activity once per seed ([`Runtime::launch`]), and each seed then fires
-//! its callbacks ([`Runtime::fire_callbacks`]). Budget exhaustion anywhere
-//! is the fuel timeout, an entry activity that cannot be instantiated is a
-//! setup failure, and every other execution fault is tolerated: a crashing
-//! app still yields a partial collection.
+//! The app is driven by the runtime's input session ([`drive`]): a packed
+//! app's shell is launched once ([`PackedApp::launch`]) and a plain app's
+//! entry activity once per seed ([`Runtime::start_session`]), and each
+//! seed then fires its callbacks ([`Runtime::fire_callbacks`]). Budget
+//! exhaustion anywhere is the fuel timeout, a plain entry activity that
+//! cannot be instantiated is a setup failure, and every other execution
+//! fault is tolerated: a crashing app still yields a partial collection.
 //!
 //! A job whose app holds at least [`OVERLAP_THRESHOLD`] code units runs
 //! its independent stages side by side on a second thread: the
@@ -285,19 +285,28 @@ fn check_and_write(
 }
 
 /// Why a job stopped driving its app early.
-enum Stop {
+#[doc(hidden)]
+pub enum Stop {
     /// The instruction budget ran out.
     Timeout,
-    /// The app could not be installed, loaded or instantiated.
+    /// The app could not be installed, loaded, launched or instantiated.
     Setup(String),
 }
 
 /// Installs the job's app (the packed shell, or the plain DEX) and runs
-/// one input session per seed. A packed app launches its shell once,
-/// seeded by the first seed; a plain app launches its entry activity per
-/// seed. Faults other than budget exhaustion are tolerated: a crashing app
-/// still yields a (partial) collection.
-fn drive(
+/// one input session per seed, firing `events` callbacks each. A packed
+/// app launches its shell once, seeded by the first seed; a plain app
+/// starts a session on its entry activity per seed. Faults other than
+/// budget exhaustion are tolerated: a crashing app still yields a
+/// (partial) collection.
+///
+/// # Errors
+///
+/// [`Stop::Timeout`] when the budget runs out, and [`Stop::Setup`] when
+/// the app cannot be installed, loaded or launched, or a plain entry
+/// activity cannot be instantiated.
+#[doc(hidden)]
+pub fn drive(
     rt: &mut Runtime,
     obs: &mut dyn RuntimeObserver,
     spec: &JobSpec,
@@ -310,8 +319,14 @@ fn drive(
                 .map_err(|e| Stop::Setup(format!("install failed: {e}")))?;
             register_tamper_specs(rt, &spec.tampers);
             rt.input_state = spec.seeds.first().copied().unwrap_or(1) | 1;
-            if let Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) = app.launch(rt, obs) {
-                return Err(Stop::Timeout);
+            match app.launch(rt, obs) {
+                Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) => {
+                    return Err(Stop::Timeout)
+                }
+                Err(PackerError::BadInput(e)) => {
+                    return Err(Stop::Setup(format!("launch failed: {e}")))
+                }
+                _ => {} // app crashes still leave a valid partial collection
             }
         }
         None => {
@@ -323,10 +338,10 @@ fn drive(
     for &seed in &spec.seeds {
         rt.input_state = seed | 1;
         if packed.is_none() {
-            match rt.launch(obs, &spec.entry) {
+            match rt.start_session(obs, &spec.entry) {
                 Ok(()) => {}
                 Err(
-                    LaunchError::BudgetExhausted
+                    LaunchError::OnCreate(_)
                     | LaunchError::Instantiate(RuntimeError::BudgetExhausted),
                 ) => return Err(Stop::Timeout),
                 Err(LaunchError::Instantiate(e)) => {

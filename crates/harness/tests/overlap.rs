@@ -18,14 +18,14 @@ use dexlego_dex::reader::read_dex;
 use dexlego_dex::writer::write_dex;
 use dexlego_dex::DexFile;
 use dexlego_droidbench::appgen::{generate, AppSpec};
-use dexlego_droidbench::{build_suite, register_tamper_specs};
+use dexlego_droidbench::build_suite;
+use dexlego_harness::job::{drive, Stop};
 use dexlego_harness::{
     all_packers, check_reveal, check_revealed, execute_job_revealing, trace_original, JobReport,
     JobSpec, JobStatus,
 };
-use dexlego_packer::{pack, PackedApp, PackerError};
-use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{Env, LaunchError, Runtime, RuntimeError};
+use dexlego_packer::pack;
+use dexlego_runtime::{Env, Runtime};
 use dexlego_verifier::clear_verify_cache;
 
 /// The verify cache is process-wide and its hit counters are part of a
@@ -35,58 +35,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Why driving stopped early, as the job classifies it.
-enum Stop {
-    Timeout,
-    Setup(String),
-}
-
-/// Drives the app under `obs` as a job does.
-fn drive(
-    rt: &mut Runtime,
-    obs: &mut dyn RuntimeObserver,
-    spec: &JobSpec,
-    packed: Option<&PackedApp>,
-) -> Result<(), Stop> {
-    match packed {
-        Some(app) => {
-            app.install_observed(rt, obs)
-                .map_err(|e| Stop::Setup(format!("install failed: {e}")))?;
-            register_tamper_specs(rt, &spec.tampers);
-            rt.input_state = spec.seeds.first().copied().unwrap_or(1) | 1;
-            if let Err(PackerError::Runtime(RuntimeError::BudgetExhausted)) = app.launch(rt, obs) {
-                return Err(Stop::Timeout);
-            }
-        }
-        None => {
-            rt.load_dex_observed(&spec.dex, "app", obs)
-                .map_err(|e| Stop::Setup(format!("load failed: {e}")))?;
-            register_tamper_specs(rt, &spec.tampers);
-        }
-    }
-    for &seed in &spec.seeds {
-        rt.input_state = seed | 1;
-        if packed.is_none() {
-            match rt.launch(obs, &spec.entry) {
-                Ok(()) => {}
-                Err(
-                    LaunchError::BudgetExhausted
-                    | LaunchError::Instantiate(RuntimeError::BudgetExhausted),
-                ) => return Err(Stop::Timeout),
-                Err(LaunchError::Instantiate(e)) => {
-                    return Err(Stop::Setup(format!(
-                        "cannot instantiate {}: {e}",
-                        spec.entry
-                    )))
-                }
-            }
-        }
-        rt.fire_callbacks(obs, seed, spec.effective_events())
-            .map_err(|_| Stop::Timeout)?;
-    }
-    Ok(())
 }
 
 /// The job as the sequential composition of public calls: pack, collect
@@ -107,7 +55,7 @@ fn serial(spec: &JobSpec) -> (JobReport, Option<Vec<u8>>) {
     });
     let mut stop = None;
     let result = reveal(&mut rt, |rt, obs| {
-        stop = drive(rt, obs, spec, packed.as_ref()).err();
+        stop = drive(rt, obs, spec, packed.as_ref(), spec.effective_events()).err();
     });
     report.insns = rt.stats.insns;
     report.frames = rt.stats.frames;

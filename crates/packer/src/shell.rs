@@ -8,7 +8,7 @@ use dexlego_dex::{writer, DexFile};
 use dexlego_runtime::class::MethodImpl;
 use dexlego_runtime::events::RuntimeEvent;
 use dexlego_runtime::observer::RuntimeObserver;
-use dexlego_runtime::{LaunchError, RetVal, Runtime, RuntimeError};
+use dexlego_runtime::{LaunchError, RetVal, Runtime};
 
 use crate::profiles::PackerId;
 use crate::{PackerError, Result};
@@ -248,16 +248,15 @@ impl PackedApp {
     ///
     /// # Errors
     ///
-    /// [`PackerError::Runtime`] with the instantiation failure if the shell
-    /// cannot be instantiated, or with
-    /// [`RuntimeError::BudgetExhausted`] if its `onCreate` runs out of
-    /// instruction budget. Every other fault of the shell or the original
-    /// app is tolerated, as every input session tolerates it.
+    /// Propagates execution failures from the shell or the original app,
+    /// and returns [`PackerError::BadInput`] if the shell has no
+    /// `onCreate`.
     pub fn launch(&self, rt: &mut Runtime, obs: &mut dyn RuntimeObserver) -> Result<()> {
-        rt.launch(obs, &self.shell_class).map_err(|e| match e {
-            LaunchError::Instantiate(e) => e.into(),
-            LaunchError::BudgetExhausted => RuntimeError::BudgetExhausted.into(),
-        })
+        match rt.launch(obs, &self.shell_class) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(PackerError::BadInput("shell has no onCreate".into())),
+            Err(LaunchError::Instantiate(e) | LaunchError::OnCreate(e)) => Err(e.into()),
+        }
     }
 
     /// Total encrypted payload bytes (for size reporting).

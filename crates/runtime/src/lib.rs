@@ -23,7 +23,7 @@
 //! ([`code_cache`]), with fused superinstructions for hot loops.
 //!
 //! Apps are driven through one input session ([`session`]):
-//! [`Runtime::launch`] instantiates the entry activity and runs its
+//! [`Runtime::start_session`] instantiates the entry activity and runs its
 //! `onCreate`, and [`Runtime::fire_callbacks`] fires the callbacks it
 //! registered, stopping only when the instruction budget runs out.
 //!

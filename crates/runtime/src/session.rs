@@ -4,55 +4,76 @@
 //! conformance traces, baseline dumps and every table drive apps through
 //! these primitives.
 //!
-//! One fault rule holds throughout: running out of instruction budget
-//! ends the session, and every other execution fault (an uncaught
-//! exception, a missing native) is tolerated, so a crashing app still
-//! yields a partial collection. An entry activity that cannot be
-//! instantiated ends the session before it starts.
+//! One fault rule holds throughout a session: running out of instruction
+//! budget ends it, and every other execution fault (an uncaught exception,
+//! a missing native) is tolerated, so a crashing app still yields a
+//! partial collection. An entry activity that cannot be instantiated ends
+//! the session before it starts. [`Runtime::start_session`] and
+//! [`Runtime::fire_callbacks`] apply the rule; [`Runtime::launch`] reports
+//! every fault, for callers that must see whether an app ran cleanly.
 
 use crate::class::SigKey;
 use crate::observer::RuntimeObserver;
 use crate::runtime::{Result, Runtime, RuntimeError};
 use crate::value::{RetVal, Slot};
 
-/// Why [`Runtime::launch`] ended a session.
+/// Why [`Runtime::launch`] failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LaunchError {
     /// The entry activity could not be instantiated: its class is not
     /// linked, or its `<clinit>` or `<init>` failed (budget exhaustion
     /// there included).
     Instantiate(RuntimeError),
-    /// `onCreate` ran out of instruction budget.
-    BudgetExhausted,
+    /// `onCreate` failed.
+    OnCreate(RuntimeError),
 }
 
 impl Runtime {
     /// Instantiates `entry` and runs its `onCreate(Landroid/os/Bundle;)V`,
-    /// if that resolves, with a null bundle.
+    /// if that resolves, with a null bundle. Returns whether `onCreate`
+    /// resolved.
     ///
     /// # Errors
     ///
     /// [`LaunchError::Instantiate`] if `entry` cannot be instantiated, and
-    /// [`LaunchError::BudgetExhausted`] if `onCreate` runs out of budget.
-    /// Every other fault of `onCreate` is tolerated.
+    /// [`LaunchError::OnCreate`] with whatever `onCreate` fails with.
     pub fn launch(
         &mut self,
         obs: &mut dyn RuntimeObserver,
         entry: &str,
-    ) -> std::result::Result<(), LaunchError> {
+    ) -> std::result::Result<bool, LaunchError> {
         let activity = self
             .new_instance(obs, entry)
             .map_err(LaunchError::Instantiate)?;
         let on_create = self.heap.instance_class(activity).and_then(|class| {
             self.resolve_method(class, &SigKey::new("onCreate", "(Landroid/os/Bundle;)V"))
         });
-        if let Some(on_create) = on_create {
-            let outcome = self.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)]);
-            if let Err(RuntimeError::BudgetExhausted) = outcome {
-                return Err(LaunchError::BudgetExhausted);
-            }
+        let Some(on_create) = on_create else {
+            return Ok(false);
+        };
+        self.call_method(obs, on_create, &[Slot::of(activity), Slot::of(0)])
+            .map_err(LaunchError::OnCreate)?;
+        Ok(true)
+    }
+
+    /// Starts an input session: [`launch`](Runtime::launch) under the
+    /// session's fault rule.
+    ///
+    /// # Errors
+    ///
+    /// [`LaunchError::Instantiate`] if `entry` cannot be instantiated, and
+    /// [`LaunchError::OnCreate`] with [`RuntimeError::BudgetExhausted`] if
+    /// `onCreate` runs out of budget. Every other fault of `onCreate` is
+    /// tolerated.
+    pub fn start_session(
+        &mut self,
+        obs: &mut dyn RuntimeObserver,
+        entry: &str,
+    ) -> std::result::Result<(), LaunchError> {
+        match self.launch(obs, entry) {
+            Err(LaunchError::OnCreate(e)) if e != RuntimeError::BudgetExhausted => Ok(()),
+            outcome => outcome.map(drop),
         }
-        Ok(())
     }
 
     /// Fires registered callback `i` (an index into

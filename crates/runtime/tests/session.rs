@@ -1,6 +1,6 @@
-//! The input session primitives: `Runtime::launch`, `fire_callback` and
-//! `fire_callbacks`, and their one fault rule (budget exhaustion ends a
-//! session, every other fault is tolerated).
+//! The input session primitives: `Runtime::launch`, `start_session`,
+//! `fire_callback` and `fire_callbacks`, and their one fault rule (budget
+//! exhaustion ends a session, every other fault is tolerated).
 
 use dexlego_dalvik::builder::{MethodBuilder, ProgramBuilder};
 use dexlego_dalvik::{Insn, Opcode};
@@ -104,7 +104,7 @@ fn fired(clicks: &Clicks) -> Vec<&str> {
 fn picks_follow_seed_plus_n_mod_len() {
     let mut rt = app(&[Click::Return; 3], Click::Return);
     let mut obs = Clicks::default();
-    rt.launch(&mut obs, "LMain;").unwrap();
+    rt.start_session(&mut obs, "LMain;").unwrap();
     assert_eq!(rt.callbacks.len(), 3);
     rt.fire_callbacks(&mut obs, 7, 5).unwrap();
     // (7 + n) % 3 for n in 0..5.
@@ -121,7 +121,7 @@ fn picks_follow_seed_plus_n_mod_len() {
 fn firing_stops_at_budget_exhaustion_with_depth_restored() {
     let mut rt = app(&[Click::Return, Click::Spin, Click::Return], Click::Return);
     let mut obs = Clicks::default();
-    rt.launch(&mut obs, "LMain;").unwrap();
+    rt.start_session(&mut obs, "LMain;").unwrap();
     let err = rt.fire_callbacks(&mut obs, 0, 6).unwrap_err();
     assert_eq!(err, RuntimeError::BudgetExhausted);
     // Picks 0, 1 (spins out); picks 2, 0, 1, 2 never fire.
@@ -133,7 +133,7 @@ fn firing_stops_at_budget_exhaustion_with_depth_restored() {
 fn a_throwing_callback_is_tolerated_and_the_next_still_fires() {
     let mut rt = app(&[Click::Throw, Click::Return], Click::Return);
     let mut obs = Clicks::default();
-    rt.launch(&mut obs, "LMain;").unwrap();
+    rt.start_session(&mut obs, "LMain;").unwrap();
     let thrown = rt.fire_callback(&mut obs, 0).unwrap_err();
     assert!(
         matches!(thrown, RuntimeError::UncaughtException { .. }),
@@ -145,32 +145,47 @@ fn a_throwing_callback_is_tolerated_and_the_next_still_fires() {
 }
 
 #[test]
-fn launch_tolerates_a_throwing_on_create_but_not_one_out_of_budget() {
+fn a_session_tolerates_a_throwing_on_create_but_not_one_out_of_budget() {
     let mut rt = app(&[Click::Return], Click::Throw);
-    rt.launch(&mut Clicks::default(), "LMain;").unwrap();
+    let thrown = rt.launch(&mut Clicks::default(), "LMain;").unwrap_err();
+    assert!(
+        matches!(
+            thrown,
+            LaunchError::OnCreate(RuntimeError::UncaughtException { .. })
+        ),
+        "{thrown:?}"
+    );
+    let mut rt = app(&[Click::Return], Click::Throw);
+    rt.start_session(&mut Clicks::default(), "LMain;").unwrap();
     assert_eq!(rt.callbacks.len(), 1, "onCreate ran up to its throw");
 
     let mut rt = app(&[], Click::Spin);
     assert_eq!(
-        rt.launch(&mut Clicks::default(), "LMain;"),
-        Err(LaunchError::BudgetExhausted)
+        rt.start_session(&mut Clicks::default(), "LMain;"),
+        Err(LaunchError::OnCreate(RuntimeError::BudgetExhausted))
     );
 }
 
 #[test]
 fn launch_of_an_entry_without_on_create_is_ok() {
     let mut rt = app(&[Click::Return], Click::Return);
-    rt.launch(&mut Clicks::default(), "LL0;").unwrap();
+    assert_eq!(rt.launch(&mut Clicks::default(), "LL0;"), Ok(false));
+    rt.start_session(&mut Clicks::default(), "LL0;").unwrap();
     assert!(rt.callbacks.is_empty(), "no onCreate, no registrations");
 }
 
 #[test]
 fn launch_of_an_unknown_entry_returns_the_instantiation_error() {
     let mut rt = app(&[], Click::Return);
+    let unknown = Err(LaunchError::Instantiate(RuntimeError::ClassNotFound(
+        "LNo/Such;".to_owned(),
+    )));
+    assert_eq!(
+        rt.start_session(&mut Clicks::default(), "LNo/Such;"),
+        unknown
+    );
     assert_eq!(
         rt.launch(&mut Clicks::default(), "LNo/Such;"),
-        Err(LaunchError::Instantiate(RuntimeError::ClassNotFound(
-            "LNo/Such;".to_owned()
-        )))
+        unknown.map(|()| false)
     );
 }

@@ -103,7 +103,8 @@ fn collection_and_reveal_match_golden_digests() {
                 }
                 None => {
                     rt.load_dex_observed(&app.dex, "app", obs).expect("loads");
-                    rt.launch(obs, &app.entry).expect("launches");
+                    let ran = rt.launch(obs, &app.entry).expect("onCreate runs");
+                    assert!(ran, "{tag}: no onCreate");
                 }
             }
             rt.fire_callbacks(obs, 1, EVENTS)
