@@ -29,8 +29,9 @@
 
 use std::time::Duration;
 
-use dexlego_harness::json::{self, Value};
-use dexlego_router::{Router, RouterConfig};
+use dexlego_harness::json;
+use dexlego_harness::Counters;
+use dexlego_router::{Router, RouterConfig, RouterStats};
 use dexlego_service::{Client, Daemon, ServiceConfig};
 use dexlego_store::TempDir;
 
@@ -71,26 +72,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Router counters after the fleet run (from the hedged router's
-/// aggregated `stats` reply).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FleetCounters {
-    /// Extracts routed.
-    pub routed: u64,
-    /// Hedges fired.
-    pub hedges: u64,
-    /// Hedges that answered first.
-    pub hedge_wins: u64,
-    /// Failovers after a backend loss or soft reply.
-    pub failovers: u64,
-    /// Replication backfills scheduled on fresh fills.
-    pub replica_fills: u64,
-    /// Read-repair backfills after a non-primary served a hit.
-    pub read_repairs: u64,
-    /// Requests for which every candidate was lost.
-    pub fleet_errors: u64,
-}
-
 /// Results of one full fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetBench {
@@ -108,7 +89,7 @@ pub struct FleetBench {
     /// Warm replay during which one backend was shut down.
     pub kill: PassResult,
     /// Hedged-router counters at the end of the fleet phase.
-    pub counters: FleetCounters,
+    pub counters: RouterStats,
 }
 
 impl FleetBench {
@@ -164,25 +145,6 @@ fn shutdown_front(addr: &str, router: Router) {
     router.wait();
 }
 
-fn read_counters(stats: &Value) -> FleetCounters {
-    let at = |name: &str| {
-        stats
-            .get("router")
-            .and_then(|r| r.get(name))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    FleetCounters {
-        routed: at("routed"),
-        hedges: at("hedges"),
-        hedge_wins: at("hedge_wins"),
-        failovers: at("failovers"),
-        replica_fills: at("replica_fills"),
-        read_repairs: at("read_repairs"),
-        fleet_errors: at("fleet_errors"),
-    }
-}
-
 /// Runs the full fleet shape.
 ///
 /// # Panics
@@ -229,7 +191,10 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     });
 
     let mut control = Client::connect(&hedged_addr).expect("router control");
-    let counters = read_counters(&control.stats().expect("router stats"));
+    let stats = control.stats().expect("router stats");
+    let counters = stats
+        .get("router")
+        .map_or_else(RouterStats::default, RouterStats::read_counters);
     drop(control);
     shutdown_front(&hedged_addr, hedged);
     shutdown_front(&unhedged_addr, unhedged);
@@ -265,10 +230,12 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     }
 }
 
-/// Formats the result as one JSON object (the BENCH_router.json shape).
+/// Formats the result as one JSON object (the BENCH_router.json shape),
+/// ending with the hedged router's counters in table order.
 pub fn format(bench: &FleetBench) -> String {
-    let counters = &bench.counters;
-    json::object(&[
+    let mut out = String::new();
+    let mut obj = json::ObjectWriter::new(&mut out);
+    for (name, value) in [
         ("experiment", json::string("router_fleet")),
         ("backends", bench.config.backends.to_string()),
         ("hedge_ms", bench.config.hedge_ms.to_string()),
@@ -305,12 +272,10 @@ pub fn format(bench: &FleetBench) -> String {
                 ),
             ]),
         ),
-        ("routed", counters.routed.to_string()),
-        ("hedges", counters.hedges.to_string()),
-        ("hedge_wins", counters.hedge_wins.to_string()),
-        ("failovers", counters.failovers.to_string()),
-        ("replica_fills", counters.replica_fills.to_string()),
-        ("read_repairs", counters.read_repairs.to_string()),
-        ("fleet_errors", counters.fleet_errors.to_string()),
-    ])
+    ] {
+        obj.raw(name, &value);
+    }
+    bench.counters.write_counters(&mut obj);
+    obj.finish();
+    out
 }

@@ -19,7 +19,7 @@ use dexlego_dalvik::canon::remap_indices;
 use dexlego_dalvik::IndexKind;
 use dexlego_dex::file::{EncodedField, EncodedMethod};
 use dexlego_dex::value::EncodedValue;
-use dexlego_dex::{AccessFlags, ClassDef, CodeItem, DexFile};
+use dexlego_dex::{AccessFlags, ClassDef, CodeItem, DexFile, EncodedCatchHandler};
 use dexlego_runtime::class::MethodImpl;
 use dexlego_runtime::{ClassId, Runtime};
 
@@ -150,21 +150,21 @@ pub fn dump(rt: &Runtime, kind: BaselineKind) -> Result<DexFile> {
                     let Some(source) = rt.method_source(mid) else {
                         continue;
                     };
-                    match remap_units(rt, source, insns, &mut dex) {
-                        Ok(units) => Some(CodeItem {
+                    let code = remap_units(rt, source, insns, &mut dex).and_then(|units| {
+                        Ok(CodeItem {
                             registers_size: *registers,
                             ins_size: *ins,
                             outs_size: 8,
                             insns: units,
                             tries: tries.clone(),
-                            handlers: handlers.clone(),
-                        }),
-                        // Still-encrypted bodies do not decode; a dump tool
-                        // writes them out as-is and analysis skips them — we
-                        // skip the method entirely, which is equivalent for
-                        // the analyzers.
-                        Err(_) => None,
-                    }
+                            handlers: remap_handlers(rt, source, handlers, &mut dex)?,
+                        })
+                    });
+                    // Still-encrypted bodies do not decode; a dump tool
+                    // writes them out as-is and analysis skips them — we
+                    // skip the method entirely, which is equivalent for
+                    // the analyzers.
+                    code.ok()
                 }
                 _ => None,
             };
@@ -198,6 +198,25 @@ pub fn dump(rt: &Runtime, kind: BaselineKind) -> Result<DexFile> {
     Ok(dex)
 }
 
+/// Maps each typed catch clause of a method's handlers into the output
+/// DEX's type pool.
+fn remap_handlers(
+    rt: &Runtime,
+    source: usize,
+    handlers: &[EncodedCatchHandler],
+    dex: &mut DexFile,
+) -> Result<Vec<EncodedCatchHandler>> {
+    let types = &rt.dex_table(source).types;
+    let mut handlers = handlers.to_vec();
+    for clause in handlers.iter_mut().flat_map(|h| &mut h.catches) {
+        let desc = types
+            .get(clause.type_idx as usize)
+            .ok_or_else(|| DexLegoError::Reassembly("catch type index out of range".to_owned()))?;
+        clause.type_idx = dex.intern_type(desc);
+    }
+    Ok(handlers)
+}
+
 /// Rewrites a method's code units so embedded pool indices point into the
 /// output DEX (index widths are format-fixed, so lengths never change).
 fn remap_units(rt: &Runtime, source: usize, insns: &[u16], dex: &mut DexFile) -> Result<Vec<u16>> {
@@ -227,4 +246,86 @@ fn remap_units(rt: &Runtime, source: usize, insns: &[u16], dex: &mut DexFile) ->
         })
     })?;
     Ok(units)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dexlego_dalvik::builder::ProgramBuilder;
+    use dexlego_dalvik::{Insn, Opcode};
+    use dexlego_dex::code::CatchClause;
+    use dexlego_dex::TryItem;
+    use dexlego_runtime::observer::NullObserver;
+
+    const ARITHMETIC: &str = "Ljava/lang/ArithmeticException;";
+
+    /// `La/Main;->guarded()V`, whose first two code units sit in a try
+    /// block that catches `ArithmeticException`, in a DEX whose type pool
+    /// holds more types than a dump of it does.
+    fn guarded_app() -> DexFile {
+        let mut pb = ProgramBuilder::new();
+        pb.class("La/Unused;", |c| {
+            c.static_method("noop", &[], "V", 1, |m| {
+                m.new_instance(0, "La/Other;");
+                m.asm.ret(Opcode::ReturnVoid, 0);
+            });
+        });
+        pb.class("La/Main;", |c| {
+            c.static_method("guarded", &[], "V", 2, |m| {
+                m.new_instance(0, "Ljava/lang/Object;");
+                m.asm.ret(Opcode::ReturnVoid, 0);
+                let mut mex = Insn::of(Opcode::MoveException);
+                mex.a = 1;
+                m.asm.push(mex);
+                m.asm.ret(Opcode::ReturnVoid, 0);
+            });
+        });
+        let mut dex = pb.build().unwrap();
+        let exception = dex.intern_type(ARITHMETIC);
+        let main = dex.intern_type("La/Main;");
+        let class = dex
+            .class_defs_mut()
+            .iter_mut()
+            .find(|c| c.class_idx == main)
+            .unwrap();
+        let code = class.class_data.as_mut().unwrap().direct_methods[0]
+            .code
+            .as_mut()
+            .unwrap();
+        code.tries.push(TryItem {
+            start_addr: 0,
+            insn_count: 2,
+            handler_index: 0,
+        });
+        code.handlers.push(EncodedCatchHandler {
+            catches: vec![CatchClause {
+                type_idx: exception,
+                addr: 3,
+            }],
+            catch_all_addr: None,
+        });
+        dex
+    }
+
+    #[test]
+    fn dumps_map_catch_types_into_their_own_type_pool() {
+        let mut rt = Runtime::new();
+        rt.load_dex(&guarded_app(), "app").unwrap();
+        rt.call_static(&mut NullObserver, "La/Main;", "guarded", "()V", &[])
+            .unwrap();
+        for kind in [BaselineKind::DexHunter, BaselineKind::AppSpear] {
+            let dump = dump(&rt, kind).unwrap();
+            let class = dump.find_class("La/Main;").unwrap();
+            let code = class.class_data.as_ref().unwrap().direct_methods[0]
+                .code
+                .as_ref()
+                .unwrap();
+            let clause = &code.handlers[0].catches[0];
+            assert_eq!(
+                dump.type_descriptor(clause.type_idx).ok(),
+                Some(ARITHMETIC),
+                "{kind:?}"
+            );
+        }
+    }
 }

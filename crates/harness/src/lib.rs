@@ -75,4 +75,4 @@ pub use pool::{
     default_workers, parallel_map, parallel_map_expect, resolve_workers, run_batch, run_batch_with,
     HarnessConfig, Job, JobPool, WORKERS_ENV,
 };
-pub use report::{JobReport, RunReport, COUNTERS};
+pub use report::{Counters, JobReport, RunReport, COUNTERS};

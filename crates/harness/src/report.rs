@@ -57,24 +57,120 @@ pub struct JobReport {
     pub phases_us: Vec<(String, u64)>,
 }
 
-/// A job counter: a `u64` field of [`JobReport`] and the name it travels
-/// under.
-#[derive(Clone, Copy)]
-pub struct Counter {
-    /// The field's name, which is also its member name in the report's
-    /// JSON, in the store entry and in dexlegod's `stats`.
+/// A named `u64` counter of a `T`: a field and the name it travels under,
+/// which is also its member name in every JSON object that carries it.
+pub struct Counter<T> {
+    /// The field's name.
     pub name: &'static str,
-    get: fn(&JobReport) -> u64,
-    field: fn(&mut JobReport) -> &mut u64,
+    get: fn(&T) -> u64,
+    field: fn(&mut T) -> &mut u64,
 }
 
+impl<T> Counter<T> {
+    /// The counter `name` read through `get` and written through `field`;
+    /// [`counters!`](crate::counters) builds every table from these.
+    pub const fn new(
+        name: &'static str,
+        get: fn(&T) -> u64,
+        field: fn(&mut T) -> &mut u64,
+    ) -> Counter<T> {
+        Counter { name, get, field }
+    }
+
+    /// The counter's value in `stats`.
+    pub fn get(&self, stats: &T) -> u64 {
+        (self.get)(stats)
+    }
+
+    /// The counter's field in `stats`.
+    pub fn field<'a>(&self, stats: &'a mut T) -> &'a mut u64 {
+        (self.field)(stats)
+    }
+}
+
+/// A struct whose `u64` counters one ordered [`Counter`] table names.
+/// Every output that carries them walks the table: [`write_counters`]
+/// emits them, [`read_counters`] rebuilds the struct, so neither names a
+/// counter itself.
+///
+/// [`write_counters`]: Counters::write_counters
+/// [`read_counters`]: Counters::read_counters
+pub trait Counters: Default + 'static {
+    /// The counters, in output order.
+    const COUNTERS: &'static [Counter<Self>];
+
+    /// Writes every counter as a member of `obj`, in table order.
+    fn write_counters(&self, obj: &mut json::ObjectWriter<'_>) {
+        for c in Self::COUNTERS {
+            obj.raw(c.name, &c.get(self).to_string());
+        }
+    }
+
+    /// A default `Self` with every counter read from the member of
+    /// `value` under its name; a missing name reads 0.
+    fn read_counters(value: &Value) -> Self {
+        let mut stats = Self::default();
+        for c in Self::COUNTERS {
+            *c.field(&mut stats) = value.get(c.name).and_then(Value::as_u64).unwrap_or(0);
+        }
+        stats
+    }
+}
+
+/// Builds [`Counter`] tables.
+///
+/// `counters![T: a, b]` is the table of `T`'s `u64` fields `a` and `b`,
+/// in that order. Given a struct whose fields are bare names, it defines
+/// the struct with one `u64` field per name, as visible as the struct,
+/// and implements [`Counters`] for it with the fields in order, so a new
+/// counter is a field and the code that counts it. Typed fields after a
+/// `;` are private fields outside the table:
+///
+/// ```
+/// use dexlego_harness::Counters;
+///
+/// dexlego_harness::counters! {
+///     /// Lines a reader saw.
+///     #[derive(Debug, Default)]
+///     pub struct Lines {
+///         /// Lines read.
+///         read,
+///         /// Lines refused.
+///         refused;
+///         /// The longest line read.
+///         longest: String,
+///     }
+/// }
+///
+/// let names: Vec<&str> = Lines::COUNTERS.iter().map(|c| c.name).collect();
+/// assert_eq!(names, ["read", "refused"]);
+/// ```
+#[macro_export]
 macro_rules! counters {
-    ($($field:ident),+ $(,)?) => {
-        &[$(Counter {
-            name: stringify!($field),
-            get: |report| report.$field,
-            field: |report| &mut report.$field,
-        }),+]
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field:ident),+ $(,)?
+            $(; $($(#[$other_meta:meta])* $other:ident: $other_ty:ty),+ $(,)?)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $vis $field: u64,)+
+            $($($(#[$other_meta])* $other: $other_ty,)+)?
+        }
+
+        impl $crate::report::Counters for $name {
+            const COUNTERS: &'static [$crate::report::Counter<Self>] =
+                $crate::counters![$name: $($field),+];
+        }
+    };
+    ($ty:ty: $($field:ident),+ $(,)?) => {
+        &[$($crate::report::Counter::new(
+            stringify!($field),
+            |stats: &$ty| stats.$field,
+            |stats: &mut $ty| &mut stats.$field,
+        )),+]
     };
 }
 
@@ -83,8 +179,8 @@ macro_rules! counters {
 /// name, so a new counter is a [`JobReport`] field, an entry here and the
 /// code that counts it. Pipeline counters reach the report through
 /// [`JobReport::absorb`] under the same name.
-pub const COUNTERS: &[Counter] = counters![
-    insns,
+pub const COUNTERS: &[Counter<JobReport>] = counters![
+    JobReport: insns,
     frames,
     methods_collected,
     insns_collected,
@@ -96,6 +192,10 @@ pub const COUNTERS: &[Counter] = counters![
     verify_cache_hits,
     verify_cache_misses,
 ];
+
+impl Counters for JobReport {
+    const COUNTERS: &'static [Counter<JobReport>] = COUNTERS;
+}
 
 impl JobReport {
     /// A zeroed report carrying only identity; callers fill in what the
@@ -110,14 +210,14 @@ impl JobReport {
 
     /// Every counter's name and value, in [`COUNTERS`] order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        COUNTERS.iter().map(move |c| (c.name, (c.get)(self)))
+        COUNTERS.iter().map(move |c| (c.name, c.get(self)))
     }
 
     /// Sets the counter called `name`; a name [`COUNTERS`] does not know
     /// is ignored.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         if let Some(c) = COUNTERS.iter().find(|c| c.name == name) {
-            *(c.field)(self) = value;
+            *c.field(self) = value;
         }
     }
 
@@ -176,7 +276,6 @@ impl JobReport {
             .and_then(Value::as_str)
             .and_then(PackerId::by_name)
             .map(|id| id.profile().name);
-        let num = |key: &str| value.get(key).and_then(Value::as_u64).unwrap_or(0);
         let phases_us = match value.get("phases_us") {
             Some(Value::Obj(members)) => members
                 .iter()
@@ -184,20 +283,18 @@ impl JobReport {
                 .collect(),
             _ => Vec::new(),
         };
-        let mut report = JobReport {
+        Ok(JobReport {
+            name,
+            packer,
             status,
             cached: value
                 .get("cached")
                 .and_then(Value::as_bool)
                 .unwrap_or(false),
-            wall_us: num("wall_us"),
+            wall_us: value.get("wall_us").and_then(Value::as_u64).unwrap_or(0),
             phases_us,
-            ..JobReport::empty(name, packer)
-        };
-        for c in COUNTERS {
-            *(c.field)(&mut report) = num(c.name);
-        }
-        Ok(report)
+            ..JobReport::read_counters(value)
+        })
     }
 
     /// This job as a JSON object.
@@ -221,9 +318,7 @@ impl JobReport {
             None => obj.raw("detail", "null"),
         }
         obj.raw("wall_us", &self.wall_us.to_string());
-        for (name, value) in self.counters() {
-            obj.raw(name, &value.to_string());
-        }
+        self.write_counters(&mut obj);
         obj.raw("phases_us", &json::object(&phases));
         obj.finish();
         out

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use dexlego_service::protocol::reply_body;
 use dexlego_service::{
-    Backoff, ClientError, ExtractRequest, PipelinedClient, PipelinedSender, Reply, RequestId,
+    ClientError, ExtractRequest, PipelinedClient, PipelinedSender, Reply, RequestId,
 };
 use dexlego_store::Key;
 
@@ -74,29 +74,12 @@ impl Waiter {
     }
 }
 
-/// Health-gate tuning.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive failures before the backend is ejected.
-    pub eject_after: u32,
-    /// First probation window, milliseconds.
-    pub probation_base_ms: u64,
-    /// Probation cap, milliseconds.
-    pub probation_cap_ms: u64,
-    /// Dial attempts per connect (with client-side backoff between).
-    pub connect_attempts: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            eject_after: 2,
-            probation_base_ms: 200,
-            probation_cap_ms: 5_000,
-            connect_attempts: 1,
-        }
-    }
-}
+/// Consecutive failures before a backend is ejected.
+const EJECT_AFTER: u32 = 2;
+/// First probation window; each further failure doubles it.
+const PROBATION_BASE: Duration = Duration::from_millis(200);
+/// Longest probation window.
+const PROBATION_CAP: Duration = Duration::from_secs(5);
 
 #[derive(Debug, Default)]
 struct Health {
@@ -116,7 +99,6 @@ struct Conn {
 pub struct Backend {
     index: usize,
     addr: String,
-    cfg: HealthConfig,
     conn: Mutex<Option<Conn>>,
     health: Mutex<Health>,
     /// Requests successfully written to this backend.
@@ -130,11 +112,10 @@ pub struct Backend {
 impl Backend {
     /// A backend at `addr`, position `index` in the fleet.
     #[must_use]
-    pub fn new(index: usize, addr: &str, cfg: HealthConfig) -> Arc<Backend> {
+    pub fn new(index: usize, addr: &str) -> Arc<Backend> {
         Arc::new(Backend {
             index,
             addr: addr.to_owned(),
-            cfg,
             conn: Mutex::new(None),
             health: Mutex::new(Health::default()),
             sent: AtomicU64::new(0),
@@ -186,14 +167,12 @@ impl Backend {
     fn record_failure(&self) {
         let mut health = self.health.lock().expect("health lock");
         health.consecutive_failures = health.consecutive_failures.saturating_add(1);
-        if health.consecutive_failures >= self.cfg.eject_after {
-            let exponent = health.consecutive_failures - self.cfg.eject_after;
-            let window = self
-                .cfg
-                .probation_base_ms
-                .saturating_mul(1u64 << exponent.min(16))
-                .min(self.cfg.probation_cap_ms);
-            health.ejected_until = Some(Instant::now() + Duration::from_millis(window));
+        if health.consecutive_failures >= EJECT_AFTER {
+            let exponent = health.consecutive_failures - EJECT_AFTER;
+            let window = PROBATION_BASE
+                .saturating_mul(1 << exponent.min(16))
+                .min(PROBATION_CAP);
+            health.ejected_until = Some(Instant::now() + window);
         }
     }
 
@@ -211,16 +190,12 @@ impl Backend {
         }
     }
 
-    /// Dials the backend and spawns the reader thread that routes its
-    /// replies. The reader owns the connection's pending map; when the
-    /// connection dies it clears the slot (if still current), records
+    /// Dials the backend once and spawns the reader thread that routes
+    /// its replies. The reader owns the connection's pending map; when
+    /// the connection dies it clears the slot (if still current), records
     /// the failure, and fails every parked waiter.
     fn dial(self: &Arc<Self>) -> Result<Conn, ClientError> {
-        let client = PipelinedClient::connect_retry(
-            &self.addr,
-            self.cfg.connect_attempts,
-            &mut Backoff::new(5, 100),
-        )?;
+        let client = PipelinedClient::connect(&self.addr)?;
         let (tx, mut rx) = client.split();
         let pending: Arc<PendingMap> = Arc::new(Mutex::new(HashMap::new()));
         let reader_pending = Arc::clone(&pending);
@@ -378,19 +353,13 @@ mod tests {
 
     #[test]
     fn ejection_opens_after_threshold_and_expires() {
-        let cfg = HealthConfig {
-            eject_after: 2,
-            probation_base_ms: 20,
-            probation_cap_ms: 100,
-            connect_attempts: 1,
-        };
-        let backend = Backend::new(0, "127.0.0.1:1", cfg);
+        let backend = Backend::new(0, "127.0.0.1:1");
         assert!(backend.available());
         backend.record_failure();
         assert!(backend.available(), "one failure is not ejection");
         backend.record_failure();
         assert!(!backend.available(), "threshold reached: ejected");
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(PROBATION_BASE + Duration::from_millis(10));
         assert!(backend.available(), "probation expired: half-open probe");
         backend.record_success();
         assert_eq!(backend.consecutive_failures(), 0);

@@ -3,7 +3,6 @@
 //! daemon — the wire dialect is identical): same [`RunReport`] out,
 //! but the extraction work and the cache live in the fleet.
 
-use std::io::Write;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -116,31 +115,4 @@ fn run_one(addr: &str, pool: &Mutex<Vec<Client>>, spec: &JobSpec) -> JobReport {
 pub fn run_batch_routed(addr: &str, jobs: Vec<JobSpec>, config: &HarnessConfig) -> RunReport {
     let pool: Mutex<Vec<Client>> = Mutex::new(Vec::new());
     run_batch_with(jobs, config, |spec| run_one(addr, &pool, &spec))
-}
-
-/// One-line human summary of a routed batch, mirroring the local
-/// harness output (`name status wall_ms`).
-///
-/// # Errors
-///
-/// Propagates write failures on `out`.
-pub fn print_batch_summary(out: &mut impl Write, report: &RunReport) -> std::io::Result<()> {
-    for job in &report.jobs {
-        writeln!(
-            out,
-            "{} {} {:.1}ms{}",
-            job.name,
-            job.status.label(),
-            job.wall_us as f64 / 1000.0,
-            if job.cached { " (cached)" } else { "" },
-        )?;
-    }
-    writeln!(
-        out,
-        "{} jobs, {} ok, {} cached, {:.1}ms wall",
-        report.jobs.len(),
-        report.jobs.iter().filter(|j| !j.failed()).count(),
-        report.cache_hits(),
-        report.wall_us as f64 / 1000.0,
-    )
 }

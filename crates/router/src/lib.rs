@@ -19,7 +19,10 @@
 //! ([`dexlego_service::core`]): one event loop with the daemon's framing,
 //! pending queues, shedding, backpressure and drain, handing each routed
 //! request to a bounded worker pool. Beside it run one repair thread and
-//! one reader thread per backend connection.
+//! one reader thread per backend connection. Its `stats` reply sums the
+//! backends' and adds a `router` member: the routing counters of
+//! [`RouterStats`] and the front core's own request counters, each
+//! written by walking its counter table.
 
 #![warn(missing_docs)]
 
@@ -28,7 +31,7 @@ pub mod batch;
 pub mod ring;
 pub mod router;
 
-pub use backend::{Backend, Event, HealthConfig, Waiter};
-pub use batch::{print_batch_summary, run_batch_routed};
+pub use backend::{Backend, Event, Waiter};
+pub use batch::run_batch_routed;
 pub use ring::Ring;
 pub use router::{Router, RouterConfig, RouterStats};

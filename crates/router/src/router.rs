@@ -25,6 +25,11 @@
 //! [`dexlego_service::Client`] and [`dexlego_service::PipelinedClient`]
 //! work against a router without knowing it is one. Backend replies are
 //! relayed as received, with only their `id` swapped.
+//!
+//! A `stats` reply sums the backends' replies and adds a `router` member
+//! that walks two counter tables ([`Counters`]): the routing counters of
+//! [`RouterStats`], then the front core's [`CoreStats`], which count the
+//! lines the front refuses or sheds before any backend sees them.
 
 use std::collections::HashSet;
 use std::io;
@@ -34,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dexlego_harness::json::{self, Value};
-use dexlego_harness::{job_key, JobPool};
+use dexlego_harness::{counters, job_key, Counters, JobPool};
 use dexlego_service::core::{Action, CoreStats, Handler, Limits, Server};
 use dexlego_service::protocol::error_reply;
 use dexlego_service::{ExtractRequest, Reply};
@@ -42,8 +47,12 @@ use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::hex::from_hex;
 use dexlego_store::{CachedResult, Key};
 
-use crate::backend::{Backend, Event, HealthConfig, Waiter};
+use crate::backend::{Backend, Event, Waiter};
 use crate::ring::Ring;
+
+/// Hard per-request fleet budget, milliseconds: bounds requests that
+/// carry no deadline of their own, and each fetch or backfill round trip.
+const REQUEST_TIMEOUT_MS: u64 = 30_000;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -64,15 +73,10 @@ pub struct RouterConfig {
     /// Latency budget before a hedge fires at the next replica,
     /// milliseconds.
     pub hedge_ms: u64,
-    /// Hard per-request fleet budget, milliseconds (bounds requests
-    /// that carry no deadline of their own).
-    pub request_timeout_ms: u64,
     /// Routing worker threads: requests routed concurrently. The pool
     /// queues as many again before the front's per-connection queues take
     /// over.
     pub workers: usize,
-    /// Backend health gate.
-    pub health: HealthConfig,
 }
 
 impl RouterConfig {
@@ -86,35 +90,37 @@ impl RouterConfig {
             seed: 0x6465_786c_6567_6f00, // "dexlego\0"
             replicas: 2,
             hedge_ms: 30,
-            request_timeout_ms: 30_000,
             workers: 8,
-            health: HealthConfig::default(),
         }
     }
 }
 
-/// Router-level counters, all monotonically increasing.
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    /// Extracts routed.
-    pub routed: u64,
-    /// Hedge requests fired.
-    pub hedges: u64,
-    /// Winners that were the hedged (non-first) send.
-    pub hedge_wins: u64,
-    /// Sends retried on another replica after a transport loss or shed.
-    pub failovers: u64,
-    /// Backfills scheduled because a fresh fill must reach the rest of
-    /// its replica set.
-    pub replica_fills: u64,
-    /// Backfills scheduled because a non-primary replica served a hit
-    /// the primary was missing.
-    pub read_repairs: u64,
-    /// Cancels sent to revoke hedged losers.
-    pub cancels: u64,
-    /// Requests answered with an error because the whole fleet was
-    /// unreachable.
-    pub fleet_errors: u64,
+counters! {
+    /// Router-level counters, all monotonically increasing, each named
+    /// once, as a field: the [`Counters`] table the `router` member of a
+    /// `stats` reply and the fleet bench walk lists them in field order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RouterStats {
+        /// Extracts routed.
+        routed,
+        /// Hedge requests fired.
+        hedges,
+        /// Winners that were the hedged (non-first) send.
+        hedge_wins,
+        /// Sends retried on another replica after a transport loss or shed.
+        failovers,
+        /// Backfills scheduled because a fresh fill must reach the rest of
+        /// its replica set.
+        replica_fills,
+        /// Backfills scheduled because a non-primary replica served a hit
+        /// the primary was missing.
+        read_repairs,
+        /// Cancels sent to revoke hedged losers.
+        cancels,
+        /// Requests answered with an error because the whole fleet was
+        /// unreachable.
+        fleet_errors,
+    }
 }
 
 /// A replication or read-repair job for the repair thread: pull the
@@ -197,8 +203,9 @@ impl Handler for Front {
         self.defer(None, move |ctx| route_backfill(ctx, key, &entry))
     }
 
-    fn stats(&mut self, _core: &CoreStats) -> Action {
-        self.defer(None, stats_reply)
+    fn stats(&mut self, core: &CoreStats) -> Action {
+        let front = *core;
+        self.defer(None, move |ctx| stats_reply(ctx, &front))
     }
 }
 
@@ -234,7 +241,7 @@ impl Router {
             .backends
             .iter()
             .enumerate()
-            .map(|(i, addr)| Backend::new(i, addr, config.health.clone()))
+            .map(|(i, addr)| Backend::new(i, addr))
             .collect();
 
         let (repair_tx, repair_rx) = mpsc::channel::<RepairJob>();
@@ -331,8 +338,8 @@ fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
     let deadline = started
         + req
             .deadline_ms
-            .map_or(Duration::from_millis(ctx.config.request_timeout_ms), |ms| {
-                Duration::from_millis(ms.min(ctx.config.request_timeout_ms))
+            .map_or(Duration::from_millis(REQUEST_TIMEOUT_MS), |ms| {
+                Duration::from_millis(ms.min(REQUEST_TIMEOUT_MS))
             });
     let hedge_after = Duration::from_millis(ctx.config.hedge_ms);
 
@@ -527,7 +534,7 @@ fn finish_ok(
 fn fetch_entry(ctx: &Ctx, source: usize, key: &Key) -> Option<Vec<u8>> {
     let waiter = Waiter::new();
     ctx.backends[source].send_fetch(key, &waiter)?;
-    let deadline = Instant::now() + Duration::from_millis(ctx.config.request_timeout_ms);
+    let deadline = Instant::now() + Duration::from_millis(REQUEST_TIMEOUT_MS);
     // A fetch has exactly one in-flight request, so the first event (or a
     // timeout's empty batch) settles it.
     match waiter.wait_until(deadline).into_iter().next() {
@@ -583,7 +590,7 @@ fn route_backfill(ctx: &Ctx, key: Key, entry: &CachedResult) -> String {
         ctx.stats.lock().expect("stats lock").fleet_errors += 1;
         return error_reply("no backend available");
     }
-    let deadline = Instant::now() + Duration::from_millis(ctx.config.request_timeout_ms);
+    let deadline = Instant::now() + Duration::from_millis(REQUEST_TIMEOUT_MS);
     let mut stored = false;
     let mut heard = 0usize;
     while heard < expected {
@@ -630,8 +637,9 @@ fn merge_stats(into: &mut Value, from: &Value) {
 
 /// Fans `stats` out to every reachable backend and aggregates: numeric
 /// counters sum, `uptime_ms` is the fleet maximum, and the router adds
-/// its own `router` / `fleet` members.
-fn stats_reply(ctx: &Ctx) -> String {
+/// its own `router` / `fleet` members; `front` holds the counters of the
+/// router's own front core.
+fn stats_reply(ctx: &Ctx, front: &CoreStats) -> String {
     let waiter = Waiter::new();
     let mut expected = 0usize;
     for backend in &ctx.backends {
@@ -664,55 +672,60 @@ fn stats_reply(ctx: &Ctx) -> String {
             }
         }
     }
-    let mut merged = merged.unwrap_or(Value::Obj(Vec::new()));
-    if let Value::Obj(members) = &mut merged {
-        // Summed uptimes are meaningless; report the eldest backend.
-        members.retain(|(k, _)| k != "uptime_ms" && k != "router" && k != "fleet");
-        members.push(("uptime_ms".to_owned(), Value::Num(max_uptime.to_string())));
-        let s = ctx.stats.lock().expect("stats lock");
-        let router_obj = json::object(&[
-            ("routed", s.routed.to_string()),
-            ("hedges", s.hedges.to_string()),
-            ("hedge_wins", s.hedge_wins.to_string()),
-            ("failovers", s.failovers.to_string()),
-            ("replica_fills", s.replica_fills.to_string()),
-            ("read_repairs", s.read_repairs.to_string()),
-            ("cancels", s.cancels.to_string()),
-            ("fleet_errors", s.fleet_errors.to_string()),
-            ("uptime_ms", ctx.started.elapsed().as_millis().to_string()),
-        ]);
-        drop(s);
-        let fleet: Vec<String> = ctx
-            .backends
-            .iter()
-            .map(|b| {
-                json::object(&[
-                    ("addr", json::string(b.addr())),
-                    ("up", b.available().to_string()),
-                    ("consecutive_failures", b.consecutive_failures().to_string()),
-                    ("sent", b.sent.load(Ordering::Relaxed).to_string()),
-                    ("lost", b.lost.load(Ordering::Relaxed).to_string()),
-                    (
-                        "backfills_sent",
-                        b.backfills_sent.load(Ordering::Relaxed).to_string(),
-                    ),
-                ])
-            })
-            .collect();
-        members.push((
-            "router".to_owned(),
-            dexlego_harness::json::parse(&router_obj).expect("router stats are valid json"),
-        ));
-        members.push((
-            "fleet".to_owned(),
-            dexlego_harness::json::parse(&json::array(&fleet)).expect("fleet stats are valid json"),
-        ));
+    let fleet: Vec<String> = ctx
+        .backends
+        .iter()
+        .map(|b| {
+            json::object(&[
+                ("addr", json::string(b.addr())),
+                ("up", b.available().to_string()),
+                ("consecutive_failures", b.consecutive_failures().to_string()),
+                ("sent", b.sent.load(Ordering::Relaxed).to_string()),
+                ("lost", b.lost.load(Ordering::Relaxed).to_string()),
+                (
+                    "backfills_sent",
+                    b.backfills_sent.load(Ordering::Relaxed).to_string(),
+                ),
+            ])
+        })
+        .collect();
+    let router = *ctx.stats.lock().expect("stats lock");
+    let mut stats = String::new();
+    let mut obj = json::ObjectWriter::new(&mut stats);
+    if let Some(Value::Obj(members)) = &merged {
+        for (name, value) in members {
+            // The router writes these itself: summed uptimes are
+            // meaningless, so it reports the eldest backend's.
+            if !matches!(name.as_str(), "uptime_ms" | "router" | "fleet") {
+                obj.raw(name, &value.to_json());
+            }
+        }
     }
-    format!("{{\"status\": \"ok\", \"stats\": {}}}", merged.to_json())
+    obj.raw("uptime_ms", &max_uptime.to_string());
+    obj.raw(
+        "router",
+        &router_member(&router, front, ctx.started.elapsed()),
+    );
+    obj.raw("fleet", &json::array(&fleet));
+    obj.finish();
+    json::object(&[("status", json::string("ok")), ("stats", stats)])
+}
+
+/// The `router` member of a `stats` reply: the routing counters, the
+/// front core's request counters, and the router's uptime.
+fn router_member(router: &RouterStats, front: &CoreStats, uptime: Duration) -> String {
+    let mut out = String::new();
+    let mut obj = json::ObjectWriter::new(&mut out);
+    router.write_counters(&mut obj);
+    front.write_counters(&mut obj);
+    obj.raw("uptime_ms", &uptime.as_millis().to_string());
+    obj.finish();
+    out
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use dexlego_service::protocol::{push_reply_line, reply_body};
     use dexlego_service::{parse_reply_line, RequestId};
     use std::path::Path;
@@ -745,5 +758,35 @@ mod tests {
                 String::from_utf8_lossy(&framed)
             );
         }
+    }
+
+    /// Every routing and front counter goes through the `router` member's
+    /// table writer and the reader the fleet bench uses unchanged, in
+    /// table order.
+    #[test]
+    fn every_router_counter_survives_json_in_table_order() {
+        let mut routed = RouterStats::default();
+        for (i, c) in RouterStats::COUNTERS.iter().enumerate() {
+            *c.field(&mut routed) = 1_000 + 7 * i as u64;
+        }
+        let mut front = CoreStats::default();
+        for (i, c) in CoreStats::COUNTERS.iter().enumerate() {
+            *c.field(&mut front) = 2_000 + 7 * i as u64;
+        }
+        let member = router_member(&routed, &front, Duration::from_millis(5));
+        let value = json::parse(&member).expect("the router member parses");
+        let Value::Obj(members) = &value else {
+            panic!("the router member is an object")
+        };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let table: Vec<&str> = RouterStats::COUNTERS
+            .iter()
+            .map(|c| c.name)
+            .chain(CoreStats::COUNTERS.iter().map(|c| c.name))
+            .chain(["uptime_ms"])
+            .collect();
+        assert_eq!(names, table);
+        assert_eq!(RouterStats::read_counters(&value), routed);
+        assert_eq!(CoreStats::read_counters(&value), front);
     }
 }

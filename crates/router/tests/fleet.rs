@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, HarnessConfig, JobReport, JobSpec};
-use dexlego_router::{run_batch_routed, Ring, Router, RouterConfig};
+use dexlego_harness::{job_key, Counters, HarnessConfig, JobReport, JobSpec};
+use dexlego_router::{run_batch_routed, Ring, Router, RouterConfig, RouterStats};
+use dexlego_service::core::CoreStats;
 use dexlego_service::{
     Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, ServiceConfig,
 };
@@ -126,6 +127,40 @@ fn killed_shard_degrades_to_failover_not_errors() {
         panic!("stats carry per-backend fleet health: {stats:?}");
     };
     assert_eq!(fleet.len(), 3);
+
+    client.shutdown().expect("front shutdown");
+    router.wait();
+    for daemon in daemons {
+        daemon.trigger_shutdown();
+        daemon.wait();
+    }
+}
+
+/// The router counts its own front: a line the front refuses shows up in
+/// the `router` member, which carries every routing and front counter by
+/// name, while the backend, which never saw the line, counts no error.
+#[test]
+fn router_counts_the_lines_its_front_refuses() {
+    let (_dirs, daemons, addrs) = start_fleet(1);
+    let router = Router::start(RouterConfig::new(addrs)).expect("router starts");
+    let mut client = Client::connect(&router.addr().to_string()).expect("connect front");
+    client.send_line("{\"op\": ").expect("send malformed line");
+    let reply = client.recv().expect("reply");
+    assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
+
+    let stats = client.stats().expect("stats");
+    let member = stats.get("router").expect("router counters");
+    let names = RouterStats::COUNTERS.iter().map(|c| c.name);
+    for name in names.chain(CoreStats::COUNTERS.iter().map(|c| c.name)) {
+        assert!(
+            member.get(name).and_then(Value::as_u64).is_some(),
+            "router member lacks {name}: {member:?}"
+        );
+    }
+    let front = CoreStats::read_counters(member);
+    assert_eq!(front.errors, 1, "{member:?}");
+    assert_eq!(front.requests, 2, "the refused line and this stats request");
+    assert_eq!(stats.get("errors").and_then(Value::as_u64), Some(0));
 
     client.shutdown().expect("front shutdown");
     router.wait();

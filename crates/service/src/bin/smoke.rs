@@ -9,7 +9,8 @@
 //! value arrays, and asserts each gets an `error` reply. Then, on the same
 //! connection, pings the daemon, submits the same extraction twice, and
 //! asserts the second reply is a cache hit with a byte-identical revealed
-//! DEX; then checks the stats endpoint saw at least one hit. With
+//! DEX; then checks the stats endpoint saw at least one hit and counted
+//! the refused `[` line as an error (under `router` behind a router). With
 //! `--shutdown`, asks the daemon to drain and exit afterwards. Exits 0 on
 //! success, 1 on any failed assertion.
 
@@ -153,7 +154,19 @@ fn run(args: &Args) -> Result<(), String> {
     if hits < 1 {
         return Err(format!("stats report no cache hits: {hits}"));
     }
-    eprintln!("dexlegod-smoke: stats ok (hits = {hits})");
+    // The front refused the 100,000-'[' line itself: a router counts it
+    // in its `router` member, a daemon at the top level.
+    let (name, counted) = match stats.get("router") {
+        Some(front) => ("router.errors", front),
+        None => ("errors", &stats),
+    };
+    let errors = counted.get("errors").and_then(Value::as_u64).unwrap_or(0);
+    if errors < 1 {
+        return Err(format!(
+            "stats do not count the refused line: {name} = {errors}"
+        ));
+    }
+    eprintln!("dexlegod-smoke: stats ok (hits = {hits}, {name} = {errors})");
 
     if args.shutdown {
         client.shutdown().map_err(|e| format!("shutdown: {e}"))?;

@@ -19,7 +19,6 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 use dexlego_harness::json::Value;
 use dexlego_store::hex::from_hex;
@@ -36,9 +35,7 @@ pub enum ClientError {
     Connect {
         /// The address dialled.
         addr: String,
-        /// How many dials were attempted before giving up.
-        attempts: u32,
-        /// The error from the final attempt.
+        /// Why the dial failed.
         last: io::Error,
     },
     /// An established connection died mid-conversation. In-flight
@@ -56,14 +53,6 @@ pub enum ClientError {
 }
 
 impl ClientError {
-    /// True when the transport is gone — the connection was never
-    /// established or died underneath us — so reconnecting (and
-    /// resending idempotent work) is the right response.
-    #[must_use]
-    pub fn is_transport(&self) -> bool {
-        matches!(self, ClientError::Connect { .. } | ClientError::Lost(_))
-    }
-
     /// Classifies an [`io::Error`] from an established connection:
     /// peer-gone kinds become [`ClientError::Lost`], everything else
     /// stays [`ClientError::Io`].
@@ -83,14 +72,7 @@ impl ClientError {
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClientError::Connect {
-                addr,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "connect to {addr} failed after {attempts} attempts: {last}"
-            ),
+            ClientError::Connect { addr, last } => write!(f, "connect to {addr} failed: {last}"),
             ClientError::Lost(e) => write!(f, "connection lost: {e}"),
             ClientError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ClientError::Unexpected(msg) => write!(f, "unexpected reply: {msg}"),
@@ -115,51 +97,6 @@ impl From<ClientError> for io::Error {
 
 /// Shorthand for pipelined-client results.
 pub type ClientResult<T> = Result<T, ClientError>;
-
-/// Capped exponential backoff for redialling a backend.
-///
-/// Starts at `start` and doubles on every [`Backoff::delay`] up to
-/// `cap`; [`Backoff::reset`] rewinds after a successful connect. Purely
-/// a schedule — the caller decides how many attempts to spend.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    start: Duration,
-    cap: Duration,
-    next: Duration,
-}
-
-impl Backoff {
-    /// A schedule that starts at `start_ms` and saturates at `cap_ms`.
-    #[must_use]
-    pub fn new(start_ms: u64, cap_ms: u64) -> Backoff {
-        let start = Duration::from_millis(start_ms);
-        Backoff {
-            start,
-            cap: Duration::from_millis(cap_ms.max(start_ms)),
-            next: start,
-        }
-    }
-
-    /// Returns the next delay and advances the schedule.
-    pub fn delay(&mut self) -> Duration {
-        let d = self.next;
-        self.next = (self.next * 2).min(self.cap);
-        d
-    }
-
-    /// Rewinds to the initial delay (call after a success).
-    pub fn reset(&mut self) {
-        self.next = self.start;
-    }
-}
-
-impl Default for Backoff {
-    /// 10ms doubling to 500ms — snappy enough for tests, polite enough
-    /// for a restarting daemon.
-    fn default() -> Backoff {
-        Backoff::new(10, 500)
-    }
-}
 
 /// The outcome of one `extract` round-trip.
 #[derive(Debug, Clone, PartialEq)]
@@ -488,17 +425,13 @@ impl PipelinedReceiver {
 /// The caller owns the windowing policy: it decides how many sends to
 /// issue before each receive. Ids are assigned by the client
 /// ([`RequestId::Num`], monotonically increasing) and returned from
-/// [`PipelinedClient::send_extract`] so callers can correlate. Ids stay
-/// monotonic across [`PipelinedClient::reconnect`], so a reply that
-/// somehow straggles in from a previous connection can never be
-/// confused with a live request.
+/// [`PipelinedClient::send_extract`] so callers can correlate.
 ///
 /// Sends are buffered: a burst of [`PipelinedClient::send_extract`]
 /// calls goes out as one write when the client turns around to read (or
 /// on [`PipelinedClient::flush`]), so a window of requests costs one
 /// syscall, not one per request.
 pub struct PipelinedClient {
-    addr: String,
     tx: PipelinedSender,
     rx: PipelinedReceiver,
 }
@@ -508,93 +441,19 @@ impl PipelinedClient {
     ///
     /// # Errors
     ///
-    /// Connection failures ([`ClientError::Connect`] with one attempt).
+    /// Connection failures ([`ClientError::Connect`]).
     pub fn connect(addr: &str) -> ClientResult<PipelinedClient> {
-        PipelinedClient::connect_retry(addr, 1, &mut Backoff::default())
-    }
-
-    /// Connects to `addr`, redialling up to `attempts` times on refused
-    /// or unreachable connections, sleeping `backoff` between dials.
-    /// A daemon that is restarting (the window between its old socket
-    /// dying and its new one listening) looks exactly like ECONNREFUSED,
-    /// so a small retry budget here rides out restarts.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Connect`] after the final failed attempt.
-    pub fn connect_retry(
-        addr: &str,
-        attempts: u32,
-        backoff: &mut Backoff,
-    ) -> ClientResult<PipelinedClient> {
-        let attempts = attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff.delay());
-            }
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    backoff.reset();
-                    return PipelinedClient::from_stream(addr, stream, 0);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ClientError::Connect {
+        let stream = TcpStream::connect(addr).map_err(|last| ClientError::Connect {
             addr: addr.to_owned(),
-            attempts,
-            last: last.unwrap_or_else(|| io::Error::other("no connect attempt made")),
-        })
-    }
-
-    fn from_stream(addr: &str, stream: TcpStream, next_id: u64) -> ClientResult<PipelinedClient> {
+            last,
+        })?;
         stream.set_nodelay(true).map_err(ClientError::Io)?;
         let writer = BufWriter::new(stream.try_clone().map_err(ClientError::Io)?);
         Ok(PipelinedClient {
-            addr: addr.to_owned(),
-            tx: PipelinedSender { writer, next_id },
+            tx: PipelinedSender { writer, next_id: 0 },
             rx: PipelinedReceiver {
                 reader: BufReader::new(stream),
             },
-        })
-    }
-
-    /// The address this client dials.
-    #[must_use]
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Drops the current connection and dials the same address again,
-    /// redialling up to `attempts` times with `backoff` between dials.
-    /// Replies to requests in flight on the old connection are gone;
-    /// the id counter is preserved, so resent requests get fresh ids.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Connect`] after the final failed attempt.
-    pub fn reconnect(&mut self, attempts: u32, backoff: &mut Backoff) -> ClientResult<()> {
-        let next_id = self.tx.next_id;
-        let attempts = attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff.delay());
-            }
-            match TcpStream::connect(&self.addr) {
-                Ok(stream) => {
-                    backoff.reset();
-                    *self = PipelinedClient::from_stream(&self.addr, stream, next_id)?;
-                    return Ok(());
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ClientError::Connect {
-            addr: self.addr.clone(),
-            attempts,
-            last: last.unwrap_or_else(|| io::Error::other("no connect attempt made")),
         })
     }
 

@@ -41,6 +41,11 @@
 //! - **drain** — `shutdown` stops reading everywhere and closes the
 //!   listener; every request already read still gets its reply, and
 //!   [`Server::wait`] returns once every reply is flushed.
+//!
+//! The core counts what it sees in [`CoreStats`], a counter table
+//! ([`dexlego_harness::Counters`]), and hands a copy to the handler's
+//! `stats`: `dexlegod` writes it at the top level of its reply, the
+//! router in its `router` member.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -52,7 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dexlego_harness::{json, Job, JobPool};
+use dexlego_harness::{counters, json, Job, JobPool};
 use dexlego_store::{CachedResult, Key};
 
 use crate::framing::Framer;
@@ -115,21 +120,25 @@ pub enum Action {
     },
 }
 
-/// Request counters the core keeps.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoreStats {
-    /// Request lines read, frame errors included.
-    pub requests: u64,
-    /// Malformed or invalid requests (including frame errors).
-    pub errors: u64,
-    /// Requests shed past the per-connection bound.
-    pub rejected: u64,
-    /// Requests shed because their deadline passed before dispatch.
-    pub deadline_exceeded: u64,
-    /// Pending tagged requests revoked by a `cancel` op before dispatch.
-    pub cancelled: u64,
-    /// Deferred requests on the pool whose replies are not yet queued.
-    pub in_flight: usize,
+counters! {
+    /// Request counters the core keeps, each named once, as a field: the
+    /// [`Counters`](dexlego_harness::Counters) table every `stats` reply
+    /// walks lists them in field order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CoreStats {
+        /// Request lines read, frame errors included.
+        requests,
+        /// Malformed or invalid requests (including frame errors).
+        errors,
+        /// Requests shed past the per-connection bound.
+        rejected,
+        /// Requests shed because their deadline passed before dispatch.
+        deadline_exceeded,
+        /// Pending tagged requests revoked by a `cancel` op before dispatch.
+        cancelled,
+        /// Deferred requests on the pool whose replies are not yet queued.
+        in_flight,
+    }
 }
 
 /// What a server makes of the requests the core does not answer itself.

@@ -41,8 +41,8 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{
-    decode_extract_reply, Backoff, Client, ClientError, ClientResult, ExtractReply,
-    PipelinedClient, PipelinedReceiver, PipelinedSender,
+    decode_extract_reply, Client, ClientError, ClientResult, ExtractReply, PipelinedClient,
+    PipelinedReceiver, PipelinedSender,
 };
 pub use framing::{FrameError, Framer};
 pub use protocol::{

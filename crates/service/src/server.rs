@@ -9,6 +9,12 @@
 //! the job's counters and builds the reply. (A corrupt entry falls
 //! through to a normal deferred miss rather than running the pipeline on
 //! the loop.)
+//!
+//! `stats` walks three counter tables ([`dexlego_harness::Counters`]) and
+//! names no counter itself: the core's [`CoreStats`], the daemon's own
+//! extraction counters, and the job counters of [`COUNTERS`] summed over
+//! fresh extractions. A new counter in any of them reaches the reply with
+//! no edit here.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -19,7 +25,9 @@ use std::time::{Duration, Instant};
 
 use dexlego_harness::cache::from_cached;
 use dexlego_harness::json;
-use dexlego_harness::{execute_job_cached, job_key, JobPool, JobReport, JobSpec, COUNTERS};
+use dexlego_harness::{
+    counters, execute_job_cached, job_key, Counters, JobPool, JobReport, JobSpec, COUNTERS,
+};
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{CachedResult, Key, Store, StoreConfig, StoreStats};
 
@@ -92,33 +100,35 @@ impl ServiceConfig {
     }
 }
 
-/// Extraction counters, separate from the core's request counters and
-/// from the store's own hit/miss accounting (which also sees internal
-/// probes).
-#[derive(Debug, Default)]
-struct ServiceStats {
-    /// Extract requests admitted (cache hit or pipeline run).
-    extracts: u64,
-    /// Extract requests answered from the store.
-    hits: u64,
-    /// Extract requests that ran the pipeline.
-    misses: u64,
-    /// Entries written into the store by `backfill` ops (replication and
-    /// read-repair traffic from the routing tier).
-    backfills: u64,
-    /// Store entries read out by `fetch` ops (the routing tier pulling
-    /// payloads for replication off the hot path).
-    fetches: u64,
-    /// Jobs that ran but did not reach [`JobStatus::Ok`].
-    ///
-    /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
-    failed: u64,
-    /// Every job counter summed over the fresh extractions, in
-    /// [`COUNTERS`] order. A hit's counters describe the run that stored
-    /// it, not work this daemon did, so hits add nothing.
-    counters: [u64; COUNTERS.len()],
-    /// Per-phase `(count, total_us)` aggregates over fresh extractions.
-    phases_us: BTreeMap<String, (u64, u64)>,
+counters! {
+    /// Extraction counters, separate from the core's request counters and
+    /// from the store's own hit/miss accounting (which also sees internal
+    /// probes).
+    #[derive(Debug, Default)]
+    struct ServiceStats {
+        /// Extract requests admitted (cache hit or pipeline run).
+        extracts,
+        /// Extract requests answered from the store.
+        hits,
+        /// Extract requests that ran the pipeline.
+        misses,
+        /// Entries written into the store by `backfill` ops (replication
+        /// and read-repair traffic from the routing tier).
+        backfills,
+        /// Store entries read out by `fetch` ops (the routing tier pulling
+        /// payloads for replication off the hot path).
+        fetches,
+        /// Jobs that ran but did not reach [`JobStatus::Ok`].
+        ///
+        /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
+        failed;
+        /// Every job counter summed over the fresh extractions. A hit's
+        /// counters describe the run that stored it, not work this daemon
+        /// did, so hits add nothing.
+        jobs: JobReport,
+        /// Per-phase `(count, total_us)` aggregates over fresh extractions.
+        phases_us: BTreeMap<String, (u64, u64)>,
+    }
 }
 
 impl ServiceStats {
@@ -128,8 +138,8 @@ impl ServiceStats {
             self.hits += 1;
         } else {
             self.misses += 1;
-            for (sum, (_, value)) in self.counters.iter_mut().zip(report.counters()) {
-                *sum += value;
+            for c in COUNTERS {
+                *c.field(&mut self.jobs) += c.get(report);
             }
             for (phase, us) in &report.phases_us {
                 let slot = self.phases_us.entry(phase.clone()).or_insert((0, 0));
@@ -375,55 +385,29 @@ fn stats_reply(daemon: &Extractor, core: &CoreStats) -> String {
         ),
     ]);
     let stats = daemon.stats.lock().expect("stats lock");
-    let phases: Vec<(String, String)> = stats
-        .phases_us
-        .iter()
-        .map(|(phase, (count, total_us))| {
-            (
-                phase.clone(),
-                json::object(&[
-                    ("count", count.to_string()),
-                    ("total_us", total_us.to_string()),
-                ]),
-            )
-        })
-        .collect();
-    let phase_members: Vec<(&str, String)> = phases
-        .iter()
-        .map(|(phase, obj)| (phase.as_str(), obj.clone()))
-        .collect();
-    let mut members = vec![
-        ("requests", core.requests.to_string()),
-        ("extracts", stats.extracts.to_string()),
-        ("hits", stats.hits.to_string()),
-        ("misses", stats.misses.to_string()),
-        ("rejected", core.rejected.to_string()),
-        ("deadline_exceeded", core.deadline_exceeded.to_string()),
-        (
-            "uptime_ms",
-            daemon.started.elapsed().as_millis().to_string(),
-        ),
-        ("cancelled", core.cancelled.to_string()),
-        ("backfills", stats.backfills.to_string()),
-        ("fetches", stats.fetches.to_string()),
-        ("errors", core.errors.to_string()),
-        ("failed", stats.failed.to_string()),
-    ];
-    members.extend(
-        COUNTERS
-            .iter()
-            .zip(&stats.counters)
-            .map(|(c, sum)| (c.name, sum.to_string())),
+    let mut phases = String::new();
+    let mut obj = json::ObjectWriter::new(&mut phases);
+    for (phase, (count, total_us)) in &stats.phases_us {
+        let aggregate = json::object(&[
+            ("count", count.to_string()),
+            ("total_us", total_us.to_string()),
+        ]);
+        obj.raw(phase, &aggregate);
+    }
+    obj.finish();
+    let mut members = String::new();
+    let mut obj = json::ObjectWriter::new(&mut members);
+    core.write_counters(&mut obj);
+    stats.write_counters(&mut obj);
+    stats.jobs.write_counters(&mut obj);
+    obj.raw(
+        "uptime_ms",
+        &daemon.started.elapsed().as_millis().to_string(),
     );
-    members.extend([
-        ("in_flight", core.in_flight.to_string()),
-        ("store", store_json),
-        ("phases_us", json::object(&phase_members)),
-    ]);
-    json::object(&[
-        ("status", json::string("ok")),
-        ("stats", json::object(&members)),
-    ])
+    obj.raw("store", &store_json);
+    obj.raw("phases_us", &phases);
+    obj.finish();
+    json::object(&[("status", json::string("ok")), ("stats", members)])
 }
 
 #[cfg(test)]
@@ -482,5 +466,28 @@ mod tests {
         let line =
             Request::encode_backfill(Some(&RequestId::Num(9)), &Key::new([0x5a; 20]), &entry);
         assert_golden("backfill_request.line", line.as_bytes());
+    }
+
+    /// The daemon's `stats` carry every core, daemon and job counter at
+    /// the top level, under the names their tables give them.
+    #[test]
+    fn stats_carry_every_table_counter() {
+        let dir = dexlego_store::TempDir::new("service-stats-names").unwrap();
+        let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
+        let mut client = crate::Client::connect(&daemon.addr().to_string()).expect("connect");
+        let stats = client.stats().expect("stats");
+        let names = CoreStats::COUNTERS
+            .iter()
+            .map(|c| c.name)
+            .chain(ServiceStats::COUNTERS.iter().map(|c| c.name))
+            .chain(COUNTERS.iter().map(|c| c.name));
+        for name in names {
+            assert!(
+                stats.get(name).and_then(json::Value::as_u64).is_some(),
+                "stats lack {name}: {stats:?}"
+            );
+        }
+        client.shutdown().expect("graceful shutdown");
+        daemon.wait();
     }
 }
