@@ -364,7 +364,9 @@ impl CollectionFiles {
     ///
     /// # Errors
     ///
-    /// Returns [`DexLegoError::Codec`] on truncated or malformed input.
+    /// Returns [`DexLegoError::Codec`] on truncated or malformed input,
+    /// trailing bytes included. A count the remaining bytes cannot hold is
+    /// refused before it sizes an allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<CollectionFiles> {
         let mut r = Reader { buf: bytes, pos: 0 };
         if r.take(5)? != b"DLCF\x01" {
@@ -374,15 +376,17 @@ impl CollectionFiles {
         for _ in 0..r.u32()? {
             let descriptor = r.str()?;
             let superclass = r.opt_str()?;
-            let n_ifaces = r.u32()?;
-            let mut interfaces = Vec::with_capacity(n_ifaces as usize);
+            // Each count that sizes an allocation is checked against the
+            // fewest bytes one item takes, so a hostile count is refused.
+            let n_ifaces = r.count(4)?;
+            let mut interfaces = Vec::with_capacity(n_ifaces);
             for _ in 0..n_ifaces {
                 interfaces.push(r.str()?);
             }
             let access = r.u32()?;
             let source = r.str()?;
-            let n_fields = r.u32()?;
-            let mut fields = Vec::with_capacity(n_fields as usize);
+            let n_fields = r.count(4 + 4 + 4 + 1 + 1)?;
+            let mut fields = Vec::with_capacity(n_fields);
             for _ in 0..n_fields {
                 let name = r.str()?;
                 let type_desc = r.str()?;
@@ -447,18 +451,18 @@ impl CollectionFiles {
             let registers = r.u32()? as u16;
             let ins = r.u32()? as u16;
             let return_type = r.str()?;
-            let n_params = r.u32()?;
-            let mut params = Vec::with_capacity(n_params as usize);
+            let n_params = r.count(4)?;
+            let mut params = Vec::with_capacity(n_params);
             for _ in 0..n_params {
                 params.push(r.str()?);
             }
-            let n_tries = r.u32()?;
-            let mut tries = Vec::with_capacity(n_tries as usize);
+            let n_tries = r.count(4 + 4 + 4 + 1)?;
+            let mut tries = Vec::with_capacity(n_tries);
             for _ in 0..n_tries {
                 let start = r.u32()?;
                 let count = r.u32()?;
-                let n_catches = r.u32()?;
-                let mut catches = Vec::with_capacity(n_catches as usize);
+                let n_catches = r.count(4 + 4)?;
+                let mut catches = Vec::with_capacity(n_catches);
                 for _ in 0..n_catches {
                     catches.push((r.str()?, r.u32()?));
                 }
@@ -521,8 +525,8 @@ impl CollectionFiles {
                 descriptor: r.str()?,
             };
             let dex_pc = r.u32()?;
-            let n = r.u32()?;
-            let mut targets = Vec::with_capacity(n as usize);
+            let n = r.count(3 * 4 + 1 + 4)?;
+            let mut targets = Vec::with_capacity(n);
             for _ in 0..n {
                 targets.push(ReflectionTarget {
                     key: MethodKey {
@@ -539,6 +543,9 @@ impl CollectionFiles {
                 dex_pc,
                 targets,
             });
+        }
+        if r.pos != bytes.len() {
+            return Err(DexLegoError::Codec("trailing bytes".into()));
         }
         Ok(files)
     }
@@ -625,6 +632,15 @@ impl Reader<'_> {
     fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("length checked")))
+    }
+    /// Reads a count of items that take at least `min_bytes` each,
+    /// refusing one the remaining bytes cannot hold.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_bytes {
+            return Err(DexLegoError::Codec(format!("{n} items cannot fit")));
+        }
+        Ok(n)
     }
     /// Reads a length-prefixed unit array into `out`, replacing its
     /// contents.

@@ -30,9 +30,6 @@
 //!   persistent `dexlego-store`, so identical extractions are served from
 //!   disk and a rerun of the same corpus is near-free
 //!   ([`cache::run_batch_cached`]).
-//! - **Persistent pool** ([`pool::JobPool`]): the long-lived,
-//!   bounded-admission variant of the batch pool that the server core of
-//!   `dexlegod` and the router dispatches request work onto.
 //!
 //! The generic layer ([`pool::parallel_map`]) is what `dexlego-bench` uses
 //! to execute every paper experiment with parallel execution and panic
@@ -73,6 +70,6 @@ pub use corpus::{all_packers, work_list, CorpusSpec};
 pub use job::{execute_job, execute_job_revealing, JobSpec, JobStatus, DEFAULT_FUEL};
 pub use pool::{
     default_workers, parallel_map, parallel_map_expect, resolve_workers, run_batch, run_batch_with,
-    HarnessConfig, Job, JobPool, WORKERS_ENV,
+    HarnessConfig, WORKERS_ENV,
 };
 pub use report::{Counters, JobReport, RunReport, COUNTERS};

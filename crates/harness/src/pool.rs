@@ -11,9 +11,6 @@
 //!   use: apply a function across a worker pool with per-item panic
 //!   capture.
 
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::job::{execute_job, JobSpec};
@@ -77,162 +74,12 @@ where
     }
 }
 
-/// A unit of work for a [`JobPool`]: it runs once, on a worker thread,
-/// and hands its result back by its own means.
-pub type Job = Box<dyn FnOnce() + Send>;
-
-/// A *persistent* worker pool with bounded admission — the service-facing
-/// sibling of [`run_batch`]. Where `run_batch` owns a finite work-list, a
-/// server takes work as it arrives and must never block its event loop on
-/// a backlog: [`JobPool::try_submit`] either enqueues the job or hands it
-/// straight back so the caller can keep it queued or shed it.
-///
-/// Dropping the pool (or calling [`JobPool::shutdown`]) closes admission
-/// and *drains*: queued and running jobs finish before the worker
-/// threads exit.
-pub struct JobPool {
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl JobPool {
-    /// A pool of `workers` threads admitting at most `queue_depth` queued
-    /// jobs beyond the ones running.
-    pub fn new(workers: usize, queue_depth: usize) -> JobPool {
-        let (tx, rx) = sync_channel::<Job>(queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the job.
-                    let next = rx.lock().expect("pool queue lock").recv();
-                    let Ok(job) = next else { break };
-                    job();
-                })
-            })
-            .collect();
-        JobPool {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    /// Enqueues `job` if the queue has room; `Err` hands it back unrun.
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let tx = self.tx.as_ref().expect("pool not shut down");
-        tx.try_send(job).map_err(|e| match e {
-            TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
-        })
-    }
-
-    /// Closes admission and blocks until every admitted job has completed
-    /// and the workers have exited.
-    pub fn shutdown(mut self) {
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        drop(self.tx.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for JobPool {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc::channel;
 
     #[test]
     fn default_config_is_sane() {
         assert!(HarnessConfig::default().workers >= 1);
-    }
-
-    /// A pool of one worker and a one-slot queue whose jobs block until
-    /// released, so occupancy is deterministic.
-    #[test]
-    fn job_pool_rejects_when_saturated_and_drains_on_shutdown() {
-        let (release_tx, release_rx) = channel::<()>();
-        let release_rx = Arc::new(Mutex::new(release_rx));
-        let done = Arc::new(AtomicUsize::new(0));
-        let blocking = || -> Job {
-            let release_rx = Arc::clone(&release_rx);
-            let done = Arc::clone(&done);
-            Box::new(move || {
-                release_rx
-                    .lock()
-                    .expect("release lock")
-                    .recv()
-                    .expect("released");
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        let pool = JobPool::new(1, 1);
-
-        assert!(pool.try_submit(blocking()).is_ok(), "first admitted");
-        // Wait until the worker has dequeued the first job (the queue is
-        // empty again), then fill the queue with the second.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while pool.try_submit(blocking()).is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "queue never accepted the second job"
-            );
-            std::thread::yield_now();
-        }
-        // Depending on dequeue timing the pool may briefly have capacity
-        // for one more; saturate until it refuses.
-        let mut admitted = 2;
-        while pool.try_submit(blocking()).is_ok() {
-            admitted += 1;
-            assert!(admitted <= 3, "queue depth 1 admitted too much");
-        }
-
-        // Release every admitted job and require the drain to finish them.
-        for _ in 0..admitted {
-            release_tx.send(()).unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), admitted);
-    }
-
-    #[test]
-    fn job_pool_notify_hook_delivers_from_the_worker() {
-        let pool = JobPool::new(1, 1);
-        let (tx, rx) = channel();
-        let caller = std::thread::current().id();
-        let admitted = pool.try_submit(Box::new(move || {
-            tx.send(std::thread::current().id() != caller).unwrap();
-        }));
-        assert!(admitted.is_ok(), "admitted");
-        assert!(rx.recv().unwrap(), "the job ran on a worker thread");
-        pool.shutdown();
-    }
-
-    #[test]
-    fn job_pool_runs_real_jobs() {
-        let pool = JobPool::new(2, 4);
-        let apps = dexlego_droidbench::appgen::corpus_apps(1, 60);
-        let (_, app) = &apps[0];
-        let spec = JobSpec::new("real", app.dex.clone(), &app.entry);
-        let (tx, rx) = channel();
-        let admitted = pool.try_submit(Box::new(move || {
-            tx.send(crate::job::execute_job_revealing(spec)).unwrap();
-        }));
-        assert!(admitted.is_ok(), "admitted");
-        let (report, dex) = rx.recv().unwrap();
-        assert!(report.status.is_ok(), "{:?}", report.status);
-        let bytes = dex.expect("successful job carries revealed DEX");
-        assert!(dexlego_dex::reader::read_dex(&bytes).is_ok());
-        pool.shutdown();
     }
 }

@@ -18,20 +18,19 @@
 //! front runs on `dexlegod`'s own server core
 //! ([`dexlego_service::core`]): one event loop with the daemon's framing,
 //! pending queues, shedding, backpressure and drain, handing each routed
-//! request to a bounded worker pool. Beside it run one repair thread and
-//! one reader thread per backend connection. Its `stats` reply sums the
-//! backends' and adds a `router` member: the routing counters of
-//! [`RouterStats`] and the front core's own request counters, each
-//! written by walking its counter table.
+//! request to one of the core's routing workers once one is free; it
+//! serves `extract` and `stats` and refuses the store ops. Beside it run
+//! one repair thread and one reader thread per backend connection. Its
+//! `stats` reply sums the backends' and adds a `router` member: the
+//! routing counters of [`RouterStats`] and the front core's own request
+//! counters, each written by walking its counter table.
 
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod batch;
 pub mod ring;
 pub mod router;
 
 pub use backend::{Backend, Event, Waiter};
-pub use batch::run_batch_routed;
 pub use ring::Ring;
 pub use router::{Router, RouterConfig, RouterStats};

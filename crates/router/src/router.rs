@@ -20,11 +20,14 @@
 //!
 //! The front side is `dexlegod`'s own [server core](dexlego_service::core)
 //! — framing, ids, deadlines, pending queues, shedding, backpressure and
-//! drain — with a handler whose `extract`, `fetch`, `backfill` and
-//! `stats` run as closures on the core's pool, so
-//! [`dexlego_service::Client`] and [`dexlego_service::PipelinedClient`]
-//! work against a router without knowing it is one. Backend replies are
-//! relayed as received, with only their `id` swapped.
+//! drain — with a handler that serves `extract` and `stats`: an extract
+//! whose request does not describe a job is refused on the loop, and
+//! every other extract and every `stats` runs as a closure on one of the
+//! core's routing workers, so [`dexlego_service::Client`] and
+//! [`dexlego_service::PipelinedClient`] work against a router without
+//! knowing it is one. A router keeps no store of its own, so it refuses
+//! `fetch` and `backfill`. Backend replies are relayed as received, with
+//! only their `id` swapped.
 //!
 //! A `stats` reply sums the backends' replies and adds a `router` member
 //! that walks two counter tables ([`Counters`]): the routing counters of
@@ -33,19 +36,18 @@
 
 use std::collections::HashSet;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dexlego_harness::json::{self, Value};
-use dexlego_harness::{counters, job_key, Counters, JobPool};
+use dexlego_harness::{counters, job_key, Counters, JobSpec};
 use dexlego_service::core::{Action, CoreStats, Handler, Limits, Server};
 use dexlego_service::protocol::error_reply;
 use dexlego_service::{ExtractRequest, Reply};
-use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::hex::from_hex;
-use dexlego_store::{CachedResult, Key};
+use dexlego_store::Key;
 
 use crate::backend::{Backend, Event, Waiter};
 use crate::ring::Ring;
@@ -73,9 +75,8 @@ pub struct RouterConfig {
     /// Latency budget before a hedge fires at the next replica,
     /// milliseconds.
     pub hedge_ms: u64,
-    /// Routing worker threads: requests routed concurrently. The pool
-    /// queues as many again before the front's per-connection queues take
-    /// over.
+    /// Routing worker threads: requests routed at once. The rest wait in
+    /// the front's per-connection queues.
     pub workers: usize,
 }
 
@@ -139,7 +140,6 @@ struct Ctx {
     backends: Vec<Arc<Backend>>,
     stats: Mutex<RouterStats>,
     started: Instant,
-    seq: AtomicU64,
     repair_tx: Mutex<Option<mpsc::Sender<RepairJob>>>,
     /// `(target, key)` pairs already repaired/replicated, so hedged hits
     /// do not re-offer the same entry every read. Bounded: cleared
@@ -170,42 +170,34 @@ impl Ctx {
     }
 }
 
-/// The router's front [`Handler`]: every op it owns is routed on the
-/// core's pool.
+/// The router's front [`Handler`]: on the loop it parses each extract's
+/// job, refusing one that describes none, and it routes the parsed jobs
+/// and `stats` on the core's workers. `fetch` and `backfill` keep the
+/// core's refusal: nothing sends them to a router.
 struct Front {
     ctx: Arc<Ctx>,
 }
 
-impl Front {
-    fn defer(
-        &self,
-        deadline_ms: Option<u64>,
-        route: impl FnOnce(&Ctx) -> String + Send + 'static,
-    ) -> Action {
-        let ctx = Arc::clone(&self.ctx);
-        Action::Defer {
-            deadline_ms,
-            work: Box::new(move || route(&ctx)),
-        }
-    }
-}
-
 impl Handler for Front {
     fn extract(&mut self, req: Box<ExtractRequest>) -> Action {
-        self.defer(req.deadline_ms, move |ctx| route_extract(ctx, &req))
-    }
-
-    fn fetch(&mut self, key: Key) -> Action {
-        self.defer(None, move |ctx| route_fetch(ctx, &key))
-    }
-
-    fn backfill(&mut self, key: Key, entry: Box<CachedResult>) -> Action {
-        self.defer(None, move |ctx| route_backfill(ctx, key, &entry))
+        // The spec only yields the placement key, which ignores the name.
+        let spec = match req.to_spec("routed") {
+            Ok(spec) => spec,
+            Err(reason) => return Action::Error(reason),
+        };
+        let ctx = Arc::clone(&self.ctx);
+        Action::Defer {
+            deadline_ms: req.deadline_ms,
+            work: Box::new(move || route_extract(&ctx, &req, &spec)),
+        }
     }
 
     fn stats(&mut self, core: &CoreStats) -> Action {
-        let front = *core;
-        self.defer(None, move |ctx| stats_reply(ctx, &front))
+        let (ctx, front) = (Arc::clone(&self.ctx), *core);
+        Action::Defer {
+            deadline_ms: None,
+            work: Box::new(move || stats_reply(&ctx, &front)),
+        }
     }
 }
 
@@ -219,7 +211,7 @@ pub struct Router {
 
 impl Router {
     /// Binds the front socket, starts the front's event loop, routing
-    /// pool and repair thread, and returns the handle. Backends are
+    /// workers and repair thread, and returns the handle. Backends are
     /// dialled lazily on first use, so a fleet can be wired up in any
     /// order.
     ///
@@ -245,14 +237,13 @@ impl Router {
             .collect();
 
         let (repair_tx, repair_rx) = mpsc::channel::<RepairJob>();
-        let workers = config.workers.max(1);
+        let workers = config.workers;
         let listen = config.listen.clone();
         let ctx = Arc::new(Ctx {
             ring,
             backends,
             stats: Mutex::new(RouterStats::default()),
             started: Instant::now(),
-            seq: AtomicU64::new(0),
             repair_tx: Mutex::new(Some(repair_tx)),
             repaired: Mutex::new(HashSet::new()),
             config,
@@ -261,7 +252,7 @@ impl Router {
         let server = Server::start(
             "dexlego-router-loop",
             &listen,
-            JobPool::new(workers, workers),
+            workers,
             Limits::default(),
             Front {
                 ctx: Arc::clone(&ctx),
@@ -311,19 +302,14 @@ impl Router {
     }
 }
 
-/// Routes one extract through the fleet and returns the front reply
-/// body (id-less; the caller frames it).
+/// Routes one extract, whose job `req` describes as `spec`, through the
+/// fleet and returns the front reply body (id-less; the caller frames
+/// it).
 #[allow(clippy::too_many_lines)]
-fn route_extract(ctx: &Ctx, req: &ExtractRequest) -> String {
-    let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
-    let fallback = format!("req{seq:06}");
-    let spec = match req.to_spec(&fallback) {
-        Ok(spec) => spec,
-        Err(reason) => return error_reply(&reason),
-    };
+fn route_extract(ctx: &Ctx, req: &ExtractRequest, spec: &JobSpec) -> String {
     // The client-side key computation: identical input digest to the
     // backend's own, so router placement and backend storage agree.
-    let key = job_key(&spec);
+    let key = job_key(spec);
     let pos = key.map_or_else(|| Ring::data_position(&req.dex), |k| Ring::key_position(&k));
     let candidates = ctx.ring.candidates(pos);
     let r = ctx.config.replicas.clamp(1, candidates.len());
@@ -544,74 +530,6 @@ fn fetch_entry(ctx: &Ctx, source: usize, key: &Key) -> Option<Vec<u8>> {
             .and_then(from_hex),
         _ => None, // timed out, transport lost, or the entry is gone
     }
-}
-
-/// Routes a front-side fetch: ask the key's replicas in placement
-/// order, return the first entry found (with the same shape a backend
-/// answers), `found: false` if no replica has it.
-fn route_fetch(ctx: &Ctx, key: &Key) -> String {
-    let candidates = ctx.ring.candidates(Ring::key_position(key));
-    let r = ctx.config.replicas.clamp(1, candidates.len());
-    for &b in &candidates[..r] {
-        if let Some(entry) = fetch_entry(ctx, b, key) {
-            let mut reply = String::with_capacity(entry.len() * 2 + 64);
-            let mut obj = json::ObjectWriter::new(&mut reply);
-            obj.string("status", "ok");
-            obj.raw("found", "true");
-            obj.hex("entry", &entry);
-            obj.finish();
-            return reply;
-        }
-    }
-    json::object(&[
-        ("status", json::string("ok")),
-        ("found", "false".to_owned()),
-    ])
-}
-
-/// Routes a front-side backfill to the key's replica set and reports
-/// whether any replica newly stored it.
-fn route_backfill(ctx: &Ctx, key: Key, entry: &CachedResult) -> String {
-    let payload = encode_entry(entry);
-    let pos = Ring::key_position(&key);
-    let candidates = ctx.ring.candidates(pos);
-    let r = ctx.config.replicas.clamp(1, candidates.len());
-    let waiter = Waiter::new();
-    let mut expected = 0usize;
-    for &b in &candidates[..r] {
-        if ctx.backends[b]
-            .send_backfill(&key, &payload, Some(&waiter))
-            .is_some()
-        {
-            expected += 1;
-        }
-    }
-    if expected == 0 {
-        ctx.stats.lock().expect("stats lock").fleet_errors += 1;
-        return error_reply("no backend available");
-    }
-    let deadline = Instant::now() + Duration::from_millis(REQUEST_TIMEOUT_MS);
-    let mut stored = false;
-    let mut heard = 0usize;
-    while heard < expected {
-        let events = waiter.wait_until(deadline);
-        if events.is_empty() {
-            break;
-        }
-        for event in events {
-            heard += 1;
-            if let Event::Reply(_, Reply::Ok(value), _) = event {
-                stored |= value
-                    .get("stored")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false);
-            }
-        }
-    }
-    json::object(&[
-        ("status", json::string("ok")),
-        ("stored", stored.to_string()),
-    ])
 }
 
 /// Numeric-summing recursive merge for backend stats objects.

@@ -1,7 +1,6 @@
 //! The router against a live fleet: fills replicate, a killed shard
-//! degrades to failover instead of client-visible errors, hedged
-//! requests beat a slow primary, and the routed batch runner produces
-//! local-harness-shaped reports.
+//! degrades to failover instead of client-visible errors, the front
+//! counts what it refuses, and hedged requests beat a slow primary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,13 +9,13 @@ use std::time::{Duration, Instant};
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_harness::{job_key, Counters, HarnessConfig, JobReport, JobSpec};
-use dexlego_router::{run_batch_routed, Ring, Router, RouterConfig, RouterStats};
+use dexlego_harness::{job_key, Counters, JobReport, JobSpec};
+use dexlego_router::{Ring, Router, RouterConfig, RouterStats};
 use dexlego_service::core::CoreStats;
 use dexlego_service::{
-    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, ServiceConfig,
+    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, Request, ServiceConfig,
 };
-use dexlego_store::{Store, StoreConfig, TempDir};
+use dexlego_store::{Key, Store, StoreConfig, TempDir};
 
 fn corpus_requests(count: usize) -> Vec<ExtractRequest> {
     corpus_apps(count, 40)
@@ -136,17 +135,26 @@ fn killed_shard_degrades_to_failover_not_errors() {
     }
 }
 
-/// The router counts its own front: a line the front refuses shows up in
-/// the `router` member, which carries every routing and front counter by
-/// name, while the backend, which never saw the line, counts no error.
+/// The router counts its own front: the lines the front refuses (a
+/// malformed line, an extract whose `dex` is no DEX, and a `fetch`, which
+/// a router keeps no store to serve) show up in the `router` member,
+/// which carries every routing and front counter by name, while the
+/// backend, which never saw them, counts no error.
 #[test]
 fn router_counts_the_lines_its_front_refuses() {
     let (_dirs, daemons, addrs) = start_fleet(1);
     let router = Router::start(RouterConfig::new(addrs)).expect("router starts");
     let mut client = Client::connect(&router.addr().to_string()).expect("connect front");
-    client.send_line("{\"op\": ").expect("send malformed line");
-    let reply = client.recv().expect("reply");
-    assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
+    let not_a_dex = ExtractRequest::new(b"not a dex".to_vec(), "LMain;->main()V");
+    for line in [
+        "{\"op\": ".to_owned(),
+        not_a_dex.encode(),
+        Request::encode_fetch(None, &Key::new([7; 20])),
+    ] {
+        client.send_line(&line).expect("send a refused line");
+        let reply = client.recv().expect("reply");
+        assert!(matches!(reply, Reply::Error(_)), "{line}: {reply:?}");
+    }
 
     let stats = client.stats().expect("stats");
     let member = stats.get("router").expect("router counters");
@@ -158,8 +166,11 @@ fn router_counts_the_lines_its_front_refuses() {
         );
     }
     let front = CoreStats::read_counters(member);
-    assert_eq!(front.errors, 1, "{member:?}");
-    assert_eq!(front.requests, 2, "the refused line and this stats request");
+    assert_eq!(front.errors, 3, "{member:?}");
+    assert_eq!(
+        front.requests, 4,
+        "the refused lines and this stats request"
+    );
     assert_eq!(stats.get("errors").and_then(Value::as_u64), Some(0));
 
     client.shutdown().expect("front shutdown");
@@ -242,56 +253,6 @@ fn hedged_request_beats_a_slow_primary() {
     );
 
     client.shutdown().expect("front shutdown");
-    router.wait();
-    for daemon in daemons {
-        daemon.trigger_shutdown();
-        daemon.wait();
-    }
-}
-
-/// The routed batch runner: a local-harness-shaped [`RunReport`] out of
-/// a fleet, with the second run served from the fleet's caches.
-#[test]
-fn routed_batch_runs_against_the_fleet() {
-    let (_dirs, daemons, addrs) = start_fleet(2);
-    let mut config = RouterConfig::new(addrs);
-    config.hedge_ms = 5_000;
-    let router = Router::start(config).expect("router starts");
-    let front = router.addr().to_string();
-
-    let jobs: Vec<JobSpec> = corpus_apps(4, 40)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, app))| JobSpec::new(&format!("batch{i}"), app.dex.clone(), &app.entry))
-        .collect();
-
-    let harness = HarnessConfig::with_workers(2);
-    let cold = run_batch_routed(&front, jobs.clone(), &harness);
-    assert!(cold.ok(), "cold routed batch succeeds: {:?}", cold.jobs);
-    assert_eq!(cold.cache_hits(), 0);
-
-    let warm = run_batch_routed(&front, jobs, &harness);
-    assert!(warm.ok(), "warm routed batch succeeds");
-    assert_eq!(warm.cache_hits(), 4, "second run is all fleet cache hits");
-
-    // Wire-inexpressible jobs fail their report instead of running
-    // wrong remotely.
-    let mut tampered = corpus_apps(1, 40)
-        .into_iter()
-        .map(|(_, app)| JobSpec::new("tampered", app.dex, &app.entry))
-        .next()
-        .unwrap();
-    tampered.tampers = vec![dexlego_droidbench::TamperSpec {
-        native_class: "LTamper;".to_owned(),
-        native_name: "patch".to_owned(),
-        target: ("LTamper;".to_owned(), "run".to_owned(), "()V".to_owned()),
-        patches: Vec::new(),
-    }];
-    let report = run_batch_routed(&front, vec![tampered], &harness);
-    assert!(!report.ok(), "tampered jobs are refused, not mis-run");
-
-    let mut front_client = Client::connect(&front).expect("connect");
-    front_client.shutdown().expect("shutdown");
     router.wait();
     for daemon in daemons {
         daemon.trigger_shutdown();

@@ -1,17 +1,18 @@
 //! The DexLego extraction daemon.
 //!
 //! ```text
-//! dexlegod [--addr HOST:PORT] [--workers N] [--queue N]
-//!          [--store DIR] [--budget BYTES] [--max-pending N]
+//! dexlegod [--addr HOST:PORT] [--workers N] [--store DIR]
+//!          [--budget BYTES] [--max-pending N]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port), prints
 //! `dexlegod: listening on <addr>` on stdout, and serves the pipelined
 //! newline-delimited JSON protocol until a `shutdown` request drains it.
 //! Worker count falls back to `DEXLEGO_WORKERS`, then to the CPU count.
-//! Connections are multiplexed on one `poll(2)` event loop; `--max-pending`
-//! caps the undispatched requests a single connection may pipeline before
-//! the newest are shed `overloaded`.
+//! Connections are multiplexed on one `poll(2)` event loop; a request no
+//! worker is free for waits in its connection's queue, and `--max-pending`
+//! caps how many a single connection may hold before the newest are shed
+//! `overloaded`.
 //! Exits 0 after a graceful shutdown.
 
 use std::process::ExitCode;
@@ -23,7 +24,6 @@ use dexlego_store::StoreConfig;
 fn parse_args() -> Result<ServiceConfig, String> {
     let mut addr = "127.0.0.1:0".to_owned();
     let mut workers: Option<usize> = None;
-    let mut queue_depth = 16usize;
     let mut store_root = std::env::temp_dir().join("dexlegod-store");
     let mut budget: Option<u64> = None;
     let mut max_pending: Option<usize> = None;
@@ -42,11 +42,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
                         .parse()
                         .map_err(|_| "--workers expects a number".to_owned())?,
                 );
-            }
-            "--queue" => {
-                queue_depth = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue expects a number".to_owned())?;
             }
             "--store" => store_root = value("--store")?.into(),
             "--max-pending" => {
@@ -74,7 +69,6 @@ fn parse_args() -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig::new(store.root.clone());
     config.addr = addr;
     config.workers = pool::resolve_workers(workers);
-    config.queue_depth = queue_depth;
     config.store = store;
     if let Some(bound) = max_pending {
         config.max_pending_per_conn = bound;

@@ -10,7 +10,7 @@
 //! connection, pings the daemon, submits the same extraction twice, and
 //! asserts the second reply is a cache hit with a byte-identical revealed
 //! DEX; then checks the stats endpoint saw at least one hit and counted
-//! the refused `[` line as an error (under `router` behind a router). With
+//! both hostile lines as errors (under `router` behind a router). With
 //! `--shutdown`, asks the daemon to drain and exit afterwards. Exits 0 on
 //! success, 1 on any failed assertion.
 
@@ -154,16 +154,16 @@ fn run(args: &Args) -> Result<(), String> {
     if hits < 1 {
         return Err(format!("stats report no cache hits: {hits}"));
     }
-    // The front refused the 100,000-'[' line itself: a router counts it
+    // The front refused both hostile lines itself: a router counts them
     // in its `router` member, a daemon at the top level.
     let (name, counted) = match stats.get("router") {
         Some(front) => ("router.errors", front),
         None => ("errors", &stats),
     };
     let errors = counted.get("errors").and_then(Value::as_u64).unwrap_or(0);
-    if errors < 1 {
+    if errors < 2 {
         return Err(format!(
-            "stats do not count the refused line: {name} = {errors}"
+            "stats do not count both refused lines: {name} = {errors}"
         ));
     }
     eprintln!("dexlegod-smoke: stats ok (hits = {hits}, {name} = {errors})");

@@ -1,11 +1,11 @@
 //! The server core `dexlegod` and the router both run on: one event-loop
-//! thread multiplexing every client connection, over one persistent
-//! bounded [`JobPool`] for work that must not block the loop.
+//! thread multiplexing every client connection, over a fixed set of
+//! worker threads the core owns for work that must not block the loop.
 //!
 //! The core owns the wire and the load discipline; a [`Handler`] owns
 //! what requests mean. The core answers `ping`, `cancel` and `shutdown`
 //! itself and hands every other request to the handler, which either
-//! answers on the loop or returns [`Work`] for the pool, whose result is
+//! answers on the loop or returns [`Work`] for a worker, whose result is
 //! the finished reply body.
 //!
 //! Concurrency shape:
@@ -14,9 +14,10 @@
 //!   nonblocking sockets behind a `poll(2)` [`Poller`](crate::poll),
 //!   per-connection read framers that survive partial reads and write
 //!   buffers that survive short writes;
-//! - **the pool** runs deferred work; workers hand finished replies back
-//!   through a completion queue plus a wake pipe, so the loop never
-//!   blocks on a job;
+//! - **the workers** run deferred work, one request each; they hand
+//!   finished replies back through a completion queue plus a wake pipe,
+//!   so the loop never blocks on a job, and the loop hands a worker a
+//!   request only when one is free;
 //! - **pipelining**: requests carrying an `id` get their replies as soon
 //!   as they are ready, in any order; id-less requests keep the strictly
 //!   ordered one-reply-per-request contract via per-connection sequence
@@ -24,23 +25,27 @@
 //!
 //! Load discipline:
 //!
-//! - **per-client fairness** — deferred requests wait in a per-connection
-//!   queue; a round-robin scheduler feeds the pool one request per
-//!   connection per turn, so one firehose client cannot starve the rest;
-//! - **bounded queues everywhere** — a connection may hold at most
-//!   [`Limits::max_pending_per_conn`] undispatched requests; beyond that
-//!   the newest are shed with `overloaded` (with the bound at 0 a request
-//!   is shed as soon as the pool itself is saturated);
+//! - **one wait queue** — a deferred request waits in its connection's
+//!   pending queue and nowhere else; a round-robin scheduler hands a free
+//!   worker one request per connection per turn, so one firehose client
+//!   cannot starve the rest;
+//! - **bounded queues** — a connection may hold at most
+//!   [`Limits::max_pending_per_conn`] requests waiting for a worker;
+//!   beyond that the newest are shed with `overloaded` (with the bound at
+//!   0 a request that finds every worker busy is shed at once);
 //! - **deadline shedding** — a request whose deadline passes before it
 //!   reaches a worker is answered `deadline_exceeded` without occupying
 //!   one;
+//! - **cancellation** — a `cancel` revokes a tagged request of the same
+//!   connection that no worker has started;
 //! - **write backpressure** — a client that stops reading accumulates
 //!   replies up to a soft cap, after which the core stops reading (and
 //!   therefore stops accepting work) from that connection until it
 //!   drains;
 //! - **drain** — `shutdown` stops reading everywhere and closes the
 //!   listener; every request already read still gets its reply, and
-//!   [`Server::wait`] returns once every reply is flushed.
+//!   [`Server::wait`] returns once every reply is flushed and every
+//!   worker has exited.
 //!
 //! The core counts what it sees in [`CoreStats`], a counter table
 //! ([`dexlego_harness::Counters`]), and hands a copy to the handler's
@@ -53,11 +58,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dexlego_harness::{counters, json, Job, JobPool};
+use dexlego_harness::{counters, json};
 use dexlego_store::{CachedResult, Key};
 
 use crate::framing::Framer;
@@ -79,8 +85,8 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_secs(5);
 /// Per-connection bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Undispatched requests one connection may queue; arrivals beyond
-    /// it are shed with `overloaded`.
+    /// Requests one connection may hold waiting for a worker; arrivals
+    /// beyond it are shed with `overloaded`.
     pub max_pending_per_conn: usize,
     /// Request-line byte cap; longer lines get an `error` reply and are
     /// discarded without being buffered.
@@ -100,7 +106,7 @@ impl Default for Limits {
     }
 }
 
-/// Work a handler defers to the pool: it runs on a worker thread and
+/// Work a handler defers to a worker: it runs on a worker thread and
 /// returns the reply body.
 pub type Work = Box<dyn FnOnce() -> String + Send>;
 
@@ -110,8 +116,9 @@ pub enum Action {
     Reply(String),
     /// A bad request: answered `error` with this reason and counted.
     Error(String),
-    /// Queued on its connection, then run on the pool. A request still
-    /// queued `deadline_ms` after it was read is shed instead.
+    /// Queued on its connection until a worker is free, then run on it.
+    /// A request still queued `deadline_ms` after it was read is shed
+    /// instead.
     Defer {
         /// The request's own deadline, if it carried one.
         deadline_ms: Option<u64>,
@@ -136,7 +143,8 @@ counters! {
         deadline_exceeded,
         /// Pending tagged requests revoked by a `cancel` op before dispatch.
         cancelled,
-        /// Deferred requests on the pool whose replies are not yet queued.
+        /// Deferred requests on a worker whose replies are not yet queued;
+        /// never more than the core's worker count.
         in_flight,
     }
 }
@@ -147,10 +155,16 @@ counters! {
 pub trait Handler: Send + 'static {
     /// An `extract` request.
     fn extract(&mut self, req: Box<ExtractRequest>) -> Action;
-    /// A `fetch` of the stored entry under `key`.
-    fn fetch(&mut self, key: Key) -> Action;
-    /// A `backfill` offering `entry` for `key`.
-    fn backfill(&mut self, key: Key, entry: Box<CachedResult>) -> Action;
+    /// A `fetch` of the stored entry under `key`. A server without a
+    /// store refuses it.
+    fn fetch(&mut self, _key: Key) -> Action {
+        Action::Error("fetch is not served here".to_owned())
+    }
+    /// A `backfill` offering `entry` for `key`. A server without a store
+    /// refuses it.
+    fn backfill(&mut self, _key: Key, _entry: CachedResult) -> Action {
+        Action::Error("backfill is not served here".to_owned())
+    }
     /// A `stats` request; `core` holds the core's own counters.
     fn stats(&mut self, core: &CoreStats) -> Action;
 }
@@ -159,10 +173,17 @@ pub trait Handler: Send + 'static {
 /// client's id and go out the moment they are ready; ordered replies fill
 /// a per-connection sequence slot and go out strictly in request order
 /// (the id-less compatibility contract).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ReplySlot {
     Tagged(RequestId),
     Ordered(u64),
+}
+
+/// A deferred request on its way to a worker.
+struct Task {
+    token: usize,
+    slot: ReplySlot,
+    work: Work,
 }
 
 /// A finished deferred reply on its way back to the loop.
@@ -172,10 +193,10 @@ struct Completion {
     body: String,
 }
 
-/// What the loop shares with the pool and the [`Server`] handle: the
+/// What the loop shares with the workers and the [`Server`] handle: the
 /// completion queue, the wake pipe and the shutdown flag. Deliberately
-/// not the handler or the connections, so a queued job never keeps them
-/// alive.
+/// not the handler or the connections, so a running task never keeps
+/// them alive.
 struct Shared {
     completions: Mutex<Vec<Completion>>,
     wake_tx: UnixStream,
@@ -209,15 +230,15 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` and serves `handler` on a loop thread named `name`,
-    /// deferring work onto `pool`.
+    /// running deferred work on `workers` worker threads (at least one).
     ///
     /// # Errors
     ///
-    /// Bind or wake-pipe failures.
+    /// Bind, wake-pipe or thread-spawn failures.
     pub fn start(
         name: &str,
         addr: &str,
-        pool: JobPool,
+        workers: usize,
         limits: Limits,
         handler: impl Handler,
     ) -> io::Result<Server> {
@@ -232,6 +253,16 @@ impl Server {
             wake_tx,
             shutting_down: AtomicBool::new(false),
         });
+        let (tasks, task_rx) = mpsc::channel();
+        let task_rx = Arc::new(Mutex::new(task_rx));
+        let workers = (0..workers.max(1))
+            .map(|_| {
+                let (task_rx, shared) = (Arc::clone(&task_rx), Arc::clone(&shared));
+                thread::Builder::new()
+                    .name(format!("{name}-worker"))
+                    .spawn(move || run_tasks(&task_rx, &shared))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         let mut poller = Poller::new();
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ);
@@ -241,7 +272,8 @@ impl Server {
             listener: Some(listener),
             wake_rx,
             poller,
-            pool,
+            tasks,
+            workers,
             shared: Arc::clone(&shared),
             conns: HashMap::new(),
             rr: VecDeque::new(),
@@ -272,8 +304,8 @@ impl Server {
     }
 
     /// Joins the loop, which exits only after a triggered shutdown has
-    /// run every admitted request and flushed every reply; the pool's
-    /// workers are joined on the way out.
+    /// run every admitted request and flushed every reply; the loop joins
+    /// the workers on the way out.
     pub fn wait(mut self) {
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
@@ -285,11 +317,10 @@ const TOKEN_LISTENER: usize = 0;
 const TOKEN_WAKE: usize = 1;
 const TOKEN_FIRST_CONN: usize = 2;
 
-/// One deferred request waiting for pool capacity. `job` already carries
-/// its reply's way home.
+/// One deferred request waiting for a free worker.
 struct PendingJob {
     slot: ReplySlot,
-    job: Job,
+    work: Work,
     received: Instant,
     deadline: Option<Instant>,
 }
@@ -302,9 +333,9 @@ struct Conn {
     /// the short writes have gotten.
     out: Vec<u8>,
     out_pos: usize,
-    /// Deferred requests awaiting dispatch, FIFO.
+    /// Deferred requests awaiting a worker, FIFO.
     pending: VecDeque<PendingJob>,
-    /// Requests from this connection currently on the pool.
+    /// Requests from this connection currently on a worker.
     dispatched: usize,
     /// Next sequence number to assign to an id-less request.
     ordered_next_assign: u64,
@@ -370,14 +401,17 @@ struct EventLoop<H> {
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
     poller: Poller,
-    pool: JobPool,
+    /// Where dispatched requests go; the workers take them one at a time,
+    /// so it never holds more than `workers.len()`.
+    tasks: Sender<Task>,
+    workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     conns: HashMap<usize, Conn>,
     /// Round-robin dispatch order over connections with pending requests.
     rr: VecDeque<usize>,
     next_token: usize,
-    /// `in_flight` counts jobs on the pool across all connections (dead
-    /// ones included, until their completions drain).
+    /// `in_flight` counts requests on a worker across all connections
+    /// (dead ones included, until their completions drain).
     stats: CoreStats,
     /// When the shutdown drain began.
     drain_started: Option<Instant>,
@@ -412,6 +446,12 @@ impl<H: Handler> EventLoop<H> {
                     token => self.conn_ready(token, *ev),
                 }
             }
+        }
+        // Closing the task queue lets each worker exit once its current
+        // task is done.
+        drop(self.tasks);
+        for worker in self.workers {
+            let _ = worker.join();
         }
     }
 
@@ -472,10 +512,13 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Feeds the pool round-robin, one pending request per connection per
-    /// turn, until the pool refuses.
+    /// Hands pending requests to free workers round-robin, one per
+    /// connection per turn, while a worker is free.
     fn dispatch(&mut self) {
-        while let Some(token) = self.rr.pop_front() {
+        while self.stats.in_flight < self.workers.len() as u64 {
+            let Some(token) = self.rr.pop_front() else {
+                break;
+            };
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
@@ -483,39 +526,19 @@ impl<H: Handler> EventLoop<H> {
             if conn.dead {
                 continue;
             }
-            let Some(PendingJob {
-                slot,
-                job,
-                received,
-                deadline,
-            }) = conn.pending.pop_front()
-            else {
+            let Some(PendingJob { slot, work, .. }) = conn.pending.pop_front() else {
                 continue;
             };
-            match self.pool.try_submit(job) {
-                Ok(()) => {
-                    conn.dispatched += 1;
-                    self.stats.in_flight += 1;
-                    if !conn.pending.is_empty() {
-                        conn.in_rr = true;
-                        self.rr.push_back(token);
-                    }
-                }
-                Err(job) => {
-                    // Pool saturated: put the job back at the head and this
-                    // connection back at the front so order is preserved,
-                    // then stop until a completion frees a slot.
-                    conn.pending.push_front(PendingJob {
-                        slot,
-                        job,
-                        received,
-                        deadline,
-                    });
-                    conn.in_rr = true;
-                    self.rr.push_front(token);
-                    break;
-                }
+            conn.dispatched += 1;
+            self.stats.in_flight += 1;
+            if !conn.pending.is_empty() {
+                conn.in_rr = true;
+                self.rr.push_back(token);
             }
+            // The send fails only once every worker has panicked out of
+            // its loop; the request then never completes, like the ones
+            // they were running.
+            let _ = self.tasks.send(Task { token, slot, work });
         }
     }
 
@@ -748,7 +771,7 @@ impl<H: Handler> EventLoop<H> {
                 }
                 Ok(Request::Stats) => self.handler.stats(&self.stats),
                 Ok(Request::Fetch(key)) => self.handler.fetch(key),
-                Ok(Request::Backfill { key, entry }) => self.handler.backfill(key, entry),
+                Ok(Request::Backfill { key, entry }) => self.handler.backfill(key, *entry),
                 Ok(Request::Extract(req)) => self.handler.extract(req),
             };
             self.act(token, slot, action);
@@ -766,18 +789,9 @@ impl<H: Handler> EventLoop<H> {
             }
             Action::Defer { deadline_ms, work } => {
                 let received = Instant::now();
-                let shared = Arc::clone(&self.shared);
-                let home = slot.clone();
                 conn.pending.push_back(PendingJob {
                     slot,
-                    job: Box::new(move || {
-                        let body = work();
-                        shared.push(Completion {
-                            token,
-                            slot: home,
-                            body,
-                        });
-                    }),
+                    work,
                     received,
                     deadline: deadline_ms.map(|ms| received + Duration::from_millis(ms)),
                 });
@@ -787,6 +801,20 @@ impl<H: Handler> EventLoop<H> {
                 }
             }
         }
+    }
+}
+
+/// A worker's life: run tasks until the loop closes the queue, handing
+/// each reply back through `shared`.
+fn run_tasks(tasks: &Mutex<Receiver<Task>>, shared: &Shared) {
+    loop {
+        // Hold the lock only for the dequeue, not the work.
+        let next = tasks.lock().expect("task queue lock").recv();
+        let Ok(Task { token, slot, work }) = next else {
+            break;
+        };
+        let body = work();
+        shared.push(Completion { token, slot, body });
     }
 }
 
@@ -830,5 +858,60 @@ fn drain_wake_pipe(wake_rx: &UnixStream) {
         if n < buf.len() {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// Defers every `stats` to a worker, whose reply names its thread and
+    /// says whether it is the loop's.
+    struct WhereItRuns;
+
+    impl Handler for WhereItRuns {
+        fn extract(&mut self, _req: Box<ExtractRequest>) -> Action {
+            Action::Error("no extracts here".to_owned())
+        }
+
+        fn stats(&mut self, _core: &CoreStats) -> Action {
+            let event_loop = thread::current().id();
+            Action::Defer {
+                deadline_ms: None,
+                work: Box::new(move || {
+                    let worker = thread::current();
+                    let stats = json::object(&[
+                        ("thread", json::string(worker.name().unwrap_or_default())),
+                        ("off_loop", (worker.id() != event_loop).to_string()),
+                    ]);
+                    json::object(&[("status", json::string("ok")), ("stats", stats)])
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_work_runs_on_a_worker_off_the_loop() {
+        let server = Server::start(
+            "core-test",
+            "127.0.0.1:0",
+            1,
+            Limits::default(),
+            WhereItRuns,
+        )
+        .expect("server starts");
+        let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        let stats = client.stats().expect("deferred reply");
+        assert_eq!(
+            stats.get("off_loop").and_then(json::Value::as_bool),
+            Some(true)
+        );
+        assert_eq!(
+            stats.get("thread").and_then(json::Value::as_str),
+            Some("core-test-worker")
+        );
+        client.shutdown().expect("shutdown");
+        server.wait();
     }
 }

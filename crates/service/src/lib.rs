@@ -14,13 +14,15 @@
 //! - [`core`] — the server core: a single-threaded readiness-based event
 //!   loop ([`poll`], over `poll(2)`) multiplexing every connection,
 //!   speaking pipelined newline-delimited JSON ([`protocol`], framed by
-//!   [`framing`]) with optional request ids and deadlines, deferring work
-//!   round-robin onto a bounded [`JobPool`] and shedding load with
-//!   structured `overloaded` / `deadline_exceeded` replies instead of
-//!   queueing unboundedly, with graceful drain on shutdown. The router in
-//!   `dexlego-router` runs its front on the same core.
+//!   [`framing`]) with optional request ids and deadlines, handing
+//!   deferred work round-robin to the worker threads it owns, one request
+//!   per free worker, while the rest wait in one bounded queue per
+//!   connection; it sheds load with structured `overloaded` /
+//!   `deadline_exceeded` replies instead of queueing unboundedly, and
+//!   drains gracefully on shutdown. The router in `dexlego-router` runs
+//!   its front on the same core.
 //! - [`server`] — the daemon itself: the core plus a handler that serves
-//!   cache hits on the loop and runs misses on the pool.
+//!   cache hits on the loop and runs misses on the workers.
 //! - results are content-addressed into the persistent `dexlego-store`:
 //!   a repeated request is served from disk, byte-identical to the fresh
 //!   extraction, and a corrupted entry is quarantined and transparently
@@ -30,8 +32,6 @@
 //!   that keeps many tagged requests in flight, used by the `dexlegod`
 //!   binaries, the latency-distribution load harness in `dexlego-bench`,
 //!   and the integration tests.
-//!
-//! [`JobPool`]: dexlego_harness::JobPool
 
 pub mod client;
 pub mod core;

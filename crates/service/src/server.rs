@@ -1,6 +1,6 @@
 //! The `dexlegod` daemon: the [`core`](crate::core) server with a
 //! handler that answers extractions from the content-addressed result
-//! [`Store`] and runs the misses on the core's pool.
+//! [`Store`] and runs the misses on the core's workers.
 //!
 //! Everything cheap stays on the loop thread: cache hits (served inline,
 //! so they bypass the pending queues and are never shed by admission
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use dexlego_harness::cache::from_cached;
 use dexlego_harness::json;
 use dexlego_harness::{
-    counters, execute_job_cached, job_key, Counters, JobPool, JobReport, JobSpec, COUNTERS,
+    counters, execute_job_cached, job_key, Counters, JobReport, JobSpec, COUNTERS,
 };
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{CachedResult, Key, Store, StoreConfig, StoreStats};
@@ -48,15 +48,14 @@ pub type PoolExecutor = Arc<dyn Fn(JobSpec) -> (JobReport, Option<Vec<u8>>) + Se
 pub struct ServiceConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Extraction worker threads.
+    /// Extraction worker threads: misses extracted at once. The rest wait
+    /// in their connections' pending queues.
     pub workers: usize,
-    /// Pool admission queue depth (jobs queued beyond the ones executing).
-    pub queue_depth: usize,
     /// Result store configuration.
     pub store: StoreConfig,
-    /// Undispatched extract requests a single connection may queue in the
-    /// event loop; arrivals beyond it are shed with `overloaded`. 0 means
-    /// requests are shed as soon as the pool itself is saturated.
+    /// Extract requests a single connection may hold waiting for a
+    /// worker; arrivals beyond it are shed with `overloaded`. 0 means a
+    /// request that finds every worker busy is shed at once.
     pub max_pending_per_conn: usize,
     /// Request-line byte cap; longer lines get an `error` reply and are
     /// discarded without being buffered.
@@ -88,7 +87,6 @@ impl ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
-            queue_depth: 8,
             store: StoreConfig::new(store_root),
             max_pending_per_conn: MAX_PENDING_PER_CONN,
             max_line_bytes: MAX_LINE_BYTES,
@@ -202,8 +200,13 @@ impl Daemon {
             stall_phase: Duration::from_millis(config.stall_phase_ms),
             next_stall: None,
         };
-        let pool = JobPool::new(config.workers, config.queue_depth);
-        let server = Server::start("dexlegod-loop", &config.addr, pool, limits, handler)?;
+        let server = Server::start(
+            "dexlegod-loop",
+            &config.addr,
+            config.workers,
+            limits,
+            handler,
+        )?;
         Ok(Daemon { server })
     }
 
@@ -220,14 +223,14 @@ impl Daemon {
 
     /// Joins the event loop (which exits only after a triggered shutdown
     /// has drained every admitted job and flushed every reply) and the
-    /// worker pool.
+    /// workers.
     pub fn wait(self) {
         self.server.wait();
     }
 }
 
 /// The daemon's [`Handler`]: store lookups on the loop, pipeline runs on
-/// the pool.
+/// the workers.
 struct Extractor {
     store: Arc<Store>,
     exec: PoolExecutor,
@@ -328,7 +331,7 @@ impl Handler for Extractor {
         Action::Reply(reply)
     }
 
-    fn backfill(&mut self, key: Key, entry: Box<CachedResult>) -> Action {
+    fn backfill(&mut self, key: Key, entry: CachedResult) -> Action {
         let stored = self.store.put_if_absent(&key, &entry).unwrap_or(false);
         if stored {
             self.stats.lock().expect("stats lock").backfills += 1;

@@ -130,9 +130,9 @@ fn tagged_requests_reply_out_of_order() {
     daemon.wait();
 }
 
-/// A request whose deadline passes while it waits for pool capacity is
-/// shed with `deadline_exceeded` — and the reply overtakes the jobs that
-/// are still hogging the pool.
+/// A request whose deadline passes while it waits for a worker is shed
+/// with `deadline_exceeded` — and the reply overtakes the jobs that are
+/// still holding or waiting for the worker.
 #[test]
 fn deadlines_shed_requests_that_cannot_start_in_time() {
     let dir = TempDir::new("service-deadline").unwrap();
@@ -145,12 +145,11 @@ fn deadlines_shed_requests_that_cannot_start_in_time() {
     });
     let mut config = ServiceConfig::new(dir.path());
     config.workers = 1;
-    config.queue_depth = 1;
     let daemon = Daemon::start_with_executor(config, store, exec).expect("daemon starts");
 
     let mut client = PipelinedClient::connect(&daemon.addr().to_string()).expect("connect");
-    // A and B fill the pool (1 running + 1 queued); C can only wait, and
-    // its 80ms deadline expires long before anything is released.
+    // A holds the only worker and B waits behind it; C waits too, and its
+    // 80ms deadline expires long before anything is released.
     let a = client.send_extract(&sample_request("a")).expect("send a");
     let b = client.send_extract(&sample_request("b")).expect("send b");
     let mut hopeless = sample_request("c");
@@ -174,6 +173,60 @@ fn deadlines_shed_requests_that_cannot_start_in_time() {
     assert!(matches!(done1, ExtractReply::Done { .. }));
     assert!(matches!(done2, ExtractReply::Done { .. }));
 
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+}
+
+/// With the only worker held, a request whose deadline passes while it
+/// waits right behind it is answered `deadline_exceeded`: a deferred
+/// request waits in its connection's queue, where deadlines are kept, and
+/// nowhere else. A timer thread frees the worker, so a request that is
+/// never shed fails this test instead of hanging it.
+#[test]
+fn a_deadline_reaches_a_request_waiting_for_the_only_worker() {
+    let dir = TempDir::new("service-deadline-one").unwrap();
+    let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+        if spec.name == "held" {
+            started_tx.lock().unwrap().send(()).expect("started signal");
+            release_rx.lock().unwrap().recv().expect("release signal");
+        }
+        (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
+    });
+    let mut config = ServiceConfig::new(dir.path());
+    config.workers = 1;
+    let daemon = Daemon::start_with_executor(config, store, exec).expect("daemon starts");
+
+    let mut client = PipelinedClient::connect(&daemon.addr().to_string()).expect("connect");
+    let held = client
+        .send_extract(&sample_request("held"))
+        .expect("send held");
+    client.flush().expect("flush held");
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker took the held request");
+    let mut late = sample_request("late");
+    late.deadline_ms = Some(80);
+    let late = client.send_extract(&late).expect("send late");
+    let timer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(500));
+        release_tx.send(()).expect("release held");
+    });
+
+    let (id, reply) = client.recv_extract().expect("first reply");
+    assert_eq!(id, late, "the waiting request answers first: {reply:?}");
+    let ExtractReply::DeadlineExceeded { waited_ms } = reply else {
+        panic!("expected deadline_exceeded, got {reply:?}");
+    };
+    assert!(waited_ms >= 80, "waited at least the deadline: {waited_ms}");
+    let (id, reply) = client.recv_extract().expect("held reply");
+    assert_eq!(id, held);
+    assert!(matches!(reply, ExtractReply::Done { .. }), "{reply:?}");
+
+    timer.join().expect("timer thread");
     client.shutdown().expect("shutdown");
     daemon.wait();
 }

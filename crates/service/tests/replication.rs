@@ -4,7 +4,8 @@
 //! pipeline), and `cancel` revokes a pending tagged request before it
 //! reaches a worker.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use dexlego_dex::writer::write_dex;
@@ -107,7 +108,7 @@ fn fetch_and_backfill_replicate_a_result() {
     daemon_b.wait();
 }
 
-/// Cancelling a tagged request that is still queued behind a busy pool
+/// Cancelling a tagged request that is still queued behind a busy worker
 /// removes it: the canceller gets `cancelled: true`, the victim's reply
 /// never materialises, and later requests proceed normally.
 #[test]
@@ -156,4 +157,59 @@ fn cancel_revokes_a_pending_request() {
 
     client.shutdown().expect("shutdown");
     daemon.wait();
+}
+
+/// A `cancel` reaches a tagged request that was read and is waiting for
+/// the only worker, which another request holds: the canceller gets
+/// `cancelled: true` and the executor never runs the victim. The victim is
+/// read before the cancel is sent (a ping after it is answered first), so
+/// the cancel finds it where it waits, not still unread beside it.
+#[test]
+fn cancel_reaches_a_request_waiting_for_the_only_worker() {
+    let dir = TempDir::new("repl-cancel-one").unwrap();
+    let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&runs);
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        if spec.name == "held" {
+            started_tx.lock().unwrap().send(()).expect("started signal");
+            release_rx.lock().unwrap().recv().expect("release signal");
+        }
+        (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
+    });
+    let mut config = ServiceConfig::new(dir.path());
+    config.workers = 1;
+    let daemon = Daemon::start_with_executor(config, store, exec).expect("daemon starts");
+
+    let mut client = PipelinedClient::connect(&daemon.addr().to_string()).expect("connect");
+    let held = client.send_extract(&sample_request("held")).expect("held");
+    client.flush().expect("flush held");
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker took the held request");
+    let victim = client
+        .send_extract(&sample_request("victim"))
+        .expect("victim");
+    let ping = client.send_op("ping").expect("ping");
+    let (id, reply) = client.recv_any().expect("ping reply");
+    assert_eq!(id, Some(RequestId::Num(ping)));
+    ok_value(reply);
+
+    let cancel = client.send_cancel(victim).expect("cancel");
+    let (id, reply) = client.recv_any().expect("cancel reply");
+    assert_eq!(id, Some(RequestId::Num(cancel)));
+    let cancelled = ok_value(reply).get("cancelled").and_then(Value::as_bool);
+    release_tx.send(()).expect("release held");
+    assert_eq!(cancelled, Some(true), "the waiting victim is revoked");
+
+    let (id, reply) = client.recv_any().expect("held reply");
+    assert_eq!(id, Some(RequestId::Num(held)));
+    ok_value(reply);
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the victim never ran");
 }

@@ -1,11 +1,11 @@
 //! End-to-end tests of the `dexlegod` daemon over a real TCP socket:
 //! the ISSUE acceptance path (identical requests byte-identical, second
 //! served from cache, corrupted entry transparently re-extracted),
-//! overload shedding under a saturated pool, and graceful shutdown.
+//! overload shedding while every worker is busy, and graceful shutdown.
 
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
@@ -119,7 +119,7 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
 
     // Every job announces itself, then blocks until the test releases it,
-    // keeping the queue full deterministically.
+    // keeping the only worker busy deterministically.
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let started_tx = std::sync::Mutex::new(started_tx);
@@ -132,9 +132,8 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
 
     let mut config = ServiceConfig::new(dir.path());
     config.workers = 1;
-    config.queue_depth = 1;
-    // No event-loop-side queueing: a request that cannot enter the pool
-    // immediately is shed, reproducing strict admission-control shedding.
+    // No request may wait: one that finds the worker busy is shed at
+    // once, reproducing strict admission-control shedding.
     config.max_pending_per_conn = 0;
     let daemon = Daemon::start_with_executor(config, store, exec).expect("daemon starts");
     let addr = daemon.addr().to_string();
@@ -150,42 +149,26 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
         .recv_timeout(Duration::from_secs(30))
         .expect("worker started job A");
 
-    // Job B: admitted into the depth-1 queue. Wait until the pool counts
-    // both before probing — in_flight is incremented at admission.
+    // Job B: the worker is busy and nothing may wait, so the daemon must
+    // shed it immediately with a structured reply instead of blocking.
     let mut client_b = Client::connect(&addr).expect("connect B");
-    client_b.send_line(&line).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = control.stats().expect("stats");
-        if stat_u64(&stats, "in_flight") >= 2 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job B was never admitted");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // Job C: the queue is full, so the daemon must shed it immediately
-    // with a structured reply instead of blocking.
-    let mut client_c = Client::connect(&addr).expect("connect C");
-    match client_c.extract(&req).expect("reply for C") {
+    match client_b.extract(&req).expect("reply for B") {
         ExtractReply::Overloaded => {}
         other => panic!("expected overloaded, got {other:?}"),
     }
+    let stats = control.stats().expect("stats");
+    assert_eq!(stat_u64(&stats, "in_flight"), 1, "only A ever runs");
 
-    // Release A and B; both pending clients get their results — nothing
-    // admitted is lost.
+    // Release A; its client gets its result — nothing admitted is lost.
     release_tx.send(()).unwrap();
-    release_tx.send(()).unwrap();
-    for client in [&mut client_a, &mut client_b] {
-        match client.recv().expect("drained reply") {
-            dexlego_service::Reply::Ok(_) => {}
-            other => panic!("unexpected drained reply: {other:?}"),
-        }
+    match client_a.recv().expect("drained reply") {
+        dexlego_service::Reply::Ok(_) => {}
+        other => panic!("unexpected drained reply: {other:?}"),
     }
 
     let stats = control.stats().expect("final stats");
     assert_eq!(stat_u64(&stats, "rejected"), 1, "rejections are counted");
-    assert_eq!(stat_u64(&stats, "in_flight"), 0, "pool drained");
+    assert_eq!(stat_u64(&stats, "in_flight"), 0, "worker drained");
 
     control.shutdown().expect("graceful shutdown");
     daemon.wait();

@@ -24,6 +24,8 @@ pub struct CachedResult {
     pub phases_us: Vec<(String, u64)>,
 }
 
+use std::ops::Range;
+
 const PAYLOAD_TAG: &[u8; 4] = b"RES6";
 
 /// The fewest bytes a name/value pair takes: an empty name's length
@@ -116,21 +118,45 @@ pub fn encode(r: &CachedResult) -> Vec<u8> {
 /// past the end, bad UTF-8, trailing bytes) is an error; the store treats
 /// a decode error like a checksum mismatch and quarantines the entry.
 pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
+    let (dex, counters, phases_us) = parse(data)?;
+    Ok(CachedResult {
+        dex_bytes: data[dex].to_vec(),
+        counters,
+        phases_us,
+    })
+}
+
+/// [`decode`] of the payload that fills `blob` from offset `at`. The DEX
+/// keeps `blob`'s buffer, so a store read allocates it once.
+pub(crate) fn decode_at(mut blob: Vec<u8>, at: usize) -> Result<CachedResult, String> {
+    let (dex, counters, phases_us) = parse(&blob[at..])?;
+    blob.truncate(at + dex.end);
+    blob.drain(..at + dex.start);
+    Ok(CachedResult {
+        dex_bytes: blob,
+        counters,
+        phases_us,
+    })
+}
+
+/// The parts of a payload: where its DEX lies, its counters and its
+/// phase timings.
+type Parts = (Range<usize>, Vec<(String, u64)>, Vec<(String, u64)>);
+
+fn parse(data: &[u8]) -> Result<Parts, String> {
     let mut c = Cursor { data, pos: 0 };
     if c.take(4)? != PAYLOAD_TAG {
         return Err("unknown payload format tag".to_owned());
     }
-    let dex_bytes = c.bytes()?.to_vec();
+    let len = c.u32()? as usize;
+    let start = c.pos;
+    c.take(len)?;
     let counters = c.pairs()?;
     let phases_us = c.pairs()?;
     if c.pos != data.len() {
         return Err(format!("{} trailing bytes in payload", data.len() - c.pos));
     }
-    Ok(CachedResult {
-        dex_bytes,
-        counters,
-        phases_us,
-    })
+    Ok((start..start + len, counters, phases_us))
 }
 
 #[cfg(test)]

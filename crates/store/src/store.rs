@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use dexlego_dex::checksum::sha1;
 
-use crate::entry::{decode, encode, CachedResult};
+use crate::entry::{decode_at, encode, CachedResult};
 use crate::hex::{from_hex, to_hex};
 
 /// A content-addressed store key: the SHA-1 input digest produced by
@@ -434,5 +434,5 @@ fn read_verified(path: &Path) -> Result<CachedResult, String> {
     if sha1(payload) != *stored_digest {
         return Err("checksum mismatch".to_owned());
     }
-    decode(payload)
+    decode_at(blob, 36)
 }
