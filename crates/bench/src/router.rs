@@ -126,12 +126,9 @@ fn start_fleet(
     (dirs, daemons, addrs)
 }
 
-fn front(addrs: Vec<String>, hedge_ms: u64, workers: usize) -> Router {
+fn front(addrs: Vec<String>, hedge_ms: u64) -> Router {
     let mut config = RouterConfig::new(addrs);
     config.hedge_ms = hedge_ms;
-    // The router must not be the concurrency bottleneck: size its pool
-    // to the offered load so the measurement sees the backends.
-    config.workers = workers;
     Router::start(config).expect("router starts")
 }
 
@@ -158,11 +155,10 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     let requests = build_requests(load);
 
     // --- the fleet: N backends, one hedged and one unhedged router ---
-    let in_flight = load.conns * load.window;
     let stall = (config.stall_period_ms, config.stall_ms);
     let (_dirs, daemons, addrs) = start_fleet(config.backends, load.workers, stall);
-    let hedged = front(addrs.clone(), config.hedge_ms, in_flight);
-    let unhedged = front(addrs, NO_HEDGE_MS, in_flight);
+    let hedged = front(addrs.clone(), config.hedge_ms);
+    let unhedged = front(addrs, NO_HEDGE_MS);
     let hedged_addr = hedged.addr().to_string();
     let unhedged_addr = unhedged.addr().to_string();
 
@@ -208,7 +204,7 @@ pub fn run_fleet(config: FleetConfig) -> FleetBench {
     // answers what sharding + hedging buy at this offered load with
     // the per-backend deployment held fixed.
     let (_single_dir, single_daemons, single_addrs) = start_fleet(1, load.workers, stall);
-    let single = front(single_addrs, NO_HEDGE_MS, in_flight);
+    let single = front(single_addrs, NO_HEDGE_MS);
     let single_addr = single.addr().to_string();
     let fill = run_pass(&single_addr, &requests, load.window, Duration::ZERO);
     assert_eq!(fill.protocol_errors, 0, "single-backend fill errored");

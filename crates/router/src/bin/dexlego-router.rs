@@ -3,69 +3,42 @@
 //! ```text
 //! dexlego-router --backend HOST:PORT [--backend HOST:PORT ...]
 //!                [--addr HOST:PORT] [--replicas N] [--hedge-ms N]
-//!                [--vnodes N] [--seed N] [--workers N]
+//!                [--vnodes N] [--seed N]
 //! ```
 //!
 //! Binds the front socket (port 0 picks an ephemeral port), prints
 //! `dexlego-router: listening on <addr>` on stdout, and serves the
 //! `dexlegod` wire dialect until a front `shutdown` request drains it.
 //! Backends are dialled lazily, so the fleet may come up in any order.
-//! Exits 0 after a graceful shutdown.
+//! The router is one thread; it has no worker pool to size. Exits 0
+//! after a graceful shutdown.
 
 use std::process::ExitCode;
 
 use dexlego_router::{Router, RouterConfig};
 
 fn parse_args() -> Result<RouterConfig, String> {
-    let mut listen = "127.0.0.1:0".to_owned();
-    let mut backends: Vec<String> = Vec::new();
-    let mut replicas: Option<usize> = None;
-    let mut hedge_ms: Option<u64> = None;
-    let mut vnodes: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut workers: Option<usize> = None;
-
     fn parse_num<T: std::str::FromStr>(name: &str, raw: String) -> Result<T, String> {
         raw.parse().map_err(|_| format!("{name} expects a number"))
     }
 
+    let mut config = RouterConfig::new(Vec::new());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let raw = args.next();
+        let value = || raw.ok_or_else(|| format!("{arg} requires a value"));
         match arg.as_str() {
-            "--addr" => listen = value("--addr")?,
-            "--backend" => backends.push(value("--backend")?),
-            "--replicas" => replicas = Some(parse_num("--replicas", value("--replicas")?)?),
-            "--hedge-ms" => hedge_ms = Some(parse_num("--hedge-ms", value("--hedge-ms")?)?),
-            "--vnodes" => vnodes = Some(parse_num("--vnodes", value("--vnodes")?)?),
-            "--seed" => seed = Some(parse_num("--seed", value("--seed")?)?),
-            "--workers" => workers = Some(parse_num("--workers", value("--workers")?)?),
+            "--addr" => config.listen = value()?,
+            "--backend" => config.backends.push(value()?),
+            "--replicas" => config.replicas = parse_num::<usize>(&arg, value()?)?.max(1),
+            "--hedge-ms" => config.hedge_ms = parse_num(&arg, value()?)?,
+            "--vnodes" => config.vnodes = parse_num::<usize>(&arg, value()?)?.max(1),
+            "--seed" => config.seed = parse_num(&arg, value()?)?,
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if backends.is_empty() {
+    if config.backends.is_empty() {
         return Err("at least one --backend is required".to_owned());
-    }
-
-    let mut config = RouterConfig::new(backends);
-    config.listen = listen;
-    if let Some(r) = replicas {
-        config.replicas = r.max(1);
-    }
-    if let Some(ms) = hedge_ms {
-        config.hedge_ms = ms;
-    }
-    if let Some(v) = vnodes {
-        config.vnodes = v.max(1);
-    }
-    if let Some(s) = seed {
-        config.seed = s;
-    }
-    if let Some(w) = workers {
-        config.workers = w.max(1);
     }
     Ok(config)
 }

@@ -14,23 +14,24 @@
 //! client-visible errors.
 //!
 //! Both faces speak the `dexlegod` newline-JSON dialect, so existing
-//! clients, the load harness, and the bench drive a fleet unchanged. The
-//! front runs on `dexlegod`'s own server core
-//! ([`dexlego_service::core`]): one event loop with the daemon's framing,
-//! pending queues, shedding, backpressure and drain, handing each routed
-//! request to one of the core's routing workers once one is free; it
-//! serves `extract` and `stats` and refuses the store ops. Beside it run
-//! one repair thread and one reader thread per backend connection. Its
-//! `stats` reply sums the backends' and adds a `router` member: the
-//! routing counters of [`RouterStats`] and the front core's own request
-//! counters, each written by walking its counter table.
+//! clients, the load harness, and the bench drive a fleet unchanged. A
+//! router is one thread: `dexlegod`'s own server core
+//! ([`dexlego_service::core`]), started with no worker threads, runs the front
+//! with the daemon's framing, pending bound, backpressure and drain, and
+//! routes on its loop, with the backends as the core's upstream
+//! connections and each routed request a parked reply. It serves
+//! `extract` and `stats` and refuses the store ops. Its `stats` reply
+//! sums the backends' and adds a `router` member, the routing counters
+//! of [`RouterStats`] and the front core's own request counters, and a
+//! `fleet` member with each backend's health and send counters, each
+//! written by walking its counter table.
 
 #![warn(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod ring;
 pub mod router;
 
-pub use backend::{Backend, Event, Waiter};
+pub use backend::BackendStats;
 pub use ring::Ring;
 pub use router::{Router, RouterConfig, RouterStats};

@@ -7,54 +7,55 @@
 //! hedge budget elapses unanswered it fires another copy at the next
 //! untried replica — first answer wins, losers are cancelled — so a
 //! request escapes even when a hedge target is itself stuck. A fresh
-//! extraction is
-//! replicated to the rest of the replica set; a cache hit served by a
-//! non-primary replica triggers a read-repair backfill of the primary.
-//! Replication payloads travel on the background repair thread (an
-//! explicit `fetch` from the backend that served the result, then
-//! `backfill` offers to the targets), so hot-path replies never carry
-//! entry bytes. Backends that keep failing are
-//! ejected for a growing probation window, and a dead shard degrades
-//! to cache misses on its neighbours — a client sees an error only
-//! when the whole fleet is unreachable.
+//! extraction is replicated to the rest of the replica set; a cache hit
+//! served by a non-primary replica triggers a read-repair backfill of
+//! the primary. Replication pulls the entry with an explicit `fetch`
+//! from the backend that served the result, then offers it to the
+//! targets with `backfill`, so hot-path replies never carry entry bytes.
+//! Backends that keep failing are ejected for a growing probation
+//! window, and a dead shard degrades to cache misses on its neighbours —
+//! a client sees an error only when the whole fleet is unreachable.
 //!
-//! The front side is `dexlegod`'s own [server core](dexlego_service::core)
-//! — framing, ids, deadlines, pending queues, shedding, backpressure and
-//! drain — with a handler that serves `extract` and `stats`: an extract
-//! whose request does not describe a job is refused on the loop, and
-//! every other extract and every `stats` runs as a closure on one of the
-//! core's routing workers, so [`dexlego_service::Client`] and
+//! The router is one thread: `dexlegod`'s own [server
+//! core](dexlego_service::core), with no worker threads, runs a [`Handler`]
+//! that routes on the loop. Its backends are the core's upstream
+//! connections and every routed request is a parked reply, so the
+//! core's framing, ids, pending bound, backpressure and drain hold for
+//! the router as for the daemon, and [`dexlego_service::Client`] and
 //! [`dexlego_service::PipelinedClient`] work against a router without
-//! knowing it is one. A router keeps no store of its own, so it refuses
-//! `fetch` and `backfill`. Backend replies are relayed as received, with
-//! only their `id` swapped.
+//! knowing it is one. Each request is encoded once, and every send
+//! splices in its own backend id and goes to the backend's socket at
+//! once. Replies, lost connections, the hedge ladder, the request
+//! budget, replication and the `stats` fan-out are events on that one
+//! thread. A router keeps no store of its own, so it refuses `fetch`
+//! and `backfill`. Backend replies are relayed as received, with only
+//! their `id` swapped.
 //!
 //! A `stats` reply sums the backends' replies and adds a `router` member
 //! that walks two counter tables ([`Counters`]): the routing counters of
 //! [`RouterStats`], then the front core's [`CoreStats`], which count the
 //! lines the front refuses or sheds before any backend sees them.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dexlego_harness::json::{self, Value};
-use dexlego_harness::{counters, job_key, Counters, JobSpec};
-use dexlego_service::core::{Action, CoreStats, Handler, Limits, Server};
-use dexlego_service::protocol::error_reply;
-use dexlego_service::{ExtractRequest, Reply};
+use dexlego_harness::{counters, job_key, Counters};
+use dexlego_service::core::{Action, CoreStats, Handler, Io, Limits, Parked, Peer, Server};
+use dexlego_service::protocol::{error_reply, reply_body};
+use dexlego_service::{parse_reply_line, ExtractRequest, Reply, Request, RequestId};
 use dexlego_store::hex::from_hex;
 use dexlego_store::Key;
 
-use crate::backend::{Backend, Event, Waiter};
+use crate::backend::Backend;
 use crate::ring::Ring;
 
-/// Hard per-request fleet budget, milliseconds: bounds requests that
-/// carry no deadline of their own, and each fetch or backfill round trip.
-const REQUEST_TIMEOUT_MS: u64 = 30_000;
+/// The router's own budget for a routed request, and for each `fetch`
+/// round trip. A request's `deadline_ms` is the backend's to enforce.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a `stats` fan-out waits for the backends' replies.
+const STATS_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -75,9 +76,6 @@ pub struct RouterConfig {
     /// Latency budget before a hedge fires at the next replica,
     /// milliseconds.
     pub hedge_ms: u64,
-    /// Routing worker threads: requests routed at once. The rest wait in
-    /// the front's per-connection queues.
-    pub workers: usize,
 }
 
 impl RouterConfig {
@@ -91,7 +89,6 @@ impl RouterConfig {
             seed: 0x6465_786c_6567_6f00, // "dexlego\0"
             replicas: 2,
             hedge_ms: 30,
-            workers: 8,
         }
     }
 }
@@ -124,80 +121,455 @@ counters! {
     }
 }
 
-/// A replication or read-repair job for the repair thread: pull the
-/// entry for `key` from `source` (which just served it) and offer it to
-/// each of `targets`. Extract replies stay thin — the payload transfer
-/// happens here, off the request hot path.
-struct RepairJob {
-    source: usize,
-    targets: Vec<usize>,
-    key: Key,
+/// What the router is waiting on backends for.
+enum Task {
+    Route(Route),
+    /// Replication or read-repair: the entry for the key is being fetched
+    /// from the backend that served it, to be offered to each target,
+    /// until the deadline.
+    Pull(Key, Vec<usize>, Instant),
+    Stats(Fanout),
 }
 
-struct Ctx {
-    config: RouterConfig,
-    ring: Ring,
-    backends: Vec<Arc<Backend>>,
-    stats: Mutex<RouterStats>,
+/// One routed extract.
+struct Route {
+    parked: Parked,
+    /// The client's request, encoded once without an id; each send
+    /// splices in its own.
+    line: String,
+    key: Option<Key>,
+    /// The ring's walk from the key: the first `replicas` are its
+    /// replica set, the whole walk the hedge and failover order.
+    candidates: Vec<usize>,
+    replicas: usize,
+    /// The next candidate to try.
+    cursor: usize,
+    /// `(backend, id on the backend)` of every copy still unanswered.
+    outstanding: Vec<(usize, u64)>,
+    /// The backend the first copy went to.
+    first: usize,
+    /// A backend's shed or error reply, relayed if no replica does better.
+    fallback: Option<String>,
     started: Instant,
-    repair_tx: Mutex<Option<mpsc::Sender<RepairJob>>>,
+    last_send: Instant,
+}
+
+/// A front `stats` request gathering the backends' counters.
+struct Fanout {
+    parked: Parked,
+    /// The front core's counters when the request arrived.
+    front: CoreStats,
+    /// Backends whose reply is still to come.
+    awaiting: usize,
+    merged: Option<Value>,
+    max_uptime: u64,
+    deadline: Instant,
+}
+
+/// The router's front [`Handler`]: it routes every extract and fans out
+/// every `stats` on the loop, refusing an extract whose request describes
+/// no job. `fetch` and `backfill` keep the core's refusal: nothing sends
+/// them to a router.
+struct Front {
+    ring: Ring,
+    replicas: usize,
+    hedge: Duration,
+    backends: Vec<Backend>,
+    stats: RouterStats,
+    started: Instant,
     /// `(target, key)` pairs already repaired/replicated, so hedged hits
     /// do not re-offer the same entry every read. Bounded: cleared
     /// wholesale when full (a re-repair is a harmless `put_if_absent`).
-    repaired: Mutex<HashSet<(usize, Key)>>,
+    repaired: HashSet<(usize, Key)>,
+    tasks: HashMap<u64, Task>,
+    next_task: u64,
 }
 
-impl Ctx {
-    fn schedule_pull(&self, source: usize, targets: Vec<usize>, key: Key) {
-        let tx = self.repair_tx.lock().expect("repair lock").clone();
-        if let Some(tx) = tx {
-            let _ = tx.send(RepairJob {
-                source,
-                targets,
-                key,
-            });
-        }
+impl Front {
+    fn task_id(&mut self) -> u64 {
+        self.next_task += 1;
+        self.next_task
     }
 
     /// Records that `key` is being offered to `target`; returns false if
     /// that offer already happened (and should be skipped).
-    fn first_offer(&self, target: usize, key: Key) -> bool {
-        let mut repaired = self.repaired.lock().expect("repaired lock");
-        if repaired.len() >= 65_536 {
-            repaired.clear();
+    fn first_offer(&mut self, target: usize, key: Key) -> bool {
+        if self.repaired.len() >= 65_536 {
+            self.repaired.clear();
         }
-        repaired.insert((target, key))
+        self.repaired.insert((target, key))
+    }
+
+    /// Task `id` hears from backend `b`: the reply, parsed and as it is
+    /// relayed, or `None` when the connection lost the request.
+    fn hear(&mut self, io: &mut Io, id: u64, b: usize, heard: Option<(Reply, String)>) {
+        match self.tasks.remove(&id) {
+            Some(Task::Route(route)) => self.hear_route(io, id, route, b, heard),
+            Some(Task::Pull(key, targets, _)) => self.hear_pull(io, key, targets, heard),
+            Some(Task::Stats(fanout)) => self.hear_stats(io, id, fanout, heard),
+            None => {}
+        }
+    }
+
+    fn hear_route(
+        &mut self,
+        io: &mut Io,
+        id: u64,
+        mut route: Route,
+        b: usize,
+        heard: Option<(Reply, String)>,
+    ) {
+        route.outstanding.retain(|&(x, _)| x != b);
+        match heard {
+            Some((Reply::Ok(value), body)) => {
+                self.settle(io, &route, b);
+                let cached = value
+                    .get("cached")
+                    .and_then(Value::as_bool)
+                    .unwrap_or(false);
+                self.replicate(io, &route, b, cached);
+                io.answer(route.parked, body);
+                return;
+            }
+            // A definitive job outcome: retrying on a replica would just
+            // fail the same way.
+            Some((Reply::Failed { .. }, body)) => {
+                self.settle(io, &route, b);
+                io.answer(route.parked, body);
+                return;
+            }
+            // This backend shed or garbled the request; remember its
+            // answer but try further replicas before giving it to the
+            // client.
+            Some((_, body)) => route.fallback = Some(body),
+            None => {}
+        }
+        // Everything in flight died or shed: fail over down the ring.
+        if route.outstanding.is_empty() {
+            if send_next(&mut self.backends, io, id, &mut route) {
+                self.stats.failovers += 1;
+            } else {
+                let body = route.fallback.unwrap_or_else(|| {
+                    self.stats.fleet_errors += 1;
+                    error_reply("all backends unavailable")
+                });
+                io.answer(route.parked, body);
+                return;
+            }
+        }
+        self.tasks.insert(id, Task::Route(route));
+    }
+
+    /// A winner's bookkeeping: the hedge win, if it was one, and the
+    /// losers revoked.
+    fn settle(&mut self, io: &mut Io, route: &Route, winner: usize) {
+        if winner != route.first {
+            self.stats.hedge_wins += 1;
+        }
+        for &(b, sent) in &route.outstanding {
+            self.backends[b].cancel(io, sent);
+            self.stats.cancels += 1;
+        }
+    }
+
+    /// Schedules replication of a fresh fill, or read-repair of a hit a
+    /// non-primary served: a `fetch` of the entry from `winner`, whose
+    /// reply is then offered to the targets.
+    fn replicate(&mut self, io: &mut Io, route: &Route, winner: usize, cached: bool) {
+        let Some(key) = route.key else {
+            return;
+        };
+        // A hit a replica served that the primary did not repairs the
+        // primary, so the next read finds it in one hop; a fresh fill goes
+        // to the rest of the replica set. Each (target, key) is offered
+        // once: hedged hits would otherwise re-repair the same key on
+        // every read.
+        let targets = if cached {
+            &route.candidates[..1]
+        } else {
+            &route.candidates[..route.replicas]
+        };
+        let targets: Vec<usize> = targets
+            .iter()
+            .copied()
+            .filter(|&b| b != winner && self.first_offer(b, key))
+            .collect();
+        if targets.is_empty() {
+            return;
+        }
+        if cached {
+            self.stats.read_repairs += 1;
+        } else {
+            self.stats.replica_fills += targets.len() as u64;
+        }
+        let id = self.task_id();
+        let fetch = Request::encode_fetch(None, &key);
+        if self.backends[winner].send(io, &fetch, Some(id)).is_some() {
+            let deadline = Instant::now() + REQUEST_TIMEOUT;
+            self.tasks.insert(id, Task::Pull(key, targets, deadline));
+        }
+    }
+
+    /// Offers a fetched entry to the pull's targets. A pull whose fetch
+    /// was lost, or whose source no longer has the entry, has failed.
+    fn hear_pull(
+        &mut self,
+        io: &mut Io,
+        key: Key,
+        targets: Vec<usize>,
+        heard: Option<(Reply, String)>,
+    ) {
+        let Some((Reply::Ok(value), _)) = heard else {
+            return;
+        };
+        let Some(entry) = value
+            .get("entry")
+            .and_then(Value::as_str)
+            .and_then(from_hex)
+        else {
+            return;
+        };
+        let backfill = Request::encode_backfill(None, &key, &entry);
+        for target in targets {
+            let backend = &mut self.backends[target];
+            if backend.send(io, &backfill, None).is_some() {
+                backend.stats.backfills_sent += 1;
+            }
+        }
+    }
+
+    fn hear_stats(
+        &mut self,
+        io: &mut Io,
+        id: u64,
+        mut fanout: Fanout,
+        heard: Option<(Reply, String)>,
+    ) {
+        fanout.awaiting -= 1;
+        if let Some(stats) = heard.and_then(|(reply, _)| match reply {
+            Reply::Ok(value) => value.get("stats").cloned(),
+            _ => None,
+        }) {
+            let uptime = stats.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0);
+            fanout.max_uptime = fanout.max_uptime.max(uptime);
+            match fanout.merged.as_mut() {
+                Some(acc) => merge_stats(acc, &stats),
+                None => fanout.merged = Some(stats),
+            }
+        }
+        if fanout.awaiting > 0 {
+            self.tasks.insert(id, Task::Stats(fanout));
+            return;
+        }
+        io.answer(fanout.parked, self.stats_reply(&fanout));
+    }
+
+    /// Aggregates the backends' `stats`: numeric counters sum,
+    /// `uptime_ms` is the fleet maximum, and the router adds its own
+    /// `router` / `fleet` members.
+    fn stats_reply(&self, fanout: &Fanout) -> String {
+        let fleet: Vec<String> = self
+            .backends
+            .iter()
+            .map(|b| {
+                let mut entry = String::new();
+                let mut obj = json::ObjectWriter::new(&mut entry);
+                obj.string("addr", b.addr());
+                obj.raw("up", &b.available().to_string());
+                obj.raw(
+                    "consecutive_failures",
+                    &b.consecutive_failures().to_string(),
+                );
+                b.stats.write_counters(&mut obj);
+                obj.finish();
+                entry
+            })
+            .collect();
+        let mut stats = String::new();
+        let mut obj = json::ObjectWriter::new(&mut stats);
+        if let Some(Value::Obj(members)) = &fanout.merged {
+            for (name, value) in members {
+                // The router writes these itself: summed uptimes are
+                // meaningless, so it reports the eldest backend's.
+                if !matches!(name.as_str(), "uptime_ms" | "router" | "fleet") {
+                    obj.raw(name, &value.to_json());
+                }
+            }
+        }
+        obj.raw("uptime_ms", &fanout.max_uptime.to_string());
+        obj.raw(
+            "router",
+            &router_member(&self.stats, &fanout.front, self.started.elapsed()),
+        );
+        obj.raw("fleet", &json::array(&fleet));
+        obj.finish();
+        json::object(&[("status", json::string("ok")), ("stats", stats)])
     }
 }
 
-/// The router's front [`Handler`]: on the loop it parses each extract's
-/// job, refusing one that describes none, and it routes the parsed jobs
-/// and `stats` on the core's workers. `fetch` and `backfill` keep the
-/// core's refusal: nothing sends them to a router.
-struct Front {
-    ctx: Arc<Ctx>,
+/// Sends `route`'s request, as task `id`, to the next available candidate
+/// that takes it.
+fn send_next(backends: &mut [Backend], io: &mut Io, id: u64, route: &mut Route) -> bool {
+    while let Some(&b) = route.candidates.get(route.cursor) {
+        route.cursor += 1;
+        if !backends[b].available() {
+            continue;
+        }
+        if let Some(sent) = backends[b].send(io, &route.line, Some(id)) {
+            route.outstanding.push((b, sent));
+            route.last_send = Instant::now();
+            return true;
+        }
+    }
+    false
 }
 
 impl Handler for Front {
-    fn extract(&mut self, req: Box<ExtractRequest>) -> Action {
-        // The spec only yields the placement key, which ignores the name.
-        let spec = match req.to_spec("routed") {
-            Ok(spec) => spec,
+    fn extract(&mut self, req: Box<ExtractRequest>, io: &mut Io, parked: Parked) -> Action {
+        // The client-side key computation: identical input digest to the
+        // backend's own, so router placement and backend storage agree.
+        // The spec only yields the key, which ignores the name.
+        let key = match req.to_spec("routed") {
+            Ok(spec) => job_key(&spec),
             Err(reason) => return Action::Error(reason),
         };
-        let ctx = Arc::clone(&self.ctx);
-        Action::Defer {
-            deadline_ms: req.deadline_ms,
-            work: Box::new(move || route_extract(&ctx, &req, &spec)),
+        let pos = key.map_or_else(|| Ring::data_position(&req.dex), |k| Ring::key_position(&k));
+        let candidates = self.ring.candidates(pos);
+        let now = Instant::now();
+        let mut route = Route {
+            parked,
+            line: req.encode(),
+            key,
+            replicas: self.replicas.clamp(1, candidates.len()),
+            candidates,
+            cursor: 0,
+            outstanding: Vec::new(),
+            first: 0,
+            fallback: None,
+            started: now,
+            last_send: now,
+        };
+        self.stats.routed += 1;
+        let id = self.task_id();
+        if !send_next(&mut self.backends, io, id, &mut route) {
+            self.stats.fleet_errors += 1;
+            return Action::Reply(error_reply("no backend available"));
+        }
+        route.first = route.outstanding[0].0;
+        self.tasks.insert(id, Task::Route(route));
+        Action::Park
+    }
+
+    fn stats(&mut self, core: &CoreStats, io: &mut Io, parked: Parked) -> Action {
+        let id = self.task_id();
+        let line = Request::encode_simple("stats");
+        let awaiting = self
+            .backends
+            .iter_mut()
+            .filter(|b| b.available())
+            .filter_map(|b| b.send(io, &line, Some(id)))
+            .count();
+        let fanout = Fanout {
+            parked,
+            front: *core,
+            awaiting,
+            merged: None,
+            max_uptime: 0,
+            deadline: Instant::now() + STATS_TIMEOUT,
+        };
+        if awaiting == 0 {
+            return Action::Reply(self.stats_reply(&fanout));
+        }
+        self.tasks.insert(id, Task::Stats(fanout));
+        Action::Park
+    }
+
+    fn upstream(&mut self, peer: Peer, line: Option<String>, io: &mut Io) {
+        let Some(b) = self.backends.iter().position(|b| b.is_on(peer)) else {
+            return;
+        };
+        let Some(line) = line else {
+            for id in self.backends[b].lost() {
+                self.hear(io, id, b, None);
+            }
+            return;
+        };
+        match parse_reply_line(&line) {
+            Ok((Some(RequestId::Num(sent)), reply)) => {
+                // No task: a cancelled loser's straggling reply, or an
+                // ack nothing waits for. Drop it.
+                if let Some(id) = self.backends[b].take(sent) {
+                    let body = reply_body(line, Some(&RequestId::Num(sent)));
+                    self.hear(io, id, b, Some((reply, body)));
+                }
+            }
+            // Replies this router never asks for (id-less or
+            // string-tagged); ignore rather than die.
+            Ok(_) => {}
+            // Not the protocol: the connection is not trustworthy.
+            Err(_) => io.close(peer),
         }
     }
 
-    fn stats(&mut self, core: &CoreStats) -> Action {
-        let (ctx, front) = (Arc::clone(&self.ctx), *core);
-        Action::Defer {
-            deadline_ms: None,
-            work: Box::new(move || stats_reply(&ctx, &front)),
+    fn wake(&mut self, io: &mut Io) -> Option<Instant> {
+        let (now, hedge) = (Instant::now(), self.hedge);
+        let mut next: Option<Instant> = None;
+        let ids: Vec<u64> = self.tasks.keys().copied().collect();
+        for id in ids {
+            let due = match self.tasks.remove(&id) {
+                Some(Task::Route(mut route)) => {
+                    let deadline = route.started + REQUEST_TIMEOUT;
+                    if now >= deadline {
+                        for &(b, sent) in &route.outstanding {
+                            self.backends[b].cancel(io, sent);
+                        }
+                        let body = route.fallback.unwrap_or_else(|| {
+                            json::object(&[
+                                ("status", json::string("deadline_exceeded")),
+                                ("waited_ms", route.started.elapsed().as_millis().to_string()),
+                            ])
+                        });
+                        io.answer(route.parked, body);
+                        continue;
+                    }
+                    // Hedge ladder: while untried candidates remain,
+                    // another copy fires each time a full hedge budget
+                    // elapses unanswered, so a request escapes even when
+                    // the first hedge lands on a shard that is itself
+                    // stuck. Bounded by the candidate list.
+                    let ladder = |route: &Route| {
+                        (!route.outstanding.is_empty() && route.cursor < route.candidates.len())
+                            .then_some(route.last_send + hedge)
+                    };
+                    if ladder(&route).is_some_and(|at| now >= at)
+                        && send_next(&mut self.backends, io, id, &mut route)
+                    {
+                        self.stats.hedges += 1;
+                    }
+                    let due = ladder(&route).map_or(deadline, |at| at.min(deadline));
+                    self.tasks.insert(id, Task::Route(route));
+                    due
+                }
+                Some(Task::Pull(key, targets, deadline)) if now < deadline => {
+                    self.tasks.insert(id, Task::Pull(key, targets, deadline));
+                    deadline
+                }
+                Some(Task::Stats(fanout)) if now < fanout.deadline => {
+                    let due = fanout.deadline;
+                    self.tasks.insert(id, Task::Stats(fanout));
+                    due
+                }
+                // Past its budget: a pull has failed, a fan-out answers
+                // with what it heard.
+                Some(Task::Stats(fanout)) => {
+                    io.answer(fanout.parked, self.stats_reply(&fanout));
+                    continue;
+                }
+                Some(Task::Pull(..)) | None => continue,
+            };
+            next = Some(next.map_or(due, |n| n.min(due)));
         }
+        next
     }
 }
 
@@ -205,15 +577,12 @@ impl Handler for Front {
 /// [`Router::trigger_shutdown`] + [`Router::wait`].
 pub struct Router {
     server: Server,
-    ctx: Arc<Ctx>,
-    repair: Option<JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds the front socket, starts the front's event loop, routing
-    /// workers and repair thread, and returns the handle. Backends are
-    /// dialled lazily on first use, so a fleet can be wired up in any
-    /// order.
+    /// Binds the front socket, starts the router's one thread, and
+    /// returns the handle. Backends are dialled lazily on first use, so a
+    /// fleet can be wired up in any order.
     ///
     /// # Errors
     ///
@@ -228,54 +597,25 @@ impl Router {
             !config.backends.is_empty(),
             "router needs at least one backend"
         );
-        let ring = Ring::new(&config.backends, config.vnodes.max(1), config.seed);
-        let backends: Vec<Arc<Backend>> = config
-            .backends
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| Backend::new(i, addr))
-            .collect();
-
-        let (repair_tx, repair_rx) = mpsc::channel::<RepairJob>();
-        let workers = config.workers;
-        let listen = config.listen.clone();
-        let ctx = Arc::new(Ctx {
-            ring,
-            backends,
-            stats: Mutex::new(RouterStats::default()),
+        let front = Front {
+            ring: Ring::new(&config.backends, config.vnodes.max(1), config.seed),
+            replicas: config.replicas,
+            hedge: Duration::from_millis(config.hedge_ms),
+            backends: config.backends.iter().map(|a| Backend::new(a)).collect(),
+            stats: RouterStats::default(),
             started: Instant::now(),
-            repair_tx: Mutex::new(Some(repair_tx)),
-            repaired: Mutex::new(HashSet::new()),
-            config,
-        });
-
+            repaired: HashSet::new(),
+            tasks: HashMap::new(),
+            next_task: 0,
+        };
         let server = Server::start(
             "dexlego-router-loop",
-            &listen,
-            workers,
+            &config.listen,
+            0,
             Limits::default(),
-            Front {
-                ctx: Arc::clone(&ctx),
-            },
+            front,
         )?;
-
-        let repair_ctx = Arc::clone(&ctx);
-        let repair = std::thread::spawn(move || {
-            for job in repair_rx {
-                let Some(entry) = fetch_entry(&repair_ctx, job.source, &job.key) else {
-                    continue;
-                };
-                for target in job.targets {
-                    let _ = repair_ctx.backends[target].send_backfill(&job.key, &entry, None);
-                }
-            }
-        });
-
-        Ok(Router {
-            server,
-            ctx,
-            repair: Some(repair),
-        })
+        Ok(Router { server })
     }
 
     /// The bound front address.
@@ -290,245 +630,10 @@ impl Router {
     }
 
     /// Blocks until the router has drained: every admitted front request
-    /// has been answered and flushed, and the repair thread has finished
-    /// its queue.
-    pub fn wait(mut self) {
+    /// has been answered and flushed, and every scheduled replication has
+    /// been offered or has failed.
+    pub fn wait(self) {
         self.server.wait();
-        // Closing the channel lets the repair thread drain and exit.
-        self.ctx.repair_tx.lock().expect("repair lock").take();
-        if let Some(repair) = self.repair.take() {
-            let _ = repair.join();
-        }
-    }
-}
-
-/// Routes one extract, whose job `req` describes as `spec`, through the
-/// fleet and returns the front reply body (id-less; the caller frames
-/// it).
-#[allow(clippy::too_many_lines)]
-fn route_extract(ctx: &Ctx, req: &ExtractRequest, spec: &JobSpec) -> String {
-    // The client-side key computation: identical input digest to the
-    // backend's own, so router placement and backend storage agree.
-    let key = job_key(spec);
-    let pos = key.map_or_else(|| Ring::data_position(&req.dex), |k| Ring::key_position(&k));
-    let candidates = ctx.ring.candidates(pos);
-    let r = ctx.config.replicas.clamp(1, candidates.len());
-    let replica_set: Vec<usize> = candidates[..r].to_vec();
-
-    // The client's request is forwarded as it came; the repair thread
-    // pulls the entry with an explicit `fetch` when replication or
-    // read-repair needs it.
-    ctx.stats.lock().expect("stats lock").routed += 1;
-
-    let started = Instant::now();
-    let deadline = started
-        + req
-            .deadline_ms
-            .map_or(Duration::from_millis(REQUEST_TIMEOUT_MS), |ms| {
-                Duration::from_millis(ms.min(REQUEST_TIMEOUT_MS))
-            });
-    let hedge_after = Duration::from_millis(ctx.config.hedge_ms);
-
-    let waiter = Waiter::new();
-    let mut cursor = 0usize;
-    let mut outstanding: Vec<(usize, u64)> = Vec::new();
-    let mut fallback_reply: Option<String> = None;
-
-    // Each send walks the candidate order from `cursor` to the next
-    // available backend that accepts the request.
-    let send_next = |cursor: &mut usize, outstanding: &mut Vec<(usize, u64)>| {
-        while let Some(&b) = candidates.get(*cursor) {
-            *cursor += 1;
-            if !ctx.backends[b].available() {
-                continue;
-            }
-            if let Some(id) = ctx.backends[b].send_extract(req, &waiter) {
-                outstanding.push((b, id));
-                return Some(b);
-            }
-        }
-        None
-    };
-
-    let Some(first_backend) = send_next(&mut cursor, &mut outstanding) else {
-        ctx.stats.lock().expect("stats lock").fleet_errors += 1;
-        return error_reply("no backend available");
-    };
-    let mut last_send = Instant::now();
-
-    loop {
-        // Hedge ladder: while untried candidates remain, another copy
-        // fires each time a full hedge budget elapses unanswered, so a
-        // request escapes even when the first hedge lands on a shard
-        // that is itself stuck.  Bounded by the candidate list.
-        let hedge_at = (!outstanding.is_empty() && cursor < candidates.len())
-            .then_some(last_send + hedge_after);
-        let wake = hedge_at.map_or(deadline, |h| h.min(deadline));
-        let events = waiter.wait_until(wake);
-
-        if events.is_empty() {
-            if Instant::now() >= deadline {
-                for (b, pending_id) in outstanding {
-                    ctx.backends[b].cancel(pending_id);
-                }
-                return fallback_reply.unwrap_or_else(|| {
-                    let waited = started.elapsed().as_millis();
-                    json::object(&[
-                        ("status", json::string("deadline_exceeded")),
-                        ("waited_ms", waited.to_string()),
-                    ])
-                });
-            }
-            // Hedge budget elapsed: fire a copy at the next candidate.
-            if send_next(&mut cursor, &mut outstanding).is_some() {
-                last_send = Instant::now();
-                ctx.stats.lock().expect("stats lock").hedges += 1;
-            }
-            continue;
-        }
-
-        for event in events {
-            match event {
-                Event::Lost(b) => {
-                    outstanding.retain(|(x, _)| *x != b);
-                }
-                Event::Reply(b, reply, body) => {
-                    outstanding.retain(|(x, _)| *x != b);
-                    match reply {
-                        Reply::Ok(value) => {
-                            finish_ok(
-                                ctx,
-                                key,
-                                &replica_set,
-                                first_backend,
-                                b,
-                                &value,
-                                outstanding,
-                            );
-                            return body;
-                        }
-                        Reply::Failed { .. } => {
-                            // A definitive job outcome: retrying on a
-                            // replica would just fail the same way.
-                            let mut stats = ctx.stats.lock().expect("stats lock");
-                            if b != first_backend {
-                                stats.hedge_wins += 1;
-                            }
-                            drop(stats);
-                            for (ob, oid) in outstanding {
-                                ctx.backends[ob].cancel(oid);
-                                ctx.stats.lock().expect("stats lock").cancels += 1;
-                            }
-                            return body;
-                        }
-                        Reply::Overloaded { .. }
-                        | Reply::DeadlineExceeded { .. }
-                        | Reply::Error(_) => {
-                            // This backend shed or garbled the request;
-                            // remember its answer but try further
-                            // replicas before giving it to the client.
-                            fallback_reply = Some(body);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Everything in flight died or shed: fail over down the ring.
-        if outstanding.is_empty() {
-            if send_next(&mut cursor, &mut outstanding).is_some() {
-                last_send = Instant::now();
-                ctx.stats.lock().expect("stats lock").failovers += 1;
-            } else {
-                return fallback_reply.unwrap_or_else(|| {
-                    ctx.stats.lock().expect("stats lock").fleet_errors += 1;
-                    error_reply("all backends unavailable")
-                });
-            }
-        }
-    }
-}
-
-/// Winner bookkeeping for a successful reply from backend `winner`:
-/// cancel the losers and schedule replication / read-repair, which pull
-/// the entry from the winner. The reply itself is relayed as the backend
-/// wrote it.
-fn finish_ok(
-    ctx: &Ctx,
-    key: Option<Key>,
-    replica_set: &[usize],
-    first_backend: usize,
-    winner: usize,
-    value: &Value,
-    losers: Vec<(usize, u64)>,
-) {
-    {
-        let mut stats = ctx.stats.lock().expect("stats lock");
-        if winner != first_backend {
-            stats.hedge_wins += 1;
-        }
-        stats.cancels += losers.len() as u64;
-    }
-    for (b, id) in losers {
-        ctx.backends[b].cancel(id);
-    }
-
-    if let Some(key) = key {
-        let cached = value
-            .get("cached")
-            .and_then(Value::as_bool)
-            .unwrap_or(false);
-        let targets: Vec<usize> = if cached {
-            // A replica served a hit the primary did not: repair the
-            // primary so the next read finds it in one hop.
-            if winner == replica_set[0] {
-                Vec::new()
-            } else {
-                vec![replica_set[0]]
-            }
-        } else {
-            // Fresh fill: fan it out to the rest of the replica set.
-            replica_set
-                .iter()
-                .copied()
-                .filter(|&b| b != winner)
-                .collect()
-        };
-        // Offer each (target, key) once: hedged hits would otherwise
-        // re-repair the same key on every read.
-        let targets: Vec<usize> = targets
-            .into_iter()
-            .filter(|&b| ctx.first_offer(b, key))
-            .collect();
-        if !targets.is_empty() {
-            {
-                let mut stats = ctx.stats.lock().expect("stats lock");
-                if cached {
-                    stats.read_repairs += 1;
-                } else {
-                    stats.replica_fills += targets.len() as u64;
-                }
-            }
-            ctx.schedule_pull(winner, targets, key);
-        }
-    }
-}
-
-/// Pulls the entry payload for `key` from `source` with an explicit
-/// `fetch` round-trip (the repair thread's read path). `None` when the
-/// backend is unreachable, times out, or no longer has the entry.
-fn fetch_entry(ctx: &Ctx, source: usize, key: &Key) -> Option<Vec<u8>> {
-    let waiter = Waiter::new();
-    ctx.backends[source].send_fetch(key, &waiter)?;
-    let deadline = Instant::now() + Duration::from_millis(REQUEST_TIMEOUT_MS);
-    // A fetch has exactly one in-flight request, so the first event (or a
-    // timeout's empty batch) settles it.
-    match waiter.wait_until(deadline).into_iter().next() {
-        Some(Event::Reply(_, Reply::Ok(value), _)) => value
-            .get("entry")
-            .and_then(Value::as_str)
-            .and_then(from_hex),
-        _ => None, // timed out, transport lost, or the entry is gone
     }
 }
 
@@ -551,82 +656,6 @@ fn merge_stats(into: &mut Value, from: &Value) {
         }
         _ => {}
     }
-}
-
-/// Fans `stats` out to every reachable backend and aggregates: numeric
-/// counters sum, `uptime_ms` is the fleet maximum, and the router adds
-/// its own `router` / `fleet` members; `front` holds the counters of the
-/// router's own front core.
-fn stats_reply(ctx: &Ctx, front: &CoreStats) -> String {
-    let waiter = Waiter::new();
-    let mut expected = 0usize;
-    for backend in &ctx.backends {
-        if backend.available() && backend.send_op("stats", &waiter).is_some() {
-            expected += 1;
-        }
-    }
-    let deadline = Instant::now() + Duration::from_millis(1_000);
-    let mut merged: Option<Value> = None;
-    let mut max_uptime: u64 = 0;
-    let mut heard = 0usize;
-    while heard < expected {
-        let events = waiter.wait_until(deadline);
-        if events.is_empty() {
-            break;
-        }
-        for event in events {
-            heard += 1;
-            let Event::Reply(_, Reply::Ok(value), _) = event else {
-                continue;
-            };
-            let Some(stats) = value.get("stats").cloned() else {
-                continue;
-            };
-            max_uptime =
-                max_uptime.max(stats.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0));
-            match merged.as_mut() {
-                Some(acc) => merge_stats(acc, &stats),
-                None => merged = Some(stats),
-            }
-        }
-    }
-    let fleet: Vec<String> = ctx
-        .backends
-        .iter()
-        .map(|b| {
-            json::object(&[
-                ("addr", json::string(b.addr())),
-                ("up", b.available().to_string()),
-                ("consecutive_failures", b.consecutive_failures().to_string()),
-                ("sent", b.sent.load(Ordering::Relaxed).to_string()),
-                ("lost", b.lost.load(Ordering::Relaxed).to_string()),
-                (
-                    "backfills_sent",
-                    b.backfills_sent.load(Ordering::Relaxed).to_string(),
-                ),
-            ])
-        })
-        .collect();
-    let router = *ctx.stats.lock().expect("stats lock");
-    let mut stats = String::new();
-    let mut obj = json::ObjectWriter::new(&mut stats);
-    if let Some(Value::Obj(members)) = &merged {
-        for (name, value) in members {
-            // The router writes these itself: summed uptimes are
-            // meaningless, so it reports the eldest backend's.
-            if !matches!(name.as_str(), "uptime_ms" | "router" | "fleet") {
-                obj.raw(name, &value.to_json());
-            }
-        }
-    }
-    obj.raw("uptime_ms", &max_uptime.to_string());
-    obj.raw(
-        "router",
-        &router_member(&router, front, ctx.started.elapsed()),
-    );
-    obj.raw("fleet", &json::array(&fleet));
-    obj.finish();
-    json::object(&[("status", json::string("ok")), ("stats", stats)])
 }
 
 /// The `router` member of a `stats` reply: the routing counters, the

@@ -1,7 +1,11 @@
-//! The router against a live fleet: fills replicate, a killed shard
-//! degrades to failover instead of client-visible errors, the front
-//! counts what it refuses, and hedged requests beat a slow primary.
+//! The router against a live fleet: fills replicate, before `wait`
+//! returns too, a killed shard degrades to failover instead of
+//! client-visible errors, a primary that drops its connection fails
+//! over, the front counts what it refuses, and hedged requests beat a
+//! slow primary.
 
+use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,10 +14,11 @@ use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
 use dexlego_harness::{job_key, Counters, JobReport, JobSpec};
-use dexlego_router::{Ring, Router, RouterConfig, RouterStats};
+use dexlego_router::{BackendStats, Ring, Router, RouterConfig, RouterStats};
 use dexlego_service::core::CoreStats;
 use dexlego_service::{
-    Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, Request, ServiceConfig,
+    Client, Daemon, ExtractReply, ExtractRequest, PipelinedClient, PoolExecutor, Reply, Request,
+    ServiceConfig,
 };
 use dexlego_store::{Key, Store, StoreConfig, TempDir};
 
@@ -62,6 +67,23 @@ fn extract_all(client: &mut PipelinedClient, reqs: &[ExtractRequest]) -> Vec<Val
     replies
 }
 
+/// The send counters of backend `b` in a router's `stats`.
+fn shard_counters(stats: &Value, b: usize) -> BackendStats {
+    let Some(Value::Arr(fleet)) = stats.get("fleet") else {
+        panic!("stats carry per-backend fleet health: {stats:?}");
+    };
+    BackendStats::read_counters(&fleet[b])
+}
+
+/// The key's primary among `addrs`, placed exactly as the router will.
+fn primary(addrs: &[String], req: &ExtractRequest) -> usize {
+    let config = RouterConfig::new(addrs.to_vec());
+    let ring = Ring::new(addrs, config.vnodes, config.seed);
+    let spec = req.to_spec("probe").expect("valid request");
+    let key = job_key(&spec).expect("cacheable");
+    ring.candidates(Ring::key_position(&key))[0]
+}
+
 /// Fill a 3-backend fleet through the router, kill one shard, and read
 /// everything back: zero error replies, and the surviving replicas
 /// serve (mostly cached) results.
@@ -88,6 +110,10 @@ fn killed_shard_degrades_to_failover_not_errors() {
 
     // Let the replication backfills drain before pulling the plug.
     std::thread::sleep(Duration::from_millis(400));
+    let mut stats_conn = Client::connect(&front).expect("stats conn");
+    let before = shard_counters(&stats_conn.stats().expect("stats"), 0);
+    assert!(before.sent > 0, "shard 0 served the fill: {before:?}");
+    assert_eq!(before.lost, 0, "a healthy fleet loses nothing");
 
     // Kill shard 0 abruptly (drain, socket closes; further connects are
     // refused — the router sees exactly what a crashed process causes).
@@ -109,7 +135,6 @@ fn killed_shard_degrades_to_failover_not_errors() {
 
     // Fleet stats still answer (the dead shard is skipped) and carry
     // the router's own counters.
-    let mut stats_conn = Client::connect(&front).expect("stats conn");
     let stats = stats_conn.stats().expect("stats");
     let router_stats = stats.get("router").expect("router counters");
     let routed = router_stats
@@ -126,6 +151,13 @@ fn killed_shard_degrades_to_failover_not_errors() {
         panic!("stats carry per-backend fleet health: {stats:?}");
     };
     assert_eq!(fleet.len(), 3);
+    // Whatever reached the killed shard after its death was lost, and
+    // nothing else was.
+    let killed = shard_counters(&stats, 0);
+    assert_eq!(killed.sent - before.sent, killed.lost, "{killed:?}");
+    for b in 1..3 {
+        assert_eq!(shard_counters(&stats, b).lost, 0, "shard {b}");
+    }
 
     client.shutdown().expect("front shutdown");
     router.wait();
@@ -251,6 +283,96 @@ fn hedged_request_beats_a_slow_primary() {
         Some(1),
         "the hedge won"
     );
+
+    client.shutdown().expect("front shutdown");
+    router.wait();
+    for daemon in daemons {
+        daemon.trigger_shutdown();
+        daemon.wait();
+    }
+}
+
+/// `Router::wait` drains replication: shut down the moment a fill is
+/// answered, the router still offers the fill to the rest of its replica
+/// set before `wait` returns.
+#[test]
+fn router_wait_offers_the_fill_to_the_other_replica() {
+    let (_dirs, daemons, addrs) = start_fleet(2);
+    let mut config = RouterConfig::new(addrs.clone());
+    // Hedging off: the primary alone runs the fill.
+    config.hedge_ms = 5_000;
+    let router = Router::start(config).expect("router starts");
+    let req = corpus_requests(1).remove(0);
+    let other = 1 - primary(&addrs, &req);
+
+    let mut client = PipelinedClient::connect(&router.addr().to_string()).expect("connect");
+    client.send_extract(&req).expect("send");
+    let (_, reply) = client.recv_extract().expect("fill reply");
+    assert!(matches!(reply, ExtractReply::Done { cached: false, .. }));
+    client.shutdown().expect("front shutdown");
+    router.wait();
+
+    // The router is gone, so a backfill not sent by now never arrives;
+    // the retries only wait for the backend to read what was sent.
+    let mut backend = Client::connect(&addrs[other]).expect("connect backend");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let backfills = loop {
+        let stats = backend.stats().expect("backend stats");
+        let backfills = stats.get("backfills").and_then(Value::as_u64);
+        if backfills == Some(1) || Instant::now() > deadline {
+            break backfills;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(backfills, Some(1), "the other replica holds the fill");
+
+    drop(backend);
+    for daemon in daemons {
+        daemon.trigger_shutdown();
+        daemon.wait();
+    }
+}
+
+/// A primary that reads the request and drops its connection is the
+/// `Lost` path: the router fails the request over to the next replica,
+/// and the client gets that replica's answer.
+#[test]
+fn a_primary_that_drops_the_request_fails_over() {
+    let (_dirs, daemons, real) = start_fleet(1);
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind the fake backend");
+    let addrs = vec![real[0].clone(), fake.local_addr().unwrap().to_string()];
+    // Vary the request until the fake is its primary; each seed moves
+    // the key.
+    let mut req = corpus_requests(1).remove(0);
+    while primary(&addrs, &req) != 1 {
+        req.seeds[0] += 1;
+    }
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = fake.accept().expect("the router dials the fake");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read the request");
+        // Dropping the stream and the listener closes the connection
+        // and refuses every later dial.
+        line
+    });
+    let mut config = RouterConfig::new(addrs);
+    config.hedge_ms = 5_000;
+    let router = Router::start(config).expect("router starts");
+
+    let mut client = PipelinedClient::connect(&router.addr().to_string()).expect("connect");
+    client.send_extract(&req).expect("send");
+    let (_, reply) = client.recv_extract().expect("reply");
+    assert!(matches!(reply, ExtractReply::Done { .. }), "{reply:?}");
+    let line = fake.join().expect("fake backend thread");
+    assert!(line.contains("\"op\": \"extract\""), "{line}");
+
+    let stats = Client::connect(&router.addr().to_string())
+        .and_then(|mut c| c.stats())
+        .expect("stats");
+    let router_stats = RouterStats::read_counters(stats.get("router").expect("router counters"));
+    assert!(router_stats.failovers >= 1, "{router_stats:?}");
 
     client.shutdown().expect("front shutdown");
     router.wait();

@@ -11,11 +11,8 @@
 //! carries an id, many may be in flight on one connection, and replies
 //! arrive in whatever order the work finishes. It reports typed
 //! [`ClientError`]s so callers can tell a dead connection (reconnect
-//! and resend) from a protocol violation (give up), and it can be
-//! [split](PipelinedClient::split) into independently-owned send and
-//! receive halves for callers that pump the two directions from
-//! different threads. The load harness, the router, and the
-//! multiplexing tests are built on it.
+//! and resend) from a protocol violation (give up). The load harness,
+//! perfbench and the multiplexing tests are built on it.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -275,150 +272,6 @@ fn unexpected(reply: &Reply) -> io::Error {
     )
 }
 
-/// The sending half of a pipelined connection.
-///
-/// Sends are buffered: a burst of sends goes out as one write on
-/// [`PipelinedSender::flush`], so a window of requests costs one
-/// syscall, not one per request. When the halves are split across
-/// threads the sender **must** flush explicitly — the receiver cannot
-/// reach over and do it.
-pub struct PipelinedSender {
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-}
-
-impl PipelinedSender {
-    fn write_line(&mut self, line: &str) -> ClientResult<()> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .map_err(ClientError::from_io)
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Sends one extract request tagged with a fresh id, without
-    /// waiting for any reply. Returns the id assigned.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn send_extract(&mut self, req: &ExtractRequest) -> ClientResult<u64> {
-        let id = self.fresh_id();
-        let line = req.encode_with_id(&RequestId::Num(id));
-        self.write_line(&line)?;
-        Ok(id)
-    }
-
-    /// Sends a simple tagged op (`ping`, `stats`, `shutdown`). Returns
-    /// the id assigned.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn send_op(&mut self, op: &str) -> ClientResult<u64> {
-        let id = self.fresh_id();
-        let line = format!("{{\"op\": {:?}, \"id\": {id}}}", op);
-        self.write_line(&line)?;
-        Ok(id)
-    }
-
-    /// Asks the server to revoke the not-yet-dispatched request `target`
-    /// (the hedged loser). Returns the id of the cancel itself.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn send_cancel(&mut self, target: u64) -> ClientResult<u64> {
-        let id = self.fresh_id();
-        let line = Request::encode_cancel(Some(&RequestId::Num(id)), &RequestId::Num(target));
-        self.write_line(&line)?;
-        Ok(id)
-    }
-
-    /// Offers the server a finished result for `key` (replication /
-    /// read-repair); the server keeps it only if the key is absent.
-    /// `entry_payload` is the store encoding of the result. Returns the
-    /// id assigned.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn send_backfill(&mut self, key: &Key, entry_payload: &[u8]) -> ClientResult<u64> {
-        let id = self.fresh_id();
-        let line = Request::encode_backfill(Some(&RequestId::Num(id)), key, entry_payload);
-        self.write_line(&line)?;
-        Ok(id)
-    }
-
-    /// Asks the server for the stored entry under `key` (the
-    /// replication read path). Returns the id assigned.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn send_fetch(&mut self, key: &Key) -> ClientResult<u64> {
-        let id = self.fresh_id();
-        let line = Request::encode_fetch(Some(&RequestId::Num(id)), key);
-        self.write_line(&line)?;
-        Ok(id)
-    }
-
-    /// Pushes any buffered requests onto the wire.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn flush(&mut self) -> ClientResult<()> {
-        self.writer.flush().map_err(ClientError::from_io)
-    }
-}
-
-/// The receiving half of a pipelined connection.
-pub struct PipelinedReceiver {
-    reader: BufReader<TcpStream>,
-}
-
-impl PipelinedReceiver {
-    /// Reads the next reply line, whichever request it answers. Returns
-    /// the echoed id (if the request carried one) and the decoded
-    /// reply. Does **not** flush the sender first — a split caller owns
-    /// that ordering.
-    ///
-    /// # Errors
-    ///
-    /// Read failures, a closed connection, or an undecodable reply.
-    pub fn recv_any(&mut self) -> ClientResult<(Option<RequestId>, Reply)> {
-        self.recv_line().map(|(id, reply, _)| (id, reply))
-    }
-
-    /// [`PipelinedReceiver::recv_any`] that also hands back the reply line
-    /// as received, without its line terminator — what a relay forwards.
-    ///
-    /// # Errors
-    ///
-    /// Read failures, a closed connection, or an undecodable reply.
-    pub fn recv_line(&mut self) -> ClientResult<(Option<RequestId>, Reply, String)> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Err(ClientError::Lost(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ))),
-            Ok(_) => {
-                line.truncate(line.trim_end().len());
-                let (id, reply) = parse_reply_line(&line).map_err(ClientError::Protocol)?;
-                Ok((id, reply, line))
-            }
-            Err(e) => Err(ClientError::from_io(e)),
-        }
-    }
-}
-
 /// A blocking client that keeps many tagged requests in flight on one
 /// connection and collects replies in completion order.
 ///
@@ -432,8 +285,9 @@ impl PipelinedReceiver {
 /// on [`PipelinedClient::flush`]), so a window of requests costs one
 /// syscall, not one per request.
 pub struct PipelinedClient {
-    tx: PipelinedSender,
-    rx: PipelinedReceiver,
+    writer: BufWriter<TcpStream>,
+    reader: BufReader<TcpStream>,
+    next_id: u64,
 }
 
 impl PipelinedClient {
@@ -450,20 +304,22 @@ impl PipelinedClient {
         stream.set_nodelay(true).map_err(ClientError::Io)?;
         let writer = BufWriter::new(stream.try_clone().map_err(ClientError::Io)?);
         Ok(PipelinedClient {
-            tx: PipelinedSender { writer, next_id: 0 },
-            rx: PipelinedReceiver {
-                reader: BufReader::new(stream),
-            },
+            writer,
+            reader: BufReader::new(stream),
+            next_id: 0,
         })
     }
 
-    /// Splits into independently-owned send and receive halves, so one
-    /// thread can keep sending while another blocks in receive. The
-    /// sender must [`flush`](PipelinedSender::flush) explicitly;
-    /// receive-side auto-flush ends at the split.
-    #[must_use]
-    pub fn split(self) -> (PipelinedSender, PipelinedReceiver) {
-        (self.tx, self.rx)
+    /// Buffers `line` under a fresh id and returns the id.
+    fn send_line(&mut self, line: impl FnOnce(&RequestId) -> String) -> ClientResult<u64> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let line = line(&RequestId::Num(id));
+        self.writer
+            .write_all(line.as_bytes())
+            .and_then(|()| self.writer.write_all(b"\n"))
+            .map_err(ClientError::from_io)?;
+        Ok(id)
     }
 
     /// Sends one extract request tagged with a fresh id, without waiting
@@ -474,7 +330,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn send_extract(&mut self, req: &ExtractRequest) -> ClientResult<u64> {
-        self.tx.send_extract(req)
+        self.send_line(|id| req.encode_with_id(id))
     }
 
     /// Sends a simple tagged op (`ping`, `stats`, `shutdown`). Returns
@@ -484,7 +340,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn send_op(&mut self, op: &str) -> ClientResult<u64> {
-        self.tx.send_op(op)
+        self.send_line(|id| format!("{{\"op\": {op:?}, \"id\": {id}}}"))
     }
 
     /// Sends a cancel for the not-yet-dispatched request `target`.
@@ -494,7 +350,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn send_cancel(&mut self, target: u64) -> ClientResult<u64> {
-        self.tx.send_cancel(target)
+        self.send_line(|id| Request::encode_cancel(Some(id), &RequestId::Num(target)))
     }
 
     /// Offers the server a finished result for `key`; kept only if
@@ -504,7 +360,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn send_backfill(&mut self, key: &Key, entry_payload: &[u8]) -> ClientResult<u64> {
-        self.tx.send_backfill(key, entry_payload)
+        self.send_line(|id| Request::encode_backfill(Some(id), key, entry_payload))
     }
 
     /// Asks the server for the stored entry under `key`. Returns the id
@@ -514,7 +370,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn send_fetch(&mut self, key: &Key) -> ClientResult<u64> {
-        self.tx.send_fetch(key)
+        self.send_line(|id| Request::encode_fetch(Some(id), key))
     }
 
     /// Pushes any buffered requests onto the wire without reading.
@@ -523,7 +379,7 @@ impl PipelinedClient {
     ///
     /// Write failures.
     pub fn flush(&mut self) -> ClientResult<()> {
-        self.tx.flush()
+        self.writer.flush().map_err(ClientError::from_io)
     }
 
     /// Reads the next reply line, whichever request it answers. Returns
@@ -535,8 +391,16 @@ impl PipelinedClient {
     pub fn recv_any(&mut self) -> ClientResult<(Option<RequestId>, Reply)> {
         // Turnaround: nothing more will be sent before this read, so any
         // buffered requests must go out now or the reply never comes.
-        self.tx.flush()?;
-        self.rx.recv_any()
+        self.flush()?;
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => Err(ClientError::Lost(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "daemon closed the connection",
+            ))),
+            Ok(_) => parse_reply_line(line.trim_end()).map_err(ClientError::Protocol),
+            Err(e) => Err(ClientError::from_io(e)),
+        }
     }
 
     /// Like [`PipelinedClient::recv_any`], but decodes the reply as an
@@ -564,10 +428,9 @@ impl PipelinedClient {
     ///
     /// Transport failures or a non-`ok` reply.
     pub fn shutdown(&mut self) -> ClientResult<()> {
-        let id = self.tx.send_op("shutdown")?;
-        self.tx.flush()?;
+        let id = self.send_op("shutdown")?;
         loop {
-            let (got, reply) = self.rx.recv_any()?;
+            let (got, reply) = self.recv_any()?;
             if got == Some(RequestId::Num(id)) {
                 return match reply {
                     Reply::Ok(_) => Ok(()),

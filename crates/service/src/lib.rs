@@ -20,7 +20,9 @@
 //!   connection; it sheds load with structured `overloaded` /
 //!   `deadline_exceeded` replies instead of queueing unboundedly, and
 //!   drains gracefully on shutdown. The router in `dexlego-router` runs
-//!   its front on the same core.
+//!   on the same core with no workers: it dials its backends as the
+//!   core's upstream connections and answers its parked replies on the
+//!   loop.
 //! - [`server`] — the daemon itself: the core plus a handler that serves
 //!   cache hits on the loop and runs misses on the workers.
 //! - results are content-addressed into the persistent `dexlego-store`:
@@ -29,9 +31,9 @@
 //!   re-extracted.
 //! - [`client`] — the original blocking [`Client`] (id-less, strictly
 //!   ordered — the compatibility dialect) and the [`PipelinedClient`]
-//!   that keeps many tagged requests in flight, used by the `dexlegod`
-//!   binaries, the latency-distribution load harness in `dexlego-bench`,
-//!   and the integration tests.
+//!   that keeps many tagged requests in flight, used by the latency-
+//!   distribution load harness in `dexlego-bench`, perfbench, and the
+//!   integration tests.
 
 pub mod client;
 pub mod core;
@@ -42,7 +44,6 @@ pub mod server;
 
 pub use client::{
     decode_extract_reply, Client, ClientError, ClientResult, ExtractReply, PipelinedClient,
-    PipelinedReceiver, PipelinedSender,
 };
 pub use framing::{FrameError, Framer};
 pub use protocol::{

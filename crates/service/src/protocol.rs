@@ -444,7 +444,8 @@ fn request_from_value(value: &Value) -> Result<Request, String> {
 /// it starts with `{` and is never `{}`. The daemon and the router frame
 /// every reply through here, as one contiguous append: payload and
 /// newline never go out as separate small writes (Nagle + delayed-ACK
-/// stalls).
+/// stalls). The router frames each request it forwards the same way,
+/// encoded once and given each backend's own id.
 pub fn push_reply_line(out: &mut Vec<u8>, id: Option<&RequestId>, reply: &str) {
     match id {
         Some(id) => {

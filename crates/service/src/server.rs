@@ -32,7 +32,7 @@ use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{CachedResult, Key, Store, StoreConfig, StoreStats};
 
 use crate::core::{
-    Action, CoreStats, Handler, Limits, Server, MAX_LINE_BYTES, MAX_PENDING_PER_CONN,
+    Action, CoreStats, Handler, Io, Limits, Parked, Server, MAX_LINE_BYTES, MAX_PENDING_PER_CONN,
     WRITE_SOFT_CAP,
 };
 use crate::protocol::ExtractRequest;
@@ -203,7 +203,7 @@ impl Daemon {
         let server = Server::start(
             "dexlegod-loop",
             &config.addr,
-            config.workers,
+            config.workers.max(1),
             limits,
             handler,
         )?;
@@ -278,7 +278,7 @@ impl Extractor {
 }
 
 impl Handler for Extractor {
-    fn extract(&mut self, req: Box<ExtractRequest>) -> Action {
+    fn extract(&mut self, req: Box<ExtractRequest>, _io: &mut Io, _parked: Parked) -> Action {
         let seq = self.next_job;
         self.next_job += 1;
         self.stall();
@@ -342,7 +342,7 @@ impl Handler for Extractor {
         ]))
     }
 
-    fn stats(&mut self, core: &CoreStats) -> Action {
+    fn stats(&mut self, core: &CoreStats, _io: &mut Io, _parked: Parked) -> Action {
         Action::Reply(stats_reply(self, core))
     }
 }

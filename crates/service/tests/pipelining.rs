@@ -3,7 +3,8 @@
 //! (the blocking [`Client`] compatibility dialect), and deadlines shed
 //! work that cannot start in time. The contract tests that need no
 //! admission control of their own also run through a router with the
-//! daemon behind it, whose front is the same server core.
+//! daemon behind it, whose front is the same server core, and a router
+//! forwards a deadline for its backend to enforce.
 
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -229,6 +230,100 @@ fn a_deadline_reaches_a_request_waiting_for_the_only_worker() {
     timer.join().expect("timer thread");
     client.shutdown().expect("shutdown");
     daemon.wait();
+}
+
+/// A one-worker daemon whose executor sleeps `ms` per job.
+fn sleeping_daemon(dir: &TempDir, ms: u64) -> Daemon {
+    let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+        std::thread::sleep(Duration::from_millis(ms));
+        (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
+    });
+    let mut config = ServiceConfig::new(dir.path());
+    config.workers = 1;
+    Daemon::start_with_executor(config, store, exec).expect("daemon starts")
+}
+
+/// A deadline bounds how long a request may wait to start, not how long
+/// it runs, through a router as on the daemon: a 300 ms job that starts
+/// at once on a free worker outlives its 100 ms deadline and is still
+/// answered `Done`.
+#[test]
+fn a_deadline_bounds_the_wait_not_the_run_through_a_router() {
+    for through_router in [false, true] {
+        let dir = TempDir::new("service-deadline-run").unwrap();
+        let daemon = sleeping_daemon(&dir, 300);
+        let (router, addr) = front(&daemon, through_router);
+
+        let mut client = PipelinedClient::connect(&addr).expect("connect");
+        let mut req = sample_request("long");
+        req.deadline_ms = Some(100);
+        let id = client.send_extract(&req).expect("send");
+        let (got, reply) = client.recv_extract().expect("reply");
+        assert_eq!(got, id);
+        assert!(
+            matches!(reply, ExtractReply::Done { .. }),
+            "router: {through_router}: {reply:?}"
+        );
+
+        drop(client);
+        stop(router, daemon);
+    }
+}
+
+/// Through a router, a request whose deadline passes while it waits for
+/// the backend's only worker is answered `deadline_exceeded`: the router
+/// forwards the deadline, the backend sheds by it, and the router relays
+/// the shed. A timer thread frees the worker, so a request that is never
+/// shed fails this test instead of hanging it.
+#[test]
+fn a_router_relays_its_backends_deadline_shed() {
+    let dir = TempDir::new("service-deadline-routed").unwrap();
+    let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+        if spec.name == "held" {
+            started_tx.lock().unwrap().send(()).expect("started signal");
+            release_rx.lock().unwrap().recv().expect("release signal");
+        }
+        (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
+    });
+    let mut config = ServiceConfig::new(dir.path());
+    config.workers = 1;
+    let daemon = Daemon::start_with_executor(config, store, exec).expect("daemon starts");
+    let (router, addr) = front(&daemon, true);
+
+    let mut client = PipelinedClient::connect(&addr).expect("connect");
+    let held = client
+        .send_extract(&sample_request("held"))
+        .expect("send held");
+    client.flush().expect("flush held");
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker took the held request");
+    let mut late = sample_request("late");
+    late.deadline_ms = Some(80);
+    let late = client.send_extract(&late).expect("send late");
+    let timer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(500));
+        release_tx.send(()).expect("release held");
+    });
+
+    let (id, reply) = client.recv_extract().expect("first reply");
+    assert_eq!(id, late, "the waiting request answers first: {reply:?}");
+    let ExtractReply::DeadlineExceeded { waited_ms } = reply else {
+        panic!("expected deadline_exceeded, got {reply:?}");
+    };
+    assert!(waited_ms >= 80, "waited at least the deadline: {waited_ms}");
+    let (id, reply) = client.recv_extract().expect("held reply");
+    assert_eq!(id, held);
+    assert!(matches!(reply, ExtractReply::Done { .. }), "{reply:?}");
+
+    timer.join().expect("timer thread");
+    drop(client);
+    stop(router, daemon);
 }
 
 /// A deadline generous enough for the queue wait changes nothing: the

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -149,6 +149,12 @@ impl Store {
     /// Opens (creating if necessary) the store at `config.root`, replaying
     /// the index log to rebuild the entry table and LRU order.
     ///
+    /// Opening recovers from a crash: the replay skips every line that is
+    /// not a well-formed record, a last line left without its newline is
+    /// cut off the log before anything is appended to it, and objects a
+    /// crash left half-written (`*.tmp`, never renamed into place) are
+    /// removed. It assumes no other handle writes under the same root.
+    ///
     /// # Errors
     ///
     /// Propagates directory-creation and log I/O failures.
@@ -156,38 +162,43 @@ impl Store {
         let root = config.root;
         fs::create_dir_all(root.join("objects"))?;
         fs::create_dir_all(root.join("quarantine"))?;
+        remove_unfinished_objects(&root)?;
 
+        let mut log = fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(root.join("index.log"))?;
+        let mut text = Vec::new();
+        log.read_to_end(&mut text)?;
+        // A crash mid-append leaves a torn last line; cut it off so the
+        // next record starts a line of its own instead of joining it.
+        let complete = text
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        if complete < text.len() {
+            log.set_len(complete as u64)?;
+        }
         let mut entries: HashMap<Key, EntryMeta> = HashMap::new();
         let mut clock = 0u64;
-        let log_path = root.join("index.log");
-        if let Ok(text) = fs::read_to_string(&log_path) {
-            for line in text.lines() {
-                let mut parts = line.split_whitespace();
-                let (op, key) = match (parts.next(), parts.next().and_then(Key::from_hex)) {
-                    (Some(op), Some(key)) => (op, key),
-                    _ => continue, // torn or foreign line: skip, don't fail
-                };
-                clock += 1;
-                match op {
-                    "put" => {
-                        let size = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-                        entries.insert(
-                            key,
-                            EntryMeta {
-                                size,
-                                last_access: clock,
-                            },
-                        );
+        for line in text[..complete].split(|&b| b == b'\n') {
+            let Some((op, key, size)) = parse_record(line) else {
+                continue;
+            };
+            clock += 1;
+            match op {
+                "put" => {
+                    let last_access = clock;
+                    entries.insert(key, EntryMeta { size, last_access });
+                }
+                "get" => {
+                    if let Some(meta) = entries.get_mut(&key) {
+                        meta.last_access = clock;
                     }
-                    "get" => {
-                        if let Some(meta) = entries.get_mut(&key) {
-                            meta.last_access = clock;
-                        }
-                    }
-                    "evict" | "bad" => {
-                        entries.remove(&key);
-                    }
-                    _ => {}
+                }
+                _ => {
+                    entries.remove(&key);
                 }
             }
         }
@@ -196,10 +207,6 @@ impl Store {
         entries.retain(|key, _| object_path(&root, *key).exists());
         let bytes = entries.values().map(|m| m.size).sum();
 
-        let log = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log_path)?;
         Ok(Store {
             root,
             budget: config.byte_budget,
@@ -403,6 +410,37 @@ impl Store {
             append_log(&mut inner.log, &format!("evict {victim}"));
         }
     }
+}
+
+/// One well-formed index record, as [`Store`] appends them: `put KEY
+/// SIZE`, `get KEY`, `evict KEY` or `bad KEY`. `None` for anything else,
+/// such as a line a crash tore or a byte that is not UTF-8.
+fn parse_record(line: &[u8]) -> Option<(&str, Key, u64)> {
+    let mut fields = std::str::from_utf8(line).ok()?.split(' ');
+    let (op, key) = (fields.next()?, Key::from_hex(fields.next()?)?);
+    let size = match op {
+        "put" => fields.next()?.parse().ok()?,
+        "get" | "evict" | "bad" => 0,
+        _ => return None,
+    };
+    fields.next().is_none().then_some((op, key, size))
+}
+
+/// Removes the objects a crash between writing one and renaming it into
+/// place left behind (`*.tmp`): nothing reads them.
+fn remove_unfinished_objects(root: &Path) -> io::Result<()> {
+    for shard in fs::read_dir(root.join("objects"))? {
+        let Ok(files) = fs::read_dir(shard?.path()) else {
+            continue;
+        };
+        for file in files {
+            let path = file?.path();
+            if path.extension().is_some_and(|ext| ext == "tmp") {
+                fs::remove_file(&path)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The sharded object path for `key` under `root`.
