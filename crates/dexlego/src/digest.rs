@@ -23,6 +23,13 @@ use dexlego_dex::checksum::sha1;
 /// results the current code would not produce.
 pub const EXTRACTOR_VERSION: &str = concat!("dexlego-", env!("CARGO_PKG_VERSION"), "+pipeline.4");
 
+/// The SHA-1 of the golden collection and reveal digests
+/// (`tests/golden/collect_digests.txt`) that [`EXTRACTOR_VERSION`] stands
+/// for. A test fails when the two disagree, so goldens that change force
+/// a decision about the version: bump it when cached results are no
+/// longer what the pipeline produces, then record the new SHA-1 here.
+pub const COLLECT_GOLDEN_SHA1: &str = "170ea2b9ef8afbf3aead06c1ef5ebad6dabf9156";
+
 /// Accumulates tagged fields into a canonical byte stream and digests it.
 ///
 /// # Example

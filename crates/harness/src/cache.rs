@@ -1,9 +1,11 @@
 //! Cache-aware job execution through the content-addressed result store.
 //!
 //! A [`JobSpec`] is pure data: the original DEX, the packer profile, and
-//! the driving parameters fully determine the revealed DEX. [`job_key`]
-//! folds all of them (plus the extractor version) into a
-//! [`dexlego_core::digest::InputDigest`], and [`execute_job_cached`] turns
+//! the driving parameters fully determine the revealed DEX. [`input_key`]
+//! folds the DEX bytes and all the rest (plus the extractor version) into
+//! a [`dexlego_core::digest::InputDigest`]; [`job_key`] applies it to a
+//! parsed job, and a daemon to the bytes a request arrived with.
+//! [`execute_job_cached`] turns
 //! every extraction into lookup-or-fill against a shared [`Store`]:
 //! concurrent workers extracting the same key run the pipeline exactly
 //! once, and a second batch run over the same corpus is near-free.
@@ -16,35 +18,59 @@ use std::time::Instant;
 
 use dexlego_core::digest::InputDigest;
 use dexlego_dex::writer::write_dex;
+use dexlego_packer::PackerId;
 use dexlego_store::{CachedResult, Key, Store};
 
 use crate::job::{execute_job_revealing, JobSpec, JobStatus};
 use crate::pool::{run_batch_with, HarnessConfig};
 use crate::report::{JobReport, RunReport};
 
-/// The content-address of a job: a stable digest over the original DEX
-/// bytes, packer profile, entry descriptor, every driving parameter, and
-/// the extractor version. `None` when the job is uncacheable (tamper
+/// The content-address of a job: [`input_key`] over the original DEX as
+/// the writer serialises it. `None` when the job is uncacheable (tamper
 /// natives registered, or the input DEX cannot be serialised).
 pub fn job_key(spec: &JobSpec) -> Option<Key> {
     if !spec.tampers.is_empty() {
         return None;
     }
     let dex_bytes = write_dex(&spec.dex).ok()?;
+    Some(input_key(
+        &dex_bytes,
+        &spec.entry,
+        spec.packer,
+        &spec.seeds,
+        spec.events,
+        spec.fuel,
+        spec.check_conformance,
+    ))
+}
+
+/// The content-address of a job whose DEX arrived as `dex_bytes`: a
+/// stable digest over those bytes as received, the packer profile, the
+/// entry descriptor, every driving parameter, and the extractor version.
+/// Nothing parses the DEX, so a daemon keys a request without reading
+/// it. The writer reproduces its own output byte for byte, so a request
+/// it wrote gets the key [`job_key`] gives the parsed job; bytes another
+/// writer made get a key of their own.
+pub fn input_key(
+    dex_bytes: &[u8],
+    entry: &str,
+    packer: Option<PackerId>,
+    seeds: &[u64],
+    events: usize,
+    fuel: u64,
+    conformance: bool,
+) -> Key {
     let mut d = InputDigest::new();
-    d.bytes("dex", &dex_bytes);
-    d.str("entry", &spec.entry);
-    d.str(
-        "packer",
-        spec.packer.map_or("plain", |id| id.profile().name),
-    );
-    for &seed in &spec.seeds {
+    d.bytes("dex", dex_bytes);
+    d.str("entry", entry);
+    d.str("packer", packer.map_or("plain", |id| id.profile().name));
+    for &seed in seeds {
         d.u64("seed", seed);
     }
-    d.u64("events", spec.events as u64);
-    d.u64("fuel", spec.fuel);
-    d.flag("conformance", spec.check_conformance);
-    Some(Key::new(d.finish()))
+    d.u64("events", events as u64);
+    d.u64("fuel", fuel);
+    d.flag("conformance", conformance);
+    Key::new(d.finish())
 }
 
 /// Converts a *successful* job's report and revealed DEX into the store's
@@ -82,9 +108,16 @@ pub fn from_cached(name: &str, packer: Option<&'static str>, hit: &CachedResult)
 /// concurrent callers) and caches the result if the job succeeded. Returns
 /// the report and, when available, the revealed DEX bytes.
 pub fn execute_job_cached(spec: JobSpec, store: &Store) -> (JobReport, Option<Vec<u8>>) {
-    let Some(key) = job_key(&spec) else {
-        return execute_job_revealing(spec);
-    };
+    match job_key(&spec) {
+        Some(key) => execute_job_keyed(spec, key, store),
+        None => execute_job_revealing(spec),
+    }
+}
+
+/// [`execute_job_cached`] under a key the caller already holds, such as
+/// the [`input_key`] of the bytes a request arrived with: a hit looked
+/// up under `key` and a fill stored under it are the same entry.
+pub fn execute_job_keyed(spec: JobSpec, key: Key, store: &Store) -> (JobReport, Option<Vec<u8>>) {
     let name = spec.name.clone();
     let packer = spec.packer.map(|id| id.profile().name);
     let start = Instant::now();
@@ -124,7 +157,6 @@ pub fn run_batch_cached(jobs: Vec<JobSpec>, config: &HarnessConfig, store: &Stor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dexlego_packer::PackerId;
 
     fn sample_spec() -> JobSpec {
         let apps = dexlego_droidbench::appgen::corpus_apps(1, 60);

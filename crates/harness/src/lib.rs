@@ -61,7 +61,7 @@ pub mod json;
 pub mod pool;
 pub mod report;
 
-pub use cache::{execute_job_cached, job_key, run_batch_cached};
+pub use cache::{execute_job_cached, execute_job_keyed, input_key, job_key, run_batch_cached};
 pub use conformance::{
     check_reveal, check_revealed, diff_traces, trace_app, trace_original, OriginalTraces,
     TraceEvent, TraceRecorder,

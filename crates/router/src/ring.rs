@@ -79,13 +79,6 @@ impl Ring {
         u64::from_be_bytes(bytes[..8].try_into().expect("key is 20 bytes"))
     }
 
-    /// The ring position for arbitrary bytes — placement for uncacheable
-    /// jobs that have no store key.
-    #[must_use]
-    pub fn data_position(data: &[u8]) -> u64 {
-        position(data)
-    }
-
     /// Every backend in preference order for `pos`: the owner first,
     /// then each distinct backend met walking clockwise. The first `r`
     /// entries are the replica set; the tail is the failover order.

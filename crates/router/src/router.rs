@@ -2,8 +2,9 @@
 //! `dexlegod` backends.
 //!
 //! For each extract the router computes the store key *client-side*
-//! (the same `job_key` the daemon uses), places it on the consistent
-//! ring, and forwards to the key's primary replica. Each time a full
+//! (the same [`ExtractRequest::key`] the daemon serves hits by: the DEX
+//! bytes as received, never parsed), places it on the consistent ring,
+//! and forwards to the key's primary replica. Each time a full
 //! hedge budget elapses unanswered it fires another copy at the next
 //! untried replica — first answer wins, losers are cancelled — so a
 //! request escapes even when a hedge target is itself stuck. A fresh
@@ -29,23 +30,26 @@
 //! budget, replication and the `stats` fan-out are events on that one
 //! thread. A router keeps no store of its own, so it refuses `fetch`
 //! and `backfill`. Backend replies are relayed as received, with only
-//! their `id` swapped.
+//! their `id` swapped, and a fetched entry is forwarded to `backfill` as
+//! the hex it arrived in. A backend's `error` reply to an extract is
+//! definitive: the router does not read the DEX, so the backend is what
+//! refuses a bad one, and every replica would refuse it alike.
 //!
 //! A `stats` reply sums the backends' replies and adds a `router` member
 //! that walks two counter tables ([`Counters`]): the routing counters of
 //! [`RouterStats`], then the front core's [`CoreStats`], which count the
-//! lines the front refuses or sheds before any backend sees them.
+//! lines the front refuses or sheds before any backend sees them, and in
+//! `errors` the backends' refusals it relays too.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::time::{Duration, Instant};
 
 use dexlego_harness::json::{self, Value};
-use dexlego_harness::{counters, job_key, Counters};
+use dexlego_harness::{counters, Counters};
 use dexlego_service::core::{Action, CoreStats, Handler, Io, Limits, Parked, Peer, Server};
 use dexlego_service::protocol::{error_reply, reply_body};
 use dexlego_service::{parse_reply_line, ExtractRequest, Reply, Request, RequestId};
-use dexlego_store::hex::from_hex;
 use dexlego_store::Key;
 
 use crate::backend::Backend;
@@ -137,7 +141,7 @@ struct Route {
     /// The client's request, encoded once without an id; each send
     /// splices in its own.
     line: String,
-    key: Option<Key>,
+    key: Key,
     /// The ring's walk from the key: the first `replicas` are its
     /// replica set, the whole walk the hedge and failover order.
     candidates: Vec<usize>,
@@ -148,7 +152,7 @@ struct Route {
     outstanding: Vec<(usize, u64)>,
     /// The backend the first copy went to.
     first: usize,
-    /// A backend's shed or error reply, relayed if no replica does better.
+    /// A backend's shed reply, relayed if no replica does better.
     fallback: Option<String>,
     started: Instant,
     last_send: Instant,
@@ -167,8 +171,8 @@ struct Fanout {
 }
 
 /// The router's front [`Handler`]: it routes every extract and fans out
-/// every `stats` on the loop, refusing an extract whose request describes
-/// no job. `fetch` and `backfill` keep the core's refusal: nothing sends
+/// every `stats` on the loop, refusing an extract that names an unknown
+/// packer. `fetch` and `backfill` keep the core's refusal: nothing sends
 /// them to a router.
 struct Front {
     ring: Ring,
@@ -238,9 +242,16 @@ impl Front {
                 io.answer(route.parked, body);
                 return;
             }
-            // This backend shed or garbled the request; remember its
-            // answer but try further replicas before giving it to the
-            // client.
+            // A definitive refusal (a DEX that does not parse, say): every
+            // replica would refuse the request alike, and the front counts
+            // it as its own.
+            Some((Reply::Error(_), body)) => {
+                self.settle(io, &route, b);
+                io.answer_error(route.parked, body);
+                return;
+            }
+            // This backend shed the request; remember its answer but
+            // try further replicas before giving it to the client.
             Some((_, body)) => route.fallback = Some(body),
             None => {}
         }
@@ -276,9 +287,7 @@ impl Front {
     /// non-primary served: a `fetch` of the entry from `winner`, whose
     /// reply is then offered to the targets.
     fn replicate(&mut self, io: &mut Io, route: &Route, winner: usize, cached: bool) {
-        let Some(key) = route.key else {
-            return;
-        };
+        let key = route.key;
         // A hit a replica served that the primary did not repairs the
         // primary, so the next read finds it in one hop; a fresh fill goes
         // to the rest of the replica set. Each (target, key) is offered
@@ -310,8 +319,9 @@ impl Front {
         }
     }
 
-    /// Offers a fetched entry to the pull's targets. A pull whose fetch
-    /// was lost, or whose source no longer has the entry, has failed.
+    /// Offers a fetched entry to the pull's targets, as the hex it
+    /// arrived in. A pull whose fetch was lost, or whose source no longer
+    /// has the entry, has failed.
     fn hear_pull(
         &mut self,
         io: &mut Io,
@@ -322,14 +332,13 @@ impl Front {
         let Some((Reply::Ok(value), _)) = heard else {
             return;
         };
-        let Some(entry) = value
+        let Some(backfill) = value
             .get("entry")
             .and_then(Value::as_str)
-            .and_then(from_hex)
+            .and_then(|entry| Request::encode_backfill_hex(None, &key, entry))
         else {
             return;
         };
-        let backfill = Request::encode_backfill(None, &key, &entry);
         for target in targets {
             let backend = &mut self.backends[target];
             if backend.send(io, &backfill, None).is_some() {
@@ -426,15 +435,14 @@ fn send_next(backends: &mut [Backend], io: &mut Io, id: u64, route: &mut Route) 
 
 impl Handler for Front {
     fn extract(&mut self, req: Box<ExtractRequest>, io: &mut Io, parked: Parked) -> Action {
-        // The client-side key computation: identical input digest to the
-        // backend's own, so router placement and backend storage agree.
-        // The spec only yields the key, which ignores the name.
-        let key = match req.to_spec("routed") {
-            Ok(spec) => job_key(&spec),
+        // The client-side key: the backend's own, so router placement and
+        // backend storage agree. It reads no DEX; a bad one is the
+        // backend's to refuse.
+        let key = match req.key() {
+            Ok(key) => key,
             Err(reason) => return Action::Error(reason),
         };
-        let pos = key.map_or_else(|| Ring::data_position(&req.dex), |k| Ring::key_position(&k));
-        let candidates = self.ring.candidates(pos);
+        let candidates = self.ring.candidates(Ring::key_position(&key));
         let now = Instant::now();
         let mut route = Route {
             parked,

@@ -79,8 +79,7 @@ fn shard_counters(stats: &Value, b: usize) -> BackendStats {
 fn primary(addrs: &[String], req: &ExtractRequest) -> usize {
     let config = RouterConfig::new(addrs.to_vec());
     let ring = Ring::new(addrs, config.vnodes, config.seed);
-    let spec = req.to_spec("probe").expect("valid request");
-    let key = job_key(&spec).expect("cacheable");
+    let key = req.key().expect("a known packer");
     ring.candidates(Ring::key_position(&key))[0]
 }
 
@@ -168,13 +167,15 @@ fn killed_shard_degrades_to_failover_not_errors() {
 }
 
 /// The router counts its own front: the lines the front refuses (a
-/// malformed line, an extract whose `dex` is no DEX, and a `fetch`, which
-/// a router keeps no store to serve) show up in the `router` member,
-/// which carries every routing and front counter by name, while the
-/// backend, which never saw them, counts no error.
+/// malformed line and a `fetch`, which a router keeps no store to serve)
+/// and the refusal it relays for an extract whose `dex` is no DEX show up
+/// in the `router` member, which carries every routing and front counter
+/// by name. The router reads no DEX, so that extract reaches one backend
+/// of the three, which refuses it once: the refusal is definitive, not
+/// failed over.
 #[test]
 fn router_counts_the_lines_its_front_refuses() {
-    let (_dirs, daemons, addrs) = start_fleet(1);
+    let (_dirs, daemons, addrs) = start_fleet(3);
     let router = Router::start(RouterConfig::new(addrs)).expect("router starts");
     let mut client = Client::connect(&router.addr().to_string()).expect("connect front");
     let not_a_dex = ExtractRequest::new(b"not a dex".to_vec(), "LMain;->main()V");
@@ -203,7 +204,8 @@ fn router_counts_the_lines_its_front_refuses() {
         front.requests, 4,
         "the refused lines and this stats request"
     );
-    assert_eq!(stats.get("errors").and_then(Value::as_u64), Some(0));
+    assert_eq!(RouterStats::read_counters(member).failovers, 0);
+    assert_eq!(stats.get("errors").and_then(Value::as_u64), Some(1));
 
     client.shutdown().expect("front shutdown");
     router.wait();
@@ -228,7 +230,7 @@ fn hedged_request_beats_a_slow_primary() {
         .map(|(dir, delay)| {
             let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
             let delay = Arc::clone(delay);
-            let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+            let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
                 let ms = delay.load(Ordering::SeqCst);
                 if ms > 0 {
                     std::thread::sleep(Duration::from_millis(ms));

@@ -154,8 +154,9 @@ fn run(args: &Args) -> Result<(), String> {
     if hits < 1 {
         return Err(format!("stats report no cache hits: {hits}"));
     }
-    // The front refused both hostile lines itself: a router counts them
-    // in its `router` member, a daemon at the top level.
+    // A daemon counts both refused lines at the top level. A router
+    // counts them in its `router` member: it refuses the first itself and
+    // relays a backend's refusal of the second.
     let (name, counted) = match stats.get("router") {
         Some(front) => ("router.errors", front),
         None => ("errors", &stats),

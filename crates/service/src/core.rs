@@ -159,7 +159,8 @@ counters! {
     pub struct CoreStats {
         /// Request lines read, frame errors included.
         requests,
-        /// Malformed or invalid requests (including frame errors).
+        /// Malformed or invalid requests (including frame errors, and
+        /// the `error` replies a handler relays with [`Io::answer_error`]).
         errors,
         /// Requests shed past the per-connection bound.
         rejected,
@@ -593,6 +594,14 @@ impl Io {
             conn.parked -= 1;
             conn.queue_reply(&slot, body);
         }
+    }
+
+    /// [`Io::answer`] with an `error` reply the handler did not make
+    /// itself, such as one relayed from upstream: counted in `errors` as
+    /// if the core had refused the request.
+    pub fn answer_error(&mut self, parked: Parked, body: String) {
+        self.stats.errors += 1;
+        self.answer(parked, body);
     }
 }
 

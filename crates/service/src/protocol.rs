@@ -38,10 +38,10 @@
 
 use dexlego_dex::reader::read_dex;
 use dexlego_harness::json::{self, Value};
-use dexlego_harness::{JobSpec, DEFAULT_FUEL};
+use dexlego_harness::{input_key, JobSpec, DEFAULT_FUEL};
 use dexlego_packer::PackerId;
 use dexlego_store::entry::decode as decode_entry;
-use dexlego_store::hex::from_hex;
+use dexlego_store::hex::{from_hex, is_hex, to_hex};
 use dexlego_store::{CachedResult, Key};
 
 /// A request id: a client-chosen correlation token echoed verbatim on the
@@ -131,6 +131,32 @@ impl ExtractRequest {
         }
     }
 
+    /// The store key of the request ([`input_key`]): its DEX bytes as
+    /// received and its driving parameters, with no parse of the DEX. A
+    /// daemon serves a hit and a router places a request by it.
+    ///
+    /// # Errors
+    ///
+    /// Unknown packer names.
+    pub fn key(&self) -> Result<Key, String> {
+        Ok(input_key(
+            &self.dex,
+            &self.entry,
+            self.packer_id()?,
+            &self.seeds,
+            self.events,
+            self.fuel,
+            self.conformance,
+        ))
+    }
+
+    fn packer_id(&self) -> Result<Option<PackerId>, String> {
+        self.packer
+            .as_deref()
+            .map(|name| PackerId::by_name(name).ok_or_else(|| format!("unknown packer: {name}")))
+            .transpose()
+    }
+
     /// Converts the request into a harness job.
     ///
     /// # Errors
@@ -138,12 +164,7 @@ impl ExtractRequest {
     /// Unparseable DEX payloads and unknown packer names.
     pub fn to_spec(&self, fallback_name: &str) -> Result<JobSpec, String> {
         let dex = read_dex(&self.dex).map_err(|e| format!("bad dex payload: {e}"))?;
-        let packer = match &self.packer {
-            None => None,
-            Some(name) => {
-                Some(PackerId::by_name(name).ok_or_else(|| format!("unknown packer: {name}"))?)
-            }
-        };
+        let packer = self.packer_id()?;
         let mut spec = JobSpec::new(
             self.name.as_deref().unwrap_or(fallback_name),
             dex,
@@ -254,16 +275,33 @@ impl Request {
     /// A `backfill` line (optionally tagged) carrying `entry_payload` — the
     /// output of `dexlego_store::entry::encode` — for `key`.
     pub fn encode_backfill(id: Option<&RequestId>, key: &Key, entry_payload: &[u8]) -> String {
-        let mut line = String::with_capacity(entry_payload.len() * 2 + 128);
+        Request::encode_backfill_hex(id, key, &to_hex(entry_payload)).expect("to_hex writes hex")
+    }
+
+    /// [`Request::encode_backfill`] for an entry payload that is already
+    /// hex, as a `fetch` reply carries it: the digits are spliced in as
+    /// they are, so a relay forwards an entry without decoding it. `None`
+    /// when `entry_hex` is not hex. The receiver decodes and checks the
+    /// entry as it would any other.
+    pub fn encode_backfill_hex(
+        id: Option<&RequestId>,
+        key: &Key,
+        entry_hex: &str,
+    ) -> Option<String> {
+        if !is_hex(entry_hex) {
+            return None;
+        }
+        let mut line = String::with_capacity(entry_hex.len() + 128);
         let mut obj = json::ObjectWriter::new(&mut line);
         if let Some(id) = id {
             obj.raw("id", &id.encode());
         }
         obj.string("op", "backfill");
         obj.string("key", &key.to_hex());
-        obj.hex("entry", entry_payload);
+        // Hex needs no escape, so the digits go in as they are.
+        obj.string("entry", entry_hex);
         obj.finish();
-        line
+        Some(line)
     }
 
     /// A `fetch` line (optionally tagged) asking for the stored entry
@@ -817,6 +855,83 @@ mod tests {
         assert!(req.to_spec("fallback").is_err(), "garbage dex rejected");
         req.packer = Some("nonesuch".to_owned());
         assert!(req.to_spec("fallback").is_err());
+    }
+
+    /// A key reads no DEX, so garbage bytes get one of their own; only an
+    /// unknown packer is refused.
+    #[test]
+    fn key_reads_no_dex_and_validates_the_packer() {
+        let mut req = sample();
+        let key = req.key().expect("garbage bytes still key");
+        req.dex.push(0);
+        assert_ne!(req.key().expect("keys"), key);
+        req.packer = Some("nonesuch".to_owned());
+        assert!(req.key().is_err());
+    }
+
+    /// The store keys of writer-made requests, one generated app under
+    /// every packer configuration, as `job_key` of the parsed job gave
+    /// them before keys covered the bytes as received. A change here
+    /// strands every persistent store's entries.
+    #[test]
+    fn writer_made_requests_keep_their_store_keys() {
+        const PINNED: [&str; 7] = [
+            "59744c3aae544278e20620d4831efaf6265ea807",
+            "6b8da0a83da10976daeddf715afb9912d965b847",
+            "3a0316e52e564e8611cf121263281e09967a4e4e",
+            "aa2cf174effc9c2aa61c9360874966d316fc5c40",
+            "916deb0e4a7c5ff2f7d96d4fb536e6631b802897",
+            "fb44f5026cadcfdb861ecbf5b3b1188e25e1e9b3",
+            "510419eb65e518099f5785e5d68b57795902bc36",
+        ];
+        let (_, app) = dexlego_droidbench::appgen::corpus_apps(1, 60).remove(0);
+        let dex = dexlego_dex::writer::write_dex(&app.dex).expect("the app writes");
+        let packers = dexlego_harness::all_packers();
+        assert_eq!(packers.len(), PINNED.len());
+        for (packer, pinned) in packers.into_iter().zip(PINNED) {
+            let mut req = ExtractRequest::new(dex.clone(), &app.entry);
+            req.packer = packer.map(|id| id.profile().name.to_owned());
+            let spec = req.to_spec("pin").expect("the request converts");
+            let job_key = dexlego_harness::job_key(&spec).expect("cacheable");
+            assert_eq!(req.key().map(Key::to_hex).as_deref(), Ok(pinned));
+            assert_eq!(job_key.to_hex(), pinned, "{:?}", req.packer);
+            // Packer names match in any case; the key uses the profile's.
+            req.packer = req.packer.map(|name| name.to_ascii_uppercase());
+            assert_eq!(req.key().map(Key::to_hex).as_deref(), Ok(pinned));
+        }
+    }
+
+    /// A relay forwards a fetched entry as the hex a daemon's `fetch`
+    /// reply carried, and the `backfill` line it makes is byte for byte
+    /// the one re-encoding the decoded entry would make.
+    #[test]
+    fn a_fetched_entry_is_forwarded_as_received() {
+        let entry = CachedResult {
+            dex_bytes: (0..=255).collect(),
+            counters: vec![("insns".to_owned(), 7)],
+            ..CachedResult::default()
+        };
+        let (key, payload) = (Key::new([0x3c; 20]), dexlego_store::entry::encode(&entry));
+        let mut fetched = String::new();
+        let mut obj = json::ObjectWriter::new(&mut fetched);
+        obj.string("status", "ok");
+        obj.raw("found", "true");
+        obj.hex("entry", &payload);
+        obj.finish();
+        let Ok(Reply::Ok(value)) = parse_reply(&fetched) else {
+            panic!("the fetch reply parses: {fetched}");
+        };
+        let hex = value
+            .get("entry")
+            .and_then(Value::as_str)
+            .expect("hex entry");
+        assert_eq!(
+            Request::encode_backfill_hex(None, &key, hex),
+            Some(Request::encode_backfill(None, &key, &payload))
+        );
+        for bad in ["0", "zz", "0g"] {
+            assert_eq!(Request::encode_backfill_hex(None, &key, bad), None);
+        }
     }
 
     #[test]

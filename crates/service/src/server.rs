@@ -4,11 +4,13 @@
 //!
 //! Everything cheap stays on the loop thread: cache hits (served inline,
 //! so they bypass the pending queues and are never shed by admission
-//! control), `fetch`, `backfill`, `stats` and the injected stalls. A miss
-//! is deferred: its worker runs the pipeline, stores the result, absorbs
-//! the job's counters and builds the reply. (A corrupt entry falls
-//! through to a normal deferred miss rather than running the pipeline on
-//! the loop.)
+//! control), `fetch`, `backfill`, `stats` and the injected stalls. A hit
+//! is keyed by the request's DEX bytes as received
+//! ([`ExtractRequest::key`]) and never parses them. A miss reads the DEX
+//! and is deferred: its worker runs the pipeline, stores the result under
+//! the key the hit looked up, absorbs the job's counters and builds the
+//! reply. (A corrupt entry falls through to a normal deferred miss rather
+//! than running the pipeline on the loop.)
 //!
 //! `stats` walks three counter tables ([`dexlego_harness::Counters`]) and
 //! names no counter itself: the core's [`CoreStats`], the daemon's own
@@ -25,9 +27,8 @@ use std::time::{Duration, Instant};
 
 use dexlego_harness::cache::from_cached;
 use dexlego_harness::json;
-use dexlego_harness::{
-    counters, execute_job_cached, job_key, Counters, JobReport, JobSpec, COUNTERS,
-};
+use dexlego_harness::{counters, execute_job_keyed, Counters, JobReport, JobSpec, COUNTERS};
+use dexlego_packer::PackerId;
 use dexlego_store::entry::encode as encode_entry;
 use dexlego_store::{CachedResult, Key, Store, StoreConfig, StoreStats};
 
@@ -37,11 +38,13 @@ use crate::core::{
 };
 use crate::protocol::ExtractRequest;
 
-/// The job executor a daemon's workers run: [`execute_job_cached`] over
-/// the daemon's store, or a stand-in injected through
+/// The job executor a daemon's workers run on a miss: the job and the
+/// key its hit was looked up under ([`ExtractRequest::key`]), so the fill
+/// lands where the next hit looks. [`execute_job_keyed`] over the
+/// daemon's store, or a stand-in injected through
 /// [`Daemon::start_with_executor`]. It yields the report and, for
 /// successful jobs, the serialised revealed DEX.
-pub type PoolExecutor = Arc<dyn Fn(JobSpec) -> (JobReport, Option<Vec<u8>>) + Send + Sync>;
+pub type PoolExecutor = Arc<dyn Fn(JobSpec, Key) -> (JobReport, Option<Vec<u8>>) + Send + Sync>;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -167,7 +170,8 @@ impl Daemon {
     pub fn start(config: ServiceConfig) -> io::Result<Daemon> {
         let store = Arc::new(Store::open(config.store.clone())?);
         let exec_store = Arc::clone(&store);
-        let exec: PoolExecutor = Arc::new(move |spec| execute_job_cached(spec, &exec_store));
+        let exec: PoolExecutor =
+            Arc::new(move |spec, key| execute_job_keyed(spec, key, &exec_store));
         Daemon::start_with_executor(config, store, exec)
     }
 
@@ -282,31 +286,38 @@ impl Handler for Extractor {
         let seq = self.next_job;
         self.next_job += 1;
         self.stall();
-        let spec = match req.to_spec(&format!("req{seq:06}")) {
-            Ok(spec) => spec,
+        let key = match req.key() {
+            Ok(key) => key,
             Err(reason) => return Action::Error(reason),
         };
+        let name = req.name.clone().unwrap_or_else(|| format!("req{seq:06}"));
 
-        // Fast path: a result already in the store is served inline, so
-        // cache hits are never shed by admission control or queued behind
-        // slow extractions. A corrupt entry (get quarantines it and
-        // returns None) falls through to a normal dispatch.
-        if let Some(key) = job_key(&spec).filter(|key| self.store.contains(key)) {
+        // Fast path: a result already in the store is served inline, keyed
+        // by the request's bytes with no parse of its DEX, so cache hits
+        // are never shed by admission control or queued behind slow
+        // extractions. A corrupt entry (get quarantines it and returns
+        // None) falls through to a normal dispatch.
+        if self.store.contains(&key) {
             let start = Instant::now();
             if let Some(hit) = self.store.get(&key) {
-                let packer = spec.packer.map(|id| id.profile().name);
-                let mut report = from_cached(&spec.name, packer, &hit);
+                let packer = req.packer.as_deref().and_then(PackerId::by_name);
+                let mut report = from_cached(&name, packer.map(|id| id.profile().name), &hit);
                 report.wall_us = start.elapsed().as_micros() as u64;
                 self.stats.lock().expect("stats lock").absorb(&report);
                 return Action::Reply(extract_reply(&report, Some(&hit.dex_bytes)));
             }
         }
 
+        // Only a miss reads the DEX; its worker fills the key looked up.
+        let spec = match req.to_spec(&name) {
+            Ok(spec) => spec,
+            Err(reason) => return Action::Error(reason),
+        };
         let (exec, stats) = (Arc::clone(&self.exec), Arc::clone(&self.stats));
         Action::Defer {
             deadline_ms: req.deadline_ms,
             work: Box::new(move || {
-                let (report, dex) = exec(spec);
+                let (report, dex) = exec(spec, key);
                 stats.lock().expect("stats lock").absorb(&report);
                 extract_reply(&report, dex.as_deref())
             }),

@@ -2,7 +2,8 @@
 //! request/reply line parsers.
 //!
 //! * `to_hex` equals a per-byte `format!` oracle; `from_hex` inverts it
-//!   in either case and accepts exactly the even-length ASCII hex strings.
+//!   in either case and accepts exactly the even-length ASCII hex strings,
+//!   which are exactly the strings `is_hex` accepts.
 //! * `json::escape` equals a char-by-char oracle escaper on text full of
 //!   quotes, backslashes, control characters, U+2028/U+2029, their
 //!   same-lead-byte neighbours and multi-byte characters, and `parse`
@@ -16,7 +17,7 @@
 
 use dexlego_harness::json::{self, Value};
 use dexlego_service::{parse_reply_line, parse_request_line, ExtractRequest, RequestId};
-use dexlego_store::hex::{from_hex, to_hex};
+use dexlego_store::hex::{from_hex, is_hex, to_hex};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -169,6 +170,7 @@ proptest! {
         let valid = s.len() % 2 == 0 && s.bytes().all(|b| b.is_ascii_hexdigit());
         let decoded = from_hex(&s);
         prop_assert_eq!(decoded.is_some(), valid, "{:?}", s);
+        prop_assert_eq!(is_hex(&s), valid, "{:?}", s);
         if let Some(bytes) = decoded {
             prop_assert_eq!(to_hex(&bytes), s.to_ascii_lowercase());
         }

@@ -26,7 +26,7 @@ use dexlego_router::{Router, RouterConfig};
 use dexlego_service::{
     parse_reply_line, Daemon, FrameError, Framer, PoolExecutor, Reply, RequestId, ServiceConfig,
 };
-use dexlego_store::{Store, StoreConfig, TempDir};
+use dexlego_store::{Key, Store, StoreConfig, TempDir};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -230,8 +230,9 @@ fn invalid_utf8_through_the_router_is_an_error_reply() {
 fn check_one_reply_per_frame(ops: &[Op], chunks: &[usize], through_router: bool) {
     let dir = TempDir::new("service-framing-prop").unwrap();
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor =
-        Arc::new(|spec: JobSpec| (JobReport::empty(spec.name.clone(), None), Some(Vec::new())));
+    let exec: PoolExecutor = Arc::new(|spec: JobSpec, _: Key| {
+        (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
+    });
     let mut config = ServiceConfig::new(dir.path());
     config.workers = 1;
     config.max_line_bytes = MAX_LINE;

@@ -18,7 +18,7 @@ use dexlego_service::{
     Client, Daemon, ExtractReply, ExtractRequest, PipelinedClient, PoolExecutor, Reply, RequestId,
     ServiceConfig,
 };
-use dexlego_store::{Store, StoreConfig, TempDir};
+use dexlego_store::{Key, Store, StoreConfig, TempDir};
 
 fn sample_request(name: &str) -> ExtractRequest {
     let (_, app) = corpus_apps(1, 40).into_iter().next().unwrap();
@@ -32,7 +32,7 @@ fn sample_request(name: &str) -> ExtractRequest {
 /// name, so tests control exactly which request finishes first.
 fn delay_daemon(dir: &TempDir, delays: Vec<(&'static str, u64)>) -> Daemon {
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         let ms = delays
             .iter()
             .find(|(name, _)| *name == spec.name)
@@ -140,7 +140,7 @@ fn deadlines_shed_requests_that_cannot_start_in_time() {
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_rx = Mutex::new(release_rx);
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         release_rx.lock().unwrap().recv().expect("release signal");
         (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
     });
@@ -190,7 +190,7 @@ fn a_deadline_reaches_a_request_waiting_for_the_only_worker() {
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         if spec.name == "held" {
             started_tx.lock().unwrap().send(()).expect("started signal");
             release_rx.lock().unwrap().recv().expect("release signal");
@@ -235,7 +235,7 @@ fn a_deadline_reaches_a_request_waiting_for_the_only_worker() {
 /// A one-worker daemon whose executor sleeps `ms` per job.
 fn sleeping_daemon(dir: &TempDir, ms: u64) -> Daemon {
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         std::thread::sleep(Duration::from_millis(ms));
         (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
     });
@@ -283,7 +283,7 @@ fn a_router_relays_its_backends_deadline_shed() {
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         if spec.name == "held" {
             started_tx.lock().unwrap().send(()).expect("started signal");
             release_rx.lock().unwrap().recv().expect("release signal");

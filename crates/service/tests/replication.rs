@@ -16,7 +16,7 @@ use dexlego_service::{
     Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, Reply, RequestId, ServiceConfig,
 };
 use dexlego_store::hex::from_hex;
-use dexlego_store::{Store, StoreConfig, TempDir};
+use dexlego_store::{Key, Store, StoreConfig, TempDir};
 
 fn sample_request(name: &str) -> ExtractRequest {
     let (_, app) = corpus_apps(1, 40).into_iter().next().unwrap();
@@ -115,7 +115,7 @@ fn fetch_and_backfill_replicate_a_result() {
 fn cancel_revokes_a_pending_request() {
     let dir = TempDir::new("repl-cancel").unwrap();
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         if spec.name == "slow" {
             std::thread::sleep(Duration::from_millis(300));
         }
@@ -173,7 +173,7 @@ fn cancel_reaches_a_request_waiting_for_the_only_worker() {
     let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
     let runs = Arc::new(AtomicUsize::new(0));
     let counted = Arc::clone(&runs);
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         counted.fetch_add(1, Ordering::SeqCst);
         if spec.name == "held" {
             started_tx.lock().unwrap().send(()).expect("started signal");

@@ -12,7 +12,7 @@ use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
 use dexlego_harness::{job_key, JobReport, JobSpec, COUNTERS};
 use dexlego_service::{Client, Daemon, ExtractReply, ExtractRequest, PoolExecutor, ServiceConfig};
-use dexlego_store::{object_path, CachedResult, Store, StoreConfig, TempDir};
+use dexlego_store::{object_path, CachedResult, Key, Store, StoreConfig, TempDir};
 
 fn sample_request(insns: usize) -> ExtractRequest {
     let (_, app) = corpus_apps(1, insns).into_iter().next().unwrap();
@@ -124,7 +124,7 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let started_tx = std::sync::Mutex::new(started_tx);
     let release_rx = std::sync::Mutex::new(release_rx);
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         started_tx.lock().unwrap().send(()).expect("started signal");
         release_rx.lock().unwrap().recv().expect("release signal");
         (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
@@ -179,7 +179,7 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
 fn stats_sums_every_job_counter() {
     let dir = TempDir::new("service-counters").unwrap();
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor = Arc::new(|spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(|spec: JobSpec, _: Key| {
         let mut report = JobReport::empty(spec.name.clone(), None);
         for (i, c) in COUNTERS.iter().enumerate() {
             report.set_counter(c.name, 1_000 + 7 * i as u64);

@@ -15,7 +15,7 @@ use dexlego_router::{Router, RouterConfig};
 use dexlego_service::{
     Client, Daemon, ExtractRequest, PipelinedClient, PoolExecutor, ServiceConfig,
 };
-use dexlego_store::{Store, StoreConfig, TempDir};
+use dexlego_store::{Key, Store, StoreConfig, TempDir};
 
 fn sample_request(insns: usize) -> ExtractRequest {
     let (_, app) = corpus_apps(1, insns).into_iter().next().unwrap();
@@ -27,7 +27,7 @@ fn sample_request(insns: usize) -> ExtractRequest {
 /// so reply volume (not pipeline time) is the variable under test.
 fn stub_daemon(dir: &TempDir, payload: usize) -> Daemon {
     let store = Arc::new(Store::open(StoreConfig::new(dir.path())).unwrap());
-    let exec: PoolExecutor = Arc::new(move |spec: JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: JobSpec, _: Key| {
         (
             JobReport::empty(spec.name.clone(), None),
             Some(vec![0xabu8; payload]),
@@ -233,7 +233,7 @@ fn pipelining_past_the_pending_bound_sheds_the_newest() {
     // Every job blocks until released, so admission is fully deterministic.
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_rx = std::sync::Mutex::new(release_rx);
-    let exec: PoolExecutor = Arc::new(move |spec: dexlego_harness::JobSpec| {
+    let exec: PoolExecutor = Arc::new(move |spec: dexlego_harness::JobSpec, _: Key| {
         release_rx.lock().unwrap().recv().expect("release signal");
         (JobReport::empty(spec.name.clone(), None), Some(Vec::new()))
     });

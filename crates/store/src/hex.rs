@@ -1,10 +1,27 @@
 //! Lowercase hex encoding, shared by store keys and the service wire
 //! protocol (DEX payloads travel as hex strings inside JSON).
 //!
-//! Encoding reads digits from a table and decoding works bytewise; both
-//! touch each byte once, so a payload costs linear time however large.
+//! Both directions go through a table and touch each byte once, so a
+//! payload costs linear time however large.
 
 const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is no hex digit in [`NIBBLES`]; no digit's value has
+/// this bit.
+const INVALID: u8 = 0x10;
+
+/// The value of every byte as a hex digit (either case), or [`INVALID`]:
+/// every other ASCII byte and every byte of a multi-byte UTF-8 sequence.
+const NIBBLES: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < DIGITS.len() {
+        table[DIGITS[i] as usize] = i as u8;
+        table[DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 /// Encodes `bytes` as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
@@ -31,26 +48,32 @@ pub fn push_hex(out: &mut String, bytes: &[u8]) {
 
 /// Decodes a hex string (either case). `None` on odd length or non-hex
 /// characters.
+///
+/// Every pair is decoded through a 256-entry nibble table into a buffer
+/// sized in advance, and an invalid digit only ORs its mark into one
+/// flag, checked once at the end, so the loop has no early exit to
+/// branch on.
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Some(out)
+    let mut marks = 0;
+    let out: Vec<u8> = s
+        .as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+            marks |= hi | lo;
+            (hi << 4) | lo
+        })
+        .collect();
+    (marks & INVALID == 0).then_some(out)
 }
 
-/// The value of one hex digit byte; `None` for anything else (including
-/// every byte of a multi-byte UTF-8 sequence).
-fn nibble(b: u8) -> Option<u8> {
-    match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        b'A'..=b'F' => Some(b - b'A' + 10),
-        _ => None,
-    }
+/// Whether [`from_hex`] decodes `s`: an even number of hex digits, in
+/// either case, and nothing else.
+pub fn is_hex(s: &str) -> bool {
+    s.len().is_multiple_of(2) && s.bytes().all(|b| NIBBLES[usize::from(b)] != INVALID)
 }
 
 #[cfg(test)]
@@ -68,9 +91,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(from_hex("abc").is_none());
-        assert!(from_hex("zz").is_none());
-        assert!(from_hex("aé").is_none());
+        for bad in ["abc", "zz", "aé", "0g", "g0"] {
+            assert!(from_hex(bad).is_none() && !is_hex(bad), "{bad}");
+        }
         assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+        assert!(is_hex("") && is_hex("00aB"));
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -109,6 +110,8 @@ struct EntryMeta {
 
 struct Inner {
     log: fs::File,
+    /// Records in the index log, torn and malformed lines included.
+    log_records: u64,
     entries: HashMap<Key, EntryMeta>,
     clock: u64,
     bytes: u64,
@@ -133,6 +136,12 @@ struct Inner {
 /// Every entry on disk is `magic ‖ sha1(payload) ‖ len(payload) ‖ payload`;
 /// reads recompute the checksum and [quarantine](StoreStats::quarantined)
 /// mismatching entries instead of serving them.
+///
+/// Every hit appends a `get` record, so the log is bounded: once it holds
+/// more than [`Store::LOG_FLOOR`] records and [`Store::LOG_PER_ENTRY`] per
+/// live entry, it is rewritten as one `put` per live entry, least recently
+/// used first. The new log is written beside the old one and renamed over
+/// it, so a crash leaves one or the other, whole.
 pub struct Store {
     root: PathBuf,
     budget: u64,
@@ -146,6 +155,12 @@ pub struct Store {
 const CONTAINER_MAGIC: &[u8; 8] = b"DLSTORE1";
 
 impl Store {
+    /// Index-log records below which the log is never compacted.
+    pub const LOG_FLOOR: u64 = 1024;
+    /// Index-log records per live entry below which the log is never
+    /// compacted.
+    pub const LOG_PER_ENTRY: u64 = 4;
+
     /// Opens (creating if necessary) the store at `config.root`, replaying
     /// the index log to rebuild the entry table and LRU order.
     ///
@@ -153,7 +168,9 @@ impl Store {
     /// not a well-formed record, a last line left without its newline is
     /// cut off the log before anything is appended to it, and objects a
     /// crash left half-written (`*.tmp`, never renamed into place) are
-    /// removed. It assumes no other handle writes under the same root.
+    /// removed, as is a compacted log never renamed into place. A log past
+    /// its bound is compacted at once. It assumes no other handle writes
+    /// under the same root.
     ///
     /// # Errors
     ///
@@ -163,12 +180,9 @@ impl Store {
         fs::create_dir_all(root.join("objects"))?;
         fs::create_dir_all(root.join("quarantine"))?;
         remove_unfinished_objects(&root)?;
+        let _ = fs::remove_file(root.join("index.log.tmp"));
 
-        let mut log = fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(root.join("index.log"))?;
+        let mut log = open_log(&root)?;
         let mut text = Vec::new();
         log.read_to_end(&mut text)?;
         // A crash mid-append leaves a torn last line; cut it off so the
@@ -182,6 +196,7 @@ impl Store {
         }
         let mut entries: HashMap<Key, EntryMeta> = HashMap::new();
         let mut clock = 0u64;
+        let log_records = text[..complete].iter().filter(|&&b| b == b'\n').count() as u64;
         for line in text[..complete].split(|&b| b == b'\n') {
             let Some((op, key, size)) = parse_record(line) else {
                 continue;
@@ -206,21 +221,24 @@ impl Store {
         // crash between log append and rename, or manual deletion).
         entries.retain(|key, _| object_path(&root, *key).exists());
         let bytes = entries.values().map(|m| m.size).sum();
+        let mut inner = Inner {
+            log,
+            log_records,
+            entries,
+            clock,
+            bytes,
+            hits: 0,
+            misses: 0,
+            puts: 0,
+            evictions: 0,
+            quarantined: 0,
+        };
+        inner.compact_if_due(&root);
 
         Ok(Store {
             root,
             budget: config.byte_budget,
-            inner: Mutex::new(Inner {
-                log,
-                entries,
-                clock,
-                bytes,
-                hits: 0,
-                misses: 0,
-                puts: 0,
-                evictions: 0,
-                quarantined: 0,
-            }),
+            inner: Mutex::new(inner),
             fills: Mutex::new(HashMap::new()),
         })
     }
@@ -248,7 +266,7 @@ impl Store {
                     meta.last_access = clock;
                 }
                 inner.hits += 1;
-                append_log(&mut inner.log, &format!("get {key}"));
+                inner.record(&self.root, &format!("get {key}"));
                 Some(result)
             }
             Err(_) => {
@@ -262,7 +280,7 @@ impl Store {
                     inner.bytes = inner.bytes.saturating_sub(meta.size);
                 }
                 inner.misses += 1;
-                append_log(&mut inner.log, &format!("bad {key}"));
+                inner.record(&self.root, &format!("bad {key}"));
                 None
             }
         }
@@ -308,7 +326,7 @@ impl Store {
         }
         inner.bytes += size;
         inner.puts += 1;
-        append_log(&mut inner.log, &format!("put {key} {size}"));
+        inner.record(&self.root, &format!("put {key} {size}"));
         self.evict_to_budget(&mut inner, key);
         Ok(())
     }
@@ -407,7 +425,7 @@ impl Store {
                 inner.bytes = inner.bytes.saturating_sub(meta.size);
             }
             inner.evictions += 1;
-            append_log(&mut inner.log, &format!("evict {victim}"));
+            inner.record(&self.root, &format!("evict {victim}"));
         }
     }
 }
@@ -449,10 +467,51 @@ pub fn object_path(root: &Path, key: Key) -> PathBuf {
     root.join("objects").join(&hex[..2]).join(&hex[2..])
 }
 
-fn append_log(log: &mut fs::File, line: &str) {
-    // The index is advisory (it only carries LRU order and sizes); a failed
-    // append degrades recovery fidelity, not correctness.
-    let _ = writeln!(log, "{line}");
+impl Inner {
+    /// Appends one record to the index log, and compacts the log if that
+    /// took it past its bound.
+    fn record(&mut self, root: &Path, line: &str) {
+        // The index is advisory (it only carries LRU order and sizes); a
+        // failed append degrades recovery fidelity, not correctness.
+        let _ = writeln!(self.log, "{line}");
+        self.log_records += 1;
+        self.compact_if_due(root);
+    }
+
+    /// Rewrites the index log as one `put` per live entry, least recently
+    /// used first, once it holds more than [`Store::LOG_FLOOR`] records
+    /// and [`Store::LOG_PER_ENTRY`] per live entry. A replay of the new
+    /// log rebuilds the same entries, sizes and LRU order.
+    fn compact_if_due(&mut self, root: &Path) {
+        let live = self.entries.len() as u64;
+        if self.log_records <= Store::LOG_FLOOR.max(Store::LOG_PER_ENTRY * live) {
+            return;
+        }
+        let mut order: Vec<(&Key, &EntryMeta)> = self.entries.iter().collect();
+        order.sort_unstable_by_key(|(_, meta)| meta.last_access);
+        let mut text = String::with_capacity(order.len() * 64);
+        for (key, meta) in order {
+            let _ = writeln!(text, "put {key} {}", meta.size);
+        }
+        let tmp = root.join("index.log.tmp");
+        if let Ok(log) = fs::write(&tmp, text)
+            .and_then(|()| fs::rename(&tmp, root.join("index.log")))
+            .and_then(|()| open_log(root))
+        {
+            self.log = log;
+        }
+        // A log that could not be rewritten is tried again only after
+        // another bound's worth of records.
+        self.log_records = live;
+    }
+}
+
+fn open_log(root: &Path) -> io::Result<fs::File> {
+    fs::OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(root.join("index.log"))
 }
 
 fn read_verified(path: &Path) -> Result<CachedResult, String> {

@@ -2,6 +2,7 @@
 //! across reopen, LRU eviction, checksum quarantine, and concurrent fill
 //! deduplication.
 
+use std::fs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -79,6 +80,55 @@ fn lru_eviction_respects_access_order_across_reopen() {
     assert!(!store.contains(&key(2)), "LRU entry evicted");
     assert!(store.contains(&key(3)));
     assert!(!object_path(dir.path(), key(2)).exists());
+}
+
+/// Every hit appends a record to the index log, so the log is rewritten
+/// past its bound: gets on a few entries keep it under the bound, and a
+/// reopen of the rewritten log keeps every entry, its size and the LRU
+/// order.
+#[test]
+fn hits_keep_the_index_log_bounded_and_the_lru_order() {
+    let dir = TempDir::new("store-log-bound").unwrap();
+    let log_lines = || {
+        fs::read_to_string(dir.path().join("index.log"))
+            .unwrap()
+            .lines()
+            .count() as u64
+    };
+    let keys = [1u8, 2, 3, 4];
+    // Least recently used first, as the last pass of gets leaves them.
+    let touch = [2u8, 4, 1, 3];
+    let bytes = {
+        let store = Store::open(StoreConfig::new(dir.path())).unwrap();
+        for n in keys {
+            store.put(&key(n), &result(64 * usize::from(n), n)).unwrap();
+        }
+        for pass in 0..3 * Store::LOG_FLOOR / 4 {
+            for n in touch {
+                assert_eq!(store.get(&key(n)).unwrap(), result(64 * usize::from(n), n));
+            }
+            if pass % 16 == 0 {
+                assert!(log_lines() <= Store::LOG_FLOOR, "pass {pass}");
+            }
+        }
+        assert!(log_lines() <= Store::LOG_FLOOR);
+        store.stats().bytes
+    };
+    {
+        let store = Store::open(StoreConfig::new(dir.path())).unwrap();
+        assert_eq!((store.stats().entries, store.stats().bytes), (4, bytes));
+    }
+    // With no budget left, a put evicts every other entry, oldest first.
+    let store = Store::open(StoreConfig::new(dir.path()).with_budget(0)).unwrap();
+    store.put(&key(5), &result(64, 5)).unwrap();
+    let log = fs::read_to_string(dir.path().join("index.log")).unwrap();
+    let evicted: Vec<String> = log
+        .lines()
+        .filter_map(|line| line.strip_prefix("evict "))
+        .map(str::to_owned)
+        .collect();
+    let oldest_first: Vec<String> = touch.iter().map(|&n| key(n).to_hex()).collect();
+    assert_eq!(evicted, oldest_first);
 }
 
 #[test]

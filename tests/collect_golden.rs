@@ -15,11 +15,13 @@
 //! one generated app collected under all seven packer configurations.
 //!
 //! On a mismatch the test prints every actual `name digest` line. After
-//! an intended change of collected or revealed bytes (which also bumps
-//! `EXTRACTOR_VERSION`), those lines replace the golden file's.
+//! an intended change of collected or revealed bytes, those lines replace
+//! the golden file's, and the file's SHA-1 is recorded in
+//! `COLLECT_GOLDEN_SHA1`, next to the `EXTRACTOR_VERSION` it decides on.
 
 use dexlego_suite::dex::checksum::sha1;
 use dexlego_suite::dex::writer::write_dex;
+use dexlego_suite::dexlego::digest::COLLECT_GOLDEN_SHA1;
 use dexlego_suite::dexlego::pipeline::{reveal, RevealOutcome};
 use dexlego_suite::droidbench::appgen::{generate, AppSpec};
 use dexlego_suite::droidbench::{build_suite, drive_sample};
@@ -66,6 +68,21 @@ fn push_digests(
         "{name}: revealed bytes exact-size"
     );
     actual.push((format!("revealed/{name}"), hex(sha1(&bytes))));
+}
+
+/// The goldens and the extractor version change together: a golden file
+/// edited without a decision about `EXTRACTOR_VERSION`, which keeps
+/// persistent stores from serving results this code would not produce,
+/// fails here.
+#[test]
+fn the_extractor_version_is_tied_to_the_goldens() {
+    assert_eq!(
+        hex(sha1(GOLDEN.as_bytes())),
+        COLLECT_GOLDEN_SHA1,
+        "golden/collect_digests.txt changed: bump EXTRACTOR_VERSION if cached \
+         results are no longer what the pipeline produces, then record the \
+         file's new SHA-1 in COLLECT_GOLDEN_SHA1"
+    );
 }
 
 #[test]
